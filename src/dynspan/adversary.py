@@ -76,70 +76,22 @@ class _Budgeted:
         return self.seq
 
 
-class RandomOblivious(_Budgeted):
-    """Seeded random legal update; ignores the view's output entirely."""
+class _EdgeAdversary(_Budgeted):
+    """Seeded edge-update strategy with insertion mixing.
 
-    def __init__(self, seed: int, budget: int, p_insert: float = 0.5) -> None:
-        super().__init__(budget)
-        self.rng = random.Random(seed)
-        self.p_insert = p_insert
-
-    def next_event(self, view: AdversaryView) -> UpdateEvent | None:
-        seq = self._next_seq()
-        if seq is None:
-            return None
-        g = view.graph
-        total = g.n * (g.n - 1) // 2
-        want_insert = self.rng.random() < self.p_insert
-        if g.m == 0 and self.p_insert > 0:
-            want_insert = True
-        elif g.m >= total:
-            want_insert = False
-        if want_insert:
-            return UpdateEvent(seq, INSERT, _uniform_absent_pair(g, self.rng))
-        if g.m == 0:
-            raise Exhausted("nothing to delete")
-        return UpdateEvent(seq, DELETE, _uniform_present_edge(g, self.rng))
-
-
-class SpannerTargeting(_Budgeted):
-    """Deletes a uniformly random edge of the current spanner (falls back to
-    any edge when the spanner is empty); optional insertion mixing."""
+    Each event draws once from the RNG: with probability `p_insert` (and
+    always on an empty graph when `p_insert` > 0) it inserts a uniformly
+    random absent pair, unless the graph is complete; otherwise it deletes
+    the edge `victim(view)` picks.
+    """
 
     def __init__(self, seed: int, budget: int, p_insert: float = 0.0) -> None:
         super().__init__(budget)
         self.rng = random.Random(seed)
         self.p_insert = p_insert
 
-    def next_event(self, view: AdversaryView) -> UpdateEvent | None:
-        seq = self._next_seq()
-        if seq is None:
-            return None
-        g = view.graph
-        total = g.n * (g.n - 1) // 2
-        want_insert = self.rng.random() < self.p_insert
-        if g.m == 0 and self.p_insert > 0:
-            want_insert = True
-        elif g.m >= total:
-            want_insert = False
-        if want_insert:
-            return UpdateEvent(seq, INSERT, _uniform_absent_pair(g, self.rng))
-        if g.m == 0:
-            raise Exhausted("nothing to delete")
-        spanner = sorted(view.spanner()) if view.spanner is not None else []
-        if spanner:
-            return UpdateEvent(seq, DELETE, spanner[self.rng.randrange(len(spanner))])
-        return UpdateEvent(seq, DELETE, _uniform_present_edge(g, self.rng))
-
-
-class WitnessHammer(_Budgeted):
-    """Deletes the edge carrying the most chosen witness routines (max
-    machine load, ties by smallest edge key)."""
-
-    def __init__(self, seed: int, budget: int, p_insert: float = 0.0) -> None:
-        super().__init__(budget)
-        self.rng = random.Random(seed)
-        self.p_insert = p_insert
+    def victim(self, view: AdversaryView) -> tuple[int, int]:
+        raise NotImplementedError
 
     def next_event(self, view: AdversaryView) -> UpdateEvent | None:
         seq = self._next_seq()
@@ -151,12 +103,40 @@ class WitnessHammer(_Budgeted):
             return UpdateEvent(seq, INSERT, _uniform_absent_pair(g, self.rng))
         if g.m == 0:
             raise Exhausted("nothing to delete")
+        return UpdateEvent(seq, DELETE, self.victim(view))
+
+
+class RandomOblivious(_EdgeAdversary):
+    """Seeded random legal update; ignores the view's output entirely."""
+
+    def __init__(self, seed: int, budget: int, p_insert: float = 0.5) -> None:
+        super().__init__(seed, budget, p_insert)
+
+    def victim(self, view: AdversaryView) -> tuple[int, int]:
+        return _uniform_present_edge(view.graph, self.rng)
+
+
+class SpannerTargeting(_EdgeAdversary):
+    """Deletes a uniformly random edge of the current spanner (falls back to
+    any edge when the spanner is empty); optional insertion mixing."""
+
+    def victim(self, view: AdversaryView) -> tuple[int, int]:
+        spanner = sorted(view.spanner()) if view.spanner is not None else []
+        if spanner:
+            return spanner[self.rng.randrange(len(spanner))]
+        return _uniform_present_edge(view.graph, self.rng)
+
+
+class WitnessHammer(_EdgeAdversary):
+    """Deletes the edge carrying the most chosen witness routines (max
+    machine load, ties by smallest edge key)."""
+
+    def victim(self, view: AdversaryView) -> tuple[int, int]:
         loads = view.machine_loads() if view.machine_loads is not None else {}
         if loads:
             top = max(loads.values())
-            victim = min(e for e, c in loads.items() if c == top)
-            return UpdateEvent(seq, DELETE, victim)
-        return UpdateEvent(seq, DELETE, min(g.edges()))
+            return min(e for e, c in loads.items() if c == top)
+        return min(view.graph.edges())
 
 
 @dataclass(frozen=True)
@@ -235,10 +215,3 @@ def write_stream(path: str, n: int, events: list[UpdateEvent]) -> None:
         for ev in events:
             f.write(f"{ev.kind} {ev.edge[0]} {ev.edge[1]}\n")
 
-
-STRATEGIES = {
-    "random": RandomOblivious,
-    "spanner-target": SpannerTargeting,
-    "witness-hammer": WitnessHammer,
-    "max-load": MaxLoadMachine,
-}

@@ -381,6 +381,20 @@ class _Parser(argparse.ArgumentParser):
         raise BadArgs(message)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="dynspan", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -388,13 +402,13 @@ def build_parser() -> _Parser:
     def common(sp, algo=True):
         if algo:
             sp.add_argument("--algo", required=True, choices=sorted(ALGO_FACTORIES))
-        sp.add_argument("--k", type=int, default=2)
+        sp.add_argument("--k", type=positive_int, default=2)
         sp.add_argument("--n", type=int, default=32)
         sp.add_argument("--steps", type=int, default=1000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--init-m", type=int, default=0, dest="init_m")
-        sp.add_argument("--phase-len", type=int, default=None, dest="phase_len")
-        sp.add_argument("--p-insert", type=float, default=0.5, dest="p_insert")
+        sp.add_argument("--phase-len", type=positive_int, default=None, dest="phase_len")
+        sp.add_argument("--p-insert", type=probability, default=0.5, dest="p_insert")
         sp.add_argument("--jm-jobs", type=int, default=200, dest="jm_jobs")
         sp.add_argument("--jm-machines", type=int, default=1500, dest="jm_machines")
         sp.add_argument("--jm-instance", default=None, dest="jm_instance")

@@ -21,10 +21,11 @@ update sequence.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
 from dynspan.graph import DynamicGraph, edge_key
-from dynspan.instrumentation import OpCounter
+from dynspan.instrumentation import OpCounter, RoleSet
 
 
 def default_buckets(n: int) -> list[int]:
@@ -58,10 +59,10 @@ class Det3State:
         self.cedge: dict[tuple[int, int], set[int]] = {}  # (a, b) -> far endpoints z of E(a, C+(b))
         self.chosen: dict[tuple[int, int], int] = {}  # (a, b) -> chosen far endpoint
 
-        self.t1_of: dict[tuple[int, int], set[int]] = {}  # edge -> owners v with c_i(v) on it
-        self.t2_of: dict[tuple[int, int], set[tuple[int, int]]] = {}  # edge -> pairs
-        self.spanner: set[tuple[int, int]] = set()
-        self._touched: dict[tuple[int, int], bool] = {}  # membership before current step
+        # roles: one per owner v whose center c_i(v) is on the edge, one per
+        # pair that chose it
+        self.roles = RoleSet()
+        self.spanner: set[tuple[int, int]] = self.roles.members
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -92,7 +93,7 @@ class Det3State:
                 self.chosen[pair] = z
                 self._add_t2(edge_key(pair[0], z), pair)
         self.counter.end_step()
-        self._touched.clear()
+        self.roles.flush()
 
     # -- small helpers -----------------------------------------------------
 
@@ -109,40 +110,22 @@ class Det3State:
             return None
         return (near, q)
 
-    def _note(self, e: tuple[int, int]) -> None:
-        if e not in self._touched:
-            self._touched[e] = e in self.spanner
+    # role changes; the holder argument (owner vertex or pair) names whose role it is
 
     def _add_t1(self, e: tuple[int, int], owner: int) -> None:
-        self._note(e)
-        self.t1_of.setdefault(e, set()).add(owner)
-        self.spanner.add(e)
+        self.roles.add(e)
         self._charge(1)
 
     def _remove_t1(self, e: tuple[int, int], owner: int) -> None:
-        self._note(e)
-        owners = self.t1_of[e]
-        owners.discard(owner)
-        if not owners:
-            del self.t1_of[e]
-            if e not in self.t2_of:
-                self.spanner.discard(e)
+        self.roles.remove(e)
         self._charge(1)
 
     def _add_t2(self, e: tuple[int, int], pair: tuple[int, int]) -> None:
-        self._note(e)
-        self.t2_of.setdefault(e, set()).add(pair)
-        self.spanner.add(e)
+        self.roles.add(e)
         self._charge(1)
 
     def _remove_t2(self, e: tuple[int, int], pair: tuple[int, int]) -> None:
-        self._note(e)
-        pairs = self.t2_of[e]
-        pairs.discard(pair)
-        if not pairs:
-            del self.t2_of[e]
-            if e not in self.t1_of:
-                self.spanner.discard(e)
+        self.roles.remove(e)
         self._charge(1)
 
     def _cedge_add(self, pair: tuple[int, int], far: int) -> None:
@@ -170,16 +153,6 @@ class Det3State:
                 self._add_t2(edge_key(pair[0], z), pair)
             else:
                 del self.chosen[pair]
-
-    def _net_changes(self) -> list[tuple[tuple[int, int], str]]:
-        out = []
-        for e, was_in in self._touched.items():
-            now_in = e in self.spanner
-            if was_in != now_in:
-                out.append((e, "+" if now_in else "-"))
-        self._touched.clear()
-        out.sort()
-        return out
 
     # -- updates -----------------------------------------------------------
 
@@ -210,7 +183,7 @@ class Det3State:
             if pair is not None:
                 self._cedge_add(pair, far)
         self.counter.end_step()
-        return self._net_changes()
+        return self.roles.flush()
 
     def delete_edge(self, u: int, v: int) -> list[tuple[tuple[int, int], str]]:
         e = edge_key(u, v)
@@ -220,7 +193,7 @@ class Det3State:
             pair = self._pair_of(near, far)
             if pair is not None:
                 memberships.append((pair, far))
-        t1_owners = sorted(self.t1_of.get(e, ()))
+        t1_owners = [x for x, y in (e, e[::-1]) if self.center.get((x, self.bucket_of[y])) == y]
         self.g.delete_edge(u, v)
         u, v = e
         self.cross[(u, self.bucket_of[v])].discard(v)
@@ -232,7 +205,7 @@ class Det3State:
             far = v if owner == u else u
             self._handle_center_loss(owner, far, e)
         self.counter.end_step()
-        return self._net_changes()
+        return self.roles.flush()
 
     def _handle_center_loss(self, owner: int, old_center: int, e: tuple[int, int]) -> None:
         """The partner edge (owner, old_center) died; re-center owner in that
@@ -300,16 +273,8 @@ class Det3State:
         assert set(self.chosen) == set(cedge)
         for pair, z in self.chosen.items():
             assert z in cedge[pair]
-        # role tags and spanner membership agree with the indices
-        for (v, i), c in self.center.items():
-            assert v in self.t1_of[edge_key(v, c)]
-        for e, owners in self.t1_of.items():
-            for owner in owners:
-                far = e[1] if owner == e[0] else e[0]
-                assert self.center[(owner, self.bucket_of[far])] == far
-        for pair, z in self.chosen.items():
-            assert pair in self.t2_of[edge_key(pair[0], z)]
-        for e, pairs in self.t2_of.items():
-            for pair in pairs:
-                assert self.chosen[pair] in e and edge_key(pair[0], self.chosen[pair]) == e
-        assert self.spanner == set(self.t1_of) | set(self.t2_of)
+        # role counts and spanner membership agree with the centers and choices
+        roles = Counter(edge_key(v, c) for (v, _), c in self.center.items())
+        roles.update(edge_key(pair[0], z) for pair, z in self.chosen.items())
+        assert self.roles.count == roles
+        assert self.spanner == set(roles)

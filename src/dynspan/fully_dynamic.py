@@ -132,9 +132,6 @@ class FullyDynamicSpanner:
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.owner
 
-    def edge_count(self) -> int:
-        return len(self.owner)
-
     def check_invariants(self) -> None:
         seen: set[tuple[int, int]] = set()
         for e, lvl in self.owner.items():

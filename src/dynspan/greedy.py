@@ -31,19 +31,20 @@ class GreedyState:
 
     def _build(self) -> None:
         for e in self.graph.edges():
-            self._inspect(e)
+            if not self._inspect(e):
+                self.non_spanner.add(e)
         self.recourse.record(len(self.spanner_seq), 0)
 
     def _inspect(self, e: tuple[int, int]) -> bool:
+        """Admit e into the spanner iff its endpoints sit at spanner distance >= 2k."""
         u, v = e
-        if mask_dist(self.span_mask, u, v, self.cap) is None:
-            self.spanner_seq.append(e)
-            self.in_spanner.add(e)
-            self.span_mask[u] |= 1 << v
-            self.span_mask[v] |= 1 << u
-            return True
-        self.non_spanner.add(e)
-        return False
+        if mask_dist(self.span_mask, u, v, self.cap) is not None:
+            return False
+        self.spanner_seq.append(e)
+        self.in_spanner.add(e)
+        self.span_mask[u] |= 1 << v
+        self.span_mask[v] |= 1 << u
+        return True
 
     def spanner(self) -> set[tuple[int, int]]:
         return set(self.in_spanner)
@@ -70,24 +71,11 @@ class GreedyState:
         self.in_spanner.discard(e)
         self.span_mask[e[0]] &= ~(1 << e[1])
         self.span_mask[e[1]] &= ~(1 << e[0])
-        added: list[tuple[int, int]] = []
-        for cand in sorted(self.non_spanner):
-            if self._inspect_existing(cand):
-                added.append(cand)
+        added = [cand for cand in sorted(self.non_spanner) if self._inspect(cand)]
         for cand in added:
             self.non_spanner.discard(cand)
         self.recourse.record(len(added), 1)
         return added
-
-    def _inspect_existing(self, e: tuple[int, int]) -> bool:
-        u, v = e
-        if mask_dist(self.span_mask, u, v, self.cap) is None:
-            self.spanner_seq.append(e)
-            self.in_spanner.add(e)
-            self.span_mask[u] |= 1 << v
-            self.span_mask[v] |= 1 << u
-            return True
-        return False
 
     def check_invariants(self) -> None:
         assert self.in_spanner | self.non_spanner == set(self.graph.edges())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 class RecourseLog:
@@ -36,6 +36,48 @@ class RecourseLog:
         # totals must equal the sum of per-step entries
         assert self.total_added == sum(self.added)
         assert self.total_removed == sum(self.removed)
+
+
+class RoleSet:
+    """A maintained output whose members are the edges holding at least one role.
+
+    `count` maps each member to its number of roles; `members` is the output
+    itself.  Within a step only an edge's first 0<->1 transition records its
+    old membership, so `flush` can report the net change of the step.
+    """
+
+    def __init__(self) -> None:
+        self.count: dict[Hashable, int] = {}
+        self.members: set = set()
+        self._was: dict[Hashable, bool] = {}  # membership before the current step
+
+    def add(self, e: Hashable) -> None:
+        c = self.count.get(e, 0)
+        self.count[e] = c + 1
+        if not c:
+            self._was.setdefault(e, False)
+            self.members.add(e)
+
+    def remove(self, e: Hashable) -> None:
+        c = self.count[e] - 1
+        if c:
+            self.count[e] = c
+        else:
+            del self.count[e]
+            self._was.setdefault(e, True)
+            self.members.discard(e)
+
+    def flush(self) -> list[tuple[Hashable, str]]:
+        """Sorted (edge, "+"/"-") net membership changes since the last flush."""
+        members = self.members
+        out = [
+            (e, "+" if e in members else "-")
+            for e, was in self._was.items()
+            if was != (e in members)
+        ]
+        self._was.clear()
+        out.sort()
+        return out
 
 
 class OpCounter:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from dynspan.det3 import default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeMissing, edge_key
-from dynspan.instrumentation import OpCounter
+from dynspan.instrumentation import OpCounter, RoleSet
 from dynspan.job_machine import ResamplingEngine, Routine
 
 
@@ -116,7 +117,11 @@ class Resample3Step:
 
 
 class PhaseState:
-    """One phase of the randomized 3-spanner over a decremental core graph."""
+    """One phase of the randomized 3-spanner over a decremental core graph.
+
+    It charges its work to `counter` but never closes a step; its drivers
+    (`Resample3`, `WrappedRunner`) decide where steps end.
+    """
 
     def __init__(
         self,
@@ -125,32 +130,27 @@ class PhaseState:
         phase_len: int | None = None,
         bucket_of: Sequence[int] | None = None,
         counter: OpCounter | None = None,
-        defer_init: bool = False,
-        auto_step: bool = True,
     ) -> None:
         self.g = graph
         self.n = graph.n
         self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(self.n)
         self.L = phase_len if phase_len is not None else default_phase_len(self.n)
         self.counter = counter if counter is not None else OpCounter()
-        self.auto_step = auto_step
         self.idx = PartnershipIndex(self.n, self.bucket_of, self.counter)
         self.partner: dict[tuple[int, int], int] = {}  # (v, i) -> min bucket neighbor
-        self.e1_count: dict[tuple[int, int], int] = {}
-        self.e2: set[tuple[int, int]] = set()
-        self.e3_count: dict[tuple[int, int], int] = {}
-        self.buffer: set[tuple[int, int]] = set()
-        self.spanner: set[tuple[int, int]] = set()
-        self._touched: dict[tuple[int, int], bool] = {}
+        self.e2: set[tuple[int, int]] = set()  # intra-bucket core edges
+        self.buffer: set[tuple[int, int]] = set()  # edges inserted this phase
+        # roles: one per partner slot holding the edge, one for e2, one for
+        # the buffer, one per chosen witness routine using the edge
+        self.roles = RoleSet()
+        self.spanner: set[tuple[int, int]] = self.roles.members
         self.updates_used = 0
         self.engine: ResamplingEngine = ResamplingEngine(None, seed, horizon=self.L, counter=self.counter)
-        if not defer_init:
-            for e in graph.edges():
-                self._init_edge(e)
-            self._init_pairs(self._pair_keys())
-            if self.auto_step:
-                self.counter.end_step()
-            self._touched.clear()
+        for e in graph.edges():
+            self._init_edge(e)
+        for p in self._pair_keys():
+            self._init_pair(p)
+        self.roles.flush()
 
     # -- incremental construction pieces (also used by the wrapped driver) --
 
@@ -160,39 +160,19 @@ class PhaseState:
         self.engine.add_machine(e)
         if self.bucket_of[u] == self.bucket_of[v]:
             self.e2.add(e)
-            self._note(e)
-            self.spanner.add(e)
+            self.roles.add(e)
             return  # intra-bucket edges never serve as partner edges
         for x, y in ((u, v), (v, u)):
             key = (x, self.bucket_of[y])
             cur = self.partner.get(key)
             if cur is None or y < cur:
                 if cur is not None:
-                    self._e1_delta(edge_key(x, cur), -1)
+                    self.roles.remove(edge_key(x, cur))
                 self.partner[key] = y
-                self._e1_delta(edge_key(x, y), +1)
+                self.roles.add(edge_key(x, y))
 
     def _pair_keys(self) -> list[tuple[int, int]]:
         return sorted(p for p, s in self.idx.partnerships.items() if s)
-
-    def _init_pairs(self, pairs: Iterable[tuple[int, int]]) -> None:
-        for p in pairs:
-            self._init_pair(p)
-
-    # deferred-construction surface for the de-amortized driver
-    def absorb_edge(self, u: int, v: int) -> None:
-        """Feed one snapshot edge during deferred initialization."""
-        e = self.g.insert_edge(u, v)
-        self._init_edge(e)
-
-    def pending_pairs(self) -> list[tuple[int, int]]:
-        return self._pair_keys()
-
-    def init_pair(self, p: tuple[int, int]) -> None:
-        self._init_pair(p)
-
-    def finish_deferred_init(self) -> None:
-        self._touched.clear()
 
     def _init_pair(self, p: tuple[int, int]) -> None:
         witnesses = self.idx.partnerships.get(p, ())
@@ -203,51 +183,7 @@ class PhaseState:
         chosen = self.engine.assigned[p]
         if chosen is not None:
             for e in chosen.machines:
-                self._e3_delta(e, +1)
-
-    # -- role bookkeeping --
-
-    def _note(self, e: tuple[int, int]) -> None:
-        if e not in self._touched:
-            self._touched[e] = e in self.spanner
-
-    def _has_role(self, e: tuple[int, int]) -> bool:
-        return (
-            e in self.e2
-            or e in self.buffer
-            or self.e1_count.get(e, 0) > 0
-            or self.e3_count.get(e, 0) > 0
-        )
-
-    def _role_changed(self, e: tuple[int, int]) -> None:
-        if self._has_role(e):
-            self.spanner.add(e)
-        else:
-            self.spanner.discard(e)
-
-    def _e1_delta(self, e: tuple[int, int], d: int) -> None:
-        self._note(e)
-        self.e1_count[e] = self.e1_count.get(e, 0) + d
-        if self.e1_count[e] == 0:
-            del self.e1_count[e]
-        self._role_changed(e)
-
-    def _e3_delta(self, e: tuple[int, int], d: int) -> None:
-        self._note(e)
-        self.e3_count[e] = self.e3_count.get(e, 0) + d
-        if self.e3_count[e] == 0:
-            del self.e3_count[e]
-        self._role_changed(e)
-
-    def _net_changes(self) -> tuple[tuple[tuple[int, int], str], ...]:
-        out = []
-        for e, was_in in self._touched.items():
-            now_in = e in self.spanner
-            if was_in != now_in:
-                out.append((e, "+" if now_in else "-"))
-        self._touched.clear()
-        out.sort()
-        return tuple(out)
+                self.roles.add(e)
 
     # -- updates --
 
@@ -260,12 +196,9 @@ class PhaseState:
             raise PhaseExhausted(f"phase budget of {self.L} updates spent")
         e = self.g.insert_edge(u, v)
         self.buffer.add(e)
-        self._note(e)
-        self.spanner.add(e)
+        self.roles.add(e)
         self.updates_used += 1
-        if self.auto_step:
-            self.counter.end_step()
-        return Resample3Step(self._net_changes(), 0, 0, 0)
+        return Resample3Step(tuple(self.roles.flush()), 0, 0, 0)
 
     def delete(self, u: int, v: int) -> Resample3Step:
         if self.exhausted:
@@ -274,8 +207,7 @@ class PhaseState:
         if e in self.buffer:
             self.g.delete_edge(u, v)
             self.buffer.discard(e)
-            self._note(e)
-            self._role_changed(e)
+            self.roles.remove(e)
             report = self.engine.tick()  # clock advances on every deletion
         elif self.idx.has_edge(u, v):
             self.g.delete_edge(u, v)
@@ -283,23 +215,20 @@ class PhaseState:
             self._repair_e1(e)
             if e in self.e2:
                 self.e2.discard(e)
-                self._note(e)
-                self._role_changed(e)
+                self.roles.remove(e)
             report = self.engine.delete_machine(e)
         else:
             raise EdgeMissing(f"edge {e} not present")
         for job, old, new in report.changes:
             if old is not None:
                 for m in old.machines:
-                    self._e3_delta(m, -1)
+                    self.roles.remove(m)
             if new is not None:
                 for m in new.machines:
-                    self._e3_delta(m, +1)
+                    self.roles.add(m)
         self.updates_used += 1
-        if self.auto_step:
-            self.counter.end_step()
         return Resample3Step(
-            self._net_changes(), report.resamples, len(report.touched), report.schedule_added
+            tuple(self.roles.flush()), report.resamples, len(report.touched), report.schedule_added
         )
 
     def _repair_e1(self, e: tuple[int, int]) -> None:
@@ -309,12 +238,12 @@ class PhaseState:
         for x, y in ((u, v), (v, u)):
             key = (x, self.bucket_of[y])
             if self.partner.get(key) == y:
-                self._e1_delta(e, -1)
+                self.roles.remove(e)
                 rest = self.idx.partners_of(x, self.bucket_of[y])
                 if rest:
                     ny = min(rest)
                     self.partner[key] = ny
-                    self._e1_delta(edge_key(x, ny), +1)
+                    self.roles.add(edge_key(x, ny))
                 else:
                     del self.partner[key]
                 if self.counter is not None:
@@ -347,12 +276,14 @@ class PhaseState:
                 assert r.tag in live  # the witness is a live common neighbor
                 for m in r.machines:
                     assert self.g.has_edge(*m)
-        assert self.spanner == (
-            {e for e, c in self.e1_count.items() if c}
-            | self.e2
-            | {e for e, c in self.e3_count.items() if c}
-            | self.buffer
-        )
+        roles = Counter(edge_key(x, y) for (x, _), y in self.partner.items())
+        roles.update(self.e2)
+        roles.update(self.buffer)
+        for r in self.engine.assigned.values():
+            if r is not None:
+                roles.update(r.machines)
+        assert self.roles.count == roles
+        assert self.spanner == set(roles)
         for e in self.spanner:
             assert self.g.has_edge(*e)
 
@@ -416,7 +347,6 @@ class WrappedRunner:
             phase_len=2 * rotation_len,
             bucket_of=self.bucket_of,
             counter=self.counter,
-            auto_step=False,
         )
         self.D_next: PhaseState | None = None
         self.MAT: list[tuple[int, int]] = list(graph.edges())
@@ -509,18 +439,16 @@ class WrappedRunner:
             phase_len=2 * self.L,
             bucket_of=self.bucket_of,
             counter=self.counter,
-            defer_init=True,
-            auto_step=False,
         )
         self.D_next = nxt
         for e in self.MAT:
-            nxt.absorb_edge(*e)
+            nxt._init_edge(nxt.g.insert_edge(*e))
             yield
-        for p in nxt.pending_pairs():
-            nxt.init_pair(p)
+        for p in nxt._pair_keys():
+            nxt._init_pair(p)
             charge(1, "wrap")
             yield
-        nxt.finish_deferred_init()
+        nxt.roles.flush()
 
     def _start_feed(self) -> None:
         assert self.D_next is not None
@@ -573,7 +501,6 @@ class WrappedRunner:
             else:
                 step = self.D_next.delete(*ev.edge)
                 resamples += step.resamples
-            self.D_next._touched.clear()
         return resamples
 
     # -- the public update loop --
@@ -634,7 +561,11 @@ class WrappedRunner:
 
 
 class Resample3:
-    """Phase-rolling driver: rebuilds inline when the phase budget is spent."""
+    """Phase-rolling driver: rebuilds inline when the phase budget is spent.
+
+    Each phase build and each update closes one op-counter step, so a
+    rollover's build is never charged to the update that triggered it.
+    """
 
     def __init__(
         self,
@@ -645,16 +576,18 @@ class Resample3:
     ) -> None:
         self.g = graph
         self.phase_len = phase_len if phase_len is not None else default_phase_len(graph.n)
-        self.counter = counter
+        self.counter = counter if counter is not None else OpCounter()
         self.rng = random.Random(seed)
         self.phase_index = 0
         self.phase = self._new_phase()
 
     def _new_phase(self) -> PhaseState:
         self.phase_index += 1
-        return PhaseState(
+        phase = PhaseState(
             self.g, self.rng.randrange(2**62), phase_len=self.phase_len, counter=self.counter
         )
+        self.counter.end_step()
+        return phase
 
     def _ready(self) -> None:
         if self.phase.exhausted:
@@ -662,11 +595,15 @@ class Resample3:
 
     def insert(self, u: int, v: int) -> Resample3Step:
         self._ready()
-        return self.phase.insert(u, v)
+        step = self.phase.insert(u, v)
+        self.counter.end_step()
+        return step
 
     def delete(self, u: int, v: int) -> Resample3Step:
         self._ready()
-        return self.phase.delete(u, v)
+        step = self.phase.delete(u, v)
+        self.counter.end_step()
+        return step
 
     def spanner_edges(self) -> set[tuple[int, int]]:
         return self.phase.spanner_edges()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
 from dynspan import cli
 from dynspan.adversary import write_stream
 from dynspan.det3 import Det3State
@@ -288,3 +290,24 @@ def test_byte_reproducible_runs(tmp_path):
         assert code == 0
         outs.append(out.read_bytes() + (tmp_path / "same.csv.meta.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--algo", "greedy", "--k", "0"],
+        ["--algo", "resample3", "--phase-len", "0"],
+        ["--algo", "det3", "--p-insert", "7"],
+        ["--algo", "det3", "--p-insert", "-0.1"],
+    ],
+)
+def test_out_of_range_args_exit_3(argv, capsys):
+    assert cli.main(["run", *argv, "--n", "8", "--init-m", "10", "--steps", "5"]) == 3
+    assert "must" in capsys.readouterr().err
+
+
+def test_k0_rejected_by_the_parser():
+    # checked at the parser only: past it, fd-greedy's level computation
+    # would never return for k=0
+    with pytest.raises(cli.BadArgs, match="--k"):
+        cli.build_parser().parse_args(["run", "--algo", "fd-greedy", "--k", "0"])

@@ -94,7 +94,7 @@ def test_insert_first_edge_is_double_partner():
     s = make(6, [])
     changes = s.insert_edge(0, 1)  # buckets differ under round-robin (3 buckets)
     assert changes == [((0, 1), "+")]
-    assert s.t1_of[(0, 1)] == {0, 1}
+    assert s.center[(0, s.bucket_of[1])] == 1 and s.center[(1, s.bucket_of[0])] == 0
     with pytest.raises(EdgeExists):
         s.insert_edge(1, 0)
 
@@ -115,7 +115,8 @@ def test_insert_intra_bucket_can_be_type2_only():
     s = make(4, [(0, 2), (1, 2)], buckets=[0, 0, 1, 1])
     changes = s.insert_edge(0, 1)
     assert ((0, 1), "+") in changes
-    assert (0, 1) not in s.t1_of and (0, 1) in s.t2_of
+    assert (0, 1) not in {(min(v, c), max(v, c)) for (v, _), c in s.center.items()}
+    assert (0, 1) in {(min(a, z), max(a, z)) for (a, _), z in s.chosen.items()}
     s.check_against_rebuild()
 
 
