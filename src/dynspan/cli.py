@@ -1,8 +1,8 @@
 """Command-line driver: run algorithms against adversaries, verify, bench.
 
-Exit codes: 0 success, 2 online check failure, 3 input/usage error.  All
-output (CSV, metadata, stdout) is a pure function of the arguments, so
-identical invocations produce identical bytes.
+Exit codes: 0 success, 2 online check failure or broken invariant, 3
+input/usage error.  All output (CSV, metadata, stdout) is a pure function
+of the arguments, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from dynspan.adversary import (
     AdversaryError,
@@ -27,9 +26,9 @@ from dynspan.adversary import (
 )
 from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
-from dynspan.graph import DELETE, INSERT, DynamicGraph, GraphError, UpdateEvent
+from dynspan.graph import DynamicGraph, GraphError, UpdateEvent
 from dynspan.greedy import GreedyState
-from dynspan.instrumentation import MetricsRow, OpCounter, write_metrics_csv
+from dynspan.instrumentation import InvariantBroken, MetricsRow, OpCounter, Step, write_metrics_csv
 from dynspan.job_machine import HyperInstance, JobMachineError, ResamplingEngine, random_instance
 from dynspan.oracle import verify_stretch
 from dynspan.resample3 import Resample3
@@ -37,13 +36,10 @@ from dynspan.resample3 import Resample3
 EXIT_OK = 0
 EXIT_CHECK = 2
 EXIT_INPUT = 3
+DEFAULT_STEPS = 1000  # --steps when omitted, except that a replay runs its whole stream
 
 
 class BadArgs(Exception):
-    pass
-
-
-class IllegalUpdate(Exception):
     pass
 
 
@@ -54,15 +50,6 @@ class CheckFailed(Exception):
         self.witness = witness
 
 
-@dataclass
-class StepMetrics:
-    recourse_add: int
-    recourse_del: int
-    spanner_size: int
-    op_count: int
-    resamples: int
-
-
 def seeded_graph(n: int, m: int, seed: int, counter: OpCounter | None = None) -> DynamicGraph:
     pairs = list(itertools.combinations(range(n), 2))
     if m > len(pairs):
@@ -71,37 +58,45 @@ def seeded_graph(n: int, m: int, seed: int, counter: OpCounter | None = None) ->
     return DynamicGraph(n, rng.sample(pairs, m), counter=counter)
 
 
-class GreedyAdapter:
+class Adapter:
+    """A structure under test as the run loop sees it.
+
+    Subclasses only build `graph` (the host graph) and `state` (the
+    structure) on one shared counter, closing the set-up step; every update
+    goes through `state.update(ev) -> Step`.
+    """
+
+    name: str
+    stretch_bound: int | None  # None: the output is no spanner, nothing to check
+
+    def view(self):
+        return AdversaryView(
+            self.graph,
+            spanner=self.state.spanner_edges,
+            machine_loads=getattr(self.state, "machine_loads", None),
+        )
+
+    def spanner(self) -> set:
+        return self.state.spanner_edges()
+
+    def apply(self, ev) -> Step:
+        return self.state.update(ev)
+
+
+class GreedyAdapter(Adapter):
     name = "greedy"
 
     def __init__(self, args, counter: OpCounter) -> None:
-        self.counter = counter
         self.graph = seeded_graph(args.n, args.init_m, args.seed, counter)
         self.state = GreedyState(self.graph, args.k, counter)
         self.stretch_bound = 2 * args.k - 1
         counter.end_step()
 
-    def view(self) -> AdversaryView:
-        return AdversaryView(self.graph, spanner=self.state.spanner)
 
-    def spanner(self) -> set:
-        return self.state.spanner()
-
-    def apply(self, ev: UpdateEvent) -> StepMetrics:
-        if ev.kind != DELETE:
-            raise IllegalUpdate("the decremental greedy spanner accepts deletions only")
-        added = self.state.handle_delete(*ev.edge)
-        ops = self.counter.end_step()
-        return StepMetrics(
-            len(added), self.state.recourse.removed[-1], self.state.spanner_size(), ops, 0
-        )
-
-
-class FDGreedyAdapter:
+class FDGreedyAdapter(Adapter):
     name = "fd-greedy"
 
     def __init__(self, args, counter: OpCounter) -> None:
-        self.counter = counter
         self.graph = seeded_graph(args.n, args.init_m, args.seed, counter)
         self.state = FullyDynamicSpanner(
             args.n, args.k, edges=tuple(self.graph.edges()), counter=counter
@@ -109,106 +104,47 @@ class FDGreedyAdapter:
         self.stretch_bound = 2 * args.k - 1
         counter.end_step()
 
-    def view(self) -> AdversaryView:
-        return AdversaryView(self.graph, spanner=self.state.spanner)
-
-    def spanner(self) -> set:
-        return self.state.spanner()
-
-    def apply(self, ev: UpdateEvent) -> StepMetrics:
-        if ev.kind == INSERT:
-            self.graph.insert_edge(*ev.edge)
-            self.state.insert(*ev.edge)
-        else:
-            self.graph.delete_edge(*ev.edge)
-            self.state.delete(*ev.edge)
-        ops = self.counter.end_step()
-        log = self.state.recourse
-        return StepMetrics(log.added[-1], log.removed[-1], self.state.spanner_size(), ops, 0)
+    def apply(self, ev: UpdateEvent) -> Step:
+        self.graph.apply(ev)  # the levels keep graphs of their own; mirror into the host
+        return self.state.update(ev)
 
 
-class Det3Adapter:
+class Det3Adapter(Adapter):
     name = "det3"
 
     def __init__(self, args, counter: OpCounter) -> None:
-        self.counter = counter
         self.graph = seeded_graph(args.n, args.init_m, args.seed, counter)
         self.state = Det3State(self.graph, counter=counter)
         self.stretch_bound = 3
 
-    def view(self) -> AdversaryView:
-        return AdversaryView(self.graph, spanner=self.state.spanner_edges)
 
-    def spanner(self) -> set:
-        return self.state.spanner_edges()
-
-    def apply(self, ev: UpdateEvent) -> StepMetrics:
-        if ev.kind == INSERT:
-            changes = self.state.insert_edge(*ev.edge)
-        else:
-            changes = self.state.delete_edge(*ev.edge)
-        adds = sum(1 for _, s in changes if s == "+")
-        dels = sum(1 for _, s in changes if s == "-")
-        return StepMetrics(adds, dels, self.state.spanner_size(), self.state.opcost_last, 0)
-
-
-class Resample3Adapter:
+class Resample3Adapter(Adapter):
     name = "resample3"
 
     def __init__(self, args, counter: OpCounter) -> None:
-        self.counter = counter
         self.graph = seeded_graph(args.n, args.init_m, args.seed, counter)
         self.state = Resample3(self.graph, args.seed, phase_len=args.phase_len, counter=counter)
         self.stretch_bound = 3
 
-    def view(self) -> AdversaryView:
-        return AdversaryView(
-            self.graph, spanner=self.state.spanner_edges, machine_loads=self.state.machine_loads
-        )
 
-    def spanner(self) -> set:
-        return self.state.spanner_edges()
-
-    def apply(self, ev: UpdateEvent) -> StepMetrics:
-        if ev.kind == INSERT:
-            step = self.state.insert(*ev.edge)
-        else:
-            step = self.state.delete(*ev.edge)
-        adds = sum(1 for _, s in step.changes if s == "+")
-        dels = sum(1 for _, s in step.changes if s == "-")
-        return StepMetrics(
-            adds, dels, self.state.spanner_size(), self.counter.last_step, step.resamples
-        )
-
-
-class JMAdapter:
+class JMAdapter(Adapter):
     name = "jm"
     stretch_bound = None
 
     def __init__(self, args, counter: OpCounter) -> None:
-        self.counter = counter
         if args.jm_instance:
             with open(args.jm_instance) as f:
                 inst = HyperInstance.from_text(f.read())
         else:
             inst = random_instance(random.Random(args.seed), args.jm_jobs, args.jm_machines)
-        self.engine = ResamplingEngine(inst, args.seed, horizon=args.steps, counter=counter)
+        self.engine = self.state = ResamplingEngine(
+            inst, args.seed, horizon=args.steps, counter=counter
+        )
         self.graph = None
         counter.end_step()
 
     def view(self):
         return self.engine
-
-    def spanner(self) -> set:
-        return set()
-
-    def apply(self, ev) -> StepMetrics:
-        if isinstance(ev, UpdateEvent):
-            raise IllegalUpdate("the job/machine engine takes machine deletions only")
-        rep = self.engine.delete_machine(ev.machine)
-        ops = self.counter.end_step()
-        assigned = sum(1 for r in self.engine.assigned.values() if r is not None)
-        return StepMetrics(rep.resamples, len(rep.touched), assigned, ops, rep.resamples)
 
 
 ALGO_FACTORIES = {
@@ -265,15 +201,14 @@ def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | 
             break
         if ev is None:
             break
-        metrics = adapter.apply(ev)
+        s = adapter.apply(ev)
         stretch_ok = ""
         if args.check != "none" and adapter.stretch_bound is not None:
-            mode = "exact" if args.check == "exact" else "sampled"
             rep = verify_stretch(
                 adapter.graph,
                 adapter.spanner(),
                 adapter.stretch_bound,
-                mode=mode,
+                mode=args.check,
                 sample=64,
                 seed=args.seed * 1_000_003 + step,
             )
@@ -284,11 +219,11 @@ def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | 
             MetricsRow(
                 step,
                 event_label(ev),
-                metrics.recourse_add,
-                metrics.recourse_del,
-                metrics.spanner_size,
-                metrics.op_count,
-                metrics.resamples,
+                s.adds,
+                s.dels,
+                s.output_size,
+                s.op_count,
+                s.resamples,
                 stretch_ok,
             )
         )
@@ -317,7 +252,10 @@ def cmd_run(args) -> int:
     if args.adversary.startswith("replay:"):
         replay = load_replay(args.adversary)
         args.n = replay.n  # the stream header owns the vertex count
-        args.steps = min(args.steps, len(replay.events)) or len(replay.events)
+        total = len(replay.events)
+        args.steps = total if args.steps is None else min(args.steps, total)
+    elif args.steps is None:
+        args.steps = DEFAULT_STEPS
     counter = OpCounter()
     adapter = ALGO_FACTORIES[args.algo](args, counter)
     adversary = replay if replay is not None else make_adversary(args, adapter)
@@ -337,7 +275,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     args.adversary = f"replay:{args.stream}"
     args.check = "exact"
-    args.steps = len(load_replay(args.adversary).events)
+    args.steps = None  # the whole stream, whatever --steps says
     return cmd_run(args)
 
 
@@ -404,7 +342,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--algo", required=True, choices=sorted(ALGO_FACTORIES))
         sp.add_argument("--k", type=positive_int, default=2)
         sp.add_argument("--n", type=int, default=32)
-        sp.add_argument("--steps", type=int, default=1000)
+        sp.add_argument("--steps", type=int, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--init-m", type=int, default=0, dest="init_m")
         sp.add_argument("--phase-len", type=positive_int, default=None, dest="phase_len")
@@ -429,7 +367,7 @@ def build_parser() -> _Parser:
     common(bench, algo=False)
     bench.add_argument("--algos", default="greedy,det3")
     bench.add_argument("--adversary", default="random")
-    bench.set_defaults(func=cmd_bench, check="none")
+    bench.set_defaults(func=cmd_bench, check="none", steps=DEFAULT_STEPS)
 
     return p
 
@@ -439,9 +377,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (BadArgs, StreamParse, IllegalUpdate, GraphError, JobMachineError, OSError) as exc:
+    except (BadArgs, StreamParse, GraphError, JobMachineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantBroken as exc:
+        print(f"invariant broken: {exc}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from dynspan.graph import DynamicGraph, edge_key
-from dynspan.instrumentation import OpCounter, RoleSet
+from dynspan.graph import INSERT, DynamicGraph, UpdateEvent, edge_key
+from dynspan.instrumentation import OpCounter, RoleSet, Step
 
 
 def default_buckets(n: int) -> list[int]:
@@ -51,7 +51,7 @@ class Det3State:
         if len(self.bucket_of) != self.n:
             raise ValueError("bucket map must cover every vertex")
         self.num_buckets = (max(self.bucket_of) + 1) if self.n else 0
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = counter or OpCounter()
 
         self.cross: dict[tuple[int, int], set[int]] = {}  # (v, i) -> neighbors of v in V_i
         self.center: dict[tuple[int, int], int] = {}  # (v, i) -> c_i(v), only v not in V_i
@@ -206,6 +206,10 @@ class Det3State:
             self._handle_center_loss(owner, far, e)
         self.counter.end_step()
         return self.roles.flush()
+
+    def update(self, ev: UpdateEvent) -> Step:
+        changes = (self.insert_edge if ev.kind == INSERT else self.delete_edge)(*ev.edge)
+        return Step.of(changes, self.counter.last_step, 0, self.spanner_size())
 
     def _handle_center_loss(self, owner: int, old_center: int, e: tuple[int, int]) -> None:
         """The partner edge (owner, old_center) died; re-center owner in that

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dynspan.graph import DynamicGraph, EdgeExists, EdgeMissing, edge_key
+from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent, edge_key
 from dynspan.greedy import GreedyState
-from dynspan.instrumentation import OpCounter, RecourseLog
+from dynspan.instrumentation import OpCounter, RecourseLog, Step
 
 
 def level_params(n: int, k: int) -> tuple[int, int]:
@@ -50,7 +50,7 @@ class FullyDynamicSpanner:
         self.n = n
         self.k = k
         self.ell0, self.num_levels = level_params(n, k)
-        self.op_counter = counter
+        self.counter = counter or OpCounter()
         self.insert_count = 0
         self.e0: set[tuple[int, int]] = set()
         self.levels: dict[int, GreedyState] = {}
@@ -60,7 +60,7 @@ class FullyDynamicSpanner:
             # a non-empty start graph occupies the top level whole
             top = max(self.num_levels, 1)
             g = DynamicGraph(n, edges)
-            state = GreedyState(g, k, counter)
+            state = GreedyState(g, k, self.counter)
             self.levels[top] = state
             for e in g.edges():
                 self.owner[e] = top
@@ -68,7 +68,7 @@ class FullyDynamicSpanner:
         else:
             self.recourse.record(0, 0)
 
-    def spanner(self) -> set[tuple[int, int]]:
+    def spanner_edges(self) -> set[tuple[int, int]]:
         out = set(self.e0)
         for state in self.levels.values():
             out |= state.in_spanner
@@ -106,7 +106,7 @@ class FullyDynamicSpanner:
             old_output |= state.in_spanner
         merged.add(new_edge)
         graph = DynamicGraph(self.n, sorted(merged))
-        state = GreedyState(graph, self.k, self.op_counter)
+        state = GreedyState(graph, self.k, self.counter)
         self.levels[h] = state
         for e in merged:
             self.owner[e] = h
@@ -128,6 +128,12 @@ class FullyDynamicSpanner:
         added = state.handle_delete(*e)
         self.recourse.record(len(added), 1 if was_spanner else 0)
         return added
+
+    def update(self, ev: UpdateEvent) -> Step:
+        """Apply one insertion or deletion and close its op step."""
+        (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)
+        log = self.recourse
+        return Step(self.counter.end_step(), 0, log.added[-1], log.removed[-1], self.spanner_size())
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.owner

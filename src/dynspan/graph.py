@@ -38,6 +38,10 @@ class EdgeMissing(GraphError):
     pass
 
 
+class UnsupportedUpdate(GraphError):
+    """An update of a kind the structure does not take."""
+
+
 EdgeKey = tuple  # (lo, hi) with lo < hi
 
 INSERT = "+"
@@ -107,7 +111,7 @@ class DynamicGraph:
         self.m = 0
         self.adj: list[set[int]] = [set() for _ in range(n)]
         self.adj_mask: list[int] = [0] * n
-        self.counter = counter
+        self.counter = counter or OpCounter()
         for u, v in edges:
             self._check_range(u)
             self._check_range(v)
@@ -121,8 +125,7 @@ class DynamicGraph:
             raise VertexOutOfRange(f"vertex {v} not in [0, {self.n})")
 
     def _charge(self, k: int) -> None:
-        if self.counter is not None:
-            self.counter.charge(k, "graph")
+        self.counter.charge(k, "graph")
 
     def _link(self, lo: int, hi: int) -> None:
         self.adj[lo].add(hi)

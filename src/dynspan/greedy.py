@@ -10,8 +10,9 @@ inspects the surviving spanner sequence first and the rest ascending.
 
 from __future__ import annotations
 
-from dynspan.graph import DynamicGraph, EdgeMissing, edge_key, mask_dist
-from dynspan.instrumentation import OpCounter, RecourseLog
+from dynspan.graph import DELETE, DynamicGraph, EdgeMissing, UpdateEvent, edge_key, mask_dist
+from dynspan.graph import UnsupportedUpdate
+from dynspan.instrumentation import OpCounter, RecourseLog, Step
 
 
 class GreedyState:
@@ -21,7 +22,7 @@ class GreedyState:
         self.graph = graph
         self.k = k
         self.cap = 2 * k - 1  # inspection asks dist >= 2k, i.e. not reachable within 2k-1
-        self.counter = counter
+        self.counter = counter or OpCounter()
         self.spanner_seq: list[tuple[int, int]] = []
         self.in_spanner: set[tuple[int, int]] = set()
         self.non_spanner: set[tuple[int, int]] = set()
@@ -46,7 +47,7 @@ class GreedyState:
         self.span_mask[v] |= 1 << u
         return True
 
-    def spanner(self) -> set[tuple[int, int]]:
+    def spanner_edges(self) -> set[tuple[int, int]]:
         return set(self.in_spanner)
 
     def spanner_size(self) -> int:
@@ -59,8 +60,7 @@ class GreedyState:
         """Remove edge (u, v); returns the edges promoted into the spanner."""
         e = edge_key(u, v)
         self.graph.delete_edge(*e)
-        if self.counter is not None:
-            self.counter.charge(2, "greedy")
+        self.counter.charge(2, "greedy")
         if e in self.non_spanner:
             self.non_spanner.discard(e)
             self.recourse.record(0, 0)
@@ -76,6 +76,14 @@ class GreedyState:
             self.non_spanner.discard(cand)
         self.recourse.record(len(added), 1)
         return added
+
+    def update(self, ev: UpdateEvent) -> Step:
+        """Apply one deletion and close its op step."""
+        if ev.kind != DELETE:
+            raise UnsupportedUpdate("the decremental greedy spanner accepts deletions only")
+        self.handle_delete(*ev.edge)
+        log = self.recourse
+        return Step(self.counter.end_step(), 0, log.added[-1], log.removed[-1], self.spanner_size())
 
     def check_invariants(self) -> None:
         assert self.in_spanner | self.non_spanner == set(self.graph.edges())

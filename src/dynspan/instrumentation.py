@@ -13,6 +13,35 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 
+class InvariantBroken(Exception):
+    """A structure found one of its own invariants broken: a bug, not bad input.
+
+    Raised instead of `assert` on production paths, so the check survives
+    `python -O`.
+    """
+
+
+@dataclass(frozen=True)
+class Step:
+    """What one update did, as every structure's `update(ev) -> Step` reports it."""
+
+    op_count: int  # the update's own op-counter step, closed by `update`
+    resamples: int
+    adds: int  # output recourse: members gained and lost
+    dels: int
+    output_size: int  # after the update
+
+    @staticmethod
+    def signs(changes: Sequence[tuple[Hashable, str]]) -> tuple[int, int]:
+        """(adds, dels) of (edge, "+"/"-") changes such as `RoleSet.flush()` returns."""
+        adds = sum(1 for _, sign in changes if sign == "+")
+        return adds, len(changes) - adds
+
+    @classmethod
+    def of(cls, changes, op_count: int, resamples: int, output_size: int) -> "Step":
+        return cls(op_count, resamples, *cls.signs(changes), output_size)
+
+
 class RecourseLog:
     """Per-update counts of edges added to / removed from a maintained output."""
 

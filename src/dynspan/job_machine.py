@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable
 
-from dynspan.instrumentation import OpCounter
+from dynspan.graph import UpdateEvent
+from dynspan.instrumentation import InvariantBroken, OpCounter, Step
 
 
 class JobMachineError(Exception):
@@ -146,7 +147,7 @@ class ResamplingEngine:
     ) -> None:
         self.rng = random.Random(seed)
         self.horizon = horizon
-        self.counter = counter
+        self.counter = counter or OpCounter()
         self.T = 0
         self.live_machines: set[Hashable] = set()
         self.by_machine: dict[Hashable, set[Routine]] = {}
@@ -213,8 +214,7 @@ class ResamplingEngine:
     # -- load bookkeeping --
 
     def _charge(self, k: int) -> None:
-        if self.counter is not None:
-            self.counter.charge(k, "job_machine")
+        self.counter.charge(k, "job_machine")
 
     def _set_load(self, x: Hashable, value: int) -> None:
         old = self.loads.get(x)
@@ -282,13 +282,23 @@ class ResamplingEngine:
             raise MachineMissing(f"machine {x!r} not live")
         return self._step(x)
 
+    def update(self, ev) -> Step:
+        """Delete one machine and close its op step. Recourse counts jobs: adds are
+        resamples, dels jobs whose routine died, output_size jobs assigned."""
+        if isinstance(ev, UpdateEvent):
+            raise JobMachineError("the job/machine engine takes machine deletions only")
+        rep = self.delete_machine(ev.machine)
+        assigned = sum(1 for r in self.assigned.values() if r is not None)
+        return Step(self.counter.end_step(), rep.resamples, rep.resamples, len(rep.touched), assigned)
+
     def tick(self) -> StepReport:
         """Clock advance without a tracked machine death (the deleted object
         carried no routines); due resamples still run."""
         return self._step(None)
 
     def _step(self, x: Hashable | None) -> StepReport:
-        assert self.T < self.horizon, "deletions exceed the declared horizon"
+        if self.T >= self.horizon:
+            raise InvariantBroken(f"step {self.T + 1} exceeds the declared horizon {self.horizon}")
         touched: list[Hashable] = []
         changes: list[tuple[Hashable, Routine | None, Routine | None]] = []
         if x is not None:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from dynspan.det3 import default_buckets
-from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeMissing, edge_key
-from dynspan.instrumentation import OpCounter, RoleSet
+from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeMissing, UpdateEvent, edge_key
+from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
 from dynspan.job_machine import ResamplingEngine, Routine
 
 
@@ -47,15 +47,14 @@ class PartnershipIndex:
     def __init__(self, n: int, bucket_of: Sequence[int], counter: OpCounter | None = None) -> None:
         self.n = n
         self.bucket_of = list(bucket_of)
-        self.counter = counter
+        self.counter = counter or OpCounter()
         self.adj: list[set[int]] = [set() for _ in range(n)]
         self.bnbrs: dict[tuple[int, int], set[int]] = {}  # (v, i) -> V_i cap N(v)
         self.partnerships: dict[tuple[int, int], set[int]] = {}  # same-bucket pair -> P
         self.m = 0
 
     def _charge(self, k: int) -> None:
-        if self.counter is not None:
-            self.counter.charge(k, "partnership")
+        self.counter.charge(k, "partnership")
 
     def pair(self, a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
@@ -135,7 +134,7 @@ class PhaseState:
         self.n = graph.n
         self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(self.n)
         self.L = phase_len if phase_len is not None else default_phase_len(self.n)
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = counter or OpCounter()
         self.idx = PartnershipIndex(self.n, self.bucket_of, self.counter)
         self.partner: dict[tuple[int, int], int] = {}  # (v, i) -> min bucket neighbor
         self.e2: set[tuple[int, int]] = set()  # intra-bucket core edges
@@ -246,8 +245,7 @@ class PhaseState:
                     self.roles.add(edge_key(x, ny))
                 else:
                     del self.partner[key]
-                if self.counter is not None:
-                    self.counter.charge(2, "resample3")
+                self.counter.charge(2, "resample3")
 
     # -- views --
 
@@ -289,13 +287,8 @@ class PhaseState:
 
 
 @dataclass(frozen=True)
-class WrappedStep:
-    op_count: int
-    resamples: int
-    adds: int
-    dels: int
-    output_size: int
-    budget: int
+class WrappedStep(Step):
+    budget: int  # the window's declared per-update op budget
 
 
 class WrappedRunner:
@@ -339,7 +332,7 @@ class WrappedRunner:
         self.third = rotation_len // 3
         self.n = graph.n
         self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(self.n)
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = counter or OpCounter()
         self.rng = random.Random(seed)
         self.D_cur = PhaseState(
             graph,
@@ -376,7 +369,8 @@ class WrappedRunner:
 
     def _begin_window(self) -> None:
         if self.D_next is not None:
-            assert self._replayed == len(self.journal_cur), "successor not caught up"
+            if self._replayed != len(self.journal_cur):
+                raise InvariantBroken("successor not caught up at the rotation")
             prev = self.D_cur
             self.D_cur = self.D_next
             self.D_next = None
@@ -514,8 +508,7 @@ class WrappedRunner:
             step = self.D_cur.insert(*ev.edge)
         else:
             step = self.D_cur.delete(*ev.edge)
-        adds = sum(1 for _, sign in step.changes if sign == "+")
-        dels = sum(1 for _, sign in step.changes if sign == "-")
+        adds, dels = Step.signs(step.changes)
         resamples = step.resamples
         if ev.kind == DELETE:
             e = edge_key(*ev.edge)
@@ -528,8 +521,8 @@ class WrappedRunner:
         if k < self.third:
             self._run_build_chunk()
             dels += self._drop_remnant_chunk()
-            if k == self.third - 1:
-                assert self._build_gen is None, "rebuild did not fit its third"
+            if k == self.third - 1 and self._build_gen is not None:
+                raise InvariantBroken("rebuild did not fit its third")
         elif k < 2 * self.third:
             if k == self.third:
                 self._start_feed()
@@ -576,7 +569,7 @@ class Resample3:
     ) -> None:
         self.g = graph
         self.phase_len = phase_len if phase_len is not None else default_phase_len(graph.n)
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = counter or OpCounter()
         self.rng = random.Random(seed)
         self.phase_index = 0
         self.phase = self._new_phase()
@@ -605,6 +598,10 @@ class Resample3:
         self.counter.end_step()
         return step
 
+    def update(self, ev: UpdateEvent) -> Step:
+        step = (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)
+        return Step.of(step.changes, self.counter.last_step, step.resamples, self.spanner_size())
+
     def spanner_edges(self) -> set[tuple[int, int]]:
         return self.phase.spanner_edges()
 
@@ -613,6 +610,3 @@ class Resample3:
 
     def machine_loads(self) -> dict[tuple[int, int], int]:
         return self.phase.machine_loads()
-
-    def witnesses(self) -> dict[tuple[int, int], int]:
-        return self.phase.witnesses()

@@ -58,7 +58,7 @@ def test_criterion_1_greedy_recourse_and_validity():
         rng = random.Random(100 + k)
         g = DynamicGraph(n, rng.sample(pairs, m))
         s = GreedyState(g, k)
-        assert girth_at_least(n, s.spanner(), 2 * k + 1)
+        assert girth_at_least(n, s.spanner_edges(), 2 * k + 1)
         assert verify_stretch(g, s.in_spanner, 2 * k - 1).ok
         order = list(g.edges())
         rng.shuffle(order)
@@ -106,7 +106,7 @@ def test_criterion_3_fully_dynamic_reduction():
     # insertion-biased mix keeps the graph populated while the adversary
     # spends every deletion on a current spanner edge
     adv = SpannerTargeting(seed=303, budget=updates, p_insert=0.6)
-    view = AdversaryView(g, spanner=fd.spanner)
+    view = AdversaryView(g, spanner=fd.spanner_edges)
     for _ in range(updates):
         ev = adv.next_event(view)
         assert ev is not None
@@ -116,7 +116,7 @@ def test_criterion_3_fully_dynamic_reduction():
         else:
             g.delete_edge(*ev.edge)
             fd.delete(*ev.edge)
-        assert verify_stretch(g, fd.spanner(), 2 * k - 1).ok
+        assert verify_stretch(g, fd.spanner_edges(), 2 * k - 1).ok
     assert fd.spanner_size() <= 4 * n**1.5 * (math.log2(n) + 2)
     assert fd.recourse.total_added <= 8 * updates * math.log2(updates)
     print(

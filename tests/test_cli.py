@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +315,87 @@ def test_k0_rejected_by_the_parser():
     # would never return for k=0
     with pytest.raises(cli.BadArgs, match="--k"):
         cli.build_parser().parse_args(["run", "--algo", "fd-greedy", "--k", "0"])
+
+
+def mixed_stream(tmp_path, name, n=40, count=1200, seed=41):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    g = DynamicGraph(n)
+    events = []
+    for seq in range(1, count + 1):
+        if g.m and rng.random() < 0.4:
+            e = rng.choice(sorted(g.edges()))
+            g.delete_edge(*e)
+            events.append(UpdateEvent(seq, DELETE, e))
+        else:
+            e = rng.choice([p for p in pairs if not g.has_edge(*p)])
+            g.insert_edge(*e)
+            events.append(UpdateEvent(seq, INSERT, e))
+    path = tmp_path / name
+    write_stream(str(path), n, events)
+    return path
+
+
+def test_replay_without_steps_runs_the_whole_stream(tmp_path):
+    path = mixed_stream(tmp_path, "long.txt")
+    out = tmp_path / "long.csv"
+    assert cli.main(["run", "--algo", "det3", "--adversary", f"replay:{path}", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 1200
+    argv = ["run", "--algo", "det3", "--adversary", f"replay:{path}", "--steps", "300"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 300
+
+
+def test_greedy_rejects_an_insertion(tmp_path, capsys):
+    path = tmp_path / "ins.txt"
+    write_stream(str(path), 8, [UpdateEvent(1, INSERT, (0, 1))])
+    code = cli.main(["run", "--algo", "greedy", "--adversary", f"replay:{path}"])
+    assert code == 3
+    assert "deletions only" in capsys.readouterr().err
+
+
+def test_jm_rejects_an_edge_stream(tmp_path, capsys):
+    path = mixed_stream(tmp_path, "edges.txt", count=5)
+    code = cli.main(["run", "--algo", "jm", "--adversary", f"replay:{path}"])
+    assert code == 3
+    assert "machine deletions only" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_2(monkeypatch, capsys):
+    class ShortHorizon(cli.JMAdapter):
+        def __init__(self, args, counter):
+            super().__init__(args, counter)
+            self.engine.horizon = 1
+
+    monkeypatch.setitem(cli.ALGO_FACTORIES, "jm", ShortHorizon)
+    argv = ["run", "--algo", "jm", "--adversary", "max-load", "--steps", "5"]
+    assert cli.main([*argv, "--jm-jobs", "10", "--jm-machines", "40"]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
+def test_invariant_checks_survive_python_O(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "from dynspan.instrumentation import InvariantBroken\n"
+        "from dynspan.job_machine import ResamplingEngine\n"
+        "eng = ResamplingEngine(None, 0, horizon=1)\n"
+        "eng.tick()\n"
+        "try:\n"
+        "    eng.tick()\n"
+        "except InvariantBroken:\n"
+        "    print('raised')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "raised", done.stderr
+    outs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"run{len(flags)}.csv"
+        argv = ["run", "--algo", "det3", "--n", "20", "--init-m", "60", "--steps", "40"]
+        argv += ["--seed", "2", "--check", "exact", "--out", str(out)]
+        cmd = [sys.executable, *flags, "-m", "dynspan.cli", *argv]
+        subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=60)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -23,14 +23,14 @@ def test_level_params_examples():
 
 
 def test_empty_history_empty_spanner():
-    assert FullyDynamicSpanner(16, 2).spanner() == set()
+    assert FullyDynamicSpanner(16, 2).spanner_edges() == set()
 
 
 def test_first_insert_goes_to_level_zero():
     fd = FullyDynamicSpanner(16, 2)
     assert fd.insert(0, 1) is None  # counter 0->1 flips bit 0 <= ell0=6
     assert fd.owner[(0, 1)] == 0
-    assert fd.spanner() == {(0, 1)}
+    assert fd.spanner_edges() == {(0, 1)}
 
 
 def test_insert_number_2_pow_ell0_plus_1_rebuilds_level_one():
@@ -68,9 +68,9 @@ def test_delete_level_zero_edge_shrinks_output_by_it():
     fd = FullyDynamicSpanner(16, 2)
     fd.insert(0, 1)
     fd.insert(2, 3)
-    out_before = fd.spanner()
+    out_before = fd.spanner_edges()
     assert fd.delete(0, 1) == []
-    assert fd.spanner() == out_before - {(0, 1)}
+    assert fd.spanner_edges() == out_before - {(0, 1)}
     with pytest.raises(EdgeMissing):
         fd.delete(0, 1)
 
@@ -114,7 +114,7 @@ def test_delete_then_reinsert_moves_levels_but_keeps_stretch():
             fd.insert(*e)
             graph.insert_edge(*e)
         fd.check_invariants()
-        assert verify_stretch(graph, fd.spanner(), 3).ok
+        assert verify_stretch(graph, fd.spanner_edges(), 3).ok
 
 
 def test_mixed_run_size_and_recourse_bounds():
@@ -136,7 +136,7 @@ def test_mixed_run_size_and_recourse_bounds():
             fd.insert(*e)
             graph.insert_edge(*e)
         if step % 100 == 0:
-            assert verify_stretch(graph, fd.spanner(), 2 * k - 1).ok
+            assert verify_stretch(graph, fd.spanner_edges(), 2 * k - 1).ok
     assert fd.spanner_size() <= 4 * n**1.5 * (math.log2(n) + 2)
     assert fd.recourse.total_added <= 8 * updates * math.log2(updates)
 
@@ -145,4 +145,4 @@ def test_initial_edges_occupy_top_level():
     edges = [(0, 1), (1, 2), (2, 3)]
     fd = FullyDynamicSpanner(8, 2, edges=tuple(edges))
     assert all(fd.owner[e] == max(fd.num_levels, 1) for e in edges)
-    assert fd.spanner() == set(edges)  # tree: everything is spanner
+    assert fd.spanner_edges() == set(edges)  # tree: everything is spanner

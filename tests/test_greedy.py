@@ -23,7 +23,7 @@ def equivalent_order(state: GreedyState) -> list[tuple[int, int]]:
 
 def test_build_empty():
     s = GreedyState(DynamicGraph(5), 2)
-    assert s.spanner() == set()
+    assert s.spanner_edges() == set()
     assert s.total_recourse() == 0
 
 
@@ -47,9 +47,9 @@ def test_build_matches_reference_on_random_graph():
 def test_delete_non_spanner_is_noop():
     g = DynamicGraph(3, [(0, 1), (1, 2), (0, 2)])
     s = GreedyState(g, 2)
-    before = s.spanner()
+    before = s.spanner_edges()
     assert s.handle_delete(1, 2) == []
-    assert s.spanner() == before
+    assert s.spanner_edges() == before
     assert s.total_recourse() == 2
 
 
@@ -58,7 +58,7 @@ def test_delete_spanner_edge_k3():
     s = GreedyState(g, 2)
     added = s.handle_delete(0, 1)
     assert added == [(1, 2)]  # re-inspected at distance infinity >= 4
-    assert s.spanner() == {(0, 2), (1, 2)}
+    assert s.spanner_edges() == {(0, 2), (1, 2)}
 
 
 def test_delete_missing_edge_raises():
@@ -90,8 +90,8 @@ def test_stretch_and_girth_after_every_delete():
         while g.m > 0:
             target = rng.choice(list(g.edges()))
             s.handle_delete(*target)
-            assert verify_stretch(g, s.spanner(), 2 * k - 1).ok
-            assert girth_at_least(g.n, s.spanner(), 2 * k + 1)
+            assert verify_stretch(g, s.spanner_edges(), 2 * k - 1).ok
+            assert girth_at_least(g.n, s.spanner_edges(), 2 * k + 1)
 
 
 def test_total_recourse_bounded_by_initial_m():

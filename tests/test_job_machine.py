@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynspan.instrumentation import InvariantBroken
 from dynspan.job_machine import (
     DisjointnessViolated,
     HyperInstance,
@@ -256,3 +257,10 @@ def test_engine_is_deterministic_given_seed():
             trace.append((x, rep.resampled))
         runs.append(trace)
     assert runs[0] == runs[1]
+
+
+def test_step_past_the_horizon_raises():
+    eng = ResamplingEngine(None, 0, horizon=1)
+    eng.tick()
+    with pytest.raises(InvariantBroken, match="horizon"):
+        eng.tick()

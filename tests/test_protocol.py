@@ -1,0 +1,80 @@
+"""The update protocol: each spanner structure's `update(ev) -> Step`, as
+the CLI drives it, reports exactly how its output changed."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import pytest
+
+from dynspan import cli
+from dynspan.instrumentation import OpCounter, Step
+
+RUNS = {
+    "greedy": "--algo greedy --k 2 --n 24 --init-m 100 --steps 40 --seed 3 --p-insert 0",
+    # ell0 = 4 at n=10, so the 32nd insertion rebuilds a level
+    "fd-greedy": "--algo fd-greedy --k 2 --n 10 --init-m 20 --steps 150 --seed 4",
+    "det3": "--algo det3 --n 30 --init-m 120 --steps 60 --seed 5"
+    " --adversary spanner-target --p-insert 0.3",
+    "resample3": "--algo resample3 --n 30 --init-m 150 --phase-len 25 --steps 70 --seed 6"
+    " --adversary witness-hammer --p-insert 0.3",
+}
+
+
+@dataclass
+class Record:
+    step: Step
+    before: set
+    after: set
+    last_step: int  # the counter's last closed step
+    rollover: bool  # a new resample3 phase started
+
+    def conforms(self) -> bool:
+        s = self.step
+        return (s.adds, s.dels, s.output_size, s.op_count) == (
+            len(self.after - self.before),
+            len(self.before - self.after),
+            len(self.after),
+            self.last_step,
+        )
+
+
+def drive(algo: str):
+    args = cli.build_parser().parse_args(["run", *RUNS[algo].split()])
+    counter = OpCounter()
+    adapter = cli.ALGO_FACTORIES[algo](args, counter)
+    adversary = cli.make_adversary(args, adapter)
+    records = []
+    while (ev := adversary.next_event(adapter.view())) is not None:
+        before = adapter.spanner()
+        phase = getattr(adapter.state, "phase_index", None)
+        step = adapter.apply(ev)
+        rollover = phase != getattr(adapter.state, "phase_index", None)
+        records.append(Record(step, before, adapter.spanner(), counter.last_step, rollover))
+    assert len(records) == args.steps
+    return adapter, records
+
+
+@pytest.mark.parametrize("algo", sorted(RUNS))
+def test_each_step_reports_the_output_diff(algo):
+    adapter, records = drive(algo)
+    for i, r in enumerate(records, 1):
+        if not r.rollover:
+            assert r.conforms(), (i, r.step)
+    if algo == "fd-greedy":
+        fd = adapter.state
+        assert fd.insert_count >= 2 ** (fd.ell0 + 1)  # at least one level rebuild
+    rollovers = [i for i, r in enumerate(records, 1) if r.rollover]
+    assert rollovers == ([26, 51] if algo == "resample3" else [])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: Resample3._ready flushes a rollover's output swap before the "
+    "update, so the swap never reaches the step's adds/dels",
+)
+def test_resample3_rollover_steps_report_the_output_diff():
+    _, records = drive("resample3")
+    for i, r in enumerate(records, 1):
+        if r.rollover:
+            assert r.conforms(), (i, r.step)

@@ -6,6 +6,7 @@ import itertools
 import random
 
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
+from dynspan.instrumentation import InvariantBroken
 from dynspan.oracle import verify_stretch
 from dynspan.resample3 import PhaseState, WrappedRunner
 
@@ -96,3 +97,38 @@ def test_wrapped_run_is_deterministic():
         return [runner.update(ev) for ev in events]
 
     assert run() == run()
+
+
+def broken_runner_steps(runner_cls, L=12):
+    """Drive `runner_cls` until it raises; returns (steps applied, exception)."""
+    rng = random.Random(41)
+    n = 16
+    pairs = list(itertools.combinations(range(n), 2))
+    g = DynamicGraph(n, rng.sample(pairs, 40))
+    events = random_events(random.Random(43), g, pairs, 2 * L + 1)
+    runner = runner_cls(g, seed=47, rotation_len=L)
+    for i, ev in enumerate(events):
+        try:
+            runner.update(ev)
+        except InvariantBroken as exc:
+            return i, exc
+    return len(events), None
+
+
+def test_rebuild_over_its_allowance_raises_at_the_end_of_the_first_third():
+    class Starved(WrappedRunner):
+        C_TASK = 0  # no build allowance: the successor's rebuild never advances
+
+    applied, exc = broken_runner_steps(Starved)
+    assert applied == 12 // 3 - 1
+    assert "did not fit its third" in str(exc)
+
+
+def test_successor_left_behind_raises_at_the_rotation():
+    class NoReplay(WrappedRunner):
+        def _replay_chunk(self, k):
+            return 0
+
+    applied, exc = broken_runner_steps(NoReplay)
+    assert applied == 12  # the first update of the second window
+    assert "not caught up" in str(exc)
