@@ -17,7 +17,7 @@ from dynspan.graph import (
     VertexOutOfRange,
     edge_key,
 )
-from dynspan.instrumentation import OpCounter, RecourseLog
+from dynspan.instrumentation import OpCounter
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "EdgeExists",
     "EdgeMissing",
     "OpCounter",
-    "RecourseLog",
     "SelfLoop",
     "UpdateEvent",
     "VertexOutOfRange",

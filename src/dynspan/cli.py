@@ -170,9 +170,9 @@ def make_adversary(args, adapter):
     budget = args.steps
     # the decremental greedy takes no insertions, whatever the mix says
     p_insert = 0.0 if adapter.name == "greedy" else args.p_insert
+    if spec in ("random", "spanner-target", "witness-hammer") and adapter.name == "jm":
+        raise BadArgs("the jm engine needs --adversary max-load or replay")
     if spec == "random":
-        if adapter.name == "jm":
-            raise BadArgs("the jm engine needs --adversary max-load or replay")
         return RandomOblivious(args.seed + 1, budget, p_insert=p_insert)
     if spec == "spanner-target":
         return SpannerTargeting(args.seed + 1, budget, p_insert=p_insert)
@@ -319,11 +319,19 @@ class _Parser(argparse.ArgumentParser):
         raise BadArgs(message)
 
 
-def positive_int(text: str) -> int:
+def int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return int_at_least(text, 0)
 
 
 def probability(text: str) -> float:
@@ -342,13 +350,13 @@ def build_parser() -> _Parser:
             sp.add_argument("--algo", required=True, choices=sorted(ALGO_FACTORIES))
         sp.add_argument("--k", type=positive_int, default=2)
         sp.add_argument("--n", type=int, default=32)
-        sp.add_argument("--steps", type=int, default=None)
+        sp.add_argument("--steps", type=non_negative_int, default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--init-m", type=int, default=0, dest="init_m")
+        sp.add_argument("--init-m", type=non_negative_int, default=0, dest="init_m")
         sp.add_argument("--phase-len", type=positive_int, default=None, dest="phase_len")
         sp.add_argument("--p-insert", type=probability, default=0.5, dest="p_insert")
-        sp.add_argument("--jm-jobs", type=int, default=200, dest="jm_jobs")
-        sp.add_argument("--jm-machines", type=int, default=1500, dest="jm_machines")
+        sp.add_argument("--jm-jobs", type=non_negative_int, default=200, dest="jm_jobs")
+        sp.add_argument("--jm-machines", type=non_negative_int, default=1500, dest="jm_machines")
         sp.add_argument("--jm-instance", default=None, dest="jm_instance")
         sp.add_argument("--out", default=None)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent, edge_key
 from dynspan.greedy import GreedyState
-from dynspan.instrumentation import OpCounter, RecourseLog, Step
+from dynspan.instrumentation import OpCounter, RoleSet, Step
 
 
 def level_params(n: int, k: int) -> tuple[int, int]:
@@ -55,7 +55,9 @@ class FullyDynamicSpanner:
         self.e0: set[tuple[int, int]] = set()
         self.levels: dict[int, GreedyState] = {}
         self.owner: dict[tuple[int, int], int] = {}
-        self.recourse = RecourseLog()
+        # roles: one per E_0 edge and one per spanner edge of a level; every
+        # edge has one owner, so no edge ever holds two
+        self.roles = RoleSet()
         if edges:
             # a non-empty start graph occupies the top level whole
             top = max(self.num_levels, 1)
@@ -64,18 +66,15 @@ class FullyDynamicSpanner:
             self.levels[top] = state
             for e in g.edges():
                 self.owner[e] = top
-            self.recourse.record(state.spanner_size(), 0)
-        else:
-            self.recourse.record(0, 0)
+            for e in state.in_spanner:
+                self.roles.add(e)
+            self.roles.flush()
 
     def spanner_edges(self) -> set[tuple[int, int]]:
-        out = set(self.e0)
-        for state in self.levels.values():
-            out |= state.in_spanner
-        return out
+        return set(self.roles.members)
 
     def spanner_size(self) -> int:
-        return len(self.e0) + sum(s.spanner_size() for s in self.levels.values())
+        return len(self.roles.members)
 
     def insert(self, u: int, v: int) -> RebuildInfo | None:
         e = edge_key(u, v)
@@ -86,32 +85,30 @@ class FullyDynamicSpanner:
         if g <= self.ell0:
             self.e0.add(e)
             self.owner[e] = 0
-            self.recourse.record(1, 0)
+            self.roles.add(e)
             return None
         h = g - self.ell0  # may exceed num_levels once the counter outgrows n(n-1)/2
         return self._rebuild_level(h, e)
 
     def _rebuild_level(self, h: int, new_edge: tuple[int, int]) -> RebuildInfo:
         merged = set(self.e0)
-        old_output = set(self.e0)
+        old_output = list(self.e0)
         self.e0.clear()
         for i in sorted(self.levels):
-            if i < h:
+            if i <= h:
                 state = self.levels.pop(i)
                 merged |= set(state.graph.edges())
-                old_output |= state.in_spanner
-        if h in self.levels:
-            state = self.levels.pop(h)
-            merged |= set(state.graph.edges())
-            old_output |= state.in_spanner
+                old_output += state.in_spanner
         merged.add(new_edge)
         graph = DynamicGraph(self.n, sorted(merged))
         state = GreedyState(graph, self.k, self.counter)
         self.levels[h] = state
         for e in merged:
             self.owner[e] = h
-        new_output = state.in_spanner
-        self.recourse.record(len(new_output - old_output), len(old_output - new_output))
+        for e in old_output:
+            self.roles.remove(e)
+        for e in state.in_spanner:
+            self.roles.add(e)
         return RebuildInfo(h, len(merged))
 
     def delete(self, u: int, v: int) -> list[tuple[int, int]]:
@@ -121,22 +118,20 @@ class FullyDynamicSpanner:
             raise EdgeMissing(f"edge {e} not present")
         if level == 0:
             self.e0.discard(e)
-            self.recourse.record(0, 1)
+            self.roles.remove(e)
             return []
         state = self.levels[level]
-        was_spanner = e in state.in_spanner
+        if e in state.in_spanner:
+            self.roles.remove(e)
         added = state.handle_delete(*e)
-        self.recourse.record(len(added), 1 if was_spanner else 0)
+        for a in added:
+            self.roles.add(a)
         return added
 
     def update(self, ev: UpdateEvent) -> Step:
         """Apply one insertion or deletion and close its op step."""
         (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)
-        log = self.recourse
-        return Step(self.counter.end_step(), 0, log.added[-1], log.removed[-1], self.spanner_size())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.owner
+        return Step.of(self.roles.flush(), self.counter.end_step(), 0, self.spanner_size())
 
     def check_invariants(self) -> None:
         seen: set[tuple[int, int]] = set()
@@ -148,6 +143,10 @@ class FullyDynamicSpanner:
             else:
                 assert self.levels[lvl].graph.has_edge(*e)
         assert len(self.e0) + sum(s.graph.m for s in self.levels.values()) == len(self.owner)
+        output = set(self.e0)
+        for state in self.levels.values():
+            output |= state.in_spanner
+        assert self.roles.count == dict.fromkeys(output, 1)
         # capacity: level i holds at most 2**(ell0+i+1) edges (the counter can
         # feed a level for 2**(ell0+i+1)-1 insertions between its flushes)
         assert len(self.e0) < 2 ** (self.ell0 + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dynspan.graph import DELETE, DynamicGraph, EdgeMissing, UpdateEvent, edge_key, mask_dist
 from dynspan.graph import UnsupportedUpdate
-from dynspan.instrumentation import OpCounter, RecourseLog, Step
+from dynspan.instrumentation import OpCounter, Step
 
 
 class GreedyState:
@@ -27,14 +27,13 @@ class GreedyState:
         self.in_spanner: set[tuple[int, int]] = set()
         self.non_spanner: set[tuple[int, int]] = set()
         self.span_mask = [0] * graph.n
-        self.recourse = RecourseLog()
+        self.admitted = 0  # edges ever admitted, the build included
         self._build()
 
     def _build(self) -> None:
         for e in self.graph.edges():
             if not self._inspect(e):
                 self.non_spanner.add(e)
-        self.recourse.record(len(self.spanner_seq), 0)
 
     def _inspect(self, e: tuple[int, int]) -> bool:
         """Admit e into the spanner iff its endpoints sit at spanner distance >= 2k."""
@@ -43,6 +42,7 @@ class GreedyState:
             return False
         self.spanner_seq.append(e)
         self.in_spanner.add(e)
+        self.admitted += 1
         self.span_mask[u] |= 1 << v
         self.span_mask[v] |= 1 << u
         return True
@@ -54,7 +54,7 @@ class GreedyState:
         return len(self.in_spanner)
 
     def total_recourse(self) -> int:
-        return self.recourse.total_added
+        return self.admitted
 
     def handle_delete(self, u: int, v: int) -> list[tuple[int, int]]:
         """Remove edge (u, v); returns the edges promoted into the spanner."""
@@ -63,7 +63,6 @@ class GreedyState:
         self.counter.charge(2, "greedy")
         if e in self.non_spanner:
             self.non_spanner.discard(e)
-            self.recourse.record(0, 0)
             return []
         if e not in self.in_spanner:
             raise EdgeMissing(f"edge {e} tracked nowhere")  # unreachable if graph agreed
@@ -74,16 +73,15 @@ class GreedyState:
         added = [cand for cand in sorted(self.non_spanner) if self._inspect(cand)]
         for cand in added:
             self.non_spanner.discard(cand)
-        self.recourse.record(len(added), 1)
         return added
 
     def update(self, ev: UpdateEvent) -> Step:
         """Apply one deletion and close its op step."""
         if ev.kind != DELETE:
             raise UnsupportedUpdate("the decremental greedy spanner accepts deletions only")
-        self.handle_delete(*ev.edge)
-        log = self.recourse
-        return Step(self.counter.end_step(), 0, log.added[-1], log.removed[-1], self.spanner_size())
+        dels = int(edge_key(*ev.edge) in self.in_spanner)
+        adds = len(self.handle_delete(*ev.edge))
+        return Step(self.counter.end_step(), 0, adds, dels, self.spanner_size())
 
     def check_invariants(self) -> None:
         assert self.in_spanner | self.non_spanner == set(self.graph.edges())

@@ -42,31 +42,6 @@ class Step:
         return cls(op_count, resamples, *cls.signs(changes), output_size)
 
 
-class RecourseLog:
-    """Per-update counts of edges added to / removed from a maintained output."""
-
-    def __init__(self) -> None:
-        self.added: list[int] = []
-        self.removed: list[int] = []
-        self.total_added = 0
-        self.total_removed = 0
-
-    def record(self, added: int, removed: int) -> None:
-        self.added.append(added)
-        self.removed.append(removed)
-        self.total_added += added
-        self.total_removed += removed
-
-    @property
-    def steps(self) -> int:
-        return len(self.added)
-
-    def check(self) -> None:
-        # totals must equal the sum of per-step entries
-        assert self.total_added == sum(self.added)
-        assert self.total_removed == sum(self.removed)
-
-
 class RoleSet:
     """A maintained output whose members are the edges holding at least one role.
 

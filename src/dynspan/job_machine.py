@@ -164,7 +164,6 @@ class ResamplingEngine:
         self.all_routines: set[Routine] = set()
         self.resample_calls = 0
         self.recourse_total = 0
-        self.step_resamples: list[int] = []
         if instance is not None:
             for x in instance.machines:
                 self.add_machine(x)
@@ -334,7 +333,6 @@ class ResamplingEngine:
             resampled.append(job)
             if old is not new:
                 changes.append((job, old, new))
-        self.step_resamples.append(len(resampled))
         return StepReport(x, tuple(touched), tuple(resampled), schedule_added, tuple(changes))
 
     def _extend_schedule(self, job: Hashable) -> int:

@@ -17,6 +17,7 @@ folded into the index when the next phase starts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -347,6 +348,12 @@ class WrappedRunner:
         self.journal_cur: list = []
         self.extra: set[tuple[int, int]] = set()
         self.remnant: set[tuple[int, int]] = set()
+        # the output: one role per edge for each of D_cur.spanner, extra and
+        # remnant holding it; like the phases' own roles, never charged
+        self.roles = RoleSet()
+        for e in self.D_cur.spanner:
+            self.roles.add(e)
+        self.roles.flush()
         self._remnant_list: list[tuple[int, int]] = []
         self._remnant_pos = 0
         self._drop_chunk = 0
@@ -374,11 +381,15 @@ class WrappedRunner:
             prev = self.D_cur
             self.D_cur = self.D_next
             self.D_next = None
+            for e in itertools.chain(prev.spanner, self.extra, self.remnant):
+                self.roles.remove(e)
             # the abandoned instance's output and the already-fed edges are
             # drained away over the coming first third
             self.remnant = set(prev.spanner)
             self.remnant |= self.extra
             self.extra = set()
+            for e in itertools.chain(self.remnant, self.D_cur.spanner):
+                self.roles.add(e)
             self._remnant_list = sorted(self.remnant)
             self._remnant_pos = 0
         self.journal_prev = self.journal_cur
@@ -460,8 +471,7 @@ class WrappedRunner:
         except StopIteration:
             self._build_gen = None
 
-    def _drop_remnant_chunk(self) -> int:
-        dropped = 0
+    def _drop_remnant_chunk(self) -> None:
         for _ in range(self._drop_chunk):
             if self._remnant_pos >= len(self._remnant_list):
                 break
@@ -470,8 +480,7 @@ class WrappedRunner:
             self.counter.charge(1, "wrap")
             if e in self.remnant:
                 self.remnant.discard(e)
-                dropped += 1
-        return dropped
+                self.roles.remove(e)
 
     def _run_feed_chunk(self) -> None:
         for _ in range(self._feed_chunk):
@@ -480,8 +489,9 @@ class WrappedRunner:
             e = self._feed_list[self._feed_pos]
             self._feed_pos += 1
             self.counter.charge(2, "wrap")
-            if self.D_cur.g.has_edge(*e):
+            if self.D_cur.g.has_edge(*e) and e not in self.extra:
                 self.extra.add(e)
+                self.roles.add(e)
 
     def _replay_chunk(self, k: int) -> int:
         assert self.D_next is not None
@@ -508,49 +518,50 @@ class WrappedRunner:
             step = self.D_cur.insert(*ev.edge)
         else:
             step = self.D_cur.delete(*ev.edge)
-        adds, dels = Step.signs(step.changes)
+        for e, sign in step.changes:
+            (self.roles.add if sign == "+" else self.roles.remove)(e)
         resamples = step.resamples
         if ev.kind == DELETE:
             e = edge_key(*ev.edge)
-            if e in self.extra:
-                self.extra.discard(e)
-                dels += 1
-            if e in self.remnant:
-                self.remnant.discard(e)
-                dels += 1
+            for held in (self.extra, self.remnant):
+                if e in held:
+                    held.discard(e)
+                    self.roles.remove(e)
         if k < self.third:
             self._run_build_chunk()
-            dels += self._drop_remnant_chunk()
+            self._drop_remnant_chunk()
             if k == self.third - 1 and self._build_gen is not None:
                 raise InvariantBroken("rebuild did not fit its third")
         elif k < 2 * self.third:
             if k == self.third:
                 self._start_feed()
-            before = len(self.extra)
             self._run_feed_chunk()
-            adds += len(self.extra) - before
         else:
             resamples += self._replay_chunk(3)
         self.step_in_window += 1
         if self.step_in_window == self.L:
             self.step_in_window = 0
         op = self.counter.end_step()
+        adds, dels = Step.signs(self.roles.flush())
         return WrappedStep(op, resamples, adds, dels, self.output_size(), self.declared_budget)
 
     # -- views --
 
     def spanner_edges(self) -> set[tuple[int, int]]:
-        out = set(self.D_cur.spanner)
-        out |= self.extra
-        out |= self.remnant
-        return out
+        return set(self.roles.members)
 
     def output_size(self) -> int:
-        return len(self.spanner_edges())
+        return len(self.roles.members)
 
     @property
     def graph(self) -> DynamicGraph:
         return self.D_cur.g
+
+    def check_invariants(self) -> None:
+        self.D_cur.check_invariants()
+        held = (self.D_cur.spanner, self.extra, self.remnant)
+        for e in set(self.roles.count).union(*held):
+            assert self.roles.count.get(e, 0) == sum(e in s for s in held), e
 
 
 class Resample3:

@@ -15,6 +15,7 @@ from dynspan import cli
 from dynspan.adversary import write_stream
 from dynspan.det3 import Det3State
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
+from dynspan.instrumentation import CSV_HEADER
 
 
 def deletion_stream(tmp_path, name, n=12, m=30, count=20, seed=3):
@@ -399,3 +400,31 @@ def test_invariant_checks_survive_python_O(tmp_path):
         subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=60)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--algo", "det3", "--init-m", "-1"],
+        ["--algo", "det3", "--steps", "-5"],
+        ["--algo", "jm", "--jm-jobs", "-3"],
+        ["--algo", "jm", "--jm-machines", "-1"],
+    ],
+)
+def test_negative_counts_exit_3(argv, capsys):
+    assert cli.main(["run", *argv, "--n", "5"]) == 3
+    assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_zero_steps_run_writes_no_rows(tmp_path):
+    out = tmp_path / "empty.csv"
+    argv = ["run", "--algo", "det3", "--n", "5", "--init-m", "0", "--steps", "0"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [CSV_HEADER]
+
+
+@pytest.mark.parametrize("adversary", ["spanner-target", "witness-hammer"])
+def test_jm_rejects_edge_adversaries(adversary, capsys):
+    argv = ["run", "--algo", "jm", "--adversary", adversary, "--steps", "5"]
+    assert cli.main([*argv, "--jm-jobs", "10", "--jm-machines", "50"]) == 3
+    assert "max-load or replay" in capsys.readouterr().err

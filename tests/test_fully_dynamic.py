@@ -9,7 +9,7 @@ import random
 import pytest
 
 from dynspan.fully_dynamic import FullyDynamicSpanner, level_params
-from dynspan.graph import DynamicGraph, EdgeExists, EdgeMissing
+from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent
 from dynspan.greedy import GreedyState
 from dynspan.oracle import verify_stretch
 
@@ -94,6 +94,7 @@ def test_level_delete_matches_standalone_greedy():
         want = shadow.handle_delete(*e)
         assert got == want
         assert state.in_spanner == shadow.in_spanner
+        fd.check_invariants()
 
 
 def test_delete_then_reinsert_moves_levels_but_keeps_stretch():
@@ -123,22 +124,22 @@ def test_mixed_run_size_and_recourse_bounds():
     fd = FullyDynamicSpanner(n, k)
     graph = DynamicGraph(n)
     pairs = list(itertools.combinations(range(n), 2))
+    recourse = 0
     for step in range(updates):
         if graph.m and rng.random() < 0.5:
-            e = rng.choice(sorted(graph.edges()))
-            fd.delete(*e)
-            graph.delete_edge(*e)
+            ev = UpdateEvent(step, DELETE, rng.choice(sorted(graph.edges())))
         else:
             absent = [p for p in pairs if not graph.has_edge(*p)]
             if not absent:
                 continue
-            e = rng.choice(absent)
-            fd.insert(*e)
-            graph.insert_edge(*e)
+            ev = UpdateEvent(step, INSERT, rng.choice(absent))
+        graph.apply(ev)
+        recourse += fd.update(ev).adds
         if step % 100 == 0:
             assert verify_stretch(graph, fd.spanner_edges(), 2 * k - 1).ok
+            fd.check_invariants()
     assert fd.spanner_size() <= 4 * n**1.5 * (math.log2(n) + 2)
-    assert fd.recourse.total_added <= 8 * updates * math.log2(updates)
+    assert recourse <= 8 * updates * math.log2(updates)
 
 
 def test_initial_edges_occupy_top_level():

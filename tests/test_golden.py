@@ -75,7 +75,7 @@ STREAM_DIGESTS = {
     ("witness-hammer", 1.0): "fc03757d2184f5b908297020e8f63c882fd734d8fb655dc2314a2f4182ff75b5",
 }
 
-WRAPPED_DIGEST = "f848268a8f562e49780c908c7671098b82a2974941b6b780825d2e10c187bc67"
+WRAPPED_DIGEST = "3ef6f5cd228468069e7d77ed9ee29bba3ae0ac91954712dcadddc9eac2487707"
 
 
 def digest(data: bytes | str) -> str:

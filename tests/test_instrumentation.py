@@ -13,20 +13,9 @@ from dynspan.instrumentation import (
     MetricsRow,
     OpCounter,
     OverheadSample,
-    RecourseLog,
     measure_overhead,
     write_metrics_csv,
 )
-
-
-def test_recourse_totals_match_steps():
-    log = RecourseLog()
-    log.record(3, 0)
-    log.record(0, 1)
-    log.record(2, 2)
-    log.check()
-    assert log.total_added == 5 and log.total_removed == 3
-    assert log.steps == 3
 
 
 def test_op_counter_steps_and_attribution():

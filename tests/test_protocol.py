@@ -3,12 +3,17 @@ the CLI drives it, reports exactly how its output changed."""
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 
 import pytest
+from test_wrapped import random_events
 
 from dynspan import cli
+from dynspan.graph import DynamicGraph
 from dynspan.instrumentation import OpCounter, Step
+from dynspan.resample3 import WrappedRunner
 
 RUNS = {
     "greedy": "--algo greedy --k 2 --n 24 --init-m 100 --steps 40 --seed 3 --p-insert 0",
@@ -78,3 +83,21 @@ def test_resample3_rollover_steps_report_the_output_diff():
     for i, r in enumerate(records, 1):
         if r.rollover:
             assert r.conforms(), (i, r.step)
+
+
+def test_wrapped_runner_reports_the_output_diff():
+    # the stream of test_wrapped.py's rotation test: three rotations, with
+    # remnant drains, successor feeds and deletions of fed edges
+    rng = random.Random(11)
+    n, m, L = 25, 120, 30
+    pairs = list(itertools.combinations(range(n), 2))
+    g = DynamicGraph(n, rng.sample(pairs, m))
+    events = random_events(random.Random(13), g, pairs, 3 * L + 5)
+    runner = WrappedRunner(g, seed=21, rotation_len=L)
+    for i, ev in enumerate(events, 1):
+        before = runner.spanner_edges()
+        step = runner.update(ev)
+        r = Record(step, before, runner.spanner_edges(), runner.counter.last_step, False)
+        assert r.conforms(), (i, step)
+        runner.check_invariants()
+    assert runner.window == 4
