@@ -30,7 +30,7 @@ from dynspan.graph import DynamicGraph, GraphError, UpdateEvent
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import InvariantBroken, MetricsRow, OpCounter, Step, write_metrics_csv
 from dynspan.job_machine import HyperInstance, JobMachineError, ResamplingEngine, random_instance
-from dynspan.oracle import verify_stretch
+from dynspan.oracle import SpannerNotSubgraph, verify_stretch
 from dynspan.resample3 import Resample3
 
 EXIT_OK = 0
@@ -44,10 +44,7 @@ class BadArgs(Exception):
 
 
 class CheckFailed(Exception):
-    def __init__(self, step: int, witness) -> None:
-        super().__init__(f"stretch violated at step {step}, witness edge {witness}")
-        self.step = step
-        self.witness = witness
+    """An online check failed; the message names the step and the edge."""
 
 
 def seeded_graph(n: int, m: int, seed: int, counter: OpCounter | None = None) -> DynamicGraph:
@@ -204,17 +201,22 @@ def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | 
         s = adapter.apply(ev)
         stretch_ok = ""
         if args.check != "none" and adapter.stretch_bound is not None:
-            rep = verify_stretch(
-                adapter.graph,
-                adapter.spanner(),
-                adapter.stretch_bound,
-                mode=args.check,
-                sample=64,
-                seed=args.seed * 1_000_003 + step,
-            )
-            stretch_ok = "1" if rep.ok else "0"
-            if not rep.ok:
-                failure = CheckFailed(step, rep.worst_edge)
+            try:
+                rep = verify_stretch(
+                    adapter.graph,
+                    adapter.spanner(),
+                    adapter.stretch_bound,
+                    mode=args.check,
+                    sample=64,
+                    seed=args.seed * 1_000_003 + step,
+                )
+                if not rep.ok:
+                    failure = CheckFailed(
+                        f"stretch violated at step {step}, witness edge {rep.worst_edge}"
+                    )
+            except SpannerNotSubgraph as exc:
+                failure = CheckFailed(f"{exc} at step {step}")
+            stretch_ok = "1" if failure is None else "0"
         rows.append(
             MetricsRow(
                 step,

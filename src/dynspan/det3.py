@@ -50,19 +50,17 @@ class Det3State:
         self.bucket_of = list(buckets) if buckets is not None else default_buckets(self.n)
         if len(self.bucket_of) != self.n:
             raise ValueError("bucket map must cover every vertex")
-        self.num_buckets = (max(self.bucket_of) + 1) if self.n else 0
         self.counter = counter or OpCounter()
 
         self.cross: dict[tuple[int, int], set[int]] = {}  # (v, i) -> neighbors of v in V_i
         self.center: dict[tuple[int, int], int] = {}  # (v, i) -> c_i(v), only v not in V_i
-        self.cluster: dict[int, set[int]] = {}  # u -> {v : c_{b(u)}(v) == u}
         self.cedge: dict[tuple[int, int], set[int]] = {}  # (a, b) -> far endpoints z of E(a, C+(b))
         self.chosen: dict[tuple[int, int], int] = {}  # (a, b) -> chosen far endpoint
 
         # roles: one per owner v whose center c_i(v) is on the edge, one per
         # pair that chose it
         self.roles = RoleSet()
-        self.spanner: set[tuple[int, int]] = self.roles.members
+        self.spanner = self.roles.count.keys()  # live view: the edges holding a role
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -78,7 +76,6 @@ class Det3State:
             c = min(nbrs)
             self._charge(1)
             self.center[(v, i)] = c
-            self.cluster.setdefault(c, set()).add(v)
             self._add_t1(edge_key(v, c), v)
         for u, v in self.g.edges():
             for near, far in ((u, v), (v, u)):
@@ -170,12 +167,10 @@ class Det3State:
             # other edges into that bucket, so no migration can be needed
             if len(cu) == 1:
                 self.center[(u, j)] = v
-                self.cluster.setdefault(v, set()).add(u)
                 self._add_t1(e, u)
                 self._charge(1)
             if len(cv) == 1:
                 self.center[(v, i)] = u
-                self.cluster.setdefault(u, set()).add(v)
                 self._add_t1(e, v)
                 self._charge(1)
         for near, far in ((u, v), (v, u)):
@@ -217,14 +212,12 @@ class Det3State:
         i = self.bucket_of[old_center]
         self._remove_t1(e, owner)
         del self.center[(owner, i)]
-        self.cluster[old_center].discard(owner)
         self._charge(2)
         rest = self.cross.get((owner, i), ())
         new_center = min(rest) if rest else None
         self._charge(1)
         if new_center is not None:
             self.center[(owner, i)] = new_center
-            self.cluster.setdefault(new_center, set()).add(owner)
             self._add_t1(edge_key(owner, new_center), owner)
             self._charge(1)
         for w in sorted(rest):
@@ -242,7 +235,7 @@ class Det3State:
         return len(self.spanner)
 
     def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.spanner)
+        return set(self.roles.count)  # from the dict, not the view: set() reuses its hashes
 
     # -- full-rebuild consistency oracle ------------------------------------
 
@@ -261,11 +254,6 @@ class Det3State:
         assert set(self.center) == expect_centered
         for (v, i), c in self.center.items():
             assert c in cross[(v, i)] and self.bucket_of[c] == i
-        # clusters invert centers
-        cluster: dict[int, set[int]] = {}
-        for (v, i), c in self.center.items():
-            cluster.setdefault(c, set()).add(v)
-        assert {u: s for u, s in self.cluster.items() if s} == cluster
         # cluster-edge sets from scratch, given the maintained centers
         cedge: dict[tuple[int, int], set[int]] = {}
         for u, v in self.g.edges():
@@ -277,8 +265,7 @@ class Det3State:
         assert set(self.chosen) == set(cedge)
         for pair, z in self.chosen.items():
             assert z in cedge[pair]
-        # role counts and spanner membership agree with the centers and choices
+        # role counts (and so the spanner) agree with the centers and choices
         roles = Counter(edge_key(v, c) for (v, _), c in self.center.items())
         roles.update(edge_key(pair[0], z) for pair, z in self.chosen.items())
         assert self.roles.count == roles
-        assert self.spanner == set(roles)

@@ -71,10 +71,10 @@ class FullyDynamicSpanner:
             self.roles.flush()
 
     def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.roles.members)
+        return set(self.roles.count)
 
     def spanner_size(self) -> int:
-        return len(self.roles.members)
+        return len(self.roles.count)
 
     def insert(self, u: int, v: int) -> RebuildInfo | None:
         e = edge_key(u, v)

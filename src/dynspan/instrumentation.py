@@ -45,14 +45,13 @@ class Step:
 class RoleSet:
     """A maintained output whose members are the edges holding at least one role.
 
-    `count` maps each member to its number of roles; `members` is the output
+    `count` maps each member to its number of roles; its keys are the output
     itself.  Within a step only an edge's first 0<->1 transition records its
     old membership, so `flush` can report the net change of the step.
     """
 
     def __init__(self) -> None:
         self.count: dict[Hashable, int] = {}
-        self.members: set = set()
         self._was: dict[Hashable, bool] = {}  # membership before the current step
 
     def add(self, e: Hashable) -> None:
@@ -60,7 +59,6 @@ class RoleSet:
         self.count[e] = c + 1
         if not c:
             self._was.setdefault(e, False)
-            self.members.add(e)
 
     def remove(self, e: Hashable) -> None:
         c = self.count[e] - 1
@@ -69,15 +67,12 @@ class RoleSet:
         else:
             del self.count[e]
             self._was.setdefault(e, True)
-            self.members.discard(e)
 
     def flush(self) -> list[tuple[Hashable, str]]:
         """Sorted (edge, "+"/"-") net membership changes since the last flush."""
-        members = self.members
+        count = self.count
         out = [
-            (e, "+" if e in members else "-")
-            for e, was in self._was.items()
-            if was != (e in members)
+            (e, "+" if e in count else "-") for e, was in self._was.items() if was != (e in count)
         ]
         self._was.clear()
         out.sort()
@@ -94,7 +89,7 @@ class OpCounter:
 
     def __init__(self) -> None:
         self.current = 0
-        self.per_step: list[int] = []
+        self.last_step = 0  # the count of the last closed step
         self.max_step = 0
         self.total = 0
         self.by_module: Counter[str] = Counter()
@@ -105,16 +100,11 @@ class OpCounter:
         self.by_module[module] += n
 
     def end_step(self) -> int:
-        count = self.current
-        self.per_step.append(count)
+        count = self.last_step = self.current
         if count > self.max_step:
             self.max_step = count
         self.current = 0
         return count
-
-    @property
-    def last_step(self) -> int:
-        return self.per_step[-1] if self.per_step else 0
 
     def check_attribution(self) -> None:
         assert sum(self.by_module.values()) == self.total

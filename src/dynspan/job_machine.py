@@ -118,7 +118,6 @@ class HyperInstance:
 
 @dataclass(frozen=True)
 class StepReport:
-    machine: Hashable
     touched: tuple[Hashable, ...]
     resampled: tuple[Hashable, ...]
     schedule_added: int
@@ -149,19 +148,16 @@ class ResamplingEngine:
         self.horizon = horizon
         self.counter = counter or OpCounter()
         self.T = 0
-        self.live_machines: set[Hashable] = set()
         self.by_machine: dict[Hashable, set[Routine]] = {}
         self.live_by_job: dict[Hashable, list[Routine]] = {}
         self.assigned: dict[Hashable, Routine | None] = {}
-        self.loads: dict[Hashable, int] = {}
+        self.loads: dict[Hashable, int] = {}  # keyed by the live machines
         self._load_buckets: dict[int, set[Hashable]] = {}
         self._max_load = 0
-        self.schedule: dict[Hashable, set[int]] = {}
-        self.list_at: dict[int, set[Hashable]] = {}
+        self.list_at: dict[int, set[Hashable]] = {}  # step -> jobs due then
         # replayable history: resample events and schedule-entry creations
         self.resample_events: dict[Hashable, list[int]] = {}
         self.schedule_log: dict[Hashable, list[_ScheduleEntry]] = {}
-        self.all_routines: set[Routine] = set()
         self.resample_calls = 0
         self.recourse_total = 0
         if instance is not None:
@@ -176,9 +172,8 @@ class ResamplingEngine:
     # -- incremental construction (clock must not have started) --
 
     def add_machine(self, x: Hashable) -> None:
-        if x in self.live_machines:
+        if x in self.loads:
             raise JobMachineError(f"machine {x!r} already present")
-        self.live_machines.add(x)
         self.by_machine[x] = set()
         self._set_load(x, 0)
         self._charge(1)
@@ -193,18 +188,16 @@ class ResamplingEngine:
             if r.job != job:
                 raise UnknownJob(f"routine {r} does not belong to job {job!r}")
             for x in r.machines:
-                if x not in self.live_machines:
+                if x not in self.loads:
                     raise MachineMissing(f"routine machine {x!r} unknown")
                 if x in seen:
                     raise DisjointnessViolated(f"job {job!r} routines share machine {x!r}")
                 seen.add(x)
         self.live_by_job[job] = rs
         self.assigned[job] = None
-        self.schedule[job] = set()
         self.resample_events[job] = []
         self.schedule_log[job] = []
         for r in rs:
-            self.all_routines.add(r)
             for x in r.machines:
                 self.by_machine[x].add(r)
                 self._charge(1)
@@ -227,27 +220,27 @@ class ResamplingEngine:
 
     def _shift_load(self, r: Routine, delta: int) -> None:
         for x in r.machines:
-            if x in self.live_machines:
+            if x in self.loads:
                 self._set_load(x, self.loads[x] + delta)
 
     def heaviest_machine(self) -> Hashable | None:
         """Max-load live machine, ties by smallest machine; None if no machines."""
         while self._max_load > 0 and not self._load_buckets.get(self._max_load):
             self._max_load -= 1
-        if not self.live_machines:
+        if not self.loads:
             return None
         bucket = self._load_buckets.get(self._max_load, ())
-        return min(bucket) if bucket else min(self.live_machines)
+        return min(bucket) if bucket else min(self.loads)
 
     # -- queries --
 
     def load(self, x: Hashable) -> int:
-        if x not in self.live_machines:
+        if x not in self.loads:
             raise MachineMissing(f"machine {x!r} not live")
         return self.loads[x]
 
     def target(self, x: Hashable) -> Fraction:
-        if x not in self.live_machines:
+        if x not in self.loads:
             raise MachineMissing(f"machine {x!r} not live")
         total = Fraction(0)
         for r in self.by_machine[x]:
@@ -277,7 +270,7 @@ class ResamplingEngine:
         return new
 
     def delete_machine(self, x: Hashable) -> StepReport:
-        if x not in self.live_machines:
+        if x not in self.loads:
             raise MachineMissing(f"machine {x!r} not live")
         return self._step(x)
 
@@ -302,16 +295,14 @@ class ResamplingEngine:
         changes: list[tuple[Hashable, Routine | None, Routine | None]] = []
         if x is not None:
             dead = sorted(self.by_machine.pop(x), key=Routine.sort_key)
-            self.live_machines.discard(x)
             bucket = self._load_buckets[self.loads[x]]
             bucket.discard(x)
             del self.loads[x]
             self._charge(1)
             for r in dead:
                 self.live_by_job[r.job].remove(r)
-                self.all_routines.discard(r)
                 for y in r.machines:
-                    if y != x and y in self.live_machines:
+                    if y != x and y in self.loads:
                         self.by_machine[y].discard(r)
                         self._charge(1)
                 if self.assigned[r.job] is r:
@@ -327,22 +318,19 @@ class ResamplingEngine:
         due = sorted(self.list_at.pop(self.T, ()), key=repr)
         resampled: list[Hashable] = []
         for job in due:
-            self.schedule[job].discard(self.T)
             old = self.assigned[job]
             new = self.resample(job)
             resampled.append(job)
             if old is not new:
                 changes.append((job, old, new))
-        return StepReport(x, tuple(touched), tuple(resampled), schedule_added, tuple(changes))
+        return StepReport(tuple(touched), tuple(resampled), schedule_added, tuple(changes))
 
     def _extend_schedule(self, job: Hashable) -> int:
         added = 0
-        sched = self.schedule[job]
         step = 1
         while self.T + step <= self.horizon:
             at = self.T + step
-            if at not in sched:
-                sched.add(at)
+            if job not in self.list_at.get(at, ()):
                 self.list_at.setdefault(at, set()).add(job)
                 self.schedule_log[job].append(_ScheduleEntry(at, self.T))
                 added += 1
@@ -356,7 +344,7 @@ class ResamplingEngine:
         """Steps of resample events of job(r) before t that could still explain
         r being assigned at t: event at step s counts unless some schedule
         entry t' with s < t' < t already existed at step s."""
-        if r not in self.all_routines:
+        if r not in self.live_by_job.get(r.job, ()):
             raise UnknownRoutine(f"routine {r} not live")
         if t > self.T:
             raise ValueError("t is in the future")

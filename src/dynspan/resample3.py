@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from dynspan.det3 import default_buckets
@@ -49,10 +49,8 @@ class PartnershipIndex:
         self.n = n
         self.bucket_of = list(bucket_of)
         self.counter = counter or OpCounter()
-        self.adj: list[set[int]] = [set() for _ in range(n)]
         self.bnbrs: dict[tuple[int, int], set[int]] = {}  # (v, i) -> V_i cap N(v)
         self.partnerships: dict[tuple[int, int], set[int]] = {}  # same-bucket pair -> P
-        self.m = 0
 
     def _charge(self, k: int) -> None:
         self.counter.charge(k, "partnership")
@@ -61,13 +59,9 @@ class PartnershipIndex:
         return (a, b) if a < b else (b, a)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return v in self.bnbrs.get((u, self.bucket_of[v]), ())
 
     def add_edge(self, u: int, v: int) -> None:
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        self.m += 1
-        self._charge(2)
         for x, y in ((u, v), (v, u)):
             # y becomes a common neighbor of x and x's bucket-mates adjacent to y
             mates = self.bnbrs.get((y, self.bucket_of[x]), ())
@@ -77,12 +71,9 @@ class PartnershipIndex:
                     self._charge(1)
         self.bnbrs.setdefault((u, self.bucket_of[v]), set()).add(v)
         self.bnbrs.setdefault((v, self.bucket_of[u]), set()).add(u)
-        self._charge(2)
+        self._charge(4)
 
     def remove_edge(self, u: int, v: int) -> None:
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-        self.m -= 1
         self.bnbrs[(u, self.bucket_of[v])].discard(v)
         self.bnbrs[(v, self.bucket_of[u])].discard(u)
         self._charge(4)
@@ -96,13 +87,17 @@ class PartnershipIndex:
         return self.bnbrs.get((v, i), set())
 
     def check_consistent(self) -> None:
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for (u, i), vs in self.bnbrs.items():
+            assert all(self.bucket_of[v] == i for v in vs)
+            adj[u] |= vs
         fresh: dict[tuple[int, int], set[int]] = {}
         for u in range(self.n):
-            for v in self.adj[u]:
-                assert u in self.adj[v]
+            for v in adj[u]:
+                assert u in adj[v]
                 if u < v:
                     for x, y in ((u, v), (v, u)):
-                        for x2 in self.adj[y]:
+                        for x2 in adj[y]:
                             if x2 != x and self.bucket_of[x2] == self.bucket_of[x]:
                                 fresh.setdefault(self.pair(x, x2), set()).add(y)
         assert {p: s for p, s in self.partnerships.items() if s} == fresh
@@ -143,7 +138,7 @@ class PhaseState:
         # roles: one per partner slot holding the edge, one for e2, one for
         # the buffer, one per chosen witness routine using the edge
         self.roles = RoleSet()
-        self.spanner: set[tuple[int, int]] = self.roles.members
+        self.spanner = self.roles.count.keys()  # live view: the edges holding a role
         self.updates_used = 0
         self.engine: ResamplingEngine = ResamplingEngine(None, seed, horizon=self.L, counter=self.counter)
         for e in graph.edges():
@@ -251,7 +246,7 @@ class PhaseState:
     # -- views --
 
     def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.spanner)
+        return set(self.roles.count)  # from the dict, not the view: set() reuses its hashes
 
     def spanner_size(self) -> int:
         return len(self.spanner)
@@ -282,7 +277,6 @@ class PhaseState:
             if r is not None:
                 roles.update(r.machines)
         assert self.roles.count == roles
-        assert self.spanner == set(roles)
         for e in self.spanner:
             assert self.g.has_edge(*e)
 
@@ -548,10 +542,10 @@ class WrappedRunner:
     # -- views --
 
     def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.roles.members)
+        return set(self.roles.count)
 
     def output_size(self) -> int:
-        return len(self.roles.members)
+        return len(self.roles.count)
 
     @property
     def graph(self) -> DynamicGraph:
@@ -593,21 +587,25 @@ class Resample3:
         self.counter.end_step()
         return phase
 
-    def _ready(self) -> None:
+    def _apply(self, kind: str, u: int, v: int) -> Resample3Step:
+        old = None
         if self.phase.exhausted:
+            old = self.phase.spanner  # the abandoned phase's roles no longer change
             self.phase = self._new_phase()
+        step = (self.phase.insert if kind == INSERT else self.phase.delete)(u, v)
+        self.counter.end_step()
+        if old is not None:
+            # the new phase flushed its build, so report the swap of the whole output
+            new = self.phase.spanner
+            changes = sorted([(e, "+") for e in new - old] + [(e, "-") for e in old - new])
+            step = replace(step, changes=tuple(changes))
+        return step
 
     def insert(self, u: int, v: int) -> Resample3Step:
-        self._ready()
-        step = self.phase.insert(u, v)
-        self.counter.end_step()
-        return step
+        return self._apply(INSERT, u, v)
 
     def delete(self, u: int, v: int) -> Resample3Step:
-        self._ready()
-        step = self.phase.delete(u, v)
-        self.counter.end_step()
-        return step
+        return self._apply(DELETE, u, v)
 
     def update(self, ev: UpdateEvent) -> Step:
         step = (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)

@@ -175,7 +175,7 @@ def jm_fuzz_runs():
             if step % 200 == 199:
                 t = eng.T
                 rng = random.Random(step * 31 + seed)
-                for xm in rng.sample(sorted(eng.live_machines), 25):
+                for xm in rng.sample(sorted(eng.loads), 25):
                     samples.append(OverheadSample(t, xm, eng.load(xm), float(eng.target(xm))))
             if step % 250 == 249:
                 t = eng.T

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -228,6 +229,20 @@ def test_fault_injection_is_caught(tmp_path, monkeypatch):
         ]
     )
     assert code == 2
+
+
+def test_spanner_edge_outside_the_host_graph_fails_the_check(tmp_path, monkeypatch, capsys):
+    # a det3 that never drops a lost partner edge keeps the deleted edge in its output
+    monkeypatch.setattr(Det3State, "_remove_t1", lambda self, e, owner: None)
+    out = tmp_path / "run.csv"
+    argv = "run --algo det3 --n 30 --init-m 120 --steps 60 --seed 5 --adversary spanner-target"
+    assert cli.main([*argv.split(), "--check", "exact", "--out", str(out)]) == 2
+    *_, last = out.read_text().splitlines()
+    step, event, *_, stretch_ok = last.split(",")
+    _, u, v = event.split()
+    assert stretch_ok == "0" and step == "6"
+    assert f"spanner edge ({u}, {v}) not in host graph at step {step}" in capsys.readouterr().err
+    assert json.loads((tmp_path / "run.csv.meta.json").read_text())["steps_run"] == 6
 
 
 def test_bench_rows_and_empty(capsys, tmp_path):

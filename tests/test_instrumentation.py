@@ -78,7 +78,7 @@ def test_overhead_on_witness_hammer_runs_within_frozen_thresholds():
             if step % 10 == 9:
                 eng = ps.engine
                 rng = random.Random(step * 7 + seed)
-                for x in rng.sample(sorted(eng.live_machines), 20):
+                for x in rng.sample(sorted(eng.loads), 20):
                     samples.append(
                         OverheadSample(eng.T, x, eng.load(x), float(eng.target(x)))
                     )

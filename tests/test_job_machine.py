@@ -102,7 +102,7 @@ def test_same_timestep_from_two_touches_resamples_once():
     eng.delete_machine(eng.assigned[0].machines[0])  # touch at T=0 -> {1,2,4,8,...}
     eng.delete_machine(4)  # spare, clock reaches 2
     eng.delete_machine(eng.assigned[0].machines[0])  # touch at T=2 -> {3,4,6,...}
-    assert 4 in eng.schedule[0]  # scheduled by both touches, stored once
+    assert 0 in eng.list_at[4]  # scheduled by both touches, stored once
     eng.delete_machine(5)  # clock reaches 4 and drains it
     assert eng.resample_events[0].count(4) == 1
 
@@ -139,7 +139,7 @@ def test_target_sum_identity_on_random_instance():
 def test_rel_count_untouched_job_is_one():
     eng = engine_with([Routine(0, (0,)), Routine(1, (1,))], 2, 3, horizon=30)
     for _ in range(5):
-        eng.delete_machine(2) if 2 in eng.live_machines else eng.tick()
+        eng.delete_machine(2) if 2 in eng.loads else eng.tick()
     r = eng.live_by_job[0][0]
     for t in (1, 3, 5):
         assert eng.rel_count(t, r) == 1  # only the initial assignment
@@ -163,6 +163,16 @@ def test_rel_count_unknown_routine():
     eng = engine_with([Routine(0, (0,))], 1, 1, horizon=5)
     with pytest.raises(UnknownRoutine):
         eng.rel_count(0, Routine(0, (7,)))
+
+
+def test_rel_count_routine_killed_by_machine_deletion():
+    routines = [Routine(0, (0,)), Routine(0, (1,))]
+    eng = engine_with(routines, 1, 2, horizon=5)
+    assert eng.rel_count(0, routines[0]) == 0
+    eng.delete_machine(0)
+    with pytest.raises(UnknownRoutine):
+        eng.rel_count(1, routines[0])
+    assert eng.rel_count(1, routines[1]) == 1
 
 
 def test_fuzzed_relevance_bound_and_geometry():

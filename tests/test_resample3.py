@@ -42,6 +42,15 @@ def test_partnership_index_tracks_common_neighbors():
     idx.check_consistent()
 
 
+def test_partnership_check_catches_a_one_sided_neighbor():
+    idx = PartnershipIndex(5, [0, 0, 1, 1, 1])
+    idx.add_edge(0, 2)
+    idx.check_consistent()
+    idx.bnbrs[(2, 0)].discard(0)  # 0 still lists 2, but 2 no longer lists 0
+    with pytest.raises(AssertionError):
+        idx.check_consistent()
+
+
 def test_empty_graph_has_no_witnesses():
     ps = PhaseState(DynamicGraph(6), seed=1)
     assert ps.witnesses() == {}

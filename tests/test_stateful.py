@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
 
-from hypothesis import settings, strategies as st  # noqa: E402
+from hypothesis import Phase, settings, strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule  # noqa: E402
 
 from dynspan.det3 import Det3State  # noqa: E402
@@ -77,16 +77,13 @@ class SpannerStreams(RuleBasedStateMachine):
         (self.present.add if kind == INSERT else self.present.discard)(edge)
         for s in self.structures:
             before = s.state.spanner_edges()
-            phase = getattr(s.state, "phase_index", None)
             step = s.update(ev)
             after = s.state.spanner_edges()
-            # a resample3 rollover's output swap goes unreported (see CHANGES.md)
-            if phase == getattr(s.state, "phase_index", None):
-                assert (step.adds, step.dels, step.output_size) == (
-                    len(after - before),
-                    len(before - after),
-                    len(after),
-                ), (s.name, ev)
+            assert (step.adds, step.dels, step.output_size) == (
+                len(after - before),
+                len(before - after),
+                len(after),
+            ), (s.name, ev)
             s.check()
             assert after <= self.present, s.name
             assert bfs_stretch_ok(self.present, after, 3), (s.name, ev)
@@ -104,7 +101,12 @@ class SpannerStreams(RuleBasedStateMachine):
         self.apply(DELETE, present[i % len(present)])
 
 
+# no shrinking: a failing example needing a level rebuild would shrink for minutes
 SpannerStreams.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=80, derandomize=True, deadline=None
+    max_examples=25,
+    stateful_step_count=80,
+    derandomize=True,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
 )
 TestSpannerStreams = SpannerStreams.TestCase
