@@ -151,5 +151,6 @@ class FullyDynamicSpanner:
         # feed a level for 2**(ell0+i+1)-1 insertions between its flushes)
         assert len(self.e0) < 2 ** (self.ell0 + 1)
         for i, state in self.levels.items():
+            state.check_invariants()
             if i <= self.num_levels:
                 assert state.graph.m <= 2 ** (self.ell0 + i + 1)

@@ -96,6 +96,20 @@ def mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None = None) -
     return None
 
 
+def mask_balls(adj_mask: list[int], src: int, depth: int) -> list[int]:
+    """balls[d] = bitmask of the vertices within hop distance d of src, d = 0..depth."""
+    seen = frontier = 1 << src
+    balls = [seen]
+    for _ in range(depth):
+        nxt = 0
+        for x in iter_bits(frontier):
+            nxt |= adj_mask[x]
+        frontier = nxt & ~seen
+        seen |= frontier
+        balls.append(seen)
+    return balls
+
+
 class DynamicGraph:
     """Undirected simple graph over a fixed vertex set with edge updates."""
 

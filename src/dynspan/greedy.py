@@ -1,17 +1,23 @@
 """Decremental greedy (2k-1)-spanner with one-way recourse.
 
 Spanner edges are only ever removed when the adversary deletes them.  On
-such a deletion every current non-spanner edge is re-inspected in
-ascending key order and joins iff its endpoints sit at spanner distance
->= 2k.  The maintained edge sequence doubles as a greedy inspection
-prefix: the structure always equals the order-driven greedy run that
-inspects the surviving spanner sequence first and the rest ascending.
+the deletion of spanner edge (a, b) the candidate non-spanner edges are
+re-inspected in ascending key order, each joining iff its endpoints sit at
+spanner distance >= 2k.  The candidates are the edges (x, y) with
+d(x, a) + d(b, y) <= 2k-2 in the spanner without (a, b), found by two
+bitmask BFS balls around a and b.  This is exact: the endpoints of every
+non-spanner edge sit within 2k-1 in the spanner and the spanner only
+grows during a rescan, so an edge can join only if all its short paths
+used (a, b); a rescan of every non-spanner edge would reject the others.
+The maintained edge sequence doubles as a greedy inspection prefix: the
+structure always equals the order-driven greedy run that inspects the
+surviving spanner sequence first and the rest ascending.
 """
 
 from __future__ import annotations
 
-from dynspan.graph import DELETE, DynamicGraph, EdgeMissing, UpdateEvent, edge_key, mask_dist
-from dynspan.graph import UnsupportedUpdate
+from dynspan.graph import DELETE, DynamicGraph, EdgeMissing, UpdateEvent, edge_key, iter_bits
+from dynspan.graph import UnsupportedUpdate, mask_balls, mask_dist
 from dynspan.instrumentation import OpCounter, Step
 
 
@@ -70,10 +76,27 @@ class GreedyState:
         self.in_spanner.discard(e)
         self.span_mask[e[0]] &= ~(1 << e[1])
         self.span_mask[e[1]] &= ~(1 << e[0])
-        added = [cand for cand in sorted(self.non_spanner) if self._inspect(cand)]
+        added = [cand for cand in self._candidates(*e) if self._inspect(cand)]
         for cand in added:
             self.non_spanner.discard(cand)
         return added
+
+    def _candidates(self, a: int, b: int) -> list[tuple[int, int]]:
+        """Non-spanner edges (x, y) with d(x, a) + d(b, y) <= 2k-2 in the spanner, ascending.
+
+        Each edge is met from both endpoints, so one pass from a's side finds
+        either orientation."""
+        reach = self.cap - 1
+        adj, span = self.graph.adj_mask, self.span_mask
+        near, far = mask_balls(span, a, reach), mask_balls(span, b, reach)
+        found: set[tuple[int, int]] = set()
+        inner = 0
+        for dx, ball in enumerate(near):
+            for x in iter_bits(ball & ~inner):
+                for y in iter_bits(adj[x] & ~span[x] & far[reach - dx]):
+                    found.add(edge_key(x, y))
+            inner = ball
+        return sorted(found)
 
     def update(self, ev: UpdateEvent) -> Step:
         """Apply one deletion and close its op step."""
@@ -91,3 +114,6 @@ class GreedyState:
             assert self.span_mask[u] == sum(
                 1 << v for v in self.graph.adj[u] if edge_key(u, v) in self.in_spanner
             )
+        # the local rescan in handle_delete relies on this
+        for u, v in self.non_spanner:
+            assert mask_dist(self.span_mask, u, v, self.cap) is not None

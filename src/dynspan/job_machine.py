@@ -151,6 +151,7 @@ class ResamplingEngine:
         self.by_machine: dict[Hashable, set[Routine]] = {}
         self.live_by_job: dict[Hashable, list[Routine]] = {}
         self.assigned: dict[Hashable, Routine | None] = {}
+        self.assigned_count = 0  # jobs whose assigned routine is not None
         self.loads: dict[Hashable, int] = {}  # keyed by the live machines
         self._load_buckets: dict[int, set[Hashable]] = {}
         self._max_load = 0
@@ -258,11 +259,15 @@ class ResamplingEngine:
         live = self.live_by_job[job]
         old = self.assigned[job]
         if not live:
+            if old is not None:
+                self.assigned_count -= 1
             self.assigned[job] = None
             return None
         new = live[self.rng.randrange(len(live))]
         if old is not None:
             self._shift_load(old, -1)
+        else:
+            self.assigned_count += 1
         self._shift_load(new, +1)
         self.assigned[job] = new
         self.recourse_total += 1
@@ -280,8 +285,8 @@ class ResamplingEngine:
         if isinstance(ev, UpdateEvent):
             raise JobMachineError("the job/machine engine takes machine deletions only")
         rep = self.delete_machine(ev.machine)
-        assigned = sum(1 for r in self.assigned.values() if r is not None)
-        return Step(self.counter.end_step(), rep.resamples, rep.resamples, len(rep.touched), assigned)
+        ops = self.counter.end_step()
+        return Step(ops, rep.resamples, rep.resamples, len(rep.touched), self.assigned_count)
 
     def tick(self) -> StepReport:
         """Clock advance without a tracked machine death (the deleted object
@@ -309,6 +314,7 @@ class ResamplingEngine:
                     self._shift_load(r, -1)
                     # the dead routine no longer loads surviving machines
                     self.assigned[r.job] = None
+                    self.assigned_count -= 1
                     touched.append(r.job)
                     changes.append((r.job, r, None))
         schedule_added = 0
@@ -367,6 +373,7 @@ class ResamplingEngine:
                 assert self.assigned[job] in live
             else:
                 assert self.assigned[job] is None
+        assert self.assigned_count == sum(1 for r in self.assigned.values() if r is not None)
 
 
 def random_instance(

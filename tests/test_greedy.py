@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from dynspan.graph import DynamicGraph, EdgeMissing
+from dynspan.fully_dynamic import FullyDynamicSpanner
+from dynspan.graph import DynamicGraph, EdgeMissing, mask_dist
 from dynspan.greedy import GreedyState
 from dynspan.oracle import girth_at_least, reference_greedy, verify_stretch
 
@@ -133,3 +134,95 @@ def test_each_edge_added_at_most_once_between_deletions():
         for a in s.handle_delete(*e):
             entries[a] = entries.get(a, 0) + 1
     assert all(c == 1 for c in entries.values())
+
+
+
+def full_rescan(g: DynamicGraph, k: int, seq: list, non_spanner: set) -> list[tuple[int, int]]:
+    """Reference deletion: keep `seq` and re-inspect every non-spanner edge, ascending."""
+    masks = [0] * g.n
+    for u, v in seq:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    out = list(seq)
+    for u, v in sorted(non_spanner):
+        if mask_dist(masks, u, v, 2 * k - 1) is None:
+            out.append((u, v))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return out
+
+
+def rescan_inputs(s: GreedyState, e: tuple[int, int]) -> tuple[list, set]:
+    """The spanner sequence and non-spanner edges that survive deleting e."""
+    return [f for f in s.spanner_seq if f != e], s.non_spanner - {e}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_local_rescan_matches_full_rescan_on_every_deletion(k):
+    rng = random.Random(100 + k)
+    g = random_graph(rng, 60, 300)
+    s = GreedyState(g, k)
+    order = list(g.edges())
+    rng.shuffle(order)
+    for e in order:
+        seq, non_spanner = rescan_inputs(s, e)
+        s.handle_delete(*e)
+        assert s.spanner_seq == full_rescan(g, k, seq, non_spanner)
+        assert s.spanner_seq == reference_greedy(g.copy(), k, equivalent_order(s))
+    assert g.m == 0 and not s.spanner_seq
+
+
+def test_fd_greedy_levels_match_full_rescan_across_rebuilds():
+    rng = random.Random(47)
+    n, k = 12, 2
+    fd = FullyDynamicSpanner(n, k)
+    pairs = list(itertools.combinations(range(n), 2))
+    present: set[tuple[int, int]] = set()
+    rebuilds = level_deletions = 0
+    for _ in range(1500):
+        absent = [p for p in pairs if p not in present]
+        if absent and (not present or rng.random() < 0.6):
+            e = rng.choice(absent)
+            present.add(e)
+            rebuilds += fd.insert(*e) is not None
+            continue
+        e = rng.choice(sorted(present))
+        present.discard(e)
+        state = fd.levels.get(fd.owner[e])
+        if state is None:  # an E_0 edge
+            fd.delete(*e)
+            continue
+        seq, non_spanner = rescan_inputs(state, e)
+        fd.delete(*e)
+        assert state.spanner_seq == full_rescan(state.graph, k, seq, non_spanner)
+        fd.check_invariants()
+        level_deletions += 1
+    assert rebuilds >= 5 and level_deletions >= 100
+
+
+def test_rescan_stays_in_the_deleted_edges_component(monkeypatch):
+    # two disjoint K_20s: the greedy 3-spanner of each is a star at its lowest vertex
+    left = list(itertools.combinations(range(20), 2))
+    right = list(itertools.combinations(range(20, 40), 2))
+    s = GreedyState(DynamicGraph(40, left + right), 2)
+    inspected = []
+    inspect = GreedyState._inspect
+
+    def counted(self, e):
+        inspected.append(e)
+        return inspect(self, e)
+
+    monkeypatch.setattr(GreedyState, "_inspect", counted)
+    for v in range(1, 6):
+        s.handle_delete(0, v)
+    assert inspected and all(v < 20 for _, v in inspected)
+    s.check_invariants()
+
+
+def test_check_invariants_catches_a_far_non_spanner_edge():
+    g = DynamicGraph(5, [(0, 1), (1, 2), (0, 2)])
+    s = GreedyState(g, 2)
+    g.insert_edge(3, 4)
+    s.non_spanner.add((3, 4))  # its endpoints are not joined in the spanner at all
+    with pytest.raises(AssertionError):
+        s.check_invariants()
