@@ -1,7 +1,7 @@
 """Update-stream generators: oblivious, adaptive, and file replay.
 
-Adaptive strategies see the current output (spanner edges, witness-routine
-loads, machine loads) but never the algorithm's random state or future
+Adaptive strategies see the current output (spanner edges, the most loaded
+witness machine) but never the algorithm's random state or future
 randomness.  Every strategy is deterministic given its seed and the views
 it observed, so adaptive runs replay exactly.
 
@@ -39,7 +39,7 @@ class AdversaryView:
 
     graph: DynamicGraph
     spanner: Callable[[], set[tuple[int, int]]] | None = None
-    machine_loads: Callable[[], dict] | None = None
+    heaviest_machine: Callable[[], Hashable | None] | None = None
 
 
 def _uniform_present_edge(g: DynamicGraph, rng: random.Random) -> tuple[int, int]:
@@ -128,14 +128,14 @@ class SpannerTargeting(_EdgeAdversary):
 
 
 class WitnessHammer(_EdgeAdversary):
-    """Deletes the edge carrying the most chosen witness routines (max
-    machine load, ties by smallest edge key)."""
+    """Deletes the edge carrying the most chosen witness routines: the
+    engine's heaviest machine (max load, ties by smallest edge key), or the
+    smallest edge when there are no machines."""
 
     def victim(self, view: AdversaryView) -> tuple[int, int]:
-        loads = view.machine_loads() if view.machine_loads is not None else {}
-        if loads:
-            top = max(loads.values())
-            return min(e for e, c in loads.items() if c == top)
+        top = view.heaviest_machine() if view.heaviest_machine is not None else None
+        if top is not None:
+            return top
         return min(view.graph.edges())
 
 

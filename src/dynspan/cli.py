@@ -70,7 +70,7 @@ class Adapter:
         return AdversaryView(
             self.graph,
             spanner=self.state.spanner_edges,
-            machine_loads=getattr(self.state, "machine_loads", None),
+            heaviest_machine=getattr(self.state, "heaviest_machine", None),
         )
 
     def spanner(self) -> set:

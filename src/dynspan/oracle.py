@@ -5,15 +5,25 @@ same snapshot are identical.  Stretch is verified over the edges of the
 host graph only: for unweighted graphs, dist_H(u,v) <= t on every host
 edge (u,v) implies the same bound on every vertex pair (subdivide an
 arbitrary shortest path edge by edge).
+
+A host edge that is also a spanner edge is at spanner distance 1, which
+its bit in the spanner's adjacency mask shows, so it needs no search.
+Any other host edge (u, v) is within distance d exactly when the ball of
+radius ceil(d/2) around u meets the ball of radius floor(d/2) around v
+(split a shortest path at its midpoint).  So reach sets are composed for
+every vertex only up to radius floor(t/2), one radius more is composed
+around a lower endpoint only when one of its edges needs it, and an
+unbounded BFS runs only for an edge that fails.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist
+from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_balls, mask_dist
 
 
 class SpannerNotSubgraph(Exception):
@@ -42,15 +52,20 @@ def adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return masks
 
 
-def reach_levels(masks: list[int], t: int) -> list[list[int]]:
-    """levels[j][u] = bitmask of vertices at distance in [1, j+1] from u.
+def reach_levels(masks: list[int], r: int) -> list[list[int]]:
+    """levels[j][u] = bitmask of the vertices that a walk of 1..j+1 edges
+    reaches from u, for j < r: every vertex at distance 1..j+1, and u
+    itself once j >= 1 and u has a neighbor.
 
-    Built by t-fold neighborhood composition; total cost O(t * sum(deg)).
+    Built by r-fold neighborhood composition; total cost O(r * sum(deg)).
+    `verify_stretch` composes only r = floor(t/2) levels: a shortest path
+    splits at its midpoint, so a check of stretch t never needs a radius
+    beyond that around the upper endpoint of an edge.
     """
     n = len(masks)
     levels = [list(masks)]
     prev = levels[0]
-    for _ in range(t - 1):
+    for _ in range(r - 1):
         cur = []
         for u in range(n):
             acc = masks[u]
@@ -75,42 +90,71 @@ def verify_stretch(
 ) -> StretchReport:
     """Check dist_H(u,v) <= t for host edges (u,v); mode "sampled" checks a
     seeded uniform subset of them.  The witness on failure is the checked
-    edge with the largest (possibly infinite) spanner distance."""
+    edge with the largest (possibly infinite) spanner distance, the first
+    one in lexicographic order (exact) or sample order (sampled)."""
     h = list(h_edges)
-    for u, v in h:
-        if not g.has_edge(u, v):
-            raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
+    try:
+        masks = adjacency_masks(g.n, h)
+        clean = not any(m & ~a for m, a in zip(masks, g.adj_mask))
+    except (IndexError, ValueError):  # a vertex out of range
+        clean = False
+    if not clean:  # name the first bad edge of h, in the words of has_edge
+        for u, v in h:
+            if not g.has_edge(u, v):
+                raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    checked: Sequence[tuple[int, int]] = list(g.edges())
-    if mode == "sampled" and len(checked) > sample:
-        rng = random.Random(seed)
-        checked = rng.sample(checked, sample)
-
-    masks = adjacency_masks(g.n, h)
-    levels = reach_levels(masks, t) if t >= 1 else []
-    top = levels[-1] if levels else [0] * g.n
-
-    ok = True
-    worst_edge: tuple[int, int] | None = None
     worst: float = 0.0
-    for u, v in checked:
-        if (top[u] >> v) & 1:
-            d = 1
-            while not (levels[d - 1][u] >> v) & 1:
-                d += 1
-            dist: float = d
-        else:
-            exact = mask_dist(masks, u, v)
-            dist = float("inf") if exact is None else exact
-            ok = False
-        if dist > worst:
-            worst = dist
-            worst_edge = (u, v)
-    if ok:
-        return StretchReport(True, worst_edge, worst)
-    return StretchReport(False, worst_edge, worst)
+    worst_edge: tuple[int, int] | None = None
+    if mode == "exact" or g.m <= sample:
+        levels = reach_levels(masks, t // 2) if t >= 2 else []
+        odd = t >= 3 and t % 2 == 1  # then d = t needs one radius more around u
+        rings = [(d, (d + 1) // 2, levels[d // 2 - 1]) for d in range(2, t + 1 - odd)]
+        top = levels[-1] if levels else []
+        for u, row in enumerate(g.adj_mask):
+            above = row >> (u + 1) << (u + 1)  # host edges (u, v) with v > u
+            if not above:
+                continue
+            if worst_edge is None:
+                worst, worst_edge = 1, (u, (above & -above).bit_length() - 1)
+            rest = above & ~masks[u]
+            if not rest:
+                continue
+            reach = [0] + [lv[u] for lv in levels]  # reach[r]: within 1..r of u
+            far = 0  # within 1..ceil(t/2) of u, composed on first need
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest ^= low
+                for d, a, lv in rings:
+                    if reach[a] & lv[v]:
+                        break
+                else:
+                    if odd and not far:
+                        far = m = masks[u]
+                        while m:
+                            bit = m & -m
+                            far |= top[bit.bit_length() - 1]
+                            m ^= bit
+                    d = t if odd and far & top[v] else mask_dist(masks, u, v) or math.inf
+                if d > worst:
+                    worst, worst_edge = d, (u, v)
+    else:
+        for u, v in random.Random(seed).sample(list(g.edges()), sample):
+            if (masks[u] >> v) & 1:
+                d = 1
+            else:
+                bu = mask_balls(masks, u, (t + 1) // 2)
+                bv = mask_balls(masks, v, t // 2)
+                for d in range(2, t + 1):
+                    if bu[(d + 1) // 2] & bv[d // 2]:
+                        break
+                else:
+                    d = mask_dist(masks, u, v) or math.inf
+            if d > worst:
+                worst, worst_edge = d, (u, v)
+    return StretchReport(worst_edge is None or worst <= t, worst_edge, worst)
 
 
 def verify_size(h_edges: Iterable[tuple[int, int]], bound: float) -> bool:

@@ -256,9 +256,6 @@ class PhaseState:
             p: r.tag for p, r in self.engine.assigned.items() if r is not None
         }
 
-    def machine_loads(self) -> dict[tuple[int, int], int]:
-        return self.engine.loads
-
     def check_invariants(self) -> None:
         self.idx.check_consistent()
         self.engine.check_feasible()
@@ -617,5 +614,5 @@ class Resample3:
     def spanner_size(self) -> int:
         return self.phase.spanner_size()
 
-    def machine_loads(self) -> dict[tuple[int, int], int]:
-        return self.phase.machine_loads()
+    def heaviest_machine(self) -> tuple[int, int] | None:
+        return self.phase.engine.heaviest_machine()

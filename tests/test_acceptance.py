@@ -224,7 +224,9 @@ def test_criterion_7_resample3_recourse():
         g = DynamicGraph(n, random.Random(700 + seed).sample(pairs, m0))
         ps = PhaseState(g, seed=seed, phase_len=L)
         adv = WitnessHammer(seed + 1, L)
-        view = AdversaryView(g, spanner=ps.spanner_edges, machine_loads=ps.machine_loads)
+        view = AdversaryView(
+            g, spanner=ps.spanner_edges, heaviest_machine=ps.engine.heaviest_machine
+        )
         total = 0
         for _ in range(L):
             ev = adv.next_event(view)

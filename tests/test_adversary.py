@@ -88,13 +88,20 @@ def test_witness_hammer_picks_heaviest_edge():
     g = DynamicGraph(8, [(0, 4), (1, 4), (2, 4), (3, 4)])
     ps = PhaseState(g, seed=3, bucket_of=[0, 0, 0, 0, 1, 1, 1, 1])
     adv = WitnessHammer(seed=4, budget=3)
-    view = AdversaryView(g, spanner=ps.spanner_edges, machine_loads=ps.machine_loads)
+    view = AdversaryView(g, spanner=ps.spanner_edges, heaviest_machine=ps.engine.heaviest_machine)
     ev = adv.next_event(view)
     assert ev.kind == DELETE
-    loads = ps.machine_loads()
+    loads = ps.engine.loads
     top = max(loads.values())
     assert loads[ev.edge] == top
     assert ev.edge == min(e for e, c in loads.items() if c == top)
+
+
+def test_witness_hammer_without_machines_deletes_the_smallest_edge():
+    g = DynamicGraph(5, [(2, 3), (1, 4), (0, 3)])
+    for view in (AdversaryView(g), AdversaryView(g, heaviest_machine=lambda: None)):
+        ev = WitnessHammer(seed=1, budget=1).next_event(view)
+        assert (ev.kind, ev.edge) == (DELETE, (0, 3))
 
 
 def test_max_load_machine_deletes_heaviest():

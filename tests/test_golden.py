@@ -101,7 +101,7 @@ def adversary_stream(name: str, p_insert: float, count: int = 100) -> str:
     g = DynamicGraph(20, random.Random(11).sample(pairs, 120))
     r3 = Resample3(g, seed=12, phase_len=40)
     adv = ADVERSARIES[name](13, count, p_insert=p_insert)
-    view = AdversaryView(g, spanner=r3.spanner_edges, machine_loads=r3.machine_loads)
+    view = AdversaryView(g, spanner=r3.spanner_edges, heaviest_machine=r3.heaviest_machine)
     lines = []
     while (ev := adv.next_event(view)) is not None:
         lines.append(f"{ev.seq} {ev.kind} {ev.edge[0]} {ev.edge[1]}")

@@ -68,7 +68,9 @@ def test_overhead_on_witness_hammer_runs_within_frozen_thresholds():
         g = DynamicGraph(n, random.Random(40 + seed).sample(pairs, m0))
         ps = PhaseState(g, seed=seed, phase_len=deletions)
         adv = WitnessHammer(seed, deletions)
-        view = AdversaryView(g, spanner=ps.spanner_edges, machine_loads=ps.machine_loads)
+        view = AdversaryView(
+            g, spanner=ps.spanner_edges, heaviest_machine=ps.engine.heaviest_machine
+        )
         samples = []
         for step in range(deletions):
             ev = adv.next_event(view)

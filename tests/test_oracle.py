@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
 
-from dynspan.graph import DynamicGraph
+from dynspan import cli
+from dynspan.graph import DynamicGraph, VertexOutOfRange, mask_dist
+from dynspan.instrumentation import OpCounter
 from dynspan.oracle import (
     OrderNotPermutation,
     SpannerNotSubgraph,
+    StretchReport,
     girth_at_least,
     reference_greedy,
     verify_size,
@@ -85,6 +89,43 @@ def test_stretch_sampled_mode_is_seeded():
     b = verify_stretch(g, h, 3, mode="sampled", sample=10, seed=42)
     assert a == b
     assert a.ok
+
+
+def test_stretch_t0_fails_every_host_edge():
+    g = DynamicGraph(4, [(0, 1), (1, 2), (2, 3)])
+    rep = verify_stretch(g, list(g.edges()), 0)
+    assert rep == StretchReport(False, (0, 1), 1)
+    assert type(rep.worst_dist) is int
+    rep = verify_stretch(g, [(0, 1), (2, 3)], 0)
+    assert rep == StretchReport(False, (1, 2), float("inf"))
+
+
+def test_stretch_edgeless_host_passes_with_no_witness():
+    for n in (0, 1, 5):
+        for mode in ("exact", "sampled"):
+            rep = verify_stretch(DynamicGraph(n), [], 3, mode=mode, sample=2)
+            assert rep == StretchReport(True, None, 0.0)
+            assert type(rep.worst_dist) is float
+
+
+def test_stretch_all_spanner_host_reads_distance_1():
+    g = DynamicGraph(5, [(3, 4), (1, 2), (0, 4), (2, 3)])
+    for t in (1, 2, 3, 5):
+        rep = verify_stretch(g, [(4, 3), (2, 1), (4, 0), (2, 3)], t)
+        assert rep == StretchReport(True, (0, 4), 1)  # the first edge in key order
+        assert type(rep.worst_dist) is int
+
+
+def test_stretch_rejects_spanner_vertex_out_of_range():
+    g = DynamicGraph(5, [(0, 1), (1, 2)])
+    for bad, msg in [((0, 5), "vertex 5 not in [0, 5)"), ((-1, 2), "vertex -1 not in [0, 5)")]:
+        with pytest.raises(VertexOutOfRange, match=re.escape(msg)):
+            verify_stretch(g, [(0, 1), bad], 3)
+    # the first bad edge in the order of h is the one named
+    with pytest.raises(SpannerNotSubgraph, match=re.escape("(3, 2)")):
+        verify_stretch(g, [(0, 1), (2, 1), (3, 2), (0, 5)], 3)
+    with pytest.raises(SpannerNotSubgraph, match=re.escape("(1, 1)")):
+        verify_stretch(g, [(1, 1)], 3)
 
 
 def test_verify_size():
@@ -189,3 +230,143 @@ def test_edge_sufficiency_of_stretch_checks():
                 if sub_dist(n, h, u, v) > t * dg:
                     all_pairs_ok = False
         assert edge_ok == all_pairs_ok
+
+
+# -- differential test against the composed-levels oracle --------------------
+#
+# `reference_verify_stretch` is the stretch oracle as it was before it
+# learned to skip spanner edges and to meet in the middle: t full
+# reach levels over every vertex, then one lookup per checked host edge.
+# It is kept here verbatim, with its own helpers, as the ground truth that
+# every report of `verify_stretch` must match.
+
+
+def _reference_adjacency_masks(n, edges):
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _reference_reach_levels(masks, t):
+    n = len(masks)
+    levels = [list(masks)]
+    prev = levels[0]
+    for _ in range(t - 1):
+        cur = []
+        for u in range(n):
+            acc = masks[u]
+            m = masks[u]
+            while m:
+                low = m & -m
+                acc |= prev[low.bit_length() - 1]
+                m ^= low
+            cur.append(acc)
+        levels.append(cur)
+        prev = cur
+    return levels
+
+
+def reference_verify_stretch(g, h_edges, t, mode="exact", sample=64, seed=0):
+    h = list(h_edges)
+    for u, v in h:
+        if not g.has_edge(u, v):
+            raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+    checked = list(g.edges())
+    if mode == "sampled" and len(checked) > sample:
+        rng = random.Random(seed)
+        checked = rng.sample(checked, sample)
+
+    masks = _reference_adjacency_masks(g.n, h)
+    levels = _reference_reach_levels(masks, t) if t >= 1 else []
+    top = levels[-1] if levels else [0] * g.n
+
+    ok = True
+    worst_edge = None
+    worst = 0.0
+    for u, v in checked:
+        if (top[u] >> v) & 1:
+            d = 1
+            while not (levels[d - 1][u] >> v) & 1:
+                d += 1
+            dist = d
+        else:
+            exact = mask_dist(masks, u, v)
+            dist = float("inf") if exact is None else exact
+            ok = False
+        if dist > worst:
+            worst = dist
+            worst_edge = (u, v)
+    if ok:
+        return StretchReport(True, worst_edge, worst)
+    return StretchReport(False, worst_edge, worst)
+
+
+def outcome(oracle, *args, **kwargs):
+    """The whole observable result: the report with the type of its
+    distance, or the exception's type and message."""
+    try:
+        rep = oracle(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), str(exc))
+    return ("report", rep.ok, rep.worst_edge, rep.worst_dist, type(rep.worst_dist))
+
+
+def assert_same(g, h, t, **kwargs):
+    want = outcome(reference_verify_stretch, g, h, t, **kwargs)
+    got = outcome(verify_stretch, g, h, t, **kwargs)
+    assert got == want, (g.n, sorted(g.edges()), h, t, kwargs)
+
+
+def test_stretch_matches_reference_on_random_graphs():
+    rng = random.Random(77)
+    for case in range(2100):
+        n = rng.randrange(0, 13)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = DynamicGraph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+        keep = rng.random()
+        h = [e if rng.random() < 0.5 else e[::-1] for e in g.edges() if rng.random() < keep]
+        rng.shuffle(h)
+        if n and rng.random() < 0.1:  # a non-host pair or an out-of-range vertex
+            absent = [p for p in pairs if not g.has_edge(*p)]
+            bads = [(n, rng.randrange(n)), (rng.randrange(n), -1), (0, 0)]
+            bads += [rng.choice(absent)] if absent else []
+            bad = rng.choice(bads)
+            h.insert(rng.randrange(len(h) + 1), bad)
+        for t in range(7):
+            assert_same(g, h, t)
+            assert_same(g, h, t, mode="sampled", sample=rng.randrange(8), seed=case)
+
+
+FD = "--algo fd-greedy --n 14 --init-m 40 --steps 120 --seed 4 --adversary spanner-target"
+STREAMS = {
+    "det3": "--algo det3 --n 30 --init-m 150 --steps 100 --seed 5"
+    " --adversary spanner-target --p-insert 0.3",
+    # ell0 = 5 at n=14 for k = 2 and 3: level 1 is rebuilt inside the run
+    "fd-greedy-k1": FD + " --k 1 --p-insert 0.6",
+    "fd-greedy-k2": FD + " --k 2 --p-insert 0.6",
+    "fd-greedy-k3": FD + " --k 3 --p-insert 0.6",
+    # two phase rollovers inside the run
+    "resample3": "--algo resample3 --n 30 --init-m 150 --phase-len 25 --steps 70 --seed 6"
+    " --adversary witness-hammer --p-insert 0.3",
+}
+
+
+@pytest.mark.parametrize("spec", STREAMS.values(), ids=STREAMS.keys())
+def test_stretch_matches_reference_on_every_step_of_a_stream(spec):
+    args = cli.build_parser().parse_args(["run", *spec.split()])
+    adapter = cli.ALGO_FACTORIES[args.algo](args, OpCounter())
+    adversary = cli.make_adversary(args, adapter)
+    steps = 0
+    while (ev := adversary.next_event(adapter.view())) is not None:
+        adapter.apply(ev)
+        steps += 1
+        h = adapter.spanner()
+        for t in (1, 2, 3, 4, 5, 7):
+            assert_same(adapter.graph, h, t)
+            assert_same(adapter.graph, h, t, mode="sampled", sample=16, seed=steps)
+    assert steps == args.steps

@@ -151,7 +151,7 @@ def test_random_run_invariants_and_resample_bound():
     for step in range(120):
         if g.m == 0:
             break
-        loads = ps.machine_loads()
+        loads = ps.engine.loads
         victim = max(sorted(loads), key=lambda e: loads[e])  # hammer the witnesses
         rep = ps.delete(*victim)
         assert rep.resamples <= bound
