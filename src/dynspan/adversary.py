@@ -1,9 +1,9 @@
 """Update-stream generators: oblivious, adaptive, and file replay.
 
-Adaptive strategies see the current output (spanner edges, the most loaded
-witness machine) but never the algorithm's random state or future
-randomness.  Every strategy is deterministic given its seed and the views
-it observed, so adaptive runs replay exactly.
+Adaptive strategies see the current output (the spanner's adjacency
+bitmasks, the most loaded witness machine) but never the algorithm's
+random state or future randomness.  Every strategy is deterministic given
+its seed and the views it observed, so adaptive runs replay exactly.
 
 The pure strategies of the adaptive family are deletion rules; a
 `p_insert` mixing knob lets the same strategies drive mixed update
@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key
+from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_at, edge_key
+from dynspan.graph import edge_prefix, nth_bit
 
 
 class AdversaryError(Exception):
@@ -38,7 +39,8 @@ class AdversaryView:
     """Read-only window onto the structure under attack."""
 
     graph: DynamicGraph
-    spanner: Callable[[], set[tuple[int, int]]] | None = None
+    # the structure's `spanner_masks`: per-vertex adjacency bitmasks of its output
+    spanner_masks: Callable[[], list[int]] | None = None
     heaviest_machine: Callable[[], Hashable | None] | None = None
 
 
@@ -48,7 +50,7 @@ def _uniform_present_edge(g: DynamicGraph, rng: random.Random) -> tuple[int, int
     for u in range(g.n):
         d = len(g.adj[u])
         if r < d:
-            return edge_key(u, sorted(g.adj[u])[r])
+            return edge_key(u, nth_bit(g.adj_mask[u], r))
         r -= d
     raise AssertionError("degree walk fell off the end")
 
@@ -118,12 +120,18 @@ class RandomOblivious(_EdgeAdversary):
 
 class SpannerTargeting(_EdgeAdversary):
     """Deletes a uniformly random edge of the current spanner (falls back to
-    any edge when the spanner is empty); optional insertion mixing."""
+    any edge when the spanner is empty); optional insertion mixing.
+
+    The draw r picks the spanner edge of rank r in lexicographic order, read
+    off the masks by rank-select, so it is `sorted(spanner)[r]` without
+    listing the spanner."""
 
     def victim(self, view: AdversaryView) -> tuple[int, int]:
-        spanner = sorted(view.spanner()) if view.spanner is not None else []
-        if spanner:
-            return spanner[self.rng.randrange(len(spanner))]
+        if view.spanner_masks is not None:
+            masks = view.spanner_masks()
+            prefix = edge_prefix(masks)
+            if prefix and prefix[-1]:
+                return edge_at(masks, prefix, self.rng.randrange(prefix[-1]))
         return _uniform_present_edge(view.graph, self.rng)
 
 

@@ -30,7 +30,7 @@ from dynspan.graph import DynamicGraph, GraphError, UpdateEvent
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import InvariantBroken, MetricsRow, OpCounter, Step, write_metrics_csv
 from dynspan.job_machine import HyperInstance, JobMachineError, ResamplingEngine, random_instance
-from dynspan.oracle import SpannerNotSubgraph, verify_stretch
+from dynspan.oracle import SpannerMasks, SpannerNotSubgraph, verify_stretch
 from dynspan.resample3 import Resample3
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ class Adapter:
     def view(self):
         return AdversaryView(
             self.graph,
-            spanner=self.state.spanner_edges,
+            spanner_masks=self.state.spanner_masks,
             heaviest_machine=getattr(self.state, "heaviest_machine", None),
         )
 
@@ -204,7 +204,7 @@ def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | 
             try:
                 rep = verify_stretch(
                     adapter.graph,
-                    adapter.spanner(),
+                    SpannerMasks(adapter.state.spanner_masks()),
                     adapter.stretch_bound,
                     mode=args.check,
                     sample=64,

@@ -59,7 +59,7 @@ class Det3State:
 
         # roles: one per owner v whose center c_i(v) is on the edge, one per
         # pair that chose it
-        self.roles = RoleSet()
+        self.roles = RoleSet(self.n)
         self.spanner = self.roles.count.keys()  # live view: the edges holding a role
         self._build()
 
@@ -237,6 +237,9 @@ class Det3State:
     def spanner_edges(self) -> set[tuple[int, int]]:
         return set(self.roles.count)  # from the dict, not the view: set() reuses its hashes
 
+    def spanner_masks(self) -> list[int]:
+        return self.roles.masks
+
     # -- full-rebuild consistency oracle ------------------------------------
 
     def check_against_rebuild(self) -> None:
@@ -269,3 +272,4 @@ class Det3State:
         roles = Counter(edge_key(v, c) for (v, _), c in self.center.items())
         roles.update(edge_key(pair[0], z) for pair, z in self.chosen.items())
         assert self.roles.count == roles
+        self.roles.check_masks()

@@ -57,7 +57,7 @@ class FullyDynamicSpanner:
         self.owner: dict[tuple[int, int], int] = {}
         # roles: one per E_0 edge and one per spanner edge of a level; every
         # edge has one owner, so no edge ever holds two
-        self.roles = RoleSet()
+        self.roles = RoleSet(n)
         if edges:
             # a non-empty start graph occupies the top level whole
             top = max(self.num_levels, 1)
@@ -75,6 +75,9 @@ class FullyDynamicSpanner:
 
     def spanner_size(self) -> int:
         return len(self.roles.count)
+
+    def spanner_masks(self) -> list[int]:
+        return self.roles.masks
 
     def insert(self, u: int, v: int) -> RebuildInfo | None:
         e = edge_key(u, v)
@@ -147,6 +150,7 @@ class FullyDynamicSpanner:
         for state in self.levels.values():
             output |= state.in_spanner
         assert self.roles.count == dict.fromkeys(output, 1)
+        self.roles.check_masks()
         # capacity: level i holds at most 2**(ell0+i+1) edges (the counter can
         # feed a level for 2**(ell0+i+1)-1 insertions between its flushes)
         assert len(self.e0) < 2 ** (self.ell0 + 1)

@@ -8,7 +8,9 @@ bounded BFS).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from dynspan.instrumentation import OpCounter
@@ -70,6 +72,27 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def nth_bit(mask: int, r: int) -> int:
+    """Index of the set bit of rank r in mask, counting from the lowest (r = 0)."""
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
+def edge_prefix(adj_mask: list[int]) -> list[int]:
+    """prefix[u] = number of edges (x, y), x < y, with x <= u, of symmetric
+    adjacency bitmasks; prefix[-1] is the edge count."""
+    return list(accumulate((row >> (u + 1)).bit_count() for u, row in enumerate(adj_mask)))
+
+
+def edge_at(adj_mask: list[int], prefix: list[int], r: int) -> tuple[int, int]:
+    """The edge of rank r in lexicographic order, given `prefix = edge_prefix(adj_mask)`:
+    the row u holding it by bisection, then the bit of the right rank above u."""
+    u = bisect_right(prefix, r)
+    below = prefix[u - 1] if u else 0
+    return u, u + 1 + nth_bit(adj_mask[u] >> (u + 1), r - below)
 
 
 def mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None = None) -> int | None:

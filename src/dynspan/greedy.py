@@ -59,6 +59,9 @@ class GreedyState:
     def spanner_size(self) -> int:
         return len(self.in_spanner)
 
+    def spanner_masks(self) -> list[int]:
+        return self.span_mask
+
     def total_recourse(self) -> int:
         return self.admitted
 

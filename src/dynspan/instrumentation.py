@@ -48,27 +48,61 @@ class RoleSet:
     `count` maps each member to its number of roles; its keys are the output
     itself.  Within a step only an edge's first 0<->1 transition records its
     old membership, so `flush` can report the net change of the step.
+
+    Members are (u, v) edges over vertices 0..n-1, and `masks` are their
+    symmetric per-vertex adjacency bitmasks.  They are built on first read
+    and kept from then on by the same 0<->1 transitions, so a structure whose
+    masks nobody reads pays nothing for them.
     """
 
-    def __init__(self) -> None:
-        self.count: dict[Hashable, int] = {}
-        self._was: dict[Hashable, bool] = {}  # membership before the current step
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.count: dict[tuple[int, int], int] = {}
+        self._was: dict[tuple[int, int], bool] = {}  # membership before the current step
+        self._masks: list[int] | None = None
 
-    def add(self, e: Hashable) -> None:
+    def _adjacency(self) -> list[int]:
+        masks = [0] * self.n
+        for u, v in self.count:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return masks
+
+    @property
+    def masks(self) -> list[int]:
+        if self._masks is None:
+            self._masks = self._adjacency()
+        return self._masks
+
+    def add(self, e: tuple[int, int]) -> None:
         c = self.count.get(e, 0)
         self.count[e] = c + 1
         if not c:
             self._was.setdefault(e, False)
+            masks = self._masks
+            if masks is not None:
+                u, v = e
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
 
-    def remove(self, e: Hashable) -> None:
+    def remove(self, e: tuple[int, int]) -> None:
         c = self.count[e] - 1
         if c:
             self.count[e] = c
         else:
             del self.count[e]
             self._was.setdefault(e, True)
+            masks = self._masks
+            if masks is not None:
+                u, v = e
+                masks[u] &= ~(1 << v)
+                masks[v] &= ~(1 << u)
 
-    def flush(self) -> list[tuple[Hashable, str]]:
+    def check_masks(self) -> None:
+        """Built masks equal the adjacency of the members; unbuilt ones are not checked."""
+        assert self._masks is None or self._masks == self._adjacency()
+
+    def flush(self) -> list[tuple[tuple[int, int], str]]:
         """Sorted (edge, "+"/"-") net membership changes since the last flush."""
         count = self.count
         out = [

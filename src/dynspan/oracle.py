@@ -14,6 +14,15 @@ radius ceil(d/2) around u meets the ball of radius floor(d/2) around v
 every vertex only up to radius floor(t/2), one radius more is composed
 around a lower endpoint only when one of its edges needs it, and an
 unbounded BFS runs only for an edge that fails.
+
+`verify_stretch` takes the spanner either as edges or as `SpannerMasks`,
+the adjacency bitmasks a structure keeps next to its output (every
+structure answers `spanner_masks()`).  Both forms run the same subgraph
+check and the same search, so their reports are identical.  The CLI's
+per-step check passes the structure's masks, which saves rebuilding them
+from an edge list on every step; the acceptance tests and the
+benchmark's final check pass edges, and the edge form stays the ground
+truth that tests compare against.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_balls, mask_dist
+from dynspan.graph import DynamicGraph, edge_at, edge_key, edge_prefix, iter_bits, mask_balls
+from dynspan.graph import mask_dist
 
 
 class SpannerNotSubgraph(Exception):
@@ -42,6 +52,15 @@ class StretchReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+@dataclass(frozen=True)
+class SpannerMasks:
+    """A spanner given as symmetric per-vertex adjacency bitmasks: bit v of
+    rows[u] is set iff (u, v) is a spanner edge.  `verify_stretch` reads the
+    rows and never changes them."""
+
+    rows: list[int]
 
 
 def adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -80,9 +99,35 @@ def reach_levels(masks: list[int], r: int) -> list[list[int]]:
     return levels
 
 
+def subgraph_masks(g: DynamicGraph, h: Iterable[tuple[int, int]] | SpannerMasks) -> list[int]:
+    """The adjacency masks of the spanner h, given as edges or masks, after
+    checking each row against g's; SpannerNotSubgraph names a bad edge."""
+    if isinstance(h, SpannerMasks):
+        masks = h.rows
+        if len(masks) != g.n:
+            raise ValueError(f"{len(masks)} spanner mask rows for {g.n} vertices")
+        for u, (m, a) in enumerate(zip(masks, g.adj_mask)):
+            bad = m & ~a
+            if bad:  # name the lowest bad bit of the lowest bad row
+                v = (bad & -bad).bit_length() - 1
+                raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
+        return masks
+    edges = list(h)
+    try:
+        masks = adjacency_masks(g.n, edges)
+        clean = not any(m & ~a for m, a in zip(masks, g.adj_mask))
+    except (IndexError, ValueError):  # a vertex out of range
+        clean = False
+    if not clean:  # name the first bad edge of h, in the words of has_edge
+        for u, v in edges:
+            if not g.has_edge(u, v):
+                raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
+    return masks
+
+
 def verify_stretch(
     g: DynamicGraph,
-    h_edges: Iterable[tuple[int, int]],
+    h_edges: Iterable[tuple[int, int]] | SpannerMasks,
     t: int,
     mode: str = "exact",
     sample: int = 64,
@@ -91,17 +136,9 @@ def verify_stretch(
     """Check dist_H(u,v) <= t for host edges (u,v); mode "sampled" checks a
     seeded uniform subset of them.  The witness on failure is the checked
     edge with the largest (possibly infinite) spanner distance, the first
-    one in lexicographic order (exact) or sample order (sampled)."""
-    h = list(h_edges)
-    try:
-        masks = adjacency_masks(g.n, h)
-        clean = not any(m & ~a for m, a in zip(masks, g.adj_mask))
-    except (IndexError, ValueError):  # a vertex out of range
-        clean = False
-    if not clean:  # name the first bad edge of h, in the words of has_edge
-        for u, v in h:
-            if not g.has_edge(u, v):
-                raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
+    one in lexicographic order (exact) or sample order (sampled).  H is
+    given as edges or as `SpannerMasks`, with the same report."""
+    masks = subgraph_masks(g, h_edges)
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -141,7 +178,11 @@ def verify_stretch(
                 if d > worst:
                     worst, worst_edge = d, (u, v)
     else:
-        for u, v in random.Random(seed).sample(list(g.edges()), sample):
+        # sample ranks, not a list of edges: random.sample only indexes its
+        # population, so the edges drawn are those of sample(list(g.edges()))
+        prefix = edge_prefix(g.adj_mask)
+        for r in random.Random(seed).sample(range(g.m), sample):
+            u, v = edge_at(g.adj_mask, prefix, r)
             if (masks[u] >> v) & 1:
                 d = 1
             else:

@@ -137,7 +137,7 @@ class PhaseState:
         self.buffer: set[tuple[int, int]] = set()  # edges inserted this phase
         # roles: one per partner slot holding the edge, one for e2, one for
         # the buffer, one per chosen witness routine using the edge
-        self.roles = RoleSet()
+        self.roles = RoleSet(self.n)
         self.spanner = self.roles.count.keys()  # live view: the edges holding a role
         self.updates_used = 0
         self.engine: ResamplingEngine = ResamplingEngine(None, seed, horizon=self.L, counter=self.counter)
@@ -251,6 +251,9 @@ class PhaseState:
     def spanner_size(self) -> int:
         return len(self.spanner)
 
+    def spanner_masks(self) -> list[int]:
+        return self.roles.masks
+
     def witnesses(self) -> dict[tuple[int, int], int]:
         return {
             p: r.tag for p, r in self.engine.assigned.items() if r is not None
@@ -274,6 +277,7 @@ class PhaseState:
             if r is not None:
                 roles.update(r.machines)
         assert self.roles.count == roles
+        self.roles.check_masks()
         for e in self.spanner:
             assert self.g.has_edge(*e)
 
@@ -341,7 +345,7 @@ class WrappedRunner:
         self.remnant: set[tuple[int, int]] = set()
         # the output: one role per edge for each of D_cur.spanner, extra and
         # remnant holding it; like the phases' own roles, never charged
-        self.roles = RoleSet()
+        self.roles = RoleSet(self.n)
         for e in self.D_cur.spanner:
             self.roles.add(e)
         self.roles.flush()
@@ -544,6 +548,9 @@ class WrappedRunner:
     def output_size(self) -> int:
         return len(self.roles.count)
 
+    def spanner_masks(self) -> list[int]:
+        return self.roles.masks
+
     @property
     def graph(self) -> DynamicGraph:
         return self.D_cur.g
@@ -553,6 +560,7 @@ class WrappedRunner:
         held = (self.D_cur.spanner, self.extra, self.remnant)
         for e in set(self.roles.count).union(*held):
             assert self.roles.count.get(e, 0) == sum(e in s for s in held), e
+        self.roles.check_masks()
 
 
 class Resample3:
@@ -613,6 +621,9 @@ class Resample3:
 
     def spanner_size(self) -> int:
         return self.phase.spanner_size()
+
+    def spanner_masks(self) -> list[int]:
+        return self.phase.spanner_masks()
 
     def heaviest_machine(self) -> tuple[int, int] | None:
         return self.phase.engine.heaviest_machine()

@@ -106,7 +106,7 @@ def test_criterion_3_fully_dynamic_reduction():
     # insertion-biased mix keeps the graph populated while the adversary
     # spends every deletion on a current spanner edge
     adv = SpannerTargeting(seed=303, budget=updates, p_insert=0.6)
-    view = AdversaryView(g, spanner=fd.spanner_edges)
+    view = AdversaryView(g, spanner_masks=fd.spanner_masks)
     recourse = 0
     for _ in range(updates):
         ev = adv.next_event(view)
@@ -130,7 +130,7 @@ def test_criterion_4_det3_worst_case():
     pairs = all_pairs(n)
     g = DynamicGraph(n, random.Random(404).sample(pairs, 1500))
     s = Det3State(g)
-    view = AdversaryView(g, spanner=s.spanner_edges)
+    view = AdversaryView(g, spanner_masks=s.spanner_masks)
     phases = [
         RandomOblivious(seed=405, budget=rand_steps, p_insert=0.5),
         SpannerTargeting(seed=406, budget=adv_steps, p_insert=0.3),
@@ -225,7 +225,7 @@ def test_criterion_7_resample3_recourse():
         ps = PhaseState(g, seed=seed, phase_len=L)
         adv = WitnessHammer(seed + 1, L)
         view = AdversaryView(
-            g, spanner=ps.spanner_edges, heaviest_machine=ps.engine.heaviest_machine
+            g, spanner_masks=ps.spanner_masks, heaviest_machine=ps.engine.heaviest_machine
         )
         total = 0
         for _ in range(L):

@@ -20,6 +20,7 @@ from dynspan.adversary import (
 )
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
 from dynspan.job_machine import HyperInstance, ResamplingEngine, Routine
+from dynspan.oracle import adjacency_masks
 from dynspan.resample3 import PhaseState
 
 
@@ -70,17 +71,17 @@ def test_spanner_targeting_prefers_spanner_and_falls_back():
     g = DynamicGraph(6, [(0, 1), (1, 2), (2, 3)])
     spanner = {(1, 2)}
     adv = SpannerTargeting(seed=2, budget=5)
-    ev = adv.next_event(AdversaryView(g, spanner=lambda: spanner))
+    ev = adv.next_event(AdversaryView(g, spanner_masks=lambda: adjacency_masks(6, spanner)))
     assert ev.kind == DELETE and ev.edge == (1, 2)
     # empty spanner, nonempty graph: falls back to some graph edge
-    ev = adv.next_event(AdversaryView(g, spanner=lambda: set()))
+    ev = adv.next_event(AdversaryView(g, spanner_masks=lambda: [0] * 6))
     assert ev.kind == DELETE and g.has_edge(*ev.edge)
 
 
 def test_spanner_targeting_exhausts_on_empty_graph():
     adv = SpannerTargeting(seed=3, budget=5)
     with pytest.raises(Exhausted):
-        adv.next_event(AdversaryView(DynamicGraph(4), spanner=lambda: set()))
+        adv.next_event(AdversaryView(DynamicGraph(4), spanner_masks=lambda: [0] * 4))
 
 
 def test_witness_hammer_picks_heaviest_edge():
@@ -88,7 +89,9 @@ def test_witness_hammer_picks_heaviest_edge():
     g = DynamicGraph(8, [(0, 4), (1, 4), (2, 4), (3, 4)])
     ps = PhaseState(g, seed=3, bucket_of=[0, 0, 0, 0, 1, 1, 1, 1])
     adv = WitnessHammer(seed=4, budget=3)
-    view = AdversaryView(g, spanner=ps.spanner_edges, heaviest_machine=ps.engine.heaviest_machine)
+    view = AdversaryView(
+        g, spanner_masks=ps.spanner_masks, heaviest_machine=ps.engine.heaviest_machine
+    )
     ev = adv.next_event(view)
     assert ev.kind == DELETE
     loads = ps.engine.loads
@@ -119,7 +122,7 @@ def test_strategies_are_deterministic():
         adv = SpannerTargeting(seed=seed, budget=6, p_insert=0.3)
         out = []
         for _ in range(6):
-            ev = adv.next_event(AdversaryView(g, spanner=lambda: set(g.edges())))
+            ev = adv.next_event(AdversaryView(g, spanner_masks=lambda: list(g.adj_mask)))
             out.append((ev.kind, ev.edge))
             g.apply(ev)
         return out

@@ -28,6 +28,9 @@ RUNS = {
     "fd-greedy": "--algo fd-greedy --k 2 --n 10 --init-m 20 --steps 150 --seed 4",
     "det3": "--algo det3 --n 30 --init-m 120 --steps 60 --seed 5"
     " --adversary spanner-target --p-insert 0.3 --check exact",
+    # ~200 host edges, so the check samples 64 of them on every step
+    "det3-sampled": "--algo det3 --n 40 --init-m 200 --steps 80 --seed 8"
+    " --adversary spanner-target --p-insert 0.3 --check sampled",
     # two phase rollovers inside the run
     "resample3": "--algo resample3 --n 30 --init-m 150 --phase-len 25 --steps 70 --seed 6"
     " --adversary witness-hammer --p-insert 0.3",
@@ -38,6 +41,10 @@ RUN_DIGESTS = {
     "det3": (
         "6c6afcd50067a97a83b1a043593d88e7af0df64fb282d76b911febea610e4845",
         "c980cb220c3a98c99bfec98b8f63dd38f734b75818ba9a415268a74d5b3ed97a",
+    ),
+    "det3-sampled": (
+        "37884a3614d2b40e9a4744974c840f504aa277709b5183a5d89b30c1b0c2eace",
+        "0344b71d6e0c4790c8eab80c9613324f28c1b9cc86373ef8e38e81684d09f224",
     ),
     "fd-greedy": (
         "32ee5361bbb09372493f5a2d5f7059d25e8592838687107b7184733fe69fb6f0",
@@ -101,7 +108,7 @@ def adversary_stream(name: str, p_insert: float, count: int = 100) -> str:
     g = DynamicGraph(20, random.Random(11).sample(pairs, 120))
     r3 = Resample3(g, seed=12, phase_len=40)
     adv = ADVERSARIES[name](13, count, p_insert=p_insert)
-    view = AdversaryView(g, spanner=r3.spanner_edges, heaviest_machine=r3.heaviest_machine)
+    view = AdversaryView(g, spanner_masks=r3.spanner_masks, heaviest_machine=r3.heaviest_machine)
     lines = []
     while (ev := adv.next_event(view)) is not None:
         lines.append(f"{ev.seq} {ev.kind} {ev.edge[0]} {ev.edge[1]}")

@@ -69,7 +69,7 @@ def test_overhead_on_witness_hammer_runs_within_frozen_thresholds():
         ps = PhaseState(g, seed=seed, phase_len=deletions)
         adv = WitnessHammer(seed, deletions)
         view = AdversaryView(
-            g, spanner=ps.spanner_edges, heaviest_machine=ps.engine.heaviest_machine
+            g, spanner_masks=ps.spanner_masks, heaviest_machine=ps.engine.heaviest_machine
         )
         samples = []
         for step in range(deletions):

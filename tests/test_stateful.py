@@ -4,6 +4,8 @@
 After each update every structure must report exactly how its output
 changed, keep its own invariants, and give stretch at most 3 by a
 networkx BFS oracle that shares no code with the bitmask `verify_stretch`.
+The spanner masks are read before every update, so the structures keep
+them through it and their own checks compare them with the output.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ class SpannerStreams(RuleBasedStateMachine):
         (self.present.add if kind == INSERT else self.present.discard)(edge)
         for s in self.structures:
             before = s.state.spanner_edges()
+            s.state.spanner_masks()
             step = s.update(ev)
             after = s.state.spanner_edges()
             assert (step.adds, step.dels, step.output_size) == (
