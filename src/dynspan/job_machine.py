@@ -9,6 +9,14 @@ onto any machine.  Routines of one job must be machine-disjoint.
 Step order per machine deletion: extend schedules of touched jobs with
 {T + 2^k : k >= 0, T + 2^k <= horizon}, advance the clock, then resample
 every job due now (the T+1 entry delivers the immediate repair).
+
+The max-load adversary attacks the heaviest machine: the live machine of
+largest load, ties going to the smallest machine.  Loads are kept in
+buckets (load -> machines) under a lazily lowered max load.  A load gets a
+min-heap of its machines the first time `heaviest_machine` reads it; from
+then on a machine entering that load is pushed, and one that left is popped
+only when it reaches the top.  A heap that grows past 2·|bucket| + 16 is
+rebuilt from its bucket, so stale entries never outnumber live ones by much.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable
 
 from dynspan.graph import UpdateEvent
@@ -154,7 +163,8 @@ class ResamplingEngine:
         self.assigned_count = 0  # jobs whose assigned routine is not None
         self.loads: dict[Hashable, int] = {}  # keyed by the live machines
         self._load_buckets: dict[int, set[Hashable]] = {}
-        self._max_load = 0
+        self._max_load = 0  # no live machine is heavier; lowered lazily
+        self._heaps: dict[int, list[Hashable]] = {}  # load -> min-heap over its bucket
         self.list_at: dict[int, set[Hashable]] = {}  # step -> jobs due then
         # replayable history: resample events and schedule-entry creations
         self.resample_events: dict[Hashable, list[int]] = {}
@@ -176,7 +186,11 @@ class ResamplingEngine:
         if x in self.loads:
             raise JobMachineError(f"machine {x!r} already present")
         self.by_machine[x] = set()
-        self._set_load(x, 0)
+        self.loads[x] = 0
+        self._load_buckets.setdefault(0, set()).add(x)
+        heap = self._heaps.get(0)
+        if heap is not None:
+            heappush(heap, x)
         self._charge(1)
 
     def add_job(self, job: Hashable, routines: Iterable[Routine]) -> None:
@@ -201,37 +215,67 @@ class ResamplingEngine:
         for r in rs:
             for x in r.machines:
                 self.by_machine[x].add(r)
-                self._charge(1)
+        self._charge(sum(len(r.machines) for r in rs))
         self.resample(job)
 
     # -- load bookkeeping --
 
     def _charge(self, k: int) -> None:
-        self.counter.charge(k, "job_machine")
+        if k:  # a batch of nothing leaves `by_module` as it was
+            self.counter.charge(k, "job_machine")
 
-    def _set_load(self, x: Hashable, value: int) -> None:
-        old = self.loads.get(x)
-        if old is not None:
-            bucket = self._load_buckets[old]
-            bucket.discard(x)
-        self.loads[x] = value
-        self._load_buckets.setdefault(value, set()).add(x)
-        if value > self._max_load:
-            self._max_load = value
+    def _rebuild_heap(self, load: int) -> list[Hashable]:
+        """Heap of the load's bucket alone.  Called when a heap is first read,
+        and when a machine leaves a load whose heap then exceeds
+        2·|bucket| + 16; a push never crosses that bound, as both sides grow."""
+        heap = self._heaps[load] = list(self._load_buckets[load])
+        heapify(heap)
+        return heap
 
     def _shift_load(self, r: Routine, delta: int) -> None:
+        """Move every live machine of `r` by `delta` load units."""
+        loads = self.loads
+        buckets = self._load_buckets
+        heaps = self._heaps
         for x in r.machines:
-            if x in self.loads:
-                self._set_load(x, self.loads[x] + delta)
+            old = loads.get(x)
+            if old is None:
+                continue  # the deleted machine of a dying routine
+            new = old + delta
+            loads[x] = new
+            bucket = buckets[old]
+            bucket.discard(x)
+            heap = heaps.get(old)
+            if heap is not None and len(heap) > 2 * len(bucket) + 16:
+                self._rebuild_heap(old)
+            bucket = buckets.get(new)
+            if bucket is None:
+                bucket = buckets[new] = set()
+            bucket.add(x)
+            heap = heaps.get(new)
+            if heap is not None:
+                heappush(heap, x)
+            if new > self._max_load:
+                self._max_load = new
 
     def heaviest_machine(self) -> Hashable | None:
-        """Max-load live machine, ties by smallest machine; None if no machines."""
-        while self._max_load > 0 and not self._load_buckets.get(self._max_load):
-            self._max_load -= 1
+        """Max-load live machine, ties to the smallest machine; None if no machines."""
         if not self.loads:
             return None
-        bucket = self._load_buckets.get(self._max_load, ())
-        return min(bucket) if bucket else min(self.loads)
+        buckets = self._load_buckets
+        load = self._max_load
+        while not buckets.get(load):  # stops at a live machine's load
+            load -= 1
+            if load < 0:
+                raise InvariantBroken(f"no live machine has a load from 0 to {self._max_load}")
+        self._max_load = load
+        bucket = buckets[load]
+        heap = self._heaps.get(load)
+        if heap is None:
+            heap = self._rebuild_heap(load)
+        while heap[0] not in bucket:
+            heappop(heap)
+        return heap[0]
 
     # -- queries --
 
@@ -300,16 +344,19 @@ class ResamplingEngine:
         changes: list[tuple[Hashable, Routine | None, Routine | None]] = []
         if x is not None:
             dead = sorted(self.by_machine.pop(x), key=Routine.sort_key)
-            bucket = self._load_buckets[self.loads[x]]
+            load = self.loads.pop(x)
+            bucket = self._load_buckets[load]
             bucket.discard(x)
-            del self.loads[x]
-            self._charge(1)
+            heap = self._heaps.get(load)
+            if heap is not None and len(heap) > 2 * len(bucket) + 16:
+                self._rebuild_heap(load)
+            units = 1
             for r in dead:
                 self.live_by_job[r.job].remove(r)
                 for y in r.machines:
                     if y != x and y in self.loads:
                         self.by_machine[y].discard(r)
-                        self._charge(1)
+                        units += 1
                 if self.assigned[r.job] is r:
                     self._shift_load(r, -1)
                     # the dead routine no longer loads surviving machines
@@ -317,6 +364,7 @@ class ResamplingEngine:
                     self.assigned_count -= 1
                     touched.append(r.job)
                     changes.append((r.job, r, None))
+            self._charge(units)
         schedule_added = 0
         for job in touched:
             schedule_added += self._extend_schedule(job)
@@ -332,16 +380,20 @@ class ResamplingEngine:
         return StepReport(tuple(touched), tuple(resampled), schedule_added, tuple(changes))
 
     def _extend_schedule(self, job: Hashable) -> int:
+        T, list_at, log = self.T, self.list_at, self.schedule_log[job]
         added = 0
         step = 1
-        while self.T + step <= self.horizon:
-            at = self.T + step
-            if job not in self.list_at.get(at, ()):
-                self.list_at.setdefault(at, set()).add(job)
-                self.schedule_log[job].append(_ScheduleEntry(at, self.T))
+        while T + step <= self.horizon:
+            at = T + step
+            due = list_at.get(at)
+            if due is None:
+                due = list_at[at] = set()
+            if job not in due:
+                due.add(job)
+                log.append(_ScheduleEntry(at, T))
                 added += 1
-                self._charge(1)
             step *= 2
+        self._charge(added)
         return added
 
     # -- relevance replay --
@@ -368,12 +420,27 @@ class ResamplingEngine:
         return len(self.rel_times(t, r))
 
     def check_feasible(self) -> None:
+        """Asserts a feasible assignment, and load bookkeeping equal to a recount."""
         for job, live in self.live_by_job.items():
             if live:
                 assert self.assigned[job] in live
             else:
                 assert self.assigned[job] is None
         assert self.assigned_count == sum(1 for r in self.assigned.values() if r is not None)
+        recount = dict.fromkeys(self.by_machine, 0)  # keyed by the live machines
+        for r in self.assigned.values():
+            for x in r.machines if r is not None else ():
+                recount[x] = recount.get(x, 0) + 1
+        assert self.loads == recount, "loads differ from a recount of the assigned routines"
+        members = [(x, load) for load, bucket in self._load_buckets.items() for x in bucket]
+        assert len(members) == len(self.loads)
+        assert all(self.loads.get(x) == load for x, load in members)
+        for load, heap in self._heaps.items():
+            bucket = self._load_buckets[load]
+            assert bucket <= set(heap) and len(heap) <= 2 * len(bucket) + 16
+        top = max(self.loads.values(), default=None)
+        rule = min((x for x, v in self.loads.items() if v == top), default=None)
+        assert self.heaviest_machine() == rule
 
 
 def random_instance(

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from dynspan.adversary import AdversaryView, WitnessHammer
+from dynspan.graph import INSERT, DynamicGraph
 from dynspan.instrumentation import InvariantBroken
 from dynspan.job_machine import (
     DisjointnessViolated,
@@ -19,6 +23,7 @@ from dynspan.job_machine import (
     UnknownRoutine,
     random_instance,
 )
+from dynspan.resample3 import PhaseState
 
 
 def engine_with(routines, jobs, machines, seed=0, horizon=100):
@@ -274,3 +279,97 @@ def test_step_past_the_horizon_raises():
     eng.tick()
     with pytest.raises(InvariantBroken, match="horizon"):
         eng.tick()
+
+
+# -- heaviest_machine against the max-load rule by definition --
+
+
+def brute_heaviest(eng):
+    """Largest load, ties to the smallest machine; None without machines."""
+    if not eng.loads:
+        return None
+    top = max(eng.loads.values())
+    return min(x for x, v in eng.loads.items() if v == top)
+
+
+def assert_heaps_bounded(eng):
+    for load, heap in eng._heaps.items():
+        assert len(heap) <= 2 * len(eng._load_buckets[load]) + 16
+
+
+def record_heap_rebuilds(eng) -> list[bool]:
+    """Per `_rebuild_heap` call: True if it replaced a heap (not a first read)."""
+    replaced = []
+    rebuild = eng._rebuild_heap
+
+    def recording(load):
+        replaced.append(load in eng._heaps)
+        return rebuild(load)
+
+    eng._rebuild_heap = recording
+    return replaced
+
+
+def test_heaviest_machine_all_zero_loads_and_no_machines():
+    eng = engine_with([], 0, 4)  # four idle machines
+    assert eng.heaviest_machine() == 0
+    eng.delete_machine(0)
+    assert eng.heaviest_machine() == 1
+    eng = engine_with([Routine(0, (2,))], 1, 4)
+    assert eng.heaviest_machine() == 2
+    eng.delete_machine(2)  # the only load goes: the max falls back to 0
+    assert eng.heaviest_machine() == 0
+    assert ResamplingEngine(None, 0, horizon=1).heaviest_machine() is None
+    eng = engine_with([], 0, 1)
+    eng.delete_machine(0)
+    assert eng.heaviest_machine() is None
+
+
+def test_heaviest_machine_matches_brute_force_down_to_empty():
+    seen = Counter()
+    for seed in range(5):
+        rng = random.Random(900 + seed)
+        eng = ResamplingEngine(random_instance(rng, jobs=60, machines=160), seed, horizon=400)
+        replaced = record_heap_rebuilds(eng)
+        while True:
+            top = eng.heaviest_machine()
+            assert top == brute_heaviest(eng)
+            if top is None:
+                break
+            if eng.loads[top] == 0:
+                seen["all loads 0"] += 1
+            roll = rng.random()
+            if roll < 0.45 or len(eng.loads) == 1:
+                seen["max-load delete"] += 1
+                eng.delete_machine(top)
+            elif roll < 0.9:
+                seen["other delete"] += 1
+                eng.delete_machine(rng.choice(sorted(x for x in eng.loads if x != top)))
+            else:
+                seen["tick"] += 1
+                eng.tick()
+            eng.check_feasible()
+        assert_heaps_bounded(eng)
+        seen["heap rebuilt"] += sum(replaced)
+    assert set(seen) == {
+        "all loads 0", "max-load delete", "other delete", "tick", "heap rebuilt"
+    }
+
+
+def test_heaviest_machine_matches_brute_force_on_edge_machines():
+    # resample3's engine: machines are edge tuples, witness-hammer deletes the heaviest
+    n, steps = 40, 250
+    pairs = list(itertools.combinations(range(n), 2))
+    g = DynamicGraph(n, random.Random(71).sample(pairs, 300))
+    ps = PhaseState(g, seed=5, phase_len=steps)
+    eng = ps.engine
+    adv = WitnessHammer(seed=6, budget=steps, p_insert=0.25)
+    view = AdversaryView(g, spanner_masks=ps.spanner_masks, heaviest_machine=eng.heaviest_machine)
+    for _ in range(steps):
+        assert eng.heaviest_machine() == brute_heaviest(eng)
+        ev = adv.next_event(view)
+        (ps.insert if ev.kind == INSERT else ps.delete)(*ev.edge)
+    assert eng.heaviest_machine() == brute_heaviest(eng)
+    assert isinstance(eng.heaviest_machine(), tuple)
+    ps.check_invariants()
+    assert_heaps_bounded(eng)
