@@ -10,6 +10,12 @@ Step order per machine deletion: extend schedules of touched jobs with
 {T + 2^k : k >= 0, T + 2^k <= horizon}, advance the clock, then resample
 every job due now (the T+1 entry delivers the immediate repair).
 
+Routines compare and hash by identity.  The canonical order, which fixes
+the random draws and so every output, is repr order: a job's live routines
+and a deletion's dead routines by (repr(job), repr(machines)), built once
+per routine when `add_job` takes it, and due jobs by repr(job), built once
+per job.  A resample that redraws the assigned routine moves no load.
+
 The max-load adversary attacks the heaviest machine: the live machine of
 largest load, ties going to the smallest machine.  Loads are kept in
 buckets (load -> machines) under a lazily lowered max load.  A load gets a
@@ -22,7 +28,7 @@ rebuilt from its bucket, so stale entries never outnumber live ones by much.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable
@@ -51,14 +57,22 @@ class DisjointnessViolated(JobMachineError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Routine:
+    """One way to handle `job`, by occupying `machines`.  Compares and hashes
+    by identity."""
+
     job: Hashable
     machines: tuple[Hashable, ...]
     tag: Hashable = None  # opaque payload for embedders (e.g. a witness vertex)
+    _key: tuple[str, str] | None = field(default=None, init=False, repr=False)
 
-    def sort_key(self):
-        return (repr(self.job), repr(self.machines))
+    def sort_key(self) -> tuple[str, str]:
+        """The canonical order key (repr(job), repr(machines)), built once."""
+        key = self._key
+        if key is None:
+            key = self._key = (repr(self.job), repr(self.machines))
+        return key
 
 
 class HyperInstance:
@@ -158,7 +172,8 @@ class ResamplingEngine:
         self.counter = counter or OpCounter()
         self.T = 0
         self.by_machine: dict[Hashable, set[Routine]] = {}
-        self.live_by_job: dict[Hashable, list[Routine]] = {}
+        self.live_by_job: dict[Hashable, list[Routine]] = {}  # in canonical order
+        self._job_repr: dict[Hashable, str] = {}  # due jobs run in repr order
         self.assigned: dict[Hashable, Routine | None] = {}
         self.assigned_count = 0  # jobs whose assigned routine is not None
         self.loads: dict[Hashable, int] = {}  # keyed by the live machines
@@ -197,25 +212,35 @@ class ResamplingEngine:
         """Register a job with its routines and give it its initial assignment."""
         if job in self.live_by_job:
             raise JobMachineError(f"job {job!r} already present")
-        rs = sorted(routines, key=Routine.sort_key)
+        loads = self.loads
+        job_repr = repr(job)
+        rs = list(routines)
         seen: set[Hashable] = set()
+        units = 0
         for r in rs:
             if r.job != job:
                 raise UnknownJob(f"routine {r} does not belong to job {job!r}")
-            for x in r.machines:
-                if x not in self.loads:
+            machines = r.machines
+            for x in machines:
+                if x not in loads:
                     raise MachineMissing(f"routine machine {x!r} unknown")
                 if x in seen:
                     raise DisjointnessViolated(f"job {job!r} routines share machine {x!r}")
                 seen.add(x)
+            units += len(machines)
+            if r._key is None:
+                r._key = (job_repr, repr(machines))
+        rs.sort(key=Routine.sort_key)  # one repr(job) for all: by repr(machines)
         self.live_by_job[job] = rs
+        self._job_repr[job] = job_repr
         self.assigned[job] = None
         self.resample_events[job] = []
         self.schedule_log[job] = []
+        by_machine = self.by_machine
         for r in rs:
             for x in r.machines:
-                self.by_machine[x].add(r)
-        self._charge(sum(len(r.machines) for r in rs))
+                by_machine[x].add(r)
+        self._charge(units)
         self.resample(job)
 
     # -- load bookkeeping --
@@ -308,11 +333,12 @@ class ResamplingEngine:
             self.assigned[job] = None
             return None
         new = live[self.rng.randrange(len(live))]
-        if old is not None:
-            self._shift_load(old, -1)
-        else:
+        if old is None:
             self.assigned_count += 1
-        self._shift_load(new, +1)
+            self._shift_load(new, +1)
+        elif old is not new:  # redrawing the assigned routine moves no load
+            self._shift_load(old, -1)
+            self._shift_load(new, +1)
         self.assigned[job] = new
         self.recourse_total += 1
         self._charge(1)
@@ -369,7 +395,7 @@ class ResamplingEngine:
         for job in touched:
             schedule_added += self._extend_schedule(job)
         self.T += 1
-        due = sorted(self.list_at.pop(self.T, ()), key=repr)
+        due = sorted(self.list_at.pop(self.T, ()), key=self._job_repr.__getitem__)
         resampled: list[Hashable] = []
         for job in due:
             old = self.assigned[job]

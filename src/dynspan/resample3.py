@@ -62,16 +62,21 @@ class PartnershipIndex:
         return v in self.bnbrs.get((u, self.bucket_of[v]), ())
 
     def add_edge(self, u: int, v: int) -> None:
+        bucket_of, bnbrs, partnerships = self.bucket_of, self.bnbrs, self.partnerships
+        units = 4
         for x, y in ((u, v), (v, u)):
             # y becomes a common neighbor of x and x's bucket-mates adjacent to y
-            mates = self.bnbrs.get((y, self.bucket_of[x]), ())
-            for x2 in mates:
+            for x2 in bnbrs.get((y, bucket_of[x]), ()):
                 if x2 != x:
-                    self.partnerships.setdefault(self.pair(x, x2), set()).add(y)
-                    self._charge(1)
-        self.bnbrs.setdefault((u, self.bucket_of[v]), set()).add(v)
-        self.bnbrs.setdefault((v, self.bucket_of[u]), set()).add(u)
-        self._charge(4)
+                    p = (x, x2) if x < x2 else (x2, x)
+                    common = partnerships.get(p)
+                    if common is None:
+                        common = partnerships[p] = set()
+                    common.add(y)
+                    units += 1
+        bnbrs.setdefault((u, bucket_of[v]), set()).add(v)
+        bnbrs.setdefault((v, bucket_of[u]), set()).add(u)
+        self._charge(units)
 
     def remove_edge(self, u: int, v: int) -> None:
         self.bnbrs[(u, self.bucket_of[v])].discard(v)
@@ -140,6 +145,9 @@ class PhaseState:
         self.roles = RoleSet(self.n)
         self.spanner = self.roles.count.keys()  # live view: the edges holding a role
         self.updates_used = 0
+        # core edge -> the tuple the engine holds as its machine; witness routines
+        # share it instead of allocating two tuples each (a rollover allocates less)
+        self._edge: dict[tuple[int, int], tuple[int, int]] = {}
         self.engine: ResamplingEngine = ResamplingEngine(None, seed, horizon=self.L, counter=self.counter)
         for e in graph.edges():
             self._init_edge(e)
@@ -151,6 +159,7 @@ class PhaseState:
 
     def _init_edge(self, e: tuple[int, int]) -> None:
         u, v = e
+        self._edge[e] = e
         self.idx.add_edge(u, v)
         self.engine.add_machine(e)
         if self.bucket_of[u] == self.bucket_of[v]:
@@ -170,9 +179,11 @@ class PhaseState:
         return sorted(p for p, s in self.idx.partnerships.items() if s)
 
     def _init_pair(self, p: tuple[int, int]) -> None:
-        witnesses = self.idx.partnerships.get(p, ())
+        a, b = p  # a witness w is a common neighbor, so w != a and w != b
+        edge = self._edge
         routines = [
-            Routine(p, (edge_key(p[0], w), edge_key(p[1], w)), tag=w) for w in sorted(witnesses)
+            Routine(p, (edge[(a, w) if a < w else (w, a)], edge[(b, w) if b < w else (w, b)]), w)
+            for w in sorted(self.idx.partnerships.get(p, ()))
         ]
         self.engine.add_job(p, routines)
         chosen = self.engine.assigned[p]
@@ -596,6 +607,7 @@ class Resample3:
         old = None
         if self.phase.exhausted:
             old = self.phase.spanner  # the abandoned phase's roles no longer change
+            del self.phase  # freed before the build, so two phases never coexist
             self.phase = self._new_phase()
         step = (self.phase.insert if kind == INSERT else self.phase.delete)(u, v)
         self.counter.end_step()

@@ -373,3 +373,96 @@ def test_heaviest_machine_matches_brute_force_on_edge_machines():
     assert isinstance(eng.heaviest_machine(), tuple)
     ps.check_invariants()
     assert_heaps_bounded(eng)
+
+
+# -- the canonical order: routines by (repr(job), repr(machines)), due jobs by repr --
+
+
+def repr_key(r):
+    return (repr(r.job), repr(r.machines))
+
+
+def assert_canonical_order_through_run(eng, rng, steps, seen):
+    """Checks live lists, dead-routine changes and resampled jobs step by step."""
+    for _ in range(steps):
+        for live in eng.live_by_job.values():
+            assert live == sorted(live, key=repr_key)
+        if not eng.loads:
+            break
+        x = rng.choice(sorted(eng.loads))
+        dying = [r for r in eng.by_machine[x] if eng.assigned[r.job] is r]
+        rep = eng.delete_machine(x)
+        dead = [old for _, old, new in rep.changes if new is None]
+        assert dead == sorted(dying, key=repr_key)  # routines compare by identity
+        assert list(rep.resampled) == sorted(rep.resampled, key=repr)
+        # a job's routines share no machine, so one deletion kills at most one per job
+        if [r.job for r in dead] != sorted(r.job for r in dead):
+            seen["dead: repr order is not numeric order"] += 1
+        if list(rep.resampled) != sorted(rep.resampled):
+            seen["resampled: repr order is not numeric order"] += 1
+        eng.check_feasible()
+
+
+def test_canonical_order_is_repr_order_on_random_instances():
+    seen = Counter()
+    for seed in range(4):
+        rng = random.Random(1100 + seed)
+        # machine ids 0..29 and widths 1-3: "(12,)" < "(9,)" and "(1, 2)" < "(1,)"
+        inst = random_instance(rng, jobs=40, machines=30, max_machines_per_routine=3)
+        eng = ResamplingEngine(inst, seed, horizon=40)
+        by_job = {}
+        for r in inst.routines:
+            by_job.setdefault(r.job, []).append(r)
+        for job, rs in by_job.items():
+            assert eng.live_by_job[job] == sorted(rs, key=repr_key)
+            if [r.machines for r in eng.live_by_job[job]] != sorted(r.machines for r in rs):
+                seen["live: repr order is not numeric order"] += 1
+        assert_canonical_order_through_run(eng, rng, 40, seen)
+    assert set(seen) == {
+        "live: repr order is not numeric order",
+        "dead: repr order is not numeric order",
+        "resampled: repr order is not numeric order",
+    }
+
+
+def test_canonical_order_is_repr_order_on_phase_state():
+    # two-digit vertices: the job (1, 10) comes before (1, 9), the edge (10, 12) before (9, 12)
+    n = 30
+    pairs = list(itertools.combinations(range(n), 2))
+    g = DynamicGraph(n, random.Random(81).sample(pairs, 180))
+    ps = PhaseState(g, seed=7, phase_len=60)
+    eng = ps.engine
+    assert any(
+        [r.tag for r in live] != sorted(r.tag for r in live) for live in eng.live_by_job.values()
+    )
+    seen = Counter()
+    assert_canonical_order_through_run(eng, random.Random(82), 60, seen)
+    assert set(seen) == {
+        "dead: repr order is not numeric order",
+        "resampled: repr order is not numeric order",
+    }
+
+
+def test_resample_redrawing_its_own_routine_moves_no_load():
+    only = Routine(0, (3, 5))
+    eng = engine_with([only, Routine(1, (1,)), Routine(1, (2,))], 2, 8, seed=4, horizon=20)
+    eng.heaviest_machine()  # gives load 1 a heap, which a shift would push into
+    rng = random.Random(5)
+    spare = [0, 1, 4, 6, 7]  # machine 1 carries a routine of job 1
+    for i in range(24):
+        before = (eng.recourse_total, len(eng.resample_events[0]), eng.resample_calls)
+        loads = dict(eng.loads)
+        heaps = {load: list(heap) for load, heap in eng._heaps.items()}
+        assert eng.resample(0) is only
+        assert eng.recourse_total == before[0] + 1
+        assert eng.resample_events[0][-1] == eng.T
+        assert (len(eng.resample_events[0]), eng.resample_calls) == (before[1] + 1, before[2] + 1)
+        assert eng.loads == loads and eng._heaps == heaps
+        assert eng.heaviest_machine() == brute_heaviest(eng)
+        eng.check_feasible()
+        assert_heaps_bounded(eng)
+        if i % 4 == 1 and spare:
+            eng.delete_machine(spare.pop(rng.randrange(len(spare))))
+        elif i % 4 == 3:
+            eng.tick()
+    assert eng.assigned[0] is only and eng.T > 4

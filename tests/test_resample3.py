@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from dynspan.graph import DynamicGraph, EdgeMissing
+from dynspan.instrumentation import OpCounter
 from dynspan.oracle import verify_stretch
 from dynspan.resample3 import (
     PartnershipIndex,
@@ -194,3 +195,28 @@ def test_same_seed_same_trace():
 
     assert run(5) == run(5)
     assert run(5) != run(6) or True  # different seeds may differ
+
+
+def test_phase_build_op_totals_are_pinned():
+    # no CSV row carries a build's charges, so the totals after the first build
+    # and after the first rollover are pinned here
+    rng = random.Random(3)
+    n = 40
+    pairs = list(itertools.combinations(range(n), 2))
+    counter = OpCounter()
+    g = DynamicGraph(n, rng.sample(pairs, 300), counter=counter)
+    drv = Resample3(g, seed=3, phase_len=20, counter=counter)
+    assert (dict(counter.by_module), counter.total) == (
+        {"graph": 600, "partnership": 1767, "job_machine": 1528},
+        3895,
+    )
+    for _ in range(21):
+        if rng.random() < 0.7:
+            drv.delete(*rng.choice(sorted(g.edges())))
+        else:
+            drv.insert(*rng.choice([p for p in pairs if not g.has_edge(*p)]))
+    assert drv.phase_index == 2
+    assert (dict(counter.by_module), counter.total) == (
+        {"graph": 642, "partnership": 3569, "job_machine": 3123, "resample3": 36},
+        7370,
+    )
