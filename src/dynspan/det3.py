@@ -227,10 +227,6 @@ class Det3State:
             if new_center is not None and new_center != w:
                 self._cedge_add((w, new_center), owner)
 
-    @property
-    def opcost_last(self) -> int:
-        return self.counter.last_step
-
     def spanner_size(self) -> int:
         return len(self.spanner)
 

@@ -170,20 +170,13 @@ def measure_overhead(
     samples: Iterable[OverheadSample],
     alpha: float,
     beta: float,
-    every: int = 1,
 ) -> OverheadReport:
-    """Fraction of samples violating load <= alpha*target + beta.
-
-    `every` thins the sample stream (keep one in `every`); the default
-    keeps everything.
-    """
+    """Fraction of samples violating load <= alpha*target + beta."""
     total = 0
     violations = 0
     worst = float("-inf")
     worst_sample = None
-    for i, s in enumerate(samples):
-        if i % every:
-            continue
+    for s in samples:
         total += 1
         residual = s.load - (alpha * s.target + beta)
         if residual > worst:

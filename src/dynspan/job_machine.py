@@ -8,7 +8,17 @@ onto any machine.  Routines of one job must be machine-disjoint.
 
 Step order per machine deletion: extend schedules of touched jobs with
 {T + 2^k : k >= 0, T + 2^k <= horizon}, advance the clock, then resample
-every job due now (the T+1 entry delivers the immediate repair).
+every job due now (the T+1 entry delivers the immediate repair).  A draw
+costs one unit, charged by the caller of `resample`: `add_job`, or `_step`
+once for all the draws of its step.
+
+Besides the schedule `list_at`, the engine keeps per job the steps of its
+resample events and of its touches (deaths of its assigned routine); only
+the relevance replay `rel_times` reads them.  A touch at c scheduled the
+job at c + 2^k, so its first entry after a step s >= c is
+c + 2^bit_length(s - c), and an event at s is blocked at t iff some touch
+c <= s has that entry before t.  An entry that the dedup in `list_at`
+skipped belongs to an earlier touch, which blocks the same events.
 
 Routines compare and hash by identity.  The canonical order, which fixes
 the random draws and so every output, is repr order: a job's live routines
@@ -151,12 +161,6 @@ class StepReport:
         return len(self.resampled)
 
 
-@dataclass
-class _ScheduleEntry:
-    at: int
-    created: int
-
-
 class ResamplingEngine:
     """Maintains a feasible assignment under machine deletions."""
 
@@ -181,11 +185,9 @@ class ResamplingEngine:
         self._max_load = 0  # no live machine is heavier; lowered lazily
         self._heaps: dict[int, list[Hashable]] = {}  # load -> min-heap over its bucket
         self.list_at: dict[int, set[Hashable]] = {}  # step -> jobs due then
-        # replayable history: resample events and schedule-entry creations
+        # replayable history: the steps of each job's resample events and touches
         self.resample_events: dict[Hashable, list[int]] = {}
-        self.schedule_log: dict[Hashable, list[_ScheduleEntry]] = {}
-        self.resample_calls = 0
-        self.recourse_total = 0
+        self.touch_times: dict[Hashable, list[int]] = {}
         if instance is not None:
             for x in instance.machines:
                 self.add_machine(x)
@@ -235,13 +237,14 @@ class ResamplingEngine:
         self._job_repr[job] = job_repr
         self.assigned[job] = None
         self.resample_events[job] = []
-        self.schedule_log[job] = []
+        self.touch_times[job] = []
         by_machine = self.by_machine
         for r in rs:
             for x in r.machines:
                 by_machine[x].add(r)
+        if self.resample(job) is not None:
+            units += 1
         self._charge(units)
-        self.resample(job)
 
     # -- load bookkeeping --
 
@@ -320,10 +323,10 @@ class ResamplingEngine:
     # -- the dynamic process --
 
     def resample(self, job: Hashable) -> Routine | None:
-        """Reassign `job` uniformly over its live routines; logs the event."""
+        """Reassign `job` uniformly over its live routines; logs the event.
+        A draw that returns a routine costs one unit, which the caller charges."""
         if job not in self.live_by_job:
             raise UnknownJob(f"job {job!r} unknown")
-        self.resample_calls += 1
         self.resample_events[job].append(self.T)
         live = self.live_by_job[job]
         old = self.assigned[job]
@@ -340,8 +343,6 @@ class ResamplingEngine:
             self._shift_load(old, -1)
             self._shift_load(new, +1)
         self.assigned[job] = new
-        self.recourse_total += 1
-        self._charge(1)
         return new
 
     def delete_machine(self, x: Hashable) -> StepReport:
@@ -397,16 +398,21 @@ class ResamplingEngine:
         self.T += 1
         due = sorted(self.list_at.pop(self.T, ()), key=self._job_repr.__getitem__)
         resampled: list[Hashable] = []
+        drawn = 0
         for job in due:
             old = self.assigned[job]
             new = self.resample(job)
             resampled.append(job)
+            if new is not None:
+                drawn += 1
             if old is not new:
                 changes.append((job, old, new))
+        self._charge(drawn)
         return StepReport(tuple(touched), tuple(resampled), schedule_added, tuple(changes))
 
     def _extend_schedule(self, job: Hashable) -> int:
-        T, list_at, log = self.T, self.list_at, self.schedule_log[job]
+        T, list_at = self.T, self.list_at
+        self.touch_times[job].append(T)
         added = 0
         step = 1
         while T + step <= self.horizon:
@@ -416,7 +422,6 @@ class ResamplingEngine:
                 due = list_at[at] = set()
             if job not in due:
                 due.add(job)
-                log.append(_ScheduleEntry(at, T))
                 added += 1
             step *= 2
         self._charge(added)
@@ -427,17 +432,18 @@ class ResamplingEngine:
     def rel_times(self, t: int, r: Routine) -> list[int]:
         """Steps of resample events of job(r) before t that could still explain
         r being assigned at t: event at step s counts unless some schedule
-        entry t' with s < t' < t already existed at step s."""
+        entry t' with s < t' < t already existed at step s, derived from the
+        touches as the module docstring says."""
         if r not in self.live_by_job.get(r.job, ()):
             raise UnknownRoutine(f"routine {r} not live")
         if t > self.T:
             raise ValueError("t is in the future")
-        entries = self.schedule_log[r.job]
+        touches = self.touch_times[r.job]
         times = []
         for s in self.resample_events[r.job]:
             if s >= t:
                 break
-            blocked = any(e.created <= s < e.at < t for e in entries)
+            blocked = any(c + (1 << (s - c).bit_length()) < t for c in touches if c <= s)
             if not blocked:
                 times.append(s)
         return times
@@ -469,21 +475,19 @@ class ResamplingEngine:
         assert self.heaviest_machine() == rule
 
 
-def random_instance(
-    rng: random.Random,
-    jobs: int,
-    machines: int,
-    max_routines_per_job: int = 6,
-    max_machines_per_routine: int = 3,
-) -> HyperInstance:
+MAX_ROUTINES_PER_JOB = 6
+MAX_MACHINES_PER_ROUTINE = 3
+
+
+def random_instance(rng: random.Random, jobs: int, machines: int) -> HyperInstance:
     """Seeded fuzz instance; routines of one job use disjoint machine sets."""
     routines = []
     for job in range(jobs):
-        budget = rng.randrange(1, max_routines_per_job + 1)
-        pool = rng.sample(range(machines), min(machines, budget * max_machines_per_routine))
+        budget = rng.randrange(1, MAX_ROUTINES_PER_JOB + 1)
+        pool = rng.sample(range(machines), min(machines, budget * MAX_MACHINES_PER_ROUTINE))
         i = 0
         for _ in range(budget):
-            width = rng.randrange(1, max_machines_per_routine + 1)
+            width = rng.randrange(1, MAX_MACHINES_PER_ROUTINE + 1)
             chunk = pool[i : i + width]
             i += width
             if not chunk:

@@ -148,7 +148,7 @@ def test_criterion_4_det3_worst_case():
                 changes = s.delete_edge(*ev.edge)
             assert len(changes) <= 2 * root_n + 2
             delta = g.max_degree()
-            assert s.opcost_last <= op_const * (min(delta, root_n) + 1) * logn
+            assert s.counter.last_step <= op_const * (min(delta, root_n) + 1) * logn
             assert verify_stretch(g, s.spanner, 3).ok
             assert len(s.spanner) <= 3 * n * root_n
             if step % 50 == 0:

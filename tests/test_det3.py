@@ -131,7 +131,7 @@ def test_op_cost_of_non_spanner_delete_is_logarithmic():
     for e in list(g.edges()):
         if e not in s.spanner:
             s.delete_edge(*e)
-            assert s.opcost_last <= bound
+            assert s.counter.last_step <= bound
             checked += 1
         if checked == 25:
             break
@@ -141,7 +141,7 @@ def test_op_cost_of_non_spanner_delete_is_logarithmic():
 def test_empty_graph_insert_cost_small():
     s = make(9, [])
     s.insert_edge(0, 4)
-    assert s.opcost_last <= 12
+    assert s.counter.last_step <= 12
 
 
 def test_random_updates_keep_invariants():
@@ -190,7 +190,7 @@ def test_per_update_op_cost_bound():
             present.add(e)
         delta = s.g.max_degree()
         denom = (min(delta, root_n) + 1) * logn
-        worst_ratio = max(worst_ratio, s.opcost_last / denom)
+        worst_ratio = max(worst_ratio, s.counter.last_step / denom)
     # C frozen from calibration runs (max observed ratio ~2.1 across seeds)
     assert worst_ratio <= 4.0
 

@@ -50,12 +50,6 @@ def test_overhead_zero_thresholds_counts_loaded_share():
     assert rep.worst_sample.machine == 2
 
 
-def test_overhead_thinning():
-    samples = [OverheadSample(t, 0, 1, 0.0) for t in range(10)]
-    rep = measure_overhead(samples, 0.0, 0.0, every=2)
-    assert rep.total == 5
-
-
 def test_overhead_on_witness_hammer_runs_within_frozen_thresholds():
     # loads of witness edges stay near target under hammering; thresholds
     # frozen from calibration (zero violations observed well below these)

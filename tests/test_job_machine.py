@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
@@ -34,14 +34,14 @@ def engine_with(routines, jobs, machines, seed=0, horizon=100):
 def test_init_no_jobs():
     eng = engine_with([], 0, 3)
     assert eng.assigned == {}
-    assert eng.recourse_total == 0
+    assert eng.resample_events == {}
 
 
 def test_init_single_routine_deterministic():
     r = Routine(0, (1,))
     eng = engine_with([r], 1, 2)
     assert eng.assigned[0] == r
-    assert eng.recourse_total == 1
+    assert eng.resample_events == {0: [0]}  # one draw, at step 0
 
 
 def test_init_uniform_over_routines():
@@ -62,9 +62,8 @@ def test_resample_with_no_live_routines_is_unassigned():
     eng = engine_with([Routine(0, (0,))], 1, 1)
     eng.delete_machine(0)
     assert eng.assigned[0] is None
-    base = eng.recourse_total
     assert eng.resample(0) is None
-    assert eng.recourse_total == base  # no recourse for unassigned
+    assert eng.assigned[0] is None and eng.assigned_count == 0  # no recourse for unassigned
 
 
 def test_resample_unknown_job():
@@ -98,7 +97,10 @@ def test_touch_at_t3_schedule_entries():
         eng.delete_machine(x)
     rep = eng.delete_machine(0)
     assert rep.touched == (0,)
-    assert [e.at for e in eng.schedule_log[0]] == [4, 5, 7, 11, 19]
+    assert eng.touch_times[0] == [3]
+    # entries {4, 5, 7, 11, 19}: the clock reached 4 and drained its entry
+    assert rep.schedule_added == 5 and rep.resampled == (0,)
+    assert sorted(a for a, due in eng.list_at.items() if 0 in due) == [5, 7, 11, 19]
 
 
 def test_same_timestep_from_two_touches_resamples_once():
@@ -180,6 +182,85 @@ def test_rel_count_routine_killed_by_machine_deletion():
     assert eng.rel_count(1, routines[1]) == 1
 
 
+# -- the replay over touch times against the replay over stored schedule entries --
+
+ScheduleEntry = namedtuple("ScheduleEntry", "at created")
+
+
+class EntryLogEngine(ResamplingEngine):
+    """Also records every schedule entry (at, created), as the engine once stored
+    them, and counts the entries skipped because an earlier touch holds their step."""
+
+    def __init__(self, *args, **kwargs):
+        self.schedule_log = {}
+        self.shared = 0
+        super().__init__(*args, **kwargs)
+
+    def _extend_schedule(self, job):
+        log = self.schedule_log.setdefault(job, [])
+        step = 1
+        while self.T + step <= self.horizon:
+            at = self.T + step
+            if job in self.list_at.get(at, ()):
+                self.shared += 1
+            else:
+                log.append(ScheduleEntry(at, self.T))
+            step *= 2
+        return super()._extend_schedule(job)
+
+
+def reference_rel_times(eng, t, r):
+    """The replay over stored entries: event at step s counts unless some
+    schedule entry t' with s < t' < t already existed at step s."""
+    entries = eng.schedule_log.get(r.job, [])
+    times = []
+    for s in eng.resample_events[r.job]:
+        if s >= t:
+            break
+        blocked = any(e.created <= s < e.at < t for e in entries)
+        if not blocked:
+            times.append(s)
+    return times
+
+
+def test_rel_times_matches_entry_replay_on_a_shared_entry():
+    routines = [Routine(0, (x,)) for x in range(4)]
+    eng = EntryLogEngine(HyperInstance(range(1), range(6), routines), 1, horizon=50)
+    eng.delete_machine(eng.assigned[0].machines[0])  # touch at T=0 -> {1,2,4,8,...}
+    eng.delete_machine(4)
+    eng.delete_machine(eng.assigned[0].machines[0])  # touch at T=2 -> {3,4,6,...}
+    while eng.T < 40:
+        eng.tick()
+    assert eng.touch_times[0] == [0, 2]
+    assert eng.shared == 1 and ScheduleEntry(4, 0) in eng.schedule_log[0]  # 4 kept from T=0
+    for r in eng.live_by_job[0]:
+        for t in range(eng.T + 1):
+            assert eng.rel_times(t, r) == reference_rel_times(eng, t, r)
+
+
+def test_rel_times_matches_entry_replay_on_max_load_runs():
+    seen = Counter()
+    for seed in range(6):
+        rng = random.Random(1300 + seed)
+        eng = EntryLogEngine(random_instance(rng, jobs=300, machines=1800), seed, horizon=600)
+        for step in range(600):
+            eng.delete_machine(eng.heaviest_machine())
+            if step % 50 != 49:
+                continue
+            live = sorted((r for rs in eng.live_by_job.values() for r in rs), key=Routine.sort_key)
+            for r in rng.sample(live, min(30, len(live))):
+                for t in (eng.T, eng.T // 2, eng.T - 3):
+                    times = eng.rel_times(t, r)
+                    assert times == reference_rel_times(eng, t, r)
+                    seen["checks"] += 1
+                    events = [s for s in eng.resample_events[r.job] if s < t]
+                    if times != events:
+                        seen["an event blocked"] += 1
+        seen["runs with a shared entry"] += eng.shared > 0
+    assert seen["checks"] > 5000
+    assert seen["an event blocked"] and seen["runs with a shared entry"] == 6
+
+
 def test_fuzzed_relevance_bound_and_geometry():
     rng = random.Random(23)
     for trial in range(6):
@@ -234,7 +315,21 @@ def test_total_recourse_within_calibrated_bound():
         eng.delete_machine(x)
     log_m2 = math.log2(machines) ** 2
     bound = jobs * math.log2(delta + 2) * log_m2 + horizon * log_m2
-    assert eng.resample_calls <= bound
+    assert sum(map(len, eng.resample_events.values())) <= bound
+
+
+def test_engine_op_totals_are_pinned():
+    # add_job and each step charge their draws; a direct resample charges nothing
+    eng = ResamplingEngine(random_instance(random.Random(71), jobs=100, machines=600), 2, 300)
+    build = eng.counter.end_step()
+    assert eng.resample(0) is not None and eng.counter.current == 0
+    steps = []
+    for _ in range(300):
+        eng.delete_machine(eng.heaviest_machine())
+        steps.append(eng.counter.end_step())
+    assert (build, sum(steps), max(steps)) == (1385, 3761, 47)
+    idle = engine_with([], 1, 3)  # a job without routines: three machines, no draw
+    assert idle.assigned == {0: None} and idle.counter.total == 3
 
 
 def test_instance_text_round_trip():
@@ -408,7 +503,7 @@ def test_canonical_order_is_repr_order_on_random_instances():
     for seed in range(4):
         rng = random.Random(1100 + seed)
         # machine ids 0..29 and widths 1-3: "(12,)" < "(9,)" and "(1, 2)" < "(1,)"
-        inst = random_instance(rng, jobs=40, machines=30, max_machines_per_routine=3)
+        inst = random_instance(rng, jobs=40, machines=30)
         eng = ResamplingEngine(inst, seed, horizon=40)
         by_job = {}
         for r in inst.routines:
@@ -450,13 +545,14 @@ def test_resample_redrawing_its_own_routine_moves_no_load():
     rng = random.Random(5)
     spare = [0, 1, 4, 6, 7]  # machine 1 carries a routine of job 1
     for i in range(24):
-        before = (eng.recourse_total, len(eng.resample_events[0]), eng.resample_calls)
+        before = (len(eng.resample_events[0]), sum(map(len, eng.resample_events.values())))
         loads = dict(eng.loads)
         heaps = {load: list(heap) for load, heap in eng._heaps.items()}
         assert eng.resample(0) is only
-        assert eng.recourse_total == before[0] + 1
+        assert eng.assigned[0] is only
         assert eng.resample_events[0][-1] == eng.T
-        assert (len(eng.resample_events[0]), eng.resample_calls) == (before[1] + 1, before[2] + 1)
+        after = (len(eng.resample_events[0]), sum(map(len, eng.resample_events.values())))
+        assert after == (before[0] + 1, before[1] + 1)
         assert eng.loads == loads and eng._heaps == heaps
         assert eng.heaviest_machine() == brute_heaviest(eng)
         eng.check_feasible()
