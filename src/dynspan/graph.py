@@ -2,8 +2,10 @@
 
 Vertices are 0..n-1 and never change; edges are canonical (lo, hi) tuples
 with lo < hi.  Adjacency is kept both as per-vertex sets (for iteration
-and the elementary-op cost model) and as per-vertex bitmasks (for fast
-bounded BFS).
+and the elementary-op cost model) and as per-vertex bitmasks for
+`mask_dist`, the one bounded BFS: it grows the smaller of two frontiers,
+one per endpoint, and is exact because two balls whose radii sum to less
+than d(src, dst) are disjoint.
 """
 
 from __future__ import annotations
@@ -96,26 +98,33 @@ def edge_at(adj_mask: list[int], prefix: list[int], r: int) -> tuple[int, int]:
 
 
 def mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None = None) -> int | None:
-    """Hop distance src->dst by level-wise bitmask BFS; None if > cap or unreachable."""
+    """Hop distance src->dst; None if > cap or unreachable.
+
+    Bidirectional bitmask BFS: each round, of the two balls around src and
+    dst, the one whose frontier has fewer bits grows one hop.  The first
+    vertex of that frontier with a neighbour in the other ball gives the
+    radius sum, the exact distance, since the balls were disjoint one hop
+    earlier.  None once the radii sum to cap or a frontier empties."""
     if src == dst:
         return 0
-    target = 1 << dst
-    visited = 1 << src
-    frontier = visited
+    seen = frontier = 1 << src
+    other_seen = other_frontier = 1 << dst
     d = 0
     while frontier and (cap is None or d < cap):
+        if other_frontier.bit_count() < frontier.bit_count():
+            seen, frontier, other_seen, other_frontier = other_seen, other_frontier, seen, frontier
+        d += 1
         nxt = 0
         m = frontier
         while m:
             low = m & -m
-            nxt |= adj_mask[low.bit_length() - 1]
+            row = adj_mask[low.bit_length() - 1]
+            if row & other_seen:
+                return d
+            nxt |= row
             m ^= low
-        nxt &= ~visited
-        d += 1
-        if nxt & target:
-            return d
-        visited |= nxt
-        frontier = nxt
+        frontier = nxt & ~seen
+        seen |= frontier
     return None
 
 

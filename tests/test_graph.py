@@ -19,6 +19,7 @@ from dynspan.graph import (
     UpdateEvent,
     VertexOutOfRange,
     edge_key,
+    mask_dist,
 )
 
 
@@ -33,6 +34,33 @@ def plain_bfs(adj: list[set[int]], src: int) -> dict[int, int]:
                 dist[y] = dist[x] + 1
                 q.append(y)
     return dist
+
+
+def levelwise_mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None = None) -> int | None:
+    # `graph.mask_dist` as it was before it searched from both ends, kept
+    # verbatim as a reference: a level-wise bitmask BFS from src alone.
+    # The slow twins of greedy and the oracle use it too, so that they do
+    # not depend on the kernel they check.
+    if src == dst:
+        return 0
+    target = 1 << dst
+    visited = 1 << src
+    frontier = visited
+    d = 0
+    while frontier and (cap is None or d < cap):
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj_mask[low.bit_length() - 1]
+            m ^= low
+        nxt &= ~visited
+        d += 1
+        if nxt & target:
+            return d
+        visited |= nxt
+        frontier = nxt
+    return None
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> DynamicGraph:
@@ -132,6 +160,69 @@ def test_bfs_against_all_pairs_reference():
                 capped = g.bfs_dist(src, dst, 3)
                 want = ref.get(dst)
                 assert capped == (want if want is not None and want <= 3 else None)
+
+
+def split_graph(rng: random.Random, n: int, density: float) -> DynamicGraph:
+    """Two random components on the first 9/10 of the vertices; the rest isolated."""
+    live = list(range(n - n // 10))
+    rng.shuffle(live)
+    halves = live[: len(live) // 2], live[len(live) // 2 :]
+    return DynamicGraph(
+        n,
+        [e for half in halves for e in itertools.combinations(sorted(half), 2) if rng.random() < density],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 64, 130])
+def test_mask_dist_matches_levelwise_and_plain_bfs(n):
+    rng = random.Random(900 + n)
+    for density in (2.5 / n, 6.0 / n, 0.3):
+        g = split_graph(rng, n, density)
+        far = 0
+        components = set()
+        for src in range(n):
+            ref = plain_bfs(g.adj, src)
+            components.add(min(ref))
+            for dst in range(n):
+                want = ref.get(dst)
+                far += want is not None and want > 7
+                for cap in (None, *range(8)):
+                    got = mask_dist(g.adj_mask, src, dst, cap)
+                    assert got == levelwise_mask_dist(g.adj_mask, src, dst, cap), (src, dst, cap)
+                    assert got == (want if want is not None and (cap is None or want <= cap) else None)
+        assert len(components) >= min(n, 2)
+        if n >= 12:
+            assert not all(g.adj)  # some vertex is isolated
+        if n >= 64 and density < 0.1:
+            assert far  # the caps bind inside a component, not only across
+
+
+class ReadLog(list):
+    """Adjacency masks that log which rows a search expands."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read: list[int] = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_mask_dist_grows_the_smaller_frontier():
+    # a star at 0 with leaves 1..10, and a path 0-11-12-13-14-15: after
+    # one hop from 0 its frontier holds 11 bits, so the search switches to
+    # 15's side and walks the path from there without expanding a leaf
+    edges = [(0, leaf) for leaf in range(1, 11)] + [(0, 11), (11, 12), (12, 13), (13, 14), (14, 15)]
+    g = DynamicGraph(16, edges)
+    masks = ReadLog(g.adj_mask)
+    assert mask_dist(masks, 0, 15) == 5
+    assert masks.read == [0, 15, 14, 13, 12]
+    for cap in range(5):
+        assert mask_dist(g.adj_mask, 0, 15, cap) is None
+    assert mask_dist(g.adj_mask, 0, 15, 5) == 5
+    assert mask_dist(g.adj_mask, 15, 0, 5) == 5
+    assert mask_dist(g.adj_mask, 1, 15) == 6
 
 
 def test_invariants_hold_under_random_update_streams():

@@ -8,9 +8,10 @@ import random
 import pytest
 
 from dynspan.fully_dynamic import FullyDynamicSpanner
-from dynspan.graph import DynamicGraph, EdgeMissing, mask_dist
+from dynspan.graph import DynamicGraph, EdgeMissing
 from dynspan.greedy import GreedyState
 from dynspan.oracle import girth_at_least, reference_greedy, verify_stretch
+from test_graph import levelwise_mask_dist
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> DynamicGraph:
@@ -138,14 +139,15 @@ def test_each_edge_added_at_most_once_between_deletions():
 
 
 def full_rescan(g: DynamicGraph, k: int, seq: list, non_spanner: set) -> list[tuple[int, int]]:
-    """Reference deletion: keep `seq` and re-inspect every non-spanner edge, ascending."""
+    """Reference deletion: keep `seq` and re-inspect every non-spanner edge,
+    ascending, with the level-wise BFS rather than the kernel under test."""
     masks = [0] * g.n
     for u, v in seq:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     out = list(seq)
     for u, v in sorted(non_spanner):
-        if mask_dist(masks, u, v, 2 * k - 1) is None:
+        if levelwise_mask_dist(masks, u, v, 2 * k - 1) is None:
             out.append((u, v))
             masks[u] |= 1 << v
             masks[v] |= 1 << u
@@ -172,14 +174,17 @@ def test_local_rescan_matches_full_rescan_on_every_deletion(k):
     assert g.m == 0 and not s.spanner_seq
 
 
-def test_fd_greedy_levels_match_full_rescan_across_rebuilds():
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fd_greedy_levels_match_full_rescan_across_rebuilds(k):
     rng = random.Random(47)
-    n, k = 12, 2
+    n = 12
     fd = FullyDynamicSpanner(n, k)
     pairs = list(itertools.combinations(range(n), 2))
     present: set[tuple[int, int]] = set()
     rebuilds = level_deletions = 0
-    for _ in range(1500):
+    # at k=1 a level rebuild takes 2**(ell0+1) = 256 insertions, not 64 or
+    # 32, so that stream runs twice as long to reach five rebuilds
+    for _ in range(3000 if k == 1 else 1500):
         absent = [p for p in pairs if p not in present]
         if absent and (not present or rng.random() < 0.6):
             e = rng.choice(absent)

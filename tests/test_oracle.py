@@ -10,7 +10,7 @@ from collections import deque
 import pytest
 
 from dynspan import cli
-from dynspan.graph import DynamicGraph, VertexOutOfRange, mask_dist
+from dynspan.graph import DynamicGraph, VertexOutOfRange
 from dynspan.instrumentation import OpCounter
 from dynspan.oracle import (
     OrderNotPermutation,
@@ -21,6 +21,7 @@ from dynspan.oracle import (
     verify_size,
     verify_stretch,
 )
+from test_graph import levelwise_mask_dist
 
 
 def sub_dist(n: int, edges: list[tuple[int, int]], u: int, v: int) -> float:
@@ -237,8 +238,9 @@ def test_edge_sufficiency_of_stretch_checks():
 # `reference_verify_stretch` is the stretch oracle as it was before it
 # learned to skip spanner edges and to meet in the middle: t full
 # reach levels over every vertex, then one lookup per checked host edge.
-# It is kept here verbatim, with its own helpers, as the ground truth that
-# every report of `verify_stretch` must match.
+# It is kept here verbatim, with its own helpers and the level-wise BFS
+# that `graph.mask_dist` used to be, as the ground truth that every
+# report of `verify_stretch` must match.
 
 
 def _reference_adjacency_masks(n, edges):
@@ -295,7 +297,7 @@ def reference_verify_stretch(g, h_edges, t, mode="exact", sample=64, seed=0):
                 d += 1
             dist = d
         else:
-            exact = mask_dist(masks, u, v)
+            exact = levelwise_mask_dist(masks, u, v)
             dist = float("inf") if exact is None else exact
             ok = False
         if dist > worst:
