@@ -47,10 +47,10 @@ class AdversaryView:
 def _uniform_present_edge(g: DynamicGraph, rng: random.Random) -> tuple[int, int]:
     """Degree-weighted vertex then uniform neighbor: uniform over edges."""
     r = rng.randrange(2 * g.m)
-    for u in range(g.n):
-        d = len(g.adj[u])
+    for u, row in enumerate(g.adj_mask):
+        d = row.bit_count()
         if r < d:
-            return edge_key(u, nth_bit(g.adj_mask[u], r))
+            return edge_key(u, nth_bit(row, r))
         r -= d
     raise AssertionError("degree walk fell off the end")
 

@@ -1,15 +1,16 @@
 """Deterministic fully-dynamic 3-spanner with bounded per-update repair work.
 
 Vertices sit in ceil(sqrt(n)) fixed buckets.  For every vertex v and
-bucket i the structure keeps the cross set E(v, V_i); the smallest
-neighbor becomes v's center c_i(v), and that edge is a partner (type-1)
-edge.  For every ordered same-bucket pair (a, b), a != b, it keeps the
-set of edges from a into b's cluster (b plus the outside vertices
-centered at b) with one chosen connection (type-2) edge.  The spanner is
-the set of edges holding at least one role.
+bucket i the edge set E(v, V_i) is not stored but read off the host
+graph's bitmask row, `adj_mask[v] & bucket_mask[i]`; its lowest bit, the
+smallest neighbor, becomes v's center c_i(v), and that edge is a partner
+(type-1) edge.  For every ordered same-bucket pair (a, b), a != b, the
+structure keeps the set of edges from a into b's cluster (b plus the
+outside vertices centered at b) with one chosen connection (type-2)
+edge.  The spanner is the set of edges holding at least one role.
 
 Repair rules on deletion: a lost center is replaced by the minimum of the
-cross set; a lost chosen edge by the minimum of its pair set; when a
+row E(v, V_i); a lost chosen edge by the minimum of its pair set; when a
 vertex changes centers, its edges into that bucket migrate between pair
 sets, and a migrated edge is promoted only where the pair had no chosen
 edge.  Insertions promote an edge exactly when it is the sole member of
@@ -24,7 +25,7 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from dynspan.graph import INSERT, DynamicGraph, UpdateEvent, edge_key
+from dynspan.graph import INSERT, DynamicGraph, UpdateEvent, edge_key, iter_bits, nth_bit
 from dynspan.instrumentation import OpCounter, RoleSet, Step
 
 
@@ -38,6 +39,21 @@ def default_buckets(n: int) -> list[int]:
     return [v % b for v in range(n)]
 
 
+def bucket_masks(bucket_of: Sequence[int], n: int) -> list[int]:
+    """masks[i] = bitmask of the vertices in bucket i.
+
+    Raises ValueError unless `bucket_of` gives each of the n vertices an
+    int id in [0, n): a negative id would index a list from its end."""
+    if len(bucket_of) != n:
+        raise ValueError(f"bucket map has {len(bucket_of)} entries for {n} vertices")
+    masks = [0] * n
+    for v, i in enumerate(bucket_of):
+        if not isinstance(i, int) or not 0 <= i < n:
+            raise ValueError(f"bucket id {i!r} of vertex {v} is not an int in [0, {n})")
+        masks[i] |= 1 << v
+    return masks[: max(bucket_of, default=-1) + 1]
+
+
 class Det3State:
     def __init__(
         self,
@@ -48,11 +64,9 @@ class Det3State:
         self.g = graph
         self.n = graph.n
         self.bucket_of = list(buckets) if buckets is not None else default_buckets(self.n)
-        if len(self.bucket_of) != self.n:
-            raise ValueError("bucket map must cover every vertex")
+        self.bucket_mask = bucket_masks(self.bucket_of, self.n)
         self.counter = counter or OpCounter()
 
-        self.cross: dict[tuple[int, int], set[int]] = {}  # (v, i) -> neighbors of v in V_i
         self.center: dict[tuple[int, int], int] = {}  # (v, i) -> c_i(v), only v not in V_i
         self.cedge: dict[tuple[int, int], set[int]] = {}  # (a, b) -> far endpoints z of E(a, C+(b))
         self.chosen: dict[tuple[int, int], int] = {}  # (a, b) -> chosen far endpoint
@@ -66,17 +80,15 @@ class Det3State:
     # -- construction ------------------------------------------------------
 
     def _build(self) -> None:
-        for u, v in self.g.edges():
-            self.cross.setdefault((u, self.bucket_of[v]), set()).add(v)
-            self.cross.setdefault((v, self.bucket_of[u]), set()).add(u)
-            self._charge(2)
-        for (v, i), nbrs in sorted(self.cross.items()):
-            if self.bucket_of[v] == i or not nbrs:
-                continue
-            c = min(nbrs)
-            self._charge(1)
-            self.center[(v, i)] = c
-            self._add_t1(edge_key(v, c), v)
+        if self.g.m:
+            self._charge(2 * self.g.m)  # each edge joins two sets E(v, V_i)
+        for v, row in enumerate(self.g.adj_mask):
+            for i, members in enumerate(self.bucket_mask):
+                if i != self.bucket_of[v] and (nbrs := row & members):
+                    c = nth_bit(nbrs, 0)
+                    self._charge(1)
+                    self.center[(v, i)] = c
+                    self._add_t1(edge_key(v, c), v)
         for u, v in self.g.edges():
             for near, far in ((u, v), (v, u)):
                 pair = self._pair_of(near, far)
@@ -157,19 +169,17 @@ class Det3State:
         e = self.g.insert_edge(u, v)
         u, v = e
         i, j = self.bucket_of[u], self.bucket_of[v]
-        cu = self.cross.setdefault((u, j), set())
-        cu.add(v)
-        cv = self.cross.setdefault((v, i), set())
-        cv.add(u)
-        self._charge(2)
+        self._charge(2)  # E(u, V_j) and E(v, V_i) each gain a member
         if i != j:
             # sole-member promotion; a vertex gaining its first center has no
             # other edges into that bucket, so no migration can be needed
-            if len(cu) == 1:
+            cu = self.g.adj_mask[u] & self.bucket_mask[j]
+            cv = self.g.adj_mask[v] & self.bucket_mask[i]
+            if cu & (cu - 1) == 0:
                 self.center[(u, j)] = v
                 self._add_t1(e, u)
                 self._charge(1)
-            if len(cv) == 1:
+            if cv & (cv - 1) == 0:
                 self.center[(v, i)] = u
                 self._add_t1(e, v)
                 self._charge(1)
@@ -191,9 +201,7 @@ class Det3State:
         t1_owners = [x for x, y in (e, e[::-1]) if self.center.get((x, self.bucket_of[y])) == y]
         self.g.delete_edge(u, v)
         u, v = e
-        self.cross[(u, self.bucket_of[v])].discard(v)
-        self.cross[(v, self.bucket_of[u])].discard(u)
-        self._charge(2)
+        self._charge(2)  # E(u, V_j) and E(v, V_i) each lose a member
         for pair, far in memberships:
             self._cedge_remove(pair, far)
         for owner in t1_owners:
@@ -213,14 +221,14 @@ class Det3State:
         self._remove_t1(e, owner)
         del self.center[(owner, i)]
         self._charge(2)
-        rest = self.cross.get((owner, i), ())
-        new_center = min(rest) if rest else None
+        rest = self.g.adj_mask[owner] & self.bucket_mask[i]
+        new_center = nth_bit(rest, 0) if rest else None
         self._charge(1)
         if new_center is not None:
             self.center[(owner, i)] = new_center
             self._add_t1(edge_key(owner, new_center), owner)
             self._charge(1)
-        for w in sorted(rest):
+        for w in iter_bits(rest):
             # edge (w, owner) leaves E(w, C+(old_center)) and joins the new
             # center's set; rest excludes old_center, so both pairs are proper
             self._cedge_remove((w, old_center), owner)
@@ -241,18 +249,17 @@ class Det3State:
     def check_against_rebuild(self) -> None:
         """Recompute every derivable set from the graph (and the maintained
         centers, which are history-dependent but must stay eligible)."""
-        cross: dict[tuple[int, int], set[int]] = {}
-        for u, v in self.g.edges():
-            cross.setdefault((u, self.bucket_of[v]), set()).add(v)
-            cross.setdefault((v, self.bucket_of[u]), set()).add(u)
-        assert {k: s for k, s in self.cross.items() if s} == cross
-        # centers: exactly the nonempty out-of-bucket cross sets, member-valid
+        adj = self.g.adj_mask
+        # centers: exactly the nonempty out-of-bucket sets E(v, V_i), member-valid
         expect_centered = {
-            (v, i) for (v, i) in cross if self.bucket_of[v] != i
+            (v, i)
+            for v, row in enumerate(adj)
+            for i, members in enumerate(self.bucket_mask)
+            if i != self.bucket_of[v] and row & members
         }
         assert set(self.center) == expect_centered
         for (v, i), c in self.center.items():
-            assert c in cross[(v, i)] and self.bucket_of[c] == i
+            assert adj[v] >> c & 1 and self.bucket_of[c] == i
         # cluster-edge sets from scratch, given the maintained centers
         cedge: dict[tuple[int, int], set[int]] = {}
         for u, v in self.g.edges():

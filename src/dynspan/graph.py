@@ -1,10 +1,11 @@
-"""Fixed-vertex-set dynamic graph with set adjacency and bitmask mirrors.
+"""Fixed-vertex-set dynamic graph over per-vertex bitmask rows.
 
 Vertices are 0..n-1 and never change; edges are canonical (lo, hi) tuples
-with lo < hi.  Adjacency is kept both as per-vertex sets (for iteration
-and the elementary-op cost model) and as per-vertex bitmasks for
-`mask_dist`, the one bounded BFS: it grows the smaller of two frontiers,
-one per endpoint, and is exact because two balls whose radii sum to less
+with lo < hi.  Adjacency is kept once, as one bitmask row per vertex (bit
+v of row u is set iff (u, v) is an edge): membership tests a bit, degrees
+count bits, and edges are walked bit by bit.  `mask_dist` is the one
+bounded BFS over such rows: it grows the smaller of two frontiers, one
+per endpoint, and is exact because two balls whose radii sum to less
 than d(src, dst) are disjoint.
 """
 
@@ -45,8 +46,6 @@ class EdgeMissing(GraphError):
 class UnsupportedUpdate(GraphError):
     """An update of a kind the structure does not take."""
 
-
-EdgeKey = tuple  # (lo, hi) with lo < hi
 
 INSERT = "+"
 DELETE = "-"
@@ -128,6 +127,15 @@ def mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None = None) -
     return None
 
 
+def check_rows(rows: list[int]) -> None:
+    """Asserts that bitmask rows are the adjacency of a simple undirected
+    graph on len(rows) vertices: symmetric, loop-free, in range."""
+    for u, row in enumerate(rows):
+        assert row >> len(rows) == 0 and not row >> u & 1
+        for v in iter_bits(row):
+            assert rows[v] >> u & 1, (u, v)
+
+
 def mask_balls(adj_mask: list[int], src: int, depth: int) -> list[int]:
     """balls[d] = bitmask of the vertices within hop distance d of src, d = 0..depth."""
     seen = frontier = 1 << src
@@ -155,7 +163,6 @@ class DynamicGraph:
             raise VertexOutOfRange(f"negative vertex count {n}")
         self.n = n
         self.m = 0
-        self.adj: list[set[int]] = [set() for _ in range(n)]
         self.adj_mask: list[int] = [0] * n
         self.counter = counter or OpCounter()
         for u, v in edges:
@@ -174,16 +181,12 @@ class DynamicGraph:
         self.counter.charge(k, "graph")
 
     def _link(self, lo: int, hi: int) -> None:
-        self.adj[lo].add(hi)
-        self.adj[hi].add(lo)
         self.adj_mask[lo] |= 1 << hi
         self.adj_mask[hi] |= 1 << lo
         self.m += 1
         self._charge(2)
 
     def _unlink(self, lo: int, hi: int) -> None:
-        self.adj[lo].remove(hi)
-        self.adj[hi].remove(lo)
         self.adj_mask[lo] &= ~(1 << hi)
         self.adj_mask[hi] &= ~(1 << lo)
         self.m -= 1
@@ -192,13 +195,13 @@ class DynamicGraph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_range(u)
         self._check_range(v)
-        return v in self.adj[u]
+        return self.adj_mask[u] >> v & 1 == 1
 
     def insert_edge(self, u: int, v: int) -> tuple[int, int]:
         self._check_range(u)
         self._check_range(v)
         e = edge_key(u, v)
-        if e[1] in self.adj[e[0]]:
+        if self.adj_mask[e[0]] >> e[1] & 1:
             raise EdgeExists(f"edge {e} already present")
         self._link(*e)
         return e
@@ -207,24 +210,26 @@ class DynamicGraph:
         self._check_range(u)
         self._check_range(v)
         e = edge_key(u, v)
-        if e[1] not in self.adj[e[0]]:
+        if not self.adj_mask[e[0]] >> e[1] & 1:
             raise EdgeMissing(f"edge {e} not present")
         self._unlink(*e)
         return e
 
     def degree(self, v: int) -> int:
         self._check_range(v)
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max((row.bit_count() for row in self.adj_mask), default=0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges in lexicographic order."""
-        for u in range(self.n):
-            for v in sorted(self.adj[u]):
-                if v > u:
-                    yield (u, v)
+        """Edges in lexicographic order: the bits of each row above the diagonal."""
+        for u, row in enumerate(self.adj_mask):
+            row >>= u + 1
+            while row:
+                low = row & -row
+                yield (u, u + low.bit_length())
+                row ^= low
 
     def bfs_dist(self, u: int, v: int, cap: int | None = None) -> int | None:
         """Exact hop distance if <= cap (None means uncapped); None if beyond."""
@@ -244,7 +249,6 @@ class DynamicGraph:
     def copy(self) -> "DynamicGraph":
         g = DynamicGraph(self.n)
         g.m = self.m
-        g.adj = [set(a) for a in self.adj]
         g.adj_mask = list(self.adj_mask)
         return g
 
@@ -267,9 +271,6 @@ class DynamicGraph:
         return cls(n, edges)
 
     def check_invariants(self) -> None:
-        assert self.m * 2 == sum(len(a) for a in self.adj)
-        for u in range(self.n):
-            assert self.adj_mask[u] == sum(1 << v for v in self.adj[u])
-            for v in self.adj[u]:
-                assert u != v
-                assert u in self.adj[v]
+        assert len(self.adj_mask) == self.n
+        assert self.m * 2 == sum(row.bit_count() for row in self.adj_mask)
+        check_rows(self.adj_mask)

@@ -113,10 +113,9 @@ class GreedyState:
         assert self.in_spanner | self.non_spanner == set(self.graph.edges())
         assert not (self.in_spanner & self.non_spanner)
         assert self.in_spanner == set(self.spanner_seq)
-        for u in range(self.graph.n):
-            assert self.span_mask[u] == sum(
-                1 << v for v in self.graph.adj[u] if edge_key(u, v) in self.in_spanner
-            )
+        for u, row in enumerate(self.graph.adj_mask):
+            kept = (v for v in iter_bits(row) if edge_key(u, v) in self.in_spanner)
+            assert self.span_mask[u] == sum(1 << v for v in kept)
         # the local rescan in handle_delete relies on this
         for u, v in self.non_spanner:
             assert mask_dist(self.span_mask, u, v, self.cap) is not None

@@ -10,9 +10,13 @@ machines are graph edges, and a routine for a pair is one common neighbor
 with its two connecting edges, so the engine's proactive schedule decides
 when witnesses get re-randomized.
 
-A phase serves a bounded number of updates.  Deletions update the
-partnership index immediately; insertions only enter the buffer and are
-folded into the index when the next phase starts.
+A phase serves a bounded number of updates.  Its core graph is kept as
+one bitmask row per vertex, the phase-start edges minus the deletions
+since: a vertex's partners in bucket i are `core[v] & bucket_mask[i]`
+and a pair's common neighbors `core[a] & core[b]`, read when needed
+rather than stored.  Deletions update the core immediately; insertions
+only enter the buffer and are folded into the core when the next phase
+starts.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from dynspan.det3 import default_buckets
+from dynspan.det3 import bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeMissing, UpdateEvent, edge_key
+from dynspan.graph import check_rows, iter_bits, nth_bit
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
 from dynspan.job_machine import ResamplingEngine, Routine
+from dynspan.oracle import adjacency_masks
 
 
 class PhaseExhausted(Exception):
@@ -39,73 +45,46 @@ def default_phase_len(n: int) -> int:
 
 
 class PartnershipIndex:
-    """Per-bucket neighbor sets and common-neighbor sets for same-bucket pairs.
+    """The decremental core graph of a phase as bitmask rows: the edges
+    present at phase start minus the deletions since.
 
-    Holds the decremental view of the graph within a phase: edges present at
-    phase start minus deletions since.
+    The partnership of a same-bucket pair, its common neighbors
+    `core[a] & core[b]`, is read off the rows, not stored.
     """
 
-    def __init__(self, n: int, bucket_of: Sequence[int], counter: OpCounter | None = None) -> None:
+    def __init__(
+        self, n: int, bucket_of: Sequence[int] | None = None, counter: OpCounter | None = None
+    ) -> None:
         self.n = n
-        self.bucket_of = list(bucket_of)
+        self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(n)
+        self.bucket_mask = bucket_masks(self.bucket_of, n)
         self.counter = counter or OpCounter()
-        self.bnbrs: dict[tuple[int, int], set[int]] = {}  # (v, i) -> V_i cap N(v)
-        self.partnerships: dict[tuple[int, int], set[int]] = {}  # same-bucket pair -> P
-
-    def _charge(self, k: int) -> None:
-        self.counter.charge(k, "partnership")
-
-    def pair(self, a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
+        self.core = [0] * n
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.bnbrs.get((u, self.bucket_of[v]), ())
+        return self.core[u] >> v & 1 == 1
+
+    def _charge_update(self, u: int, v: int) -> None:
+        """4, plus one per pair whose common neighbors the edge (u, v), absent
+        from the rows, changes: u's bucket-mates adjacent to v and v's
+        adjacent to u."""
+        core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
+        mates = (core[v] & bucket_mask[bucket_of[u]]).bit_count()
+        mates += (core[u] & bucket_mask[bucket_of[v]]).bit_count()
+        self.counter.charge(4 + mates, "partnership")
 
     def add_edge(self, u: int, v: int) -> None:
-        bucket_of, bnbrs, partnerships = self.bucket_of, self.bnbrs, self.partnerships
-        units = 4
-        for x, y in ((u, v), (v, u)):
-            # y becomes a common neighbor of x and x's bucket-mates adjacent to y
-            for x2 in bnbrs.get((y, bucket_of[x]), ()):
-                if x2 != x:
-                    p = (x, x2) if x < x2 else (x2, x)
-                    common = partnerships.get(p)
-                    if common is None:
-                        common = partnerships[p] = set()
-                    common.add(y)
-                    units += 1
-        bnbrs.setdefault((u, bucket_of[v]), set()).add(v)
-        bnbrs.setdefault((v, bucket_of[u]), set()).add(u)
-        self._charge(units)
+        self._charge_update(u, v)
+        self.core[u] |= 1 << v
+        self.core[v] |= 1 << u
 
     def remove_edge(self, u: int, v: int) -> None:
-        self.bnbrs[(u, self.bucket_of[v])].discard(v)
-        self.bnbrs[(v, self.bucket_of[u])].discard(u)
-        self._charge(4)
-        for x, y in ((u, v), (v, u)):
-            mates = self.bnbrs.get((y, self.bucket_of[x]), ())
-            for x2 in mates:
-                self.partnerships[self.pair(x, x2)].discard(y)
-                self._charge(1)
-
-    def partners_of(self, v: int, i: int) -> set[int]:
-        return self.bnbrs.get((v, i), set())
+        self.core[u] &= ~(1 << v)
+        self.core[v] &= ~(1 << u)
+        self._charge_update(u, v)
 
     def check_consistent(self) -> None:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for (u, i), vs in self.bnbrs.items():
-            assert all(self.bucket_of[v] == i for v in vs)
-            adj[u] |= vs
-        fresh: dict[tuple[int, int], set[int]] = {}
-        for u in range(self.n):
-            for v in adj[u]:
-                assert u in adj[v]
-                if u < v:
-                    for x, y in ((u, v), (v, u)):
-                        for x2 in adj[y]:
-                            if x2 != x and self.bucket_of[x2] == self.bucket_of[x]:
-                                fresh.setdefault(self.pair(x, x2), set()).add(y)
-        assert {p: s for p, s in self.partnerships.items() if s} == fresh
+        check_rows(self.core)
 
 
 @dataclass(frozen=True)
@@ -133,10 +112,10 @@ class PhaseState:
     ) -> None:
         self.g = graph
         self.n = graph.n
-        self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(self.n)
         self.L = phase_len if phase_len is not None else default_phase_len(self.n)
         self.counter = counter or OpCounter()
-        self.idx = PartnershipIndex(self.n, self.bucket_of, self.counter)
+        self.idx = PartnershipIndex(self.n, bucket_of, self.counter)
+        self.bucket_of = self.idx.bucket_of
         self.partner: dict[tuple[int, int], int] = {}  # (v, i) -> min bucket neighbor
         self.e2: set[tuple[int, int]] = set()  # intra-bucket core edges
         self.buffer: set[tuple[int, int]] = set()  # edges inserted this phase
@@ -176,14 +155,21 @@ class PhaseState:
                 self.roles.add(edge_key(x, y))
 
     def _pair_keys(self) -> list[tuple[int, int]]:
-        return sorted(p for p, s in self.idx.partnerships.items() if s)
+        """The same-bucket pairs a < b with a common core neighbor, ascending."""
+        core, bucket_mask, bucket_of = self.idx.core, self.idx.bucket_mask, self.bucket_of
+        keys = []
+        for a, row in enumerate(core):
+            if row:
+                mates = bucket_mask[bucket_of[a]] >> (a + 1) << (a + 1)
+                keys.extend((a, b) for b in iter_bits(mates) if row & core[b])
+        return keys
 
     def _init_pair(self, p: tuple[int, int]) -> None:
         a, b = p  # a witness w is a common neighbor, so w != a and w != b
-        edge = self._edge
+        edge, core = self._edge, self.idx.core
         routines = [
             Routine(p, (edge[(a, w) if a < w else (w, a)], edge[(b, w) if b < w else (w, b)]), w)
-            for w in sorted(self.idx.partnerships.get(p, ()))
+            for w in iter_bits(core[a] & core[b])
         ]
         self.engine.add_job(p, routines)
         chosen = self.engine.assigned[p]
@@ -245,9 +231,9 @@ class PhaseState:
             key = (x, self.bucket_of[y])
             if self.partner.get(key) == y:
                 self.roles.remove(e)
-                rest = self.idx.partners_of(x, self.bucket_of[y])
+                rest = self.idx.core[x] & self.idx.bucket_mask[self.bucket_of[y]]
                 if rest:
-                    ny = min(rest)
+                    ny = nth_bit(rest, 0)
                     self.partner[key] = ny
                     self.roles.add(edge_key(x, ny))
                 else:
@@ -272,15 +258,16 @@ class PhaseState:
 
     def check_invariants(self) -> None:
         self.idx.check_consistent()
+        core = self.idx.core
+        host = [row & ~b for row, b in zip(self.g.adj_mask, adjacency_masks(self.n, self.buffer))]
+        assert core == host, "core rows differ from the host rows less the buffer"
+        # every pair with a common core neighbor is a job, and a job's live
+        # routines are one per common neighbor
+        assert set(self._pair_keys()) <= self.engine.live_by_job.keys()
+        for (a, b), live in self.engine.live_by_job.items():
+            tags = sorted(r.tag for r in live)
+            assert tags == list(iter_bits(core[a] & core[b])), f"witnesses of {(a, b)} are stale"
         self.engine.check_feasible()
-        for p, r in self.engine.assigned.items():
-            live = self.idx.partnerships.get(p, set())
-            if r is None:
-                assert not live
-            else:
-                assert r.tag in live  # the witness is a live common neighbor
-                for m in r.machines:
-                    assert self.g.has_edge(*m)
         roles = Counter(edge_key(x, y) for (x, _), y in self.partner.items())
         roles.update(self.e2)
         roles.update(self.buffer)
@@ -338,14 +325,13 @@ class WrappedRunner:
         self.L = rotation_len
         self.third = rotation_len // 3
         self.n = graph.n
-        self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(self.n)
         self.counter = counter or OpCounter()
         self.rng = random.Random(seed)
         self.D_cur = PhaseState(
             graph,
             self.rng.randrange(2**62),
             phase_len=2 * rotation_len,
-            bucket_of=self.bucket_of,
+            bucket_of=bucket_of,
             counter=self.counter,
         )
         self.D_next: PhaseState | None = None
@@ -448,7 +434,7 @@ class WrappedRunner:
             DynamicGraph(self.n),
             seed,
             phase_len=2 * self.L,
-            bucket_of=self.bucket_of,
+            bucket_of=self.D_cur.bucket_of,
             counter=self.counter,
         )
         self.D_next = nxt

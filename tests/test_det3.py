@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from dynspan.det3 import Det3State, default_buckets
+from dynspan.det3 import Det3State, bucket_masks, default_buckets
 from dynspan.graph import DynamicGraph, EdgeExists, EdgeMissing
 from dynspan.oracle import verify_stretch
 
@@ -19,6 +19,25 @@ def make(n, edges, buckets=None):
 
 def sqrt_ceil(n):
     return math.isqrt(n) + (0 if math.isqrt(n) ** 2 == n else 1)
+
+
+def test_bucket_masks():
+    assert bucket_masks([1, 0, 1, 3], 4) == [0b0010, 0b0101, 0, 0b1000]
+    assert bucket_masks(default_buckets(10), 10) == [
+        sum(1 << v for v in range(10) if v % 4 == i) for i in range(4)
+    ]
+    assert bucket_masks([], 0) == []
+
+
+@pytest.mark.parametrize(
+    "bucket_of",
+    [[0, 0, 1], [0, 0, 1, 1, 1], [0, -1, 1, 1], [0, 0, 1.0, 1], [0, 0, "1", 1], [0, 0, 4, 1]],
+)
+def test_bad_bucket_maps_are_rejected(bucket_of):
+    with pytest.raises(ValueError):
+        bucket_masks(bucket_of, 4)
+    with pytest.raises(ValueError):
+        make(4, [(0, 2), (1, 2)], buckets=bucket_of)
 
 
 def test_default_buckets_shape():

@@ -23,8 +23,18 @@ from dynspan.graph import (
 )
 
 
+def adjacency_sets(n: int, edges) -> list[set[int]]:
+    # neighbour sets built from the edge list a graph was built from, not
+    # read back from the graph's bitmask rows
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def plain_bfs(adj: list[set[int]], src: int) -> dict[int, int]:
-    # independent reference: queue-based BFS over the raw adjacency sets
+    # independent reference: queue-based BFS over adjacency sets
     dist = {src: 0}
     q = deque([src])
     while q:
@@ -63,9 +73,12 @@ def levelwise_mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None
     return None
 
 
+def random_edges(rng: random.Random, n: int, m: int) -> list[tuple[int, int]]:
+    return rng.sample(list(itertools.combinations(range(n), 2)), m)
+
+
 def random_graph(rng: random.Random, n: int, m: int) -> DynamicGraph:
-    pairs = list(itertools.combinations(range(n), 2))
-    return DynamicGraph(n, rng.sample(pairs, m))
+    return DynamicGraph(n, random_edges(rng, n, m))
 
 
 def test_empty_graph():
@@ -152,9 +165,11 @@ def test_bfs_dist_examples():
 def test_bfs_against_all_pairs_reference():
     rng = random.Random(11)
     for n, m in [(10, 15), (30, 60), (50, 120), (50, 400)]:
-        g = random_graph(rng, n, m)
+        edges = random_edges(rng, n, m)
+        g = DynamicGraph(n, edges)
+        adj = adjacency_sets(n, edges)
         for src in range(n):
-            ref = plain_bfs(g.adj, src)
+            ref = plain_bfs(adj, src)
             for dst in range(n):
                 assert g.bfs_dist(src, dst) == ref.get(dst)
                 capped = g.bfs_dist(src, dst, 3)
@@ -162,26 +177,26 @@ def test_bfs_against_all_pairs_reference():
                 assert capped == (want if want is not None and want <= 3 else None)
 
 
-def split_graph(rng: random.Random, n: int, density: float) -> DynamicGraph:
+def split_edges(rng: random.Random, n: int, density: float) -> list[tuple[int, int]]:
     """Two random components on the first 9/10 of the vertices; the rest isolated."""
     live = list(range(n - n // 10))
     rng.shuffle(live)
     halves = live[: len(live) // 2], live[len(live) // 2 :]
-    return DynamicGraph(
-        n,
-        [e for half in halves for e in itertools.combinations(sorted(half), 2) if rng.random() < density],
-    )
+    pairs = (e for half in halves for e in itertools.combinations(sorted(half), 2))
+    return [e for e in pairs if rng.random() < density]
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 64, 130])
 def test_mask_dist_matches_levelwise_and_plain_bfs(n):
     rng = random.Random(900 + n)
     for density in (2.5 / n, 6.0 / n, 0.3):
-        g = split_graph(rng, n, density)
+        edges = split_edges(rng, n, density)
+        g = DynamicGraph(n, edges)
+        adj = adjacency_sets(n, edges)
         far = 0
         components = set()
         for src in range(n):
-            ref = plain_bfs(g.adj, src)
+            ref = plain_bfs(adj, src)
             components.add(min(ref))
             for dst in range(n):
                 want = ref.get(dst)
@@ -192,7 +207,7 @@ def test_mask_dist_matches_levelwise_and_plain_bfs(n):
                     assert got == (want if want is not None and (cap is None or want <= cap) else None)
         assert len(components) >= min(n, 2)
         if n >= 12:
-            assert not all(g.adj)  # some vertex is isolated
+            assert not all(adj)  # some vertex is isolated
         if n >= 64 and density < 0.1:
             assert far  # the caps bind inside a component, not only across
 
@@ -265,6 +280,28 @@ def test_apply_events():
     g.apply(UpdateEvent(2, INSERT, (1, 2)))
     g.apply(UpdateEvent(3, DELETE, (0, 1)))
     assert list(g.edges()) == [(1, 2)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 65, 130])
+def test_rows_agree_with_the_input_edges(n):
+    # rows of 64, 65 and 130 bits: the bit walks cross machine-word boundaries
+    rng = random.Random(40 + n)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = rng.sample(pairs, len(pairs) // 3)
+    edges += [p for p in pairs if n - 1 in p and p not in edges]  # the top bit of every row
+    rng.shuffle(edges)
+    g = DynamicGraph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+    g.check_invariants()
+    adj = adjacency_sets(n, edges)
+    assert list(g.edges()) == sorted(edges)
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+    assert g.max_degree() == max(map(len, adj), default=0)
+    assert all(g.has_edge(u, v) == (v in adj[u]) for u, v in pairs)
+    h = g.copy()
+    for e in edges[: len(edges) // 2]:
+        h.delete_edge(*e)
+    assert list(h.edges()) == sorted(edges[len(edges) // 2 :])
+    assert list(g.edges()) == sorted(edges)
 
 
 def test_copy_is_independent():

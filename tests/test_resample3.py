@@ -31,25 +31,67 @@ def k4_phase(seed):
 
 
 def test_partnership_index_tracks_common_neighbors():
-    idx = PartnershipIndex(5, [0, 0, 1, 1, 1])
+    counter = OpCounter()
+    idx = PartnershipIndex(5, [0, 0, 1, 1, 1], counter)
     idx.add_edge(0, 2)
     idx.add_edge(1, 2)
-    assert idx.partnerships[(0, 1)] == {2}
+    assert idx.core[0] & idx.core[1] == 1 << 2
     idx.add_edge(0, 3)
     idx.add_edge(1, 3)
-    assert idx.partnerships[(0, 1)] == {2, 3}
+    assert idx.core[0] & idx.core[1] == 1 << 2 | 1 << 3
     idx.remove_edge(1, 2)
-    assert idx.partnerships[(0, 1)] == {3}
+    assert idx.core[0] & idx.core[1] == 1 << 3
     idx.check_consistent()
+    # 4 per update plus one per pair whose common neighbors it changes:
+    # (0, 2) none, (1, 2) pair (0, 1), (0, 3) pair (2, 3), (1, 3) and the
+    # removal of (1, 2) both pairs
+    assert counter.total == 4 + 5 + 5 + 6 + 6
 
 
 def test_partnership_check_catches_a_one_sided_neighbor():
     idx = PartnershipIndex(5, [0, 0, 1, 1, 1])
     idx.add_edge(0, 2)
     idx.check_consistent()
-    idx.bnbrs[(2, 0)].discard(0)  # 0 still lists 2, but 2 no longer lists 0
+    idx.core[2] &= ~(1 << 0)  # 0 still lists 2, but 2 no longer lists 0
     with pytest.raises(AssertionError):
         idx.check_consistent()
+
+
+@pytest.mark.parametrize(
+    "bucket_of",
+    [[0, 0, 1], [0, 0, 1, 1, 1], [0, -1, 1, 1], [0, 0, 1.0, 1], [0, 0, "1", 1], [0, 0, 4, 1]],
+)
+def test_bad_bucket_maps_are_rejected(bucket_of):
+    g = DynamicGraph(4, [(0, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        PartnershipIndex(4, bucket_of)
+    with pytest.raises(ValueError):
+        PhaseState(g, seed=1, bucket_of=bucket_of)
+
+
+def test_phase_check_catches_a_stale_core_bit():
+    g = DynamicGraph(5, [(0, 2), (1, 2), (0, 3), (1, 3)])
+    ps = PhaseState(g, seed=1, bucket_of=[0, 0, 1, 1, 1])
+    ps.delete(1, 2)
+    ps.check_invariants()
+    ps.idx.core[1] |= 1 << 2  # one side of the deleted edge comes back
+    with pytest.raises(AssertionError):
+        ps.check_invariants()
+    ps.idx.core[2] |= 1 << 1  # and the other: the rows agree, the host does not
+    with pytest.raises(AssertionError, match="core rows"):
+        ps.check_invariants()
+
+
+def test_phase_check_catches_a_common_neighbor_without_a_routine():
+    g = DynamicGraph(5, [(0, 2), (1, 2), (0, 3)])
+    ps = PhaseState(g, seed=1, bucket_of=[0, 0, 1, 1, 1])
+    ps.check_invariants()
+    # (1, 3) joins the host and the core behind the engine's back, so 3
+    # becomes a common neighbor of (0, 1) that no routine names
+    ps.g.insert_edge(1, 3)
+    ps.idx.add_edge(1, 3)
+    with pytest.raises(AssertionError, match="witnesses of"):
+        ps.check_invariants()
 
 
 def test_empty_graph_has_no_witnesses():
