@@ -25,7 +25,8 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from dynspan.graph import INSERT, DynamicGraph, UpdateEvent, edge_key, iter_bits, nth_bit
+from dynspan.graph import INSERT, DynamicGraph, UpdateEvent, check_range, edge_key, iter_bits
+from dynspan.graph import nth_bit
 from dynspan.instrumentation import OpCounter, RoleSet, Step
 
 
@@ -191,6 +192,7 @@ class Det3State:
         return self.roles.flush()
 
     def delete_edge(self, u: int, v: int) -> list[tuple[tuple[int, int], str]]:
+        check_range(self.n, u, v)  # before the bucket lookups below
         e = edge_key(u, v)
         # pair memberships are defined by the centers in force before removal
         memberships = []

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent, edge_key
+from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent, check_range
+from dynspan.graph import edge_key
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import OpCounter, RoleSet, Step
 
@@ -80,6 +81,7 @@ class FullyDynamicSpanner:
         return self.roles.masks
 
     def insert(self, u: int, v: int) -> RebuildInfo | None:
+        check_range(self.n, u, v)
         e = edge_key(u, v)
         if e in self.owner:
             raise EdgeExists(f"edge {e} already present")
@@ -115,6 +117,7 @@ class FullyDynamicSpanner:
         return RebuildInfo(h, len(merged))
 
     def delete(self, u: int, v: int) -> list[tuple[int, int]]:
+        check_range(self.n, u, v)
         e = edge_key(u, v)
         level = self.owner.pop(e, None)
         if level is None:
@@ -148,7 +151,7 @@ class FullyDynamicSpanner:
         assert len(self.e0) + sum(s.graph.m for s in self.levels.values()) == len(self.owner)
         output = set(self.e0)
         for state in self.levels.values():
-            output |= state.in_spanner
+            output.update(state.in_spanner)
         assert self.roles.count == dict.fromkeys(output, 1)
         self.roles.check_masks()
         # capacity: level i holds at most 2**(ell0+i+1) edges (the counter can

@@ -51,6 +51,13 @@ INSERT = "+"
 DELETE = "-"
 
 
+def check_range(n: int, *vertices: int) -> None:
+    """Raises VertexOutOfRange unless every vertex lies in [0, n)."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise VertexOutOfRange(f"vertex {v} not in [0, {n})")
+
+
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical undirected form; rejects self-loops."""
     if u == v:
@@ -166,16 +173,11 @@ class DynamicGraph:
         self.adj_mask: list[int] = [0] * n
         self.counter = counter or OpCounter()
         for u, v in edges:
-            self._check_range(u)
-            self._check_range(v)
+            check_range(self.n, u, v)
             e = edge_key(u, v)
             if self.has_edge(*e):
                 raise DuplicateEdge(f"duplicate edge {e}")
             self._link(*e)
-
-    def _check_range(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise VertexOutOfRange(f"vertex {v} not in [0, {self.n})")
 
     def _charge(self, k: int) -> None:
         self.counter.charge(k, "graph")
@@ -193,13 +195,11 @@ class DynamicGraph:
         self._charge(2)
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_range(u)
-        self._check_range(v)
+        check_range(self.n, u, v)
         return self.adj_mask[u] >> v & 1 == 1
 
     def insert_edge(self, u: int, v: int) -> tuple[int, int]:
-        self._check_range(u)
-        self._check_range(v)
+        check_range(self.n, u, v)
         e = edge_key(u, v)
         if self.adj_mask[e[0]] >> e[1] & 1:
             raise EdgeExists(f"edge {e} already present")
@@ -207,8 +207,7 @@ class DynamicGraph:
         return e
 
     def delete_edge(self, u: int, v: int) -> tuple[int, int]:
-        self._check_range(u)
-        self._check_range(v)
+        check_range(self.n, u, v)
         e = edge_key(u, v)
         if not self.adj_mask[e[0]] >> e[1] & 1:
             raise EdgeMissing(f"edge {e} not present")
@@ -216,7 +215,7 @@ class DynamicGraph:
         return e
 
     def degree(self, v: int) -> int:
-        self._check_range(v)
+        check_range(self.n, v)
         return self.adj_mask[v].bit_count()
 
     def max_degree(self) -> int:
@@ -233,8 +232,7 @@ class DynamicGraph:
 
     def bfs_dist(self, u: int, v: int, cap: int | None = None) -> int | None:
         """Exact hop distance if <= cap (None means uncapped); None if beyond."""
-        self._check_range(u)
-        self._check_range(v)
+        check_range(self.n, u, v)
         if cap is not None and cap < 0:
             raise ValueError("cap must be >= 0")
         return mask_dist(self.adj_mask, u, v, cap)

@@ -29,8 +29,8 @@ class GreedyState:
         self.k = k
         self.cap = 2 * k - 1  # inspection asks dist >= 2k, i.e. not reachable within 2k-1
         self.counter = counter or OpCounter()
-        self.spanner_seq: list[tuple[int, int]] = []
-        self.in_spanner: set[tuple[int, int]] = set()
+        # the spanner edges in admission order: the maintained greedy sequence
+        self.in_spanner: dict[tuple[int, int], None] = {}
         self.non_spanner: set[tuple[int, int]] = set()
         self.span_mask = [0] * graph.n
         self.admitted = 0  # edges ever admitted, the build included
@@ -46,8 +46,7 @@ class GreedyState:
         u, v = e
         if mask_dist(self.span_mask, u, v, self.cap) is not None:
             return False
-        self.spanner_seq.append(e)
-        self.in_spanner.add(e)
+        self.in_spanner[e] = None
         self.admitted += 1
         self.span_mask[u] |= 1 << v
         self.span_mask[v] |= 1 << u
@@ -75,8 +74,7 @@ class GreedyState:
             return []
         if e not in self.in_spanner:
             raise EdgeMissing(f"edge {e} tracked nowhere")  # unreachable if graph agreed
-        self.spanner_seq.remove(e)
-        self.in_spanner.discard(e)
+        del self.in_spanner[e]
         self.span_mask[e[0]] &= ~(1 << e[1])
         self.span_mask[e[1]] &= ~(1 << e[0])
         added = [cand for cand in self._candidates(*e) if self._inspect(cand)]
@@ -110,9 +108,8 @@ class GreedyState:
         return Step(self.counter.end_step(), 0, adds, dels, self.spanner_size())
 
     def check_invariants(self) -> None:
-        assert self.in_spanner | self.non_spanner == set(self.graph.edges())
-        assert not (self.in_spanner & self.non_spanner)
-        assert self.in_spanner == set(self.spanner_seq)
+        assert self.in_spanner.keys() | self.non_spanner == set(self.graph.edges())
+        assert not (self.in_spanner.keys() & self.non_spanner)
         for u, row in enumerate(self.graph.adj_mask):
             kept = (v for v in iter_bits(row) if edge_key(u, v) in self.in_spanner)
             assert self.span_mask[u] == sum(1 << v for v in kept)

@@ -12,11 +12,12 @@ when witnesses get re-randomized.
 
 A phase serves a bounded number of updates.  Its core graph is kept as
 one bitmask row per vertex, the phase-start edges minus the deletions
-since: a vertex's partners in bucket i are `core[v] & bucket_mask[i]`
-and a pair's common neighbors `core[a] & core[b]`, read when needed
-rather than stored.  Deletions update the core immediately; insertions
-only enter the buffer and are folded into the core when the next phase
-starts.
+since.  The core only loses edges, so a vertex's partner in bucket i is
+always the lowest bit of `core[v] & bucket_mask[i]`, its intra-bucket
+edges are its row's bits inside its own bucket, and a pair's common
+neighbors are `core[a] & core[b]`: all are read off the rows rather than
+stored.  Deletions update the core immediately; insertions only enter the
+buffer and are folded into the core when the next phase starts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from dynspan.det3 import bucket_masks, default_buckets
-from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeMissing, UpdateEvent, edge_key
+from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key
 from dynspan.graph import check_rows, iter_bits, nth_bit
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
 from dynspan.job_machine import ResamplingEngine, Routine
@@ -42,49 +43,6 @@ class PhaseExhausted(Exception):
 
 def default_phase_len(n: int) -> int:
     return max(1, math.ceil(n**1.5))
-
-
-class PartnershipIndex:
-    """The decremental core graph of a phase as bitmask rows: the edges
-    present at phase start minus the deletions since.
-
-    The partnership of a same-bucket pair, its common neighbors
-    `core[a] & core[b]`, is read off the rows, not stored.
-    """
-
-    def __init__(
-        self, n: int, bucket_of: Sequence[int] | None = None, counter: OpCounter | None = None
-    ) -> None:
-        self.n = n
-        self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(n)
-        self.bucket_mask = bucket_masks(self.bucket_of, n)
-        self.counter = counter or OpCounter()
-        self.core = [0] * n
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.core[u] >> v & 1 == 1
-
-    def _charge_update(self, u: int, v: int) -> None:
-        """4, plus one per pair whose common neighbors the edge (u, v), absent
-        from the rows, changes: u's bucket-mates adjacent to v and v's
-        adjacent to u."""
-        core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
-        mates = (core[v] & bucket_mask[bucket_of[u]]).bit_count()
-        mates += (core[u] & bucket_mask[bucket_of[v]]).bit_count()
-        self.counter.charge(4 + mates, "partnership")
-
-    def add_edge(self, u: int, v: int) -> None:
-        self._charge_update(u, v)
-        self.core[u] |= 1 << v
-        self.core[v] |= 1 << u
-
-    def remove_edge(self, u: int, v: int) -> None:
-        self.core[u] &= ~(1 << v)
-        self.core[v] &= ~(1 << u)
-        self._charge_update(u, v)
-
-    def check_consistent(self) -> None:
-        check_rows(self.core)
 
 
 @dataclass(frozen=True)
@@ -114,13 +72,13 @@ class PhaseState:
         self.n = graph.n
         self.L = phase_len if phase_len is not None else default_phase_len(self.n)
         self.counter = counter or OpCounter()
-        self.idx = PartnershipIndex(self.n, bucket_of, self.counter)
-        self.bucket_of = self.idx.bucket_of
-        self.partner: dict[tuple[int, int], int] = {}  # (v, i) -> min bucket neighbor
-        self.e2: set[tuple[int, int]] = set()  # intra-bucket core edges
+        self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(self.n)
+        self.bucket_mask = bucket_masks(self.bucket_of, self.n)
+        self.core = [0] * self.n  # the phase-start edges minus the deletions since
         self.buffer: set[tuple[int, int]] = set()  # edges inserted this phase
-        # roles: one per partner slot holding the edge, one for e2, one for
-        # the buffer, one per chosen witness routine using the edge
+        # roles: one per endpoint whose partner edge it is, one for an
+        # intra-bucket core edge, one for the buffer, one per chosen witness
+        # routine using the edge
         self.roles = RoleSet(self.n)
         self.spanner = self.roles.count.keys()  # live view: the edges holding a role
         self.updates_used = 0
@@ -134,29 +92,38 @@ class PhaseState:
             self._init_pair(p)
         self.roles.flush()
 
+    def _charge_core(self, u: int, v: int) -> None:
+        """4, plus one per pair whose common neighbors the core edge (u, v),
+        absent from the rows, changes: u's bucket-mates adjacent to v and v's
+        adjacent to u."""
+        core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
+        mates = (core[v] & bucket_mask[bucket_of[u]]).bit_count()
+        mates += (core[u] & bucket_mask[bucket_of[v]]).bit_count()
+        self.counter.charge(4 + mates, "partnership")
+
     # -- incremental construction pieces (also used by the wrapped driver) --
 
     def _init_edge(self, e: tuple[int, int]) -> None:
         u, v = e
+        core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
         self._edge[e] = e
-        self.idx.add_edge(u, v)
+        self._charge_core(u, v)
         self.engine.add_machine(e)
-        if self.bucket_of[u] == self.bucket_of[v]:
-            self.e2.add(e)
-            self.roles.add(e)
-            return  # intra-bucket edges never serve as partner edges
-        for x, y in ((u, v), (v, u)):
-            key = (x, self.bucket_of[y])
-            cur = self.partner.get(key)
-            if cur is None or y < cur:
-                if cur is not None:
-                    self.roles.remove(edge_key(x, cur))
-                self.partner[key] = y
-                self.roles.add(edge_key(x, y))
+        if bucket_of[u] == bucket_of[v]:
+            self.roles.add(e)  # intra-bucket edges never serve as partner edges
+        else:
+            for x, y in ((u, v), (v, u)):
+                row = core[x] & bucket_mask[bucket_of[y]]
+                if not row & ((1 << y) - 1):  # no bit below y: y becomes x's partner
+                    if row:
+                        self.roles.remove(edge_key(x, nth_bit(row, 0)))
+                    self.roles.add(edge_key(x, y))
+        core[u] |= 1 << v
+        core[v] |= 1 << u
 
     def _pair_keys(self) -> list[tuple[int, int]]:
         """The same-bucket pairs a < b with a common core neighbor, ascending."""
-        core, bucket_mask, bucket_of = self.idx.core, self.idx.bucket_mask, self.bucket_of
+        core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
         keys = []
         for a, row in enumerate(core):
             if row:
@@ -166,7 +133,7 @@ class PhaseState:
 
     def _init_pair(self, p: tuple[int, int]) -> None:
         a, b = p  # a witness w is a common neighbor, so w != a and w != b
-        edge, core = self._edge, self.idx.core
+        edge, core = self._edge, self.core
         routines = [
             Routine(p, (edge[(a, w) if a < w else (w, a)], edge[(b, w) if b < w else (w, b)]), w)
             for w in iter_bits(core[a] & core[b])
@@ -195,22 +162,28 @@ class PhaseState:
     def delete(self, u: int, v: int) -> Resample3Step:
         if self.exhausted:
             raise PhaseExhausted(f"phase budget of {self.L} updates spent")
-        e = edge_key(u, v)
+        e = self.g.delete_edge(u, v)  # a bad vertex or missing edge raises, changing nothing
         if e in self.buffer:
-            self.g.delete_edge(u, v)
             self.buffer.discard(e)
             self.roles.remove(e)
             report = self.engine.tick()  # clock advances on every deletion
-        elif self.idx.has_edge(u, v):
-            self.g.delete_edge(u, v)
-            self.idx.remove_edge(u, v)
-            self._repair_e1(e)
-            if e in self.e2:
-                self.e2.discard(e)
+        else:  # every other host edge is a core edge
+            u, v = e
+            core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
+            core[u] &= ~(1 << v)
+            core[v] &= ~(1 << u)
+            self._charge_core(u, v)
+            if bucket_of[u] == bucket_of[v]:
                 self.roles.remove(e)
+            else:
+                for x, y in ((u, v), (v, u)):
+                    rest = core[x] & bucket_mask[bucket_of[y]]
+                    if not rest & ((1 << y) - 1):  # y was x's partner: the next bit takes over
+                        self.roles.remove(e)
+                        if rest:
+                            self.roles.add(edge_key(x, nth_bit(rest, 0)))
+                        self.counter.charge(2, "resample3")
             report = self.engine.delete_machine(e)
-        else:
-            raise EdgeMissing(f"edge {e} not present")
         for job, old, new in report.changes:
             if old is not None:
                 for m in old.machines:
@@ -222,23 +195,6 @@ class PhaseState:
         return Resample3Step(
             tuple(self.roles.flush()), report.resamples, len(report.touched), report.schedule_added
         )
-
-    def _repair_e1(self, e: tuple[int, int]) -> None:
-        u, v = e
-        if self.bucket_of[u] == self.bucket_of[v]:
-            return
-        for x, y in ((u, v), (v, u)):
-            key = (x, self.bucket_of[y])
-            if self.partner.get(key) == y:
-                self.roles.remove(e)
-                rest = self.idx.core[x] & self.idx.bucket_mask[self.bucket_of[y]]
-                if rest:
-                    ny = nth_bit(rest, 0)
-                    self.partner[key] = ny
-                    self.roles.add(edge_key(x, ny))
-                else:
-                    del self.partner[key]
-                self.counter.charge(2, "resample3")
 
     # -- views --
 
@@ -257,8 +213,8 @@ class PhaseState:
         }
 
     def check_invariants(self) -> None:
-        self.idx.check_consistent()
-        core = self.idx.core
+        core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
+        check_rows(core)
         host = [row & ~b for row, b in zip(self.g.adj_mask, adjacency_masks(self.n, self.buffer))]
         assert core == host, "core rows differ from the host rows less the buffer"
         # every pair with a common core neighbor is a job, and a job's live
@@ -268,9 +224,16 @@ class PhaseState:
             tags = sorted(r.tag for r in live)
             assert tags == list(iter_bits(core[a] & core[b])), f"witnesses of {(a, b)} are stale"
         self.engine.check_feasible()
-        roles = Counter(edge_key(x, y) for (x, _), y in self.partner.items())
-        roles.update(self.e2)
-        roles.update(self.buffer)
+        # the roles recounted from the rows: a partner edge per vertex and
+        # other bucket it has a neighbor in, and every intra-bucket edge once
+        roles = Counter(self.buffer)
+        for x, row in enumerate(core):
+            for j, members in enumerate(bucket_mask):
+                nbrs = row & members
+                if j == bucket_of[x]:
+                    roles.update((x, y) for y in iter_bits(nbrs >> x << x))
+                elif nbrs:
+                    roles[edge_key(x, nth_bit(nbrs, 0))] += 1
         for r in self.engine.assigned.values():
             if r is not None:
                 roles.update(r.machines)

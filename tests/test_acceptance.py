@@ -93,8 +93,8 @@ def test_criterion_2_greedy_order_equivalence():
         e = rng.choice(sorted(g.edges()))
         s.handle_delete(*e)
         steps += 1
-        order = s.spanner_seq + sorted(s.non_spanner)
-        assert s.spanner_seq == reference_greedy(g.copy(), 2, order)
+        order = list(s.in_spanner) + sorted(s.non_spanner)
+        assert list(s.in_spanner) == reference_greedy(g.copy(), 2, order)
     assert steps >= 100
     print(f"criterion 2 PASS: prefix-order equivalence across {steps} deletions")
 

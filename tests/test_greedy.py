@@ -20,7 +20,7 @@ def random_graph(rng: random.Random, n: int, m: int) -> DynamicGraph:
 
 
 def equivalent_order(state: GreedyState) -> list[tuple[int, int]]:
-    return state.spanner_seq + sorted(state.non_spanner)
+    return list(state.in_spanner) + sorted(state.non_spanner)
 
 
 def test_build_empty():
@@ -33,7 +33,7 @@ def test_build_k3_k2():
     # ascending inspection order: (0,1) and (0,2) join, (1,2) closes a 2-path
     g = DynamicGraph(3, [(0, 1), (1, 2), (0, 2)])
     s = GreedyState(g, 2)
-    assert s.spanner_seq == [(0, 1), (0, 2)]
+    assert list(s.in_spanner) == [(0, 1), (0, 2)]
     assert s.non_spanner == {(1, 2)}
 
 
@@ -42,8 +42,8 @@ def test_build_matches_reference_on_random_graph():
     g = random_graph(rng, 30, 120)
     ref_g = g.copy()
     s = GreedyState(g, 2)
-    assert s.spanner_seq == reference_greedy(ref_g, 2, list(ref_g.edges()))
-    assert s.total_recourse() == len(s.spanner_seq)  # build only, no deletions yet
+    assert list(s.in_spanner) == reference_greedy(ref_g, 2, list(ref_g.edges()))
+    assert s.total_recourse() == len(s.in_spanner)  # build only, no deletions yet
 
 
 def test_delete_non_spanner_is_noop():
@@ -81,7 +81,7 @@ def test_maintained_equals_prefix_order_greedy_over_deletions():
         s.handle_delete(*target)
         s.check_invariants()
         snapshot = g.copy()
-        assert s.spanner_seq == reference_greedy(snapshot, 2, equivalent_order(s))
+        assert list(s.in_spanner) == reference_greedy(snapshot, 2, equivalent_order(s))
 
 
 def test_stretch_and_girth_after_every_delete():
@@ -100,7 +100,7 @@ def test_total_recourse_bounded_by_initial_m():
     rng = random.Random(31)
     g = random_graph(rng, 30, 120)
     s = GreedyState(g, 2)
-    ever_added: set[tuple[int, int]] = set(s.spanner_seq)
+    ever_added: set[tuple[int, int]] = set(s.in_spanner)
     order = list(g.edges())
     rng.shuffle(order)
     for e in order:
@@ -128,7 +128,7 @@ def test_each_edge_added_at_most_once_between_deletions():
     rng = random.Random(41)
     g = random_graph(rng, 25, 90)
     s = GreedyState(g, 2)
-    entries: dict[tuple[int, int], int] = {e: 1 for e in s.spanner_seq}
+    entries: dict[tuple[int, int], int] = {e: 1 for e in s.in_spanner}
     order = list(g.edges())
     rng.shuffle(order)
     for e in order:
@@ -156,7 +156,7 @@ def full_rescan(g: DynamicGraph, k: int, seq: list, non_spanner: set) -> list[tu
 
 def rescan_inputs(s: GreedyState, e: tuple[int, int]) -> tuple[list, set]:
     """The spanner sequence and non-spanner edges that survive deleting e."""
-    return [f for f in s.spanner_seq if f != e], s.non_spanner - {e}
+    return [f for f in s.in_spanner if f != e], s.non_spanner - {e}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -169,9 +169,9 @@ def test_local_rescan_matches_full_rescan_on_every_deletion(k):
     for e in order:
         seq, non_spanner = rescan_inputs(s, e)
         s.handle_delete(*e)
-        assert s.spanner_seq == full_rescan(g, k, seq, non_spanner)
-        assert s.spanner_seq == reference_greedy(g.copy(), k, equivalent_order(s))
-    assert g.m == 0 and not s.spanner_seq
+        assert list(s.in_spanner) == full_rescan(g, k, seq, non_spanner)
+        assert list(s.in_spanner) == reference_greedy(g.copy(), k, equivalent_order(s))
+    assert g.m == 0 and not s.in_spanner
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -199,7 +199,7 @@ def test_fd_greedy_levels_match_full_rescan_across_rebuilds(k):
             continue
         seq, non_spanner = rescan_inputs(state, e)
         fd.delete(*e)
-        assert state.spanner_seq == full_rescan(state.graph, k, seq, non_spanner)
+        assert list(state.in_spanner) == full_rescan(state.graph, k, seq, non_spanner)
         fd.check_invariants()
         level_deletions += 1
     assert rebuilds >= 5 and level_deletions >= 100

@@ -11,9 +11,11 @@ import pytest
 from test_wrapped import random_events
 
 from dynspan import cli
-from dynspan.graph import DynamicGraph
+from dynspan.det3 import Det3State
+from dynspan.fully_dynamic import FullyDynamicSpanner
+from dynspan.graph import DynamicGraph, VertexOutOfRange
 from dynspan.instrumentation import OpCounter, Step
-from dynspan.resample3 import WrappedRunner
+from dynspan.resample3 import PhaseState, WrappedRunner
 
 RUNS = {
     "greedy": "--algo greedy --k 2 --n 24 --init-m 100 --steps 40 --seed 3 --p-insert 0",
@@ -88,3 +90,28 @@ def test_wrapped_runner_reports_the_output_diff():
         assert r.conforms(), (i, step)
         runner.check_invariants()
     assert runner.window == 4
+
+
+EIGHT = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)]
+BAD_ENDPOINT = {
+    "fd-insert": (lambda: FullyDynamicSpanner(8, 2), lambda s: s.insert(3, 40)),
+    "fd-delete": (lambda: FullyDynamicSpanner(8, 2, tuple(EIGHT)), lambda s: s.delete(3, 40)),
+    "phase-delete-negative": (
+        lambda: PhaseState(DynamicGraph(8, EIGHT), seed=1),
+        lambda s: s.delete(0, -1),
+    ),
+    "phase-delete": (lambda: PhaseState(DynamicGraph(8, EIGHT), seed=1), lambda s: s.delete(3, 40)),
+    "det3-delete": (lambda: Det3State(DynamicGraph(8, EIGHT)), lambda s: s.delete_edge(3, 40)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENDPOINT))
+def test_an_out_of_range_endpoint_changes_nothing(case):
+    # the CLI checks ranges before a structure sees an update; a direct
+    # caller must get the same error, not a half-applied update
+    make, call = BAD_ENDPOINT[case]
+    s = make()
+    edges, masks = s.spanner_edges(), list(s.spanner_masks())
+    with pytest.raises(VertexOutOfRange):
+        call(s)
+    assert (s.spanner_edges(), s.spanner_masks()) == (edges, masks)

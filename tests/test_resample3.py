@@ -9,16 +9,10 @@ from collections import Counter
 
 import pytest
 
-from dynspan.graph import DynamicGraph, EdgeMissing
+from dynspan.graph import DynamicGraph, EdgeMissing, check_rows
 from dynspan.instrumentation import OpCounter
 from dynspan.oracle import verify_stretch
-from dynspan.resample3 import (
-    PartnershipIndex,
-    PhaseExhausted,
-    PhaseState,
-    Resample3,
-    default_phase_len,
-)
+from dynspan.resample3 import PhaseExhausted, PhaseState, Resample3, default_phase_len
 
 
 def sqrt_ceil(n):
@@ -30,31 +24,30 @@ def k4_phase(seed):
     return PhaseState(g, seed, bucket_of=[0, 0, 1, 1])
 
 
-def test_partnership_index_tracks_common_neighbors():
+def test_core_rows_track_common_neighbors():
     counter = OpCounter()
-    idx = PartnershipIndex(5, [0, 0, 1, 1, 1], counter)
-    idx.add_edge(0, 2)
-    idx.add_edge(1, 2)
-    assert idx.core[0] & idx.core[1] == 1 << 2
-    idx.add_edge(0, 3)
-    idx.add_edge(1, 3)
-    assert idx.core[0] & idx.core[1] == 1 << 2 | 1 << 3
-    idx.remove_edge(1, 2)
-    assert idx.core[0] & idx.core[1] == 1 << 3
-    idx.check_consistent()
-    # 4 per update plus one per pair whose common neighbors it changes:
+    ps = PhaseState(DynamicGraph(5), seed=1, bucket_of=[0, 0, 1, 1, 1], counter=counter)
+    for e in [(0, 2), (1, 2)]:
+        ps._init_edge(ps.g.insert_edge(*e))
+    assert ps.core[0] & ps.core[1] == 1 << 2
+    for e in [(0, 3), (1, 3)]:
+        ps._init_edge(ps.g.insert_edge(*e))
+    assert ps.core[0] & ps.core[1] == 1 << 2 | 1 << 3
+    ps.delete(1, 2)
+    assert ps.core[0] & ps.core[1] == 1 << 3
+    check_rows(ps.core)
+    # 4 per core update plus one per pair whose common neighbors it changes:
     # (0, 2) none, (1, 2) pair (0, 1), (0, 3) pair (2, 3), (1, 3) and the
     # removal of (1, 2) both pairs
-    assert counter.total == 4 + 5 + 5 + 6 + 6
+    assert counter.by_module["partnership"] == 4 + 5 + 5 + 6 + 6
 
 
-def test_partnership_check_catches_a_one_sided_neighbor():
-    idx = PartnershipIndex(5, [0, 0, 1, 1, 1])
-    idx.add_edge(0, 2)
-    idx.check_consistent()
-    idx.core[2] &= ~(1 << 0)  # 0 still lists 2, but 2 no longer lists 0
+def test_phase_check_catches_a_one_sided_neighbor():
+    ps = PhaseState(DynamicGraph(5, [(0, 2)]), seed=1, bucket_of=[0, 0, 1, 1, 1])
+    ps.check_invariants()
+    ps.core[2] &= ~(1 << 0)  # 0 still lists 2, but 2 no longer lists 0
     with pytest.raises(AssertionError):
-        idx.check_consistent()
+        ps.check_invariants()
 
 
 @pytest.mark.parametrize(
@@ -62,11 +55,32 @@ def test_partnership_check_catches_a_one_sided_neighbor():
     [[0, 0, 1], [0, 0, 1, 1, 1], [0, -1, 1, 1], [0, 0, 1.0, 1], [0, 0, "1", 1], [0, 0, 4, 1]],
 )
 def test_bad_bucket_maps_are_rejected(bucket_of):
-    g = DynamicGraph(4, [(0, 2), (1, 2)])
-    with pytest.raises(ValueError):
-        PartnershipIndex(4, bucket_of)
-    with pytest.raises(ValueError):
-        PhaseState(g, seed=1, bucket_of=bucket_of)
+    for edges in [(), [(0, 2), (1, 2)]]:
+        with pytest.raises(ValueError):
+            PhaseState(DynamicGraph(4, edges), seed=1, bucket_of=bucket_of)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_phase_build_order_does_not_matter(seed):
+    # the wrapped runner builds a successor from its edge list plus the
+    # journal, out of key order, so a later edge can take an earlier one's
+    # partner role; the result must be the key-order build's
+    rng = random.Random(seed)
+    n = 30
+    edges = rng.sample(list(itertools.combinations(range(n), 2)), 150)
+    by_key = PhaseState(DynamicGraph(n, edges), seed, counter=OpCounter())
+    shuffled = PhaseState(DynamicGraph(n), seed, counter=OpCounter())
+    rng.shuffle(edges)
+    for e in edges:
+        shuffled._init_edge(shuffled.g.insert_edge(*e))
+    for p in shuffled._pair_keys():
+        shuffled._init_pair(p)
+    shuffled.roles.flush()
+    shuffled.check_invariants()
+    assert shuffled.roles.count == by_key.roles.count
+    assert shuffled.witnesses() == by_key.witnesses()
+    for module in ("partnership", "job_machine"):
+        assert shuffled.counter.by_module[module] == by_key.counter.by_module[module]
 
 
 def test_phase_check_catches_a_stale_core_bit():
@@ -74,10 +88,10 @@ def test_phase_check_catches_a_stale_core_bit():
     ps = PhaseState(g, seed=1, bucket_of=[0, 0, 1, 1, 1])
     ps.delete(1, 2)
     ps.check_invariants()
-    ps.idx.core[1] |= 1 << 2  # one side of the deleted edge comes back
+    ps.core[1] |= 1 << 2  # one side of the deleted edge comes back
     with pytest.raises(AssertionError):
         ps.check_invariants()
-    ps.idx.core[2] |= 1 << 1  # and the other: the rows agree, the host does not
+    ps.core[2] |= 1 << 1  # and the other: the rows agree, the host does not
     with pytest.raises(AssertionError, match="core rows"):
         ps.check_invariants()
 
@@ -89,7 +103,8 @@ def test_phase_check_catches_a_common_neighbor_without_a_routine():
     # (1, 3) joins the host and the core behind the engine's back, so 3
     # becomes a common neighbor of (0, 1) that no routine names
     ps.g.insert_edge(1, 3)
-    ps.idx.add_edge(1, 3)
+    ps.core[1] |= 1 << 3
+    ps.core[3] |= 1 << 1
     with pytest.raises(AssertionError, match="witnesses of"):
         ps.check_invariants()
 
@@ -175,7 +190,7 @@ def test_phase_budget_and_rollover():
     assert drv.phase_index == 2
     # buffered edges from phase 1 are now core edges of phase 2
     assert drv.phase.buffer == {pairs[5]}
-    assert all(drv.phase.idx.has_edge(*e) for e in pairs[:5])
+    assert all(drv.phase.core[u] >> v & 1 for u, v in pairs[:5])
 
 
 def test_default_phase_len():

@@ -60,13 +60,17 @@ def test_rotation_keeps_stretch_and_respects_budget():
     events = random_events(random.Random(13), g, pairs, 3 * L + 5)
     runner = WrappedRunner(g, seed=21, rotation_len=L)
     worst = 0
+    built = 0
     for ev in events:
         step = runner.update(ev)
         assert step.op_count <= step.budget, (step, runner.window)
         worst = max(worst, step.op_count)
         assert verify_stretch(runner.graph, runner.spanner_edges(), 3).ok
+        if runner.D_next is not None and runner._build_gen is None:
+            runner.D_next.check_invariants()  # a finished successor build, replayed so far
+            built += 1
     assert runner.window == 4  # three full rotations plus the active one
-    assert worst > 0
+    assert worst > 0 and built > 0
 
 
 def test_output_contains_live_spanner_and_only_graph_edges():
