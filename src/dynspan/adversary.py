@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_at, edge_key
-from dynspan.graph import edge_prefix, nth_bit
+from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key, nth_bit
+from dynspan.instrumentation import EdgeRanks, InvariantBroken
 
 
 class AdversaryError(Exception):
@@ -41,6 +41,8 @@ class AdversaryView:
     graph: DynamicGraph
     # the structure's `spanner_masks`: per-vertex adjacency bitmasks of its output
     spanner_masks: Callable[[], list[int]] | None = None
+    # the structure's `spanner_ranks`: the maintained `EdgeRanks` of those masks
+    spanner_ranks: Callable[[], EdgeRanks] | None = None
     heaviest_machine: Callable[[], Hashable | None] | None = None
 
 
@@ -52,7 +54,7 @@ def _uniform_present_edge(g: DynamicGraph, rng: random.Random) -> tuple[int, int
         if r < d:
             return edge_key(u, nth_bit(row, r))
         r -= d
-    raise AssertionError("degree walk fell off the end")
+    raise InvariantBroken("degree walk fell off the end")
 
 
 def _uniform_absent_pair(g: DynamicGraph, rng: random.Random) -> tuple[int, int]:
@@ -122,16 +124,19 @@ class SpannerTargeting(_EdgeAdversary):
     """Deletes a uniformly random edge of the current spanner (falls back to
     any edge when the spanner is empty); optional insertion mixing.
 
-    The draw r picks the spanner edge of rank r in lexicographic order, read
-    off the masks by rank-select, so it is `sorted(spanner)[r]` without
-    listing the spanner."""
+    The draw r picks the spanner edge of rank r in lexicographic order, so
+    it is `sorted(spanner)[r]` without listing the spanner.  The structure's
+    maintained `EdgeRanks` select it in O(log n); a view that gives only
+    masks gets ranks built from them, in O(n), which select the same edge."""
 
     def victim(self, view: AdversaryView) -> tuple[int, int]:
-        if view.spanner_masks is not None:
-            masks = view.spanner_masks()
-            prefix = edge_prefix(masks)
-            if prefix and prefix[-1]:
-                return edge_at(masks, prefix, self.rng.randrange(prefix[-1]))
+        ranks = None
+        if view.spanner_ranks is not None:
+            ranks = view.spanner_ranks()
+        elif view.spanner_masks is not None:
+            ranks = EdgeRanks(view.spanner_masks())
+        if ranks is not None and ranks.total:
+            return ranks.edge_at(self.rng.randrange(ranks.total))
         return _uniform_present_edge(view.graph, self.rng)
 
 
@@ -144,7 +149,7 @@ class WitnessHammer(_EdgeAdversary):
         top = view.heaviest_machine() if view.heaviest_machine is not None else None
         if top is not None:
             return top
-        return min(view.graph.edges())
+        return next(view.graph.edges())  # lexicographic: the smallest edge
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,7 @@ class Adapter:
         return AdversaryView(
             self.graph,
             spanner_masks=self.state.spanner_masks,
+            spanner_ranks=getattr(self.state, "spanner_ranks", None),
             heaviest_machine=getattr(self.state, "heaviest_machine", None),
         )
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from dynspan.graph import INSERT, DynamicGraph, UpdateEvent, check_range, edge_key, iter_bits
 from dynspan.graph import nth_bit
-from dynspan.instrumentation import OpCounter, RoleSet, Step
+from dynspan.instrumentation import OpCounter, RoleOutput, RoleSet, Step
 
 
 def default_buckets(n: int) -> list[int]:
@@ -55,7 +55,7 @@ def bucket_masks(bucket_of: Sequence[int], n: int) -> list[int]:
     return masks[: max(bucket_of, default=-1) + 1]
 
 
-class Det3State:
+class Det3State(RoleOutput):
     def __init__(
         self,
         graph: DynamicGraph,
@@ -236,15 +236,6 @@ class Det3State:
             self._cedge_remove((w, old_center), owner)
             if new_center is not None and new_center != w:
                 self._cedge_add((w, new_center), owner)
-
-    def spanner_size(self) -> int:
-        return len(self.spanner)
-
-    def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.roles.count)  # from the dict, not the view: set() reuses its hashes
-
-    def spanner_masks(self) -> list[int]:
-        return self.roles.masks
 
     # -- full-rebuild consistency oracle ------------------------------------
 

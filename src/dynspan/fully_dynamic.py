@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent, check_range
 from dynspan.graph import edge_key
 from dynspan.greedy import GreedyState
-from dynspan.instrumentation import OpCounter, RoleSet, Step
+from dynspan.instrumentation import OpCounter, RoleOutput, RoleSet, Step
 
 
 def level_params(n: int, k: int) -> tuple[int, int]:
@@ -40,7 +40,7 @@ class RebuildInfo:
     size: int  # edges in the rebuilt level
 
 
-class FullyDynamicSpanner:
+class FullyDynamicSpanner(RoleOutput):
     def __init__(
         self,
         n: int,
@@ -70,15 +70,6 @@ class FullyDynamicSpanner:
             for e in state.in_spanner:
                 self.roles.add(e)
             self.roles.flush()
-
-    def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.roles.count)
-
-    def spanner_size(self) -> int:
-        return len(self.roles.count)
-
-    def spanner_masks(self) -> list[int]:
-        return self.roles.masks
 
     def insert(self, u: int, v: int) -> RebuildInfo | None:
         check_range(self.n, u, v)

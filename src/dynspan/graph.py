@@ -11,9 +11,7 @@ than d(src, dst) are disjoint.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Iterator
 
 from dynspan.instrumentation import OpCounter
@@ -89,20 +87,6 @@ def nth_bit(mask: int, r: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def edge_prefix(adj_mask: list[int]) -> list[int]:
-    """prefix[u] = number of edges (x, y), x < y, with x <= u, of symmetric
-    adjacency bitmasks; prefix[-1] is the edge count."""
-    return list(accumulate((row >> (u + 1)).bit_count() for u, row in enumerate(adj_mask)))
-
-
-def edge_at(adj_mask: list[int], prefix: list[int], r: int) -> tuple[int, int]:
-    """The edge of rank r in lexicographic order, given `prefix = edge_prefix(adj_mask)`:
-    the row u holding it by bisection, then the bit of the right rank above u."""
-    u = bisect_right(prefix, r)
-    below = prefix[u - 1] if u else 0
-    return u, u + 1 + nth_bit(adj_mask[u] >> (u + 1), r - below)
-
-
 def mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None = None) -> int | None:
     """Hop distance src->dst; None if > cap or unreachable.
 
@@ -149,8 +133,10 @@ def mask_balls(adj_mask: list[int], src: int, depth: int) -> list[int]:
     balls = [seen]
     for _ in range(depth):
         nxt = 0
-        for x in iter_bits(frontier):
-            nxt |= adj_mask[x]
+        m = frontier
+        while m:
+            nxt |= adj_mask[(m & -m).bit_length() - 1]
+            m &= m - 1
         frontier = nxt & ~seen
         seen |= frontier
         balls.append(seen)

@@ -5,10 +5,12 @@ the deletion of spanner edge (a, b) the candidate non-spanner edges are
 re-inspected in ascending key order, each joining iff its endpoints sit at
 spanner distance >= 2k.  The candidates are the edges (x, y) with
 d(x, a) + d(b, y) <= 2k-2 in the spanner without (a, b), found by two
-bitmask BFS balls around a and b.  This is exact: the endpoints of every
-non-spanner edge sit within 2k-1 in the spanner and the spanner only
-grows during a rescan, so an edge can join only if all its short paths
-used (a, b); a rescan of every non-spanner edge would reject the others.
+bitmask BFS balls around a and b: for each pair of balls the walk covers
+the side with fewer vertices and tests the other as a mask.  This is
+exact: the endpoints of every non-spanner edge sit within 2k-1 in the
+spanner and the spanner only grows during a rescan, so an edge can join
+only if all its short paths used (a, b); a rescan of every non-spanner
+edge would reject the others.
 The maintained edge sequence doubles as a greedy inspection prefix: the
 structure always equals the order-driven greedy run that inspects the
 surviving spanner sequence first and the rest ascending.
@@ -85,17 +87,26 @@ class GreedyState:
     def _candidates(self, a: int, b: int) -> list[tuple[int, int]]:
         """Non-spanner edges (x, y) with d(x, a) + d(b, y) <= 2k-2 in the spanner, ascending.
 
-        Each edge is met from both endpoints, so one pass from a's side finds
-        either orientation."""
+        For each ring dx around a, the edges between it and b's ball of radius
+        2k-2-dx: the walk covers the side with fewer vertices and tests the
+        other as a mask.  One pass over a's rings finds either orientation."""
         reach = self.cap - 1
         adj, span = self.graph.adj_mask, self.span_mask
         near, far = mask_balls(span, a, reach), mask_balls(span, b, reach)
         found: set[tuple[int, int]] = set()
         inner = 0
         for dx, ball in enumerate(near):
-            for x in iter_bits(ball & ~inner):
-                for y in iter_bits(adj[x] & ~span[x] & far[reach - dx]):
-                    found.add(edge_key(x, y))
+            walk, test = ball & ~inner, far[reach - dx]
+            if test.bit_count() < walk.bit_count():
+                walk, test = test, walk
+            while walk:
+                x = (walk & -walk).bit_length() - 1
+                walk &= walk - 1
+                row = adj[x] & ~span[x] & test
+                while row:
+                    y = (row & -row).bit_length() - 1
+                    row &= row - 1
+                    found.add((x, y) if x < y else (y, x))
             inner = ball
         return sorted(found)
 

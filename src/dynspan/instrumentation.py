@@ -42,6 +42,45 @@ class Step:
         return cls(op_count, resamples, *cls.signs(changes), output_size)
 
 
+class EdgeRanks:
+    """Rank-select over the edges (u, v), u < v, of symmetric bitmask rows in
+    lexicographic order: a Fenwick tree over the rows' counts of bits above
+    the diagonal.  It reads `rows` in place, so whoever sets or clears the
+    bits of an edge (u, v), u < v, calls `add(u, +-1)`."""
+
+    def __init__(self, rows: list[int]) -> None:
+        self.rows = rows
+        counts = [(row >> (u + 1)).bit_count() for u, row in enumerate(rows)]
+        self.total = sum(counts)
+        self.tree = tree = [0, *counts]  # 1-based: row u is node u + 1
+        for i in range(1, len(tree)):
+            j = i + (i & -i)
+            if j < len(tree):
+                tree[j] += tree[i]
+
+    def add(self, u: int, d: int) -> None:
+        tree, i = self.tree, u + 1
+        while i < len(tree):
+            tree[i] += d
+            i += i & -i
+        self.total += d
+
+    def edge_at(self, r: int) -> tuple[int, int]:
+        """The edge of rank r, 0 <= r < total: the row by descending the
+        tree, O(log n), then the bit of the right rank in it."""
+        tree, u = self.tree, 0
+        step = 1 << (len(tree) - 1).bit_length() >> 1
+        while step:  # u = the number of rows whose edges all rank below r
+            if u + step < len(tree) and tree[u + step] <= r:
+                u += step
+                r -= tree[u]
+            step >>= 1
+        row = self.rows[u] >> (u + 1)
+        for _ in range(r):
+            row &= row - 1
+        return u, u + (row & -row).bit_length()
+
+
 class RoleSet:
     """A maintained output whose members are the edges holding at least one role.
 
@@ -49,17 +88,18 @@ class RoleSet:
     itself.  Within a step only an edge's first 0<->1 transition records its
     old membership, so `flush` can report the net change of the step.
 
-    Members are (u, v) edges over vertices 0..n-1, and `masks` are their
-    symmetric per-vertex adjacency bitmasks.  They are built on first read
-    and kept from then on by the same 0<->1 transitions, so a structure whose
-    masks nobody reads pays nothing for them.
+    Members are (u, v) edges over vertices 0..n-1, `masks` are their
+    symmetric per-vertex adjacency bitmasks and `ranks` the `EdgeRanks` of
+    those masks.  Both are built on first read of either and kept from then
+    on by the same 0<->1 transitions, so a structure whose masks nobody
+    reads pays nothing for them.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.count: dict[tuple[int, int], int] = {}
         self._was: dict[tuple[int, int], bool] = {}  # membership before the current step
-        self._masks: list[int] | None = None
+        self._ranks: EdgeRanks | None = None
 
     def _adjacency(self) -> list[int]:
         masks = [0] * self.n
@@ -69,21 +109,26 @@ class RoleSet:
         return masks
 
     @property
+    def ranks(self) -> EdgeRanks:
+        if self._ranks is None:
+            self._ranks = EdgeRanks(self._adjacency())
+        return self._ranks
+
+    @property
     def masks(self) -> list[int]:
-        if self._masks is None:
-            self._masks = self._adjacency()
-        return self._masks
+        return self.ranks.rows
 
     def add(self, e: tuple[int, int]) -> None:
         c = self.count.get(e, 0)
         self.count[e] = c + 1
         if not c:
             self._was.setdefault(e, False)
-            masks = self._masks
-            if masks is not None:
+            ranks = self._ranks
+            if ranks is not None:
                 u, v = e
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
+                ranks.rows[u] |= 1 << v
+                ranks.rows[v] |= 1 << u
+                ranks.add(u, 1)
 
     def remove(self, e: tuple[int, int]) -> None:
         c = self.count[e] - 1
@@ -92,15 +137,18 @@ class RoleSet:
         else:
             del self.count[e]
             self._was.setdefault(e, True)
-            masks = self._masks
-            if masks is not None:
+            ranks = self._ranks
+            if ranks is not None:
                 u, v = e
-                masks[u] &= ~(1 << v)
-                masks[v] &= ~(1 << u)
+                ranks.rows[u] &= ~(1 << v)
+                ranks.rows[v] &= ~(1 << u)
+                ranks.add(u, -1)
 
     def check_masks(self) -> None:
-        """Built masks equal the adjacency of the members; unbuilt ones are not checked."""
-        assert self._masks is None or self._masks == self._adjacency()
+        """Built masks equal the adjacency of the members, and their ranks a
+        fresh build; unbuilt ones are not checked."""
+        if self._ranks is not None:
+            assert vars(self._ranks) == vars(EdgeRanks(self._adjacency()))
 
     def flush(self) -> list[tuple[tuple[int, int], str]]:
         """Sorted (edge, "+"/"-") net membership changes since the last flush."""
@@ -111,6 +159,24 @@ class RoleSet:
         self._was.clear()
         out.sort()
         return out
+
+
+class RoleOutput:
+    """The output queries of a structure whose output is the members of `self.roles`."""
+
+    roles: RoleSet
+
+    def spanner_edges(self) -> set[tuple[int, int]]:
+        return set(self.roles.count)  # from the dict, not a keys view: set() reuses its hashes
+
+    def spanner_size(self) -> int:
+        return len(self.roles.count)
+
+    def spanner_masks(self) -> list[int]:
+        return self.roles.masks
+
+    def spanner_ranks(self) -> EdgeRanks:
+        return self.roles.ranks
 
 
 class OpCounter:

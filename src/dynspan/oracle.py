@@ -32,7 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from dynspan.graph import DynamicGraph, edge_at, edge_key, edge_prefix, iter_bits, mask_dist
+from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist
+from dynspan.instrumentation import EdgeRanks
 
 
 class SpannerNotSubgraph(Exception):
@@ -179,9 +180,9 @@ def verify_stretch(
     else:
         # sample ranks, not a list of edges: random.sample only indexes its
         # population, so the edges drawn are those of sample(list(g.edges()))
-        prefix = edge_prefix(g.adj_mask)
+        ranks = EdgeRanks(g.adj_mask)
         for r in random.Random(seed).sample(range(g.m), sample):
-            u, v = edge_at(g.adj_mask, prefix, r)
+            u, v = ranks.edge_at(r)
             d = mask_dist(masks, u, v) or math.inf
             if d > worst:
                 worst, worst_edge = d, (u, v)

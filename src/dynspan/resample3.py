@@ -32,7 +32,7 @@ from typing import Sequence
 from dynspan.det3 import bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key
 from dynspan.graph import check_rows, iter_bits, nth_bit
-from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
+from dynspan.instrumentation import InvariantBroken, OpCounter, RoleOutput, RoleSet, Step
 from dynspan.job_machine import ResamplingEngine, Routine
 from dynspan.oracle import adjacency_masks
 
@@ -53,7 +53,7 @@ class Resample3Step:
     schedule_added: int
 
 
-class PhaseState:
+class PhaseState(RoleOutput):
     """One phase of the randomized 3-spanner over a decremental core graph.
 
     It charges its work to `counter` but never closes a step; its drivers
@@ -198,15 +198,6 @@ class PhaseState:
 
     # -- views --
 
-    def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.roles.count)  # from the dict, not the view: set() reuses its hashes
-
-    def spanner_size(self) -> int:
-        return len(self.spanner)
-
-    def spanner_masks(self) -> list[int]:
-        return self.roles.masks
-
     def witnesses(self) -> dict[tuple[int, int], int]:
         return {
             p: r.tag for p, r in self.engine.assigned.items() if r is not None
@@ -248,7 +239,7 @@ class WrappedStep(Step):
     budget: int  # the window's declared per-update op budget
 
 
-class WrappedRunner:
+class WrappedRunner(RoleOutput):
     """De-amortized driver: two overlapping instances, rotated every L updates.
 
     While instance D_i serves a window of L live updates, its successor is
@@ -498,18 +489,9 @@ class WrappedRunner:
             self.step_in_window = 0
         op = self.counter.end_step()
         adds, dels = Step.signs(self.roles.flush())
-        return WrappedStep(op, resamples, adds, dels, self.output_size(), self.declared_budget)
+        return WrappedStep(op, resamples, adds, dels, self.spanner_size(), self.declared_budget)
 
     # -- views --
-
-    def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.roles.count)
-
-    def output_size(self) -> int:
-        return len(self.roles.count)
-
-    def spanner_masks(self) -> list[int]:
-        return self.roles.masks
 
     @property
     def graph(self) -> DynamicGraph:
@@ -523,7 +505,7 @@ class WrappedRunner:
         self.roles.check_masks()
 
 
-class Resample3:
+class Resample3(RoleOutput):
     """Phase-rolling driver: rebuilds inline when the phase budget is spent.
 
     Each phase build and each update closes one op-counter step, so a
@@ -577,14 +559,9 @@ class Resample3:
         step = (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)
         return Step.of(step.changes, self.counter.last_step, step.resamples, self.spanner_size())
 
-    def spanner_edges(self) -> set[tuple[int, int]]:
-        return self.phase.spanner_edges()
-
-    def spanner_size(self) -> int:
-        return self.phase.spanner_size()
-
-    def spanner_masks(self) -> list[int]:
-        return self.phase.spanner_masks()
+    @property
+    def roles(self) -> RoleSet:
+        return self.phase.roles  # the output queries read the current phase's
 
     def heaviest_machine(self) -> tuple[int, int] | None:
         return self.phase.engine.heaviest_machine()

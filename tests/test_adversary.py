@@ -105,6 +105,16 @@ def test_witness_hammer_without_machines_deletes_the_smallest_edge():
     for view in (AdversaryView(g), AdversaryView(g, heaviest_machine=lambda: None)):
         ev = WitnessHammer(seed=1, budget=1).next_event(view)
         assert (ev.kind, ev.edge) == (DELETE, (0, 3))
+    # vertex 0 is isolated, so the smallest edge sits in row 1; each
+    # deletion exposes the next smallest
+    g = DynamicGraph(6, [(4, 5), (2, 3), (1, 5), (3, 4)])
+    adv = WitnessHammer(seed=1, budget=10)
+    deleted = []
+    while g.m:
+        ev = adv.next_event(AdversaryView(g))
+        deleted.append((ev.kind, ev.edge))
+        g.apply(ev)
+    assert deleted == [(DELETE, e) for e in [(1, 5), (2, 3), (3, 4), (4, 5)]]
 
 
 def test_max_load_machine_deletes_heaviest():

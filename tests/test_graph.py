@@ -19,6 +19,7 @@ from dynspan.graph import (
     UpdateEvent,
     VertexOutOfRange,
     edge_key,
+    mask_balls,
     mask_dist,
 )
 
@@ -198,6 +199,8 @@ def test_mask_dist_matches_levelwise_and_plain_bfs(n):
         for src in range(n):
             ref = plain_bfs(adj, src)
             components.add(min(ref))
+            for d, ball in enumerate(mask_balls(g.adj_mask, src, 7)):
+                assert ball == sum(1 << v for v, dv in ref.items() if dv <= d), (src, d)
             for dst in range(n):
                 want = ref.get(dst)
                 far += want is not None and want > 7

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from dynspan.fully_dynamic import FullyDynamicSpanner
-from dynspan.graph import DynamicGraph, EdgeMissing
+from dynspan.graph import DynamicGraph, EdgeMissing, edge_key, iter_bits, mask_balls
 from dynspan.greedy import GreedyState
 from dynspan.oracle import girth_at_least, reference_greedy, verify_stretch
 from test_graph import levelwise_mask_dist
@@ -159,23 +159,61 @@ def rescan_inputs(s: GreedyState, e: tuple[int, int]) -> tuple[list, set]:
     return [f for f in s.in_spanner if f != e], s.non_spanner - {e}
 
 
+def one_sided_candidates(s: GreedyState, a: int, b: int) -> list[tuple[int, int]]:
+    # `GreedyState._candidates` as it was before it walked the smaller side,
+    # kept verbatim as a slow twin: every vertex of a's rings, walked
+    # through `iter_bits` and keyed with `edge_key`
+    reach = s.cap - 1
+    adj, span = s.graph.adj_mask, s.span_mask
+    near, far = mask_balls(span, a, reach), mask_balls(span, b, reach)
+    found: set[tuple[int, int]] = set()
+    inner = 0
+    for dx, ball in enumerate(near):
+        for x in iter_bits(ball & ~inner):
+            for y in iter_bits(adj[x] & ~span[x] & far[reach - dx]):
+                found.add(edge_key(x, y))
+        inner = ball
+    return sorted(found)
+
+
+@pytest.fixture
+def candidate_twin(monkeypatch) -> list:
+    """Every `_candidates` call is checked against the one-sided walk; the
+    returned list collects each call's candidates."""
+    calls = []
+    fast = GreedyState._candidates
+
+    def checked(self, a, b):
+        got = fast(self, a, b)
+        assert got == one_sided_candidates(self, a, b), (a, b)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(GreedyState, "_candidates", checked)
+    return calls
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_local_rescan_matches_full_rescan_on_every_deletion(k):
+def test_local_rescan_matches_full_rescan_on_every_deletion(k, candidate_twin):
     rng = random.Random(100 + k)
     g = random_graph(rng, 60, 300)
     s = GreedyState(g, k)
     order = list(g.edges())
     rng.shuffle(order)
+    spanner_deletions = 0
     for e in order:
         seq, non_spanner = rescan_inputs(s, e)
+        spanner_deletions += e in s.in_spanner
         s.handle_delete(*e)
         assert list(s.in_spanner) == full_rescan(g, k, seq, non_spanner)
         assert list(s.in_spanner) == reference_greedy(g.copy(), k, equivalent_order(s))
     assert g.m == 0 and not s.in_spanner
+    # at k = 1 every edge is a spanner edge, so no deletion has a candidate
+    assert len(candidate_twin) == spanner_deletions and any(candidate_twin) == (k > 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_fd_greedy_levels_match_full_rescan_across_rebuilds(k):
+def test_fd_greedy_levels_match_full_rescan_across_rebuilds(k, candidate_twin):
     rng = random.Random(47)
     n = 12
     fd = FullyDynamicSpanner(n, k)
@@ -203,6 +241,7 @@ def test_fd_greedy_levels_match_full_rescan_across_rebuilds(k):
         fd.check_invariants()
         level_deletions += 1
     assert rebuilds >= 5 and level_deletions >= 100
+    assert any(candidate_twin) == (k > 1)
 
 
 def test_rescan_stays_in_the_deleted_edges_component(monkeypatch):

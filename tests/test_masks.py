@@ -1,10 +1,12 @@
 """Spanner adjacency masks kept by the structures, and the rank-select reads of them.
 
 Every structure answers `spanner_masks()` from the masks its output tracker
-keeps; the CLI's per-step check and `spanner-target` read those instead
-of the edge set.  On seeded streams, after every step, the masks must
-equal the adjacency of `spanner_edges()`, and the oracle's report on the
-masks must equal its report on the edges, the ground truth.
+keeps, and the structures with a `RoleSet` answer `spanner_ranks()` from
+the `EdgeRanks` it keeps over them; the CLI's per-step check and
+`spanner-target` read those instead of the edge set.  On seeded streams,
+after every step, the masks must equal the adjacency of `spanner_edges()`,
+the maintained ranks a fresh build and the sorted edges, and the oracle's
+report on the masks must equal its report on the edges, the ground truth.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import pytest
 
 from dynspan import cli
 from dynspan.adversary import AdversaryView, SpannerTargeting
-from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_at, edge_prefix, nth_bit
-from dynspan.instrumentation import OpCounter
+from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, nth_bit
+from dynspan.instrumentation import EdgeRanks, OpCounter
 from dynspan.oracle import SpannerMasks, SpannerNotSubgraph, adjacency_masks, verify_stretch
 from dynspan.resample3 import WrappedRunner
 
@@ -40,10 +42,20 @@ def report(g, h, t, **kwargs):
     return rep.ok, rep.worst_edge, rep.worst_dist
 
 
+def assert_ranks_fresh(ranks: EdgeRanks, rows: list[int], step=None) -> None:
+    fresh = EdgeRanks(rows)
+    assert ranks.rows is rows, step
+    assert (ranks.tree, ranks.total) == (fresh.tree, fresh.total), step
+
+
 def assert_masks_agree(g, state, step: int) -> None:
     masks = state.spanner_masks()
     edges = state.spanner_edges()
     assert masks == adjacency_masks(g.n, edges), step
+    if hasattr(state, "spanner_ranks"):  # the bare greedy keeps no RoleSet
+        ranks = state.spanner_ranks()
+        assert_ranks_fresh(ranks, masks, step)
+        assert [ranks.edge_at(r) for r in range(ranks.total)] == sorted(edges), step
     for t in (1, 3, 5):
         for kwargs in ({}, {"mode": "sampled", "sample": 16, "seed": step}):
             want = report(g, edges, t, **kwargs)
@@ -111,24 +123,40 @@ def test_rank_select_matches_sorted():
             nbrs = sorted(v for e in edges if u in e for v in e if v != u)
             for r in range(len(nbrs)):
                 assert nth_bit(g.adj_mask[u], r) == nbrs[r]
-        edges = list(g.edges())
-        prefix = edge_prefix(g.adj_mask)
-        assert (prefix[-1] if prefix else 0) == g.m
-        for r, e in enumerate(edges):  # r = 0 and r = m-1 among them
-            assert edge_at(g.adj_mask, prefix, r) == e
+        ranks = EdgeRanks(g.adj_mask)
+        assert ranks.total == g.m
+        # every rank, r = 0 and r = m-1 among them
+        assert [ranks.edge_at(r) for r in range(g.m)] == sorted(edges)
+        if n < 2:
+            continue
+        # maintained through random edge flips, the tree equals a fresh build
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(rng.randrange(40)):
+            u, v = rng.choice(pairs)
+            if g.has_edge(u, v):
+                g.delete_edge(u, v)
+                ranks.add(u, -1)
+            else:
+                g.insert_edge(u, v)
+                ranks.add(u, 1)
+            assert_ranks_fresh(ranks, g.adj_mask)
+        assert [ranks.edge_at(r) for r in range(g.m)] == [p for p in pairs if g.has_edge(*p)]
 
 
 def test_spanner_target_draws_the_edge_that_sorting_would():
+    # through a view with masks only (ranks built per draw) and one with ranks
     rng = random.Random(9)
     for seed in range(200):
         g = random_graph(rng, rng.randrange(2, 14))
         if not g.m:
             continue
         spanner = [e for e in g.edges() if rng.random() < 0.5] or [min(g.edges())]
-        adv = SpannerTargeting(seed, budget=1)
-        twin = random.Random()
-        twin.setstate(adv.rng.getstate())
-        view = AdversaryView(g, spanner_masks=lambda: adjacency_masks(g.n, spanner))
-        ev = adv.next_event(view)
+        masks = adjacency_masks(g.n, spanner)
+        twin = random.Random(seed)
         twin.random()  # the insertion-mixing draw
-        assert ev.edge == sorted(spanner)[twin.randrange(len(spanner))]
+        want = sorted(spanner)[twin.randrange(len(spanner))]
+        for view in (
+            AdversaryView(g, spanner_masks=lambda: masks),
+            AdversaryView(g, spanner_ranks=lambda: EdgeRanks(masks)),
+        ):
+            assert SpannerTargeting(seed, budget=1).next_event(view).edge == want
