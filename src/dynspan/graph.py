@@ -82,6 +82,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def nth_bit(mask: int, r: int) -> int:
     """Index of the set bit of rank r in mask, counting from the lowest (r = 0)."""
+    above = mask.bit_count() - 1 - r if r else 0  # set bits above the one sought
+    if above < r:  # fewer to strip from the top
+        for _ in range(above):
+            mask ^= 1 << (mask.bit_length() - 1)
+        return mask.bit_length() - 1
     for _ in range(r):
         mask &= mask - 1
     return (mask & -mask).bit_length() - 1

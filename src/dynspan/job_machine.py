@@ -6,11 +6,27 @@ are repaired immediately and re-randomized again at exponentially spaced
 future steps, which is what keeps an adaptive adversary from pinning load
 onto any machine.  Routines of one job must be machine-disjoint.
 
+A routine is an index into its job's routines: a job's live routines are
+one int bitmask, and its assignment is an index or None.  An embedder
+answers what needs machines: `machines(job, i)`, read by every load shift,
+and `on(x)`, the (job, i) routines through machine x, read by a deletion
+and `target`, which skip the dead ones and those of jobs not yet added.
+`HyperInstance` embeds as a table; resample3's `PhaseState` reads its
+witness routines off its core rows.
+
+Index order fixes the draws, and so every output: a draw takes the live
+bit of rank randrange(popcount).  `HyperInstance` sorts a job's routines
+by repr(machines) and each `on(x)` by repr(job), the order of the routine
+objects this engine once kept; routine w of a phase's pair is its witness
+w, so a phase draws in ascending-w order.  Due jobs run in repr(job)
+order.  A resample that redraws the assigned routine moves no load.
+
 Step order per machine deletion: extend schedules of touched jobs with
 {T + 2^k : k >= 0, T + 2^k <= horizon}, advance the clock, then resample
-every job due now (the T+1 entry delivers the immediate repair).  A draw
-costs one unit, charged by the caller of `resample`: `add_job`, or `_step`
-once for all the draws of its step.
+every job due now (the T+1 entry delivers the immediate repair).  A job
+costs Σ|machines| to add, a deletion 1 plus the other machines of each
+routine it kills, and a draw one unit, charged by the caller of
+`resample`: `add_job`, or `_step` once for all the draws of its step.
 
 Besides the schedule `list_at`, the engine keeps per job the steps of its
 resample events and of its touches (deaths of its assigned routine); only
@@ -19,12 +35,6 @@ job at c + 2^k, so its first entry after a step s >= c is
 c + 2^bit_length(s - c), and an event at s is blocked at t iff some touch
 c <= s has that entry before t.  An entry that the dedup in `list_at`
 skipped belongs to an earlier touch, which blocks the same events.
-
-Routines compare and hash by identity.  The canonical order, which fixes
-the random draws and so every output, is repr order: a job's live routines
-and a deletion's dead routines by (repr(job), repr(machines)), built once
-per routine when `add_job` takes it, and due jobs by repr(job), built once
-per job.  A resample that redraws the assigned routine moves no load.
 
 The max-load adversary attacks the heaviest machine: the live machine of
 largest load, ties going to the smallest machine.  Loads are kept in
@@ -38,13 +48,13 @@ rebuilt from its bucket, so stale entries never outnumber live ones by much.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable
 
-from dynspan.graph import UpdateEvent
-from dynspan.instrumentation import InvariantBroken, OpCounter, Step
+from dynspan.graph import UpdateEvent, nth_bit
+from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
 
 
 class JobMachineError(Exception):
@@ -67,59 +77,53 @@ class DisjointnessViolated(JobMachineError):
     pass
 
 
-@dataclass(slots=True, eq=False)
-class Routine:
-    """One way to handle `job`, by occupying `machines`.  Compares and hashes
-    by identity."""
-
-    job: Hashable
-    machines: tuple[Hashable, ...]
-    tag: Hashable = None  # opaque payload for embedders (e.g. a witness vertex)
-    _key: tuple[str, str] | None = field(default=None, init=False, repr=False)
-
-    def sort_key(self) -> tuple[str, str]:
-        """The canonical order key (repr(job), repr(machines)), built once."""
-        key = self._key
-        if key is None:
-            key = self._key = (repr(self.job), repr(self.machines))
-        return key
-
-
 class HyperInstance:
-    """Static job/machine/routine universe; validates the disjointness rule."""
+    """Static job/machine/routine universe, validated, and the engine's table
+    embedder.  `routines` are (job, machines) pairs, kept in input order."""
 
     def __init__(
         self,
         jobs: Iterable[Hashable],
         machines: Iterable[Hashable],
-        routines: Iterable[Routine],
+        routines: Iterable[tuple[Hashable, tuple[Hashable, ...]]],
     ) -> None:
         self.jobs = list(jobs)
-        self.machines = list(machines)
-        self.routines = list(routines)
-        job_set = set(self.jobs)
-        machine_set = set(self.machines)
-        used: dict[Hashable, set[Hashable]] = {}
-        for r in self.routines:
-            if r.job not in job_set:
-                raise UnknownJob(f"routine references unknown job {r.job!r}")
-            if not r.machines:
+        self.machine_ids = list(machines)
+        self.routines = [(job, tuple(ms)) for job, ms in routines]
+        machine_set = set(self.machine_ids)
+        table: dict[Hashable, list[tuple[Hashable, ...]]] = {job: [] for job in self.jobs}
+        for job, ms in self.routines:
+            if job not in table:
+                raise UnknownJob(f"routine references unknown job {job!r}")
+            if not ms:
                 raise JobMachineError("routine with empty machine set")
-            for x in r.machines:
+            for x in ms:
                 if x not in machine_set:
                     raise MachineMissing(f"routine references unknown machine {x!r}")
-            seen = used.setdefault(r.job, set())
-            for x in r.machines:
-                if x in seen:
-                    raise DisjointnessViolated(
-                        f"job {r.job!r} has two routines sharing machine {x!r}"
-                    )
-                seen.add(x)
+            table[job].append(ms)
+        on: dict[Hashable, list[tuple[Hashable, int]]] = {}
+        for job in sorted(table, key=repr):  # so each on(x) list is in repr(job) order
+            rows = table[job]
+            rows.sort(key=repr)
+            for i, ms in enumerate(rows):
+                for x in ms:
+                    entries = on.setdefault(x, [])
+                    if entries and entries[-1][0] == job:  # a job's entries are adjacent
+                        raise DisjointnessViolated(f"job {job!r}: two routines share machine {x!r}")
+                    entries.append((job, i))
+        self.table = table  # job -> its routines' machines, in index order
+        self._on = on
+
+    def machines(self, job: Hashable, i: int) -> tuple[Hashable, ...]:
+        return self.table[job][i]
+
+    def on(self, x: Hashable) -> Iterable[tuple[Hashable, int]]:
+        return self._on.get(x, ())
 
     def to_text(self) -> str:
-        lines = [f"J {len(self.jobs)}", f"M {len(self.machines)}"]
-        for r in self.routines:
-            lines.append("R " + str(r.job) + " " + " ".join(str(x) for x in r.machines))
+        lines = [f"J {len(self.jobs)}", f"M {len(self.machine_ids)}"]
+        for job, ms in self.routines:
+            lines.append("R " + str(job) + " " + " ".join(str(x) for x in ms))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -138,8 +142,7 @@ class HyperInstance:
                     machines = int(parts[1])
                 elif parts[0] == "R":
                     job = int(parts[1])
-                    ms = tuple(int(x) for x in parts[2:])
-                    routines.append(Routine(job, ms))
+                    routines.append((job, tuple(int(x) for x in parts[2:])))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")
             except (IndexError, ValueError) as exc:
@@ -154,7 +157,7 @@ class StepReport:
     touched: tuple[Hashable, ...]
     resampled: tuple[Hashable, ...]
     schedule_added: int
-    changes: tuple[tuple[Hashable, Routine | None, Routine | None], ...] = ()
+    changes: tuple[tuple[Hashable, int | None, int | None], ...] = ()  # (job, old, new)
 
     @property
     def resamples(self) -> int:
@@ -166,19 +169,25 @@ class ResamplingEngine:
 
     def __init__(
         self,
-        instance: HyperInstance | None,
+        embedder,
         seed: int,
         horizon: int,
         counter: OpCounter | None = None,
+        roles: RoleSet | None = None,
     ) -> None:
+        """A `HyperInstance` embedder brings its machines and jobs; another
+        adds its own.  None is an empty instance.  `roles`, if given, holds
+        one role for each machine whose load is above 0."""
+        self.embedder = embedder if embedder is not None else HyperInstance((), (), ())
+        self._machines = self.embedder.machines  # read on every load shift
+        self.roles = roles
         self.rng = random.Random(seed)
         self.horizon = horizon
         self.counter = counter or OpCounter()
         self.T = 0
-        self.by_machine: dict[Hashable, set[Routine]] = {}
-        self.live_by_job: dict[Hashable, list[Routine]] = {}  # in canonical order
+        self.live: dict[Hashable, int] = {}  # job -> bitmask of its live routines
         self._job_repr: dict[Hashable, str] = {}  # due jobs run in repr order
-        self.assigned: dict[Hashable, Routine | None] = {}
+        self.assigned: dict[Hashable, int | None] = {}
         self.assigned_count = 0  # jobs whose assigned routine is not None
         self.loads: dict[Hashable, int] = {}  # keyed by the live machines
         self._load_buckets: dict[int, set[Hashable]] = {}
@@ -188,21 +197,17 @@ class ResamplingEngine:
         # replayable history: the steps of each job's resample events and touches
         self.resample_events: dict[Hashable, list[int]] = {}
         self.touch_times: dict[Hashable, list[int]] = {}
-        if instance is not None:
-            for x in instance.machines:
+        if isinstance(embedder, HyperInstance):
+            for x in embedder.machine_ids:
                 self.add_machine(x)
-            per_job: dict[Hashable, list[Routine]] = {}
-            for r in instance.routines:
-                per_job.setdefault(r.job, []).append(r)
-            for job in instance.jobs:
-                self.add_job(job, per_job.get(job, ()))
+            for job, rows in embedder.table.items():
+                self.add_job(job, (1 << len(rows)) - 1, sum(map(len, rows)))
 
     # -- incremental construction (clock must not have started) --
 
     def add_machine(self, x: Hashable) -> None:
         if x in self.loads:
             raise JobMachineError(f"machine {x!r} already present")
-        self.by_machine[x] = set()
         self.loads[x] = 0
         self._load_buckets.setdefault(0, set()).add(x)
         heap = self._heaps.get(0)
@@ -210,41 +215,19 @@ class ResamplingEngine:
             heappush(heap, x)
         self._charge(1)
 
-    def add_job(self, job: Hashable, routines: Iterable[Routine]) -> None:
-        """Register a job with its routines and give it its initial assignment."""
-        if job in self.live_by_job:
+    def add_job(self, job: Hashable, live: int, slots: int) -> None:
+        """Register `job` with the routines whose indices are the bits of
+        `live`, `slots` being their Σ|machines|, and draw its assignment."""
+        if job in self.live:
             raise JobMachineError(f"job {job!r} already present")
-        loads = self.loads
-        job_repr = repr(job)
-        rs = list(routines)
-        seen: set[Hashable] = set()
-        units = 0
-        for r in rs:
-            if r.job != job:
-                raise UnknownJob(f"routine {r} does not belong to job {job!r}")
-            machines = r.machines
-            for x in machines:
-                if x not in loads:
-                    raise MachineMissing(f"routine machine {x!r} unknown")
-                if x in seen:
-                    raise DisjointnessViolated(f"job {job!r} routines share machine {x!r}")
-                seen.add(x)
-            units += len(machines)
-            if r._key is None:
-                r._key = (job_repr, repr(machines))
-        rs.sort(key=Routine.sort_key)  # one repr(job) for all: by repr(machines)
-        self.live_by_job[job] = rs
-        self._job_repr[job] = job_repr
+        self.live[job] = live
+        self._job_repr[job] = repr(job)
         self.assigned[job] = None
         self.resample_events[job] = []
         self.touch_times[job] = []
-        by_machine = self.by_machine
-        for r in rs:
-            for x in r.machines:
-                by_machine[x].add(r)
         if self.resample(job) is not None:
-            units += 1
-        self._charge(units)
+            slots += 1
+        self._charge(slots)
 
     # -- load bookkeeping --
 
@@ -260,17 +243,23 @@ class ResamplingEngine:
         heapify(heap)
         return heap
 
-    def _shift_load(self, r: Routine, delta: int) -> None:
-        """Move every live machine of `r` by `delta` load units."""
+    def _shift_load(self, machines: tuple[Hashable, ...], delta: int) -> None:
+        """Move every live machine of a routine by `delta` load units."""
         loads = self.loads
         buckets = self._load_buckets
         heaps = self._heaps
-        for x in r.machines:
+        roles = self.roles
+        for x in machines:
             old = loads.get(x)
             if old is None:
                 continue  # the deleted machine of a dying routine
             new = old + delta
             loads[x] = new
+            if not (old and new) and roles is not None:
+                if new:
+                    roles.add(x)
+                else:
+                    roles.remove(x)
             bucket = buckets[old]
             bucket.discard(x)
             heap = heaps.get(old)
@@ -283,7 +272,7 @@ class ResamplingEngine:
             heap = heaps.get(new)
             if heap is not None:
                 heappush(heap, x)
-            if new > self._max_load:
+            if delta > 0 and new > self._max_load:
                 self._max_load = new
 
     def heaviest_machine(self) -> Hashable | None:
@@ -316,32 +305,35 @@ class ResamplingEngine:
         if x not in self.loads:
             raise MachineMissing(f"machine {x!r} not live")
         total = Fraction(0)
-        for r in self.by_machine[x]:
-            total += Fraction(1, len(self.live_by_job[r.job]))
+        live = self.live
+        for job, i in self.embedder.on(x):
+            if live.get(job, 0) >> i & 1:
+                total += Fraction(1, live[job].bit_count())
         return total
 
     # -- the dynamic process --
 
-    def resample(self, job: Hashable) -> Routine | None:
+    def resample(self, job: Hashable) -> int | None:
         """Reassign `job` uniformly over its live routines; logs the event.
         A draw that returns a routine costs one unit, which the caller charges."""
-        if job not in self.live_by_job:
+        live = self.live.get(job)
+        if live is None:
             raise UnknownJob(f"job {job!r} unknown")
         self.resample_events[job].append(self.T)
-        live = self.live_by_job[job]
         old = self.assigned[job]
         if not live:
             if old is not None:
                 self.assigned_count -= 1
             self.assigned[job] = None
             return None
-        new = live[self.rng.randrange(len(live))]
+        new = nth_bit(live, self.rng.randrange(live.bit_count()))
+        machines = self._machines
         if old is None:
             self.assigned_count += 1
-            self._shift_load(new, +1)
-        elif old is not new:  # redrawing the assigned routine moves no load
-            self._shift_load(old, -1)
-            self._shift_load(new, +1)
+            self._shift_load(machines(job, new), +1)
+        elif old != new:  # redrawing the assigned routine moves no load
+            self._shift_load(machines(job, old), -1)
+            self._shift_load(machines(job, new), +1)
         self.assigned[job] = new
         return new
 
@@ -368,47 +360,47 @@ class ResamplingEngine:
         if self.T >= self.horizon:
             raise InvariantBroken(f"step {self.T + 1} exceeds the declared horizon {self.horizon}")
         touched: list[Hashable] = []
-        changes: list[tuple[Hashable, Routine | None, Routine | None]] = []
+        changes: list[tuple[Hashable, int | None, int | None]] = []
         if x is not None:
-            dead = sorted(self.by_machine.pop(x), key=Routine.sort_key)
             load = self.loads.pop(x)
+            if load and self.roles is not None:
+                self.roles.remove(x)
             bucket = self._load_buckets[load]
             bucket.discard(x)
             heap = self._heaps.get(load)
             if heap is not None and len(heap) > 2 * len(bucket) + 16:
                 self._rebuild_heap(load)
+            live, assigned, machines = self.live, self.assigned, self._machines
             units = 1
-            for r in dead:
-                self.live_by_job[r.job].remove(r)
-                for y in r.machines:
-                    if y != x and y in self.loads:
-                        self.by_machine[y].discard(r)
-                        units += 1
-                if self.assigned[r.job] is r:
-                    self._shift_load(r, -1)
+            for job, i in self.embedder.on(x):
+                if not live.get(job, 0) >> i & 1:
+                    continue  # died with an earlier machine, or its job is not added yet
+                live[job] ^= 1 << i
+                ms = machines(job, i)
+                units += len(ms) - 1  # a live routine's other machines are live
+                if assigned[job] == i:
                     # the dead routine no longer loads surviving machines
-                    self.assigned[r.job] = None
+                    self._shift_load(ms, -1)
+                    assigned[job] = None
                     self.assigned_count -= 1
-                    touched.append(r.job)
-                    changes.append((r.job, r, None))
+                    touched.append(job)
+                    changes.append((job, i, None))
             self._charge(units)
         schedule_added = 0
         for job in touched:
             schedule_added += self._extend_schedule(job)
         self.T += 1
         due = sorted(self.list_at.pop(self.T, ()), key=self._job_repr.__getitem__)
-        resampled: list[Hashable] = []
         drawn = 0
         for job in due:
             old = self.assigned[job]
             new = self.resample(job)
-            resampled.append(job)
             if new is not None:
                 drawn += 1
-            if old is not new:
+            if old != new:
                 changes.append((job, old, new))
         self._charge(drawn)
-        return StepReport(tuple(touched), tuple(resampled), schedule_added, tuple(changes))
+        return StepReport(tuple(touched), tuple(due), schedule_added, tuple(changes))
 
     def _extend_schedule(self, job: Hashable) -> int:
         T, list_at = self.T, self.list_at
@@ -429,18 +421,18 @@ class ResamplingEngine:
 
     # -- relevance replay --
 
-    def rel_times(self, t: int, r: Routine) -> list[int]:
-        """Steps of resample events of job(r) before t that could still explain
-        r being assigned at t: event at step s counts unless some schedule
-        entry t' with s < t' < t already existed at step s, derived from the
-        touches as the module docstring says."""
-        if r not in self.live_by_job.get(r.job, ()):
-            raise UnknownRoutine(f"routine {r} not live")
+    def rel_times(self, t: int, job: Hashable, i: int) -> list[int]:
+        """Steps of resample events of `job` before t that could still explain
+        its live routine i being assigned at t: event at step s counts unless
+        some schedule entry t' with s < t' < t already existed at step s,
+        derived from the touches as the module docstring says."""
+        if not self.live.get(job, 0) >> i & 1:
+            raise UnknownRoutine(f"routine {i} of job {job!r} not live")
         if t > self.T:
             raise ValueError("t is in the future")
-        touches = self.touch_times[r.job]
+        touches = self.touch_times[job]
         times = []
-        for s in self.resample_events[r.job]:
+        for s in self.resample_events[job]:
             if s >= t:
                 break
             blocked = any(c + (1 << (s - c).bit_length()) < t for c in touches if c <= s)
@@ -448,20 +440,18 @@ class ResamplingEngine:
                 times.append(s)
         return times
 
-    def rel_count(self, t: int, r: Routine) -> int:
-        return len(self.rel_times(t, r))
+    def rel_count(self, t: int, job: Hashable, i: int) -> int:
+        return len(self.rel_times(t, job, i))
 
     def check_feasible(self) -> None:
         """Asserts a feasible assignment, and load bookkeeping equal to a recount."""
-        for job, live in self.live_by_job.items():
-            if live:
-                assert self.assigned[job] in live
-            else:
-                assert self.assigned[job] is None
-        assert self.assigned_count == sum(1 for r in self.assigned.values() if r is not None)
-        recount = dict.fromkeys(self.by_machine, 0)  # keyed by the live machines
-        for r in self.assigned.values():
-            for x in r.machines if r is not None else ():
+        for job, live in self.live.items():
+            i = self.assigned[job]
+            assert (i is not None and live >> i & 1) if live else i is None
+        assert self.assigned_count == sum(i is not None for i in self.assigned.values())
+        recount = dict.fromkeys(self.loads, 0)
+        for job, i in self.assigned.items():
+            for x in self.embedder.machines(job, i) if i is not None else ():
                 recount[x] = recount.get(x, 0) + 1
         assert self.loads == recount, "loads differ from a recount of the assigned routines"
         members = [(x, load) for load, bucket in self._load_buckets.items() for x in bucket]
@@ -492,5 +482,5 @@ def random_instance(rng: random.Random, jobs: int, machines: int) -> HyperInstan
             i += width
             if not chunk:
                 break
-            routines.append(Routine(job, tuple(sorted(chunk))))
+            routines.append((job, tuple(sorted(chunk))))
     return HyperInstance(range(jobs), range(machines), routines)

@@ -6,9 +6,9 @@ witness edges per same-bucket pair with a common neighbor, and a buffer
 of edges inserted during the current phase, which are passed through
 verbatim (a spanner plus extra edges is still a spanner).  Witnesses are
 assignments of the job/machine engine: jobs are same-bucket pairs,
-machines are graph edges, and a routine for a pair is one common neighbor
-with its two connecting edges, so the engine's proactive schedule decides
-when witnesses get re-randomized.
+machines are graph edges, and routine w of a pair (a, b) is its common
+neighbor w with the edges (a, w) and (b, w), so the engine's proactive
+schedule decides when witnesses get re-randomized.
 
 A phase serves a bounded number of updates.  Its core graph is kept as
 one bitmask row per vertex, the phase-start edges minus the deletions
@@ -16,8 +16,12 @@ since.  The core only loses edges, so a vertex's partner in bucket i is
 always the lowest bit of `core[v] & bucket_mask[i]`, its intra-bucket
 edges are its row's bits inside its own bucket, and a pair's common
 neighbors are `core[a] & core[b]`: all are read off the rows rather than
-stored.  Deletions update the core immediately; insertions only enter the
-buffer and are folded into the core when the next phase starts.
+stored.  The phase embeds its engine: a pair's live routines are the bits
+of `core[a] & core[b]`, drawn in ascending-w order, and deleting the core
+edge (u, v) kills witness v of the pairs (u, b) with b a bucket-mate of u
+adjacent to v, and witness u of the pairs (v, b) likewise.  Deletions
+update the core immediately; insertions only enter the buffer and are
+folded into the core when the next phase starts.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -33,7 +38,7 @@ from dynspan.det3 import bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key
 from dynspan.graph import check_rows, iter_bits, nth_bit
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleOutput, RoleSet, Step
-from dynspan.job_machine import ResamplingEngine, Routine
+from dynspan.job_machine import ResamplingEngine
 from dynspan.oracle import adjacency_masks
 
 
@@ -77,15 +82,14 @@ class PhaseState(RoleOutput):
         self.core = [0] * self.n  # the phase-start edges minus the deletions since
         self.buffer: set[tuple[int, int]] = set()  # edges inserted this phase
         # roles: one per endpoint whose partner edge it is, one for an
-        # intra-bucket core edge, one for the buffer, one per chosen witness
-        # routine using the edge
+        # intra-bucket core edge, one for the buffer, and one, held by the
+        # engine, for carrying any chosen witness routine (a load above 0)
         self.roles = RoleSet(self.n)
         self.spanner = self.roles.count.keys()  # live view: the edges holding a role
         self.updates_used = 0
-        # core edge -> the tuple the engine holds as its machine; witness routines
-        # share it instead of allocating two tuples each (a rollover allocates less)
-        self._edge: dict[tuple[int, int], tuple[int, int]] = {}
-        self.engine: ResamplingEngine = ResamplingEngine(None, seed, horizon=self.L, counter=self.counter)
+        # the engine reaches its phase through a proxy, so no cycle keeps an
+        # abandoned phase alive; the engine works only while the phase does
+        self.engine = ResamplingEngine(weakref.proxy(self), seed, self.L, self.counter, self.roles)
         for e in graph.edges():
             self._init_edge(e)
         for p in self._pair_keys():
@@ -106,7 +110,6 @@ class PhaseState(RoleOutput):
     def _init_edge(self, e: tuple[int, int]) -> None:
         u, v = e
         core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
-        self._edge[e] = e
         self._charge_core(u, v)
         self.engine.add_machine(e)
         if bucket_of[u] == bucket_of[v]:
@@ -132,17 +135,30 @@ class PhaseState(RoleOutput):
         return keys
 
     def _init_pair(self, p: tuple[int, int]) -> None:
-        a, b = p  # a witness w is a common neighbor, so w != a and w != b
-        edge, core = self._edge, self.core
-        routines = [
-            Routine(p, (edge[(a, w) if a < w else (w, a)], edge[(b, w) if b < w else (w, b)]), w)
-            for w in iter_bits(core[a] & core[b])
-        ]
-        self.engine.add_job(p, routines)
-        chosen = self.engine.assigned[p]
-        if chosen is not None:
-            for e in chosen.machines:
-                self.roles.add(e)
+        live = self.core[p[0]] & self.core[p[1]]
+        self.engine.add_job(p, live, 2 * live.bit_count())
+
+    # -- the engine's embedder: routine w of a pair is its witness w --
+
+    @staticmethod
+    def machines(p: tuple[int, int], w: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The edges (a, w) and (b, w) by which the common neighbor w joins p = (a, b)."""
+        a, b = p
+        return ((a, w) if a < w else (w, a)), ((b, w) if b < w else (w, b))
+
+    def on(self, x: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
+        """The witness routines through the core edge x, the mates `_charge_core` counts."""
+        core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
+        u, v = x
+        out = []
+        for s, w in ((u, v), (v, u)):
+            mates = core[w] & bucket_mask[bucket_of[s]] & ~(1 << s)
+            while mates:  # an inline bit loop: a deletion's hot path
+                low = mates & -mates
+                b = low.bit_length() - 1
+                out.append((((s, b) if s < b else (b, s)), w))
+                mates ^= low
+        return out
 
     # -- updates --
 
@@ -184,13 +200,6 @@ class PhaseState(RoleOutput):
                             self.roles.add(edge_key(x, nth_bit(rest, 0)))
                         self.counter.charge(2, "resample3")
             report = self.engine.delete_machine(e)
-        for job, old, new in report.changes:
-            if old is not None:
-                for m in old.machines:
-                    self.roles.remove(m)
-            if new is not None:
-                for m in new.machines:
-                    self.roles.add(m)
         self.updates_used += 1
         return Resample3Step(
             tuple(self.roles.flush()), report.resamples, len(report.touched), report.schedule_added
@@ -199,9 +208,7 @@ class PhaseState(RoleOutput):
     # -- views --
 
     def witnesses(self) -> dict[tuple[int, int], int]:
-        return {
-            p: r.tag for p, r in self.engine.assigned.items() if r is not None
-        }
+        return {p: w for p, w in self.engine.assigned.items() if w is not None}
 
     def check_invariants(self) -> None:
         core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
@@ -209,11 +216,10 @@ class PhaseState(RoleOutput):
         host = [row & ~b for row, b in zip(self.g.adj_mask, adjacency_masks(self.n, self.buffer))]
         assert core == host, "core rows differ from the host rows less the buffer"
         # every pair with a common core neighbor is a job, and a job's live
-        # routines are one per common neighbor
-        assert set(self._pair_keys()) <= self.engine.live_by_job.keys()
-        for (a, b), live in self.engine.live_by_job.items():
-            tags = sorted(r.tag for r in live)
-            assert tags == list(iter_bits(core[a] & core[b])), f"witnesses of {(a, b)} are stale"
+        # routines are its common neighbors
+        assert set(self._pair_keys()) <= self.engine.live.keys()
+        for (a, b), live in self.engine.live.items():
+            assert live == core[a] & core[b], f"witnesses of {(a, b)} are stale"
         self.engine.check_feasible()
         # the roles recounted from the rows: a partner edge per vertex and
         # other bucket it has a neighbor in, and every intra-bucket edge once
@@ -225,9 +231,7 @@ class PhaseState(RoleOutput):
                     roles.update((x, y) for y in iter_bits(nbrs >> x << x))
                 elif nbrs:
                     roles[edge_key(x, nth_bit(nbrs, 0))] += 1
-        for r in self.engine.assigned.values():
-            if r is not None:
-                roles.update(r.machines)
+        roles.update(e for e, load in self.engine.loads.items() if load)
         assert self.roles.count == roles
         self.roles.check_masks()
         for e in self.spanner:

@@ -23,10 +23,10 @@ from dynspan.adversary import (
 )
 from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
-from dynspan.graph import DELETE, INSERT, DynamicGraph, mask_dist
+from dynspan.graph import DELETE, INSERT, DynamicGraph, iter_bits, mask_dist
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import OverheadSample, measure_overhead
-from dynspan.job_machine import ResamplingEngine, Routine, random_instance
+from dynspan.job_machine import ResamplingEngine, random_instance
 from dynspan.oracle import girth_at_least, reference_greedy, verify_stretch
 from dynspan.resample3 import PhaseState, WrappedRunner
 
@@ -159,9 +159,11 @@ def test_criterion_4_det3_worst_case():
 
 @pytest.fixture(scope="module")
 def jm_fuzz_runs():
-    # shared by criteria 5 and 6: ten seeded max-load runs of 10^4 deletions
+    # shared by criteria 5 and 6: ten seeded max-load runs of 4000 deletions.
+    # Each seed runs out of live routines between deletion 4500 and 4800, so
+    # both criteria check live routines and loaded machines to the end.
     runs = []
-    deletions = 10_000
+    deletions = 4000
     machines = 12_000
     for seed in range(10):
         inst = random_instance(random.Random(5000 + seed), jobs=2500, machines=machines)
@@ -172,20 +174,21 @@ def jm_fuzz_runs():
             x = eng.heaviest_machine()
             assert x is not None
             eng.delete_machine(x)
-            if step % 200 == 199:
+            if step % 80 == 79:
                 t = eng.T
                 rng = random.Random(step * 31 + seed)
                 for xm in rng.sample(sorted(eng.loads), 25):
                     samples.append(OverheadSample(t, xm, eng.load(xm), float(eng.target(xm))))
-            if step % 250 == 249:
+            if step % 100 == 99:
                 t = eng.T
-                live = [r for rl in eng.live_by_job.values() for r in rl]
-                live.sort(key=Routine.sort_key)
+                live = [(job, i) for job, mask in eng.live.items() for i in iter_bits(mask)]
                 rng = random.Random(step * 17 + seed)
-                for r in rng.sample(live, min(4, len(live))):
+                for job, i in rng.sample(live, min(4, len(live))):
                     rel_checks.append(
-                        (eng.rel_count(t, r), math.floor(math.log2(max(t, 2))) + 1)
+                        (eng.rel_count(t, job, i), math.floor(math.log2(max(t, 2))) + 1)
                     )
+        assert len(samples) == 50 * 25
+        assert len(rel_checks) == 40 * 4  # four live routines at every checkpoint
         runs.append((eng, samples, rel_checks, deletions, machines))
     return runs
 

@@ -19,7 +19,7 @@ from dynspan.adversary import (
     write_stream,
 )
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
-from dynspan.job_machine import HyperInstance, ResamplingEngine, Routine
+from dynspan.job_machine import HyperInstance, ResamplingEngine
 from dynspan.oracle import adjacency_masks
 from dynspan.resample3 import PhaseState
 
@@ -118,7 +118,7 @@ def test_witness_hammer_without_machines_deletes_the_smallest_edge():
 
 
 def test_max_load_machine_deletes_heaviest():
-    routines = [Routine(0, (0,)), Routine(1, (0,)), Routine(2, (1,))]
+    routines = [(0, (0,)), (1, (0,)), (2, (1,))]
     inst = HyperInstance(range(3), range(3), routines)
     eng = ResamplingEngine(inst, 0, horizon=5)
     adv = MaxLoadMachine(budget=2)

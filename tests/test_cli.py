@@ -17,6 +17,7 @@ from dynspan.adversary import write_stream
 from dynspan.det3 import Det3State
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
 from dynspan.instrumentation import CSV_HEADER
+from dynspan.job_machine import random_instance
 
 
 def deletion_stream(tmp_path, name, n=12, m=30, count=20, seed=3):
@@ -147,6 +148,37 @@ def test_run_jm_max_load():
         ]
     )
     assert code == 0
+
+
+def test_jm_instance_file_runs_as_the_seeded_instance(tmp_path):
+    # `run` builds random_instance(Random(seed), jobs, machines) when given no file
+    path = tmp_path / "instance.txt"
+    path.write_text(random_instance(random.Random(23), jobs=60, machines=300).to_text())
+    argv = ["run", "--algo", "jm", "--steps", "120", "--seed", "23", "--adversary", "max-load"]
+    outs = []
+    for source in (["--jm-jobs", "60", "--jm-machines", "300"], ["--jm-instance", str(path)]):
+        out = tmp_path / f"run{len(outs)}.csv"
+        assert cli.main([*argv, *source, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("J 1\nM 3\nR 0 0 1\nR 0 1 2\n", "two routines share machine 1"),
+        ("J 1\nM 3\nR 0 5\n", "unknown machine 5"),
+        ("J 1\nM 3\nR 0\n", "empty machine set"),
+        ("J 1\nM 3\nX 0 1\n", "unknown record 'X'"),
+    ],
+)
+def test_bad_jm_instance_file_is_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    argv = ["run", "--algo", "jm", "--adversary", "max-load", "--steps", "5"]
+    assert cli.main([*argv, "--jm-instance", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_malformed_stream_is_input_error(tmp_path, capsys):

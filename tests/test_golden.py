@@ -58,9 +58,10 @@ RUN_DIGESTS = {
         "8f4b574d8b88be339714e345529a1d363a2aee4cfc5422dd6458871b940cbc10",
         "33de1b61560d38c1ad003273ab85489b0e19a8eea207266131c4d16f388400d9",
     ),
-    # the two rollover rows (steps 26 and 51) report the swap of the whole output
+    # the two rollover rows (steps 26 and 51) report the swap of the whole output;
+    # a phase draws its witnesses in ascending-w order
     "resample3": (
-        "42297d9615a875f3eac1b7d77c6a892334d5597929c0825fb85e49d75f01c03a",
+        "f296fd235cb23943a71078ae183c37230b933c17e29a7cf9521f1507c6496361",
         "498578e2587b64d41e3c47eb7c0380f49ef28f64d8307f8332ac8ae67dc14185",
     ),
 }
@@ -71,19 +72,21 @@ ADVERSARIES = {
     "witness-hammer": WitnessHammer,
 }
 
+# the spanner-target and witness-hammer streams read a resample3 structure,
+# whose witness draws are in ascending-w order
 STREAM_DIGESTS = {
     ("random", 0.0): "cda8677c143b66a54d1963f8f27237e2466b329b4c7ad98597878ea00509104b",
     ("random", 0.3): "f5ece9ef0b68740d03f2756836ca1a63c8f86f9347c2335a7caab3b0e1d55211",
     ("random", 1.0): "bfea82576757fc7ca4e8dbf0288922122dd1387ccb6119afd2a39a8ec6de5583",
-    ("spanner-target", 0.0): "6498f8e8370e3f8a1584cd05543f9f6d98c9de71a6792005a7cab949c87a4edd",
-    ("spanner-target", 0.3): "15fd5abc537a55ff6438254c09131d81fc61ef337027fbc2c5c654cdc7b3d63b",
-    ("spanner-target", 1.0): "85f331a06e0b137562cd8882b980737f23bf5012bbf997de74eaabc3f29b2e65",
-    ("witness-hammer", 0.0): "cf14d47933f860a4693e5cabef1f7e7a910646c0d4dab2a4e9a4c3f2858011f2",
-    ("witness-hammer", 0.3): "d5c2be0d3f77f563b73848a660ce9cf933669c5fefefb22761543e1da8a5908d",
-    ("witness-hammer", 1.0): "fc03757d2184f5b908297020e8f63c882fd734d8fb655dc2314a2f4182ff75b5",
+    ("spanner-target", 0.0): "075085af597a9d87182a3245d714c45b247411c110238976e366a33d6d100b53",
+    ("spanner-target", 0.3): "bb58305a08ecd0bc126d048b9999def038f8be895df7ddc346fac27f441e7b51",
+    ("spanner-target", 1.0): "f4d5ca6ab9e3a430963554052bbfd50ae601937d26ac2baff112e50341f6210c",
+    ("witness-hammer", 0.0): "6bfde6b338995cce3e290acdb3602a834cb7c56b2b446a0a691910edb29757c7",
+    ("witness-hammer", 0.3): "20d9b406b261f3c0092d5bbdfd58072722b70389d224a5476a7f45814a25ad69",
+    ("witness-hammer", 1.0): "2991489ca1c9207f0b6231025237a5aac7f06abb60977fbc720a13fb112b7126",
 }
 
-WRAPPED_DIGEST = "3ef6f5cd228468069e7d77ed9ee29bba3ae0ac91954712dcadddc9eac2487707"
+WRAPPED_DIGEST = "4455a5c052e934737817b067600a432996734f0d99d719bcea90ba8f0e259253"
 
 
 def digest(data: bytes | str) -> str:

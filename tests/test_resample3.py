@@ -273,7 +273,9 @@ def test_phase_build_op_totals_are_pinned():
         else:
             drv.insert(*rng.choice([p for p in pairs if not g.has_edge(*p)]))
     assert drv.phase_index == 2
+    # a phase draws in ascending-witness order, so its deletions touch other jobs
+    # than the repr-order draws did: job_machine read 3123 and the total 7370
     assert (dict(counter.by_module), counter.total) == (
-        {"graph": 642, "partnership": 3569, "job_machine": 3123, "resample3": 36},
-        7370,
+        {"graph": 642, "partnership": 3569, "job_machine": 3130, "resample3": 36},
+        7377,
     )
