@@ -8,6 +8,7 @@ of the arguments, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
 import json
 import random
@@ -26,7 +27,7 @@ from dynspan.adversary import (
 )
 from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
-from dynspan.graph import DynamicGraph, GraphError, UpdateEvent
+from dynspan.graph import DynamicGraph, GraphError
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import InvariantBroken, MetricsRow, OpCounter, Step, write_metrics_csv
 from dynspan.job_machine import HyperInstance, JobMachineError, ResamplingEngine, random_instance
@@ -48,11 +49,17 @@ class CheckFailed(Exception):
 
 
 def seeded_graph(n: int, m: int, seed: int, counter: OpCounter | None = None) -> DynamicGraph:
-    pairs = list(itertools.combinations(range(n), 2))
-    if m > len(pairs):
-        raise BadArgs(f"--init-m {m} exceeds {len(pairs)} possible edges")
-    rng = random.Random(seed)
-    return DynamicGraph(n, rng.sample(pairs, m), counter=counter)
+    """m distinct pairs drawn by rank from the lexicographic list of all
+    n(n-1)/2, which is never built: `sample` reads only its length."""
+    total = n * (n - 1) // 2 if n > 0 else 0
+    if m > total:
+        raise BadArgs(f"--init-m {m} exceeds {total} possible edges")
+    starts = list(itertools.accumulate(range(n - 1, 0, -1), initial=0))  # row u's first rank
+    edges = []
+    for r in random.Random(seed).sample(range(total), m):
+        u = bisect.bisect_right(starts, r) - 1
+        edges.append((u, u + 1 + r - starts[u]))
+    return DynamicGraph(n, edges, counter=counter)
 
 
 class Adapter:
@@ -96,15 +103,9 @@ class FDGreedyAdapter(Adapter):
 
     def __init__(self, args, counter: OpCounter) -> None:
         self.graph = seeded_graph(args.n, args.init_m, args.seed, counter)
-        self.state = FullyDynamicSpanner(
-            args.n, args.k, edges=tuple(self.graph.edges()), counter=counter
-        )
+        self.state = FullyDynamicSpanner(self.graph, args.k, counter)
         self.stretch_bound = 2 * args.k - 1
         counter.end_step()
-
-    def apply(self, ev: UpdateEvent) -> Step:
-        self.graph.apply(ev)  # the levels keep graphs of their own; mirror into the host
-        return self.state.update(ev)
 
 
 class Det3Adapter(Adapter):

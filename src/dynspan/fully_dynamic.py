@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent, check_range
-from dynspan.graph import edge_key
+from dynspan.graph import INSERT, DynamicGraph, UpdateEvent
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import OpCounter, RoleOutput, RoleSet, Step
 
@@ -41,16 +40,15 @@ class RebuildInfo:
 
 
 class FullyDynamicSpanner(RoleOutput):
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        edges: tuple[tuple[int, int], ...] = (),
-        counter: OpCounter | None = None,
-    ) -> None:
-        self.n = n
+    """Owns its host graph `g`: an update applies to it first, so a bad
+    vertex, a present insert or a missing delete raises before anything
+    changes."""
+
+    def __init__(self, graph: DynamicGraph, k: int, counter: OpCounter | None = None) -> None:
+        self.g = graph
+        self.n = graph.n
         self.k = k
-        self.ell0, self.num_levels = level_params(n, k)
+        self.ell0, self.num_levels = level_params(self.n, k)
         self.counter = counter or OpCounter()
         self.insert_count = 0
         self.e0: set[tuple[int, int]] = set()
@@ -58,24 +56,20 @@ class FullyDynamicSpanner(RoleOutput):
         self.owner: dict[tuple[int, int], int] = {}
         # roles: one per E_0 edge and one per spanner edge of a level; every
         # edge has one owner, so no edge ever holds two
-        self.roles = RoleSet(n)
-        if edges:
+        self.roles = RoleSet(self.n)
+        if graph.m:
             # a non-empty start graph occupies the top level whole
             top = max(self.num_levels, 1)
-            g = DynamicGraph(n, edges)
-            state = GreedyState(g, k, self.counter)
+            state = GreedyState(graph.copy(), k, self.counter)
             self.levels[top] = state
-            for e in g.edges():
+            for e in graph.edges():
                 self.owner[e] = top
             for e in state.in_spanner:
                 self.roles.add(e)
             self.roles.flush()
 
     def insert(self, u: int, v: int) -> RebuildInfo | None:
-        check_range(self.n, u, v)
-        e = edge_key(u, v)
-        if e in self.owner:
-            raise EdgeExists(f"edge {e} already present")
+        e = self.g.insert_edge(u, v)
         self.insert_count += 1
         g = (self.insert_count & -self.insert_count).bit_length() - 1  # highest flipped bit
         if g <= self.ell0:
@@ -108,11 +102,8 @@ class FullyDynamicSpanner(RoleOutput):
         return RebuildInfo(h, len(merged))
 
     def delete(self, u: int, v: int) -> list[tuple[int, int]]:
-        check_range(self.n, u, v)
-        e = edge_key(u, v)
-        level = self.owner.pop(e, None)
-        if level is None:
-            raise EdgeMissing(f"edge {e} not present")
+        e = self.g.delete_edge(u, v)
+        level = self.owner.pop(e)
         if level == 0:
             self.e0.discard(e)
             self.roles.remove(e)
@@ -131,6 +122,7 @@ class FullyDynamicSpanner(RoleOutput):
         return Step.of(self.roles.flush(), self.counter.end_step(), 0, self.spanner_size())
 
     def check_invariants(self) -> None:
+        assert set(self.owner) == set(self.g.edges())
         seen: set[tuple[int, int]] = set()
         for e, lvl in self.owner.items():
             assert e not in seen

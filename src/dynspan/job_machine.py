@@ -157,7 +157,6 @@ class StepReport:
     touched: tuple[Hashable, ...]
     resampled: tuple[Hashable, ...]
     schedule_added: int
-    changes: tuple[tuple[Hashable, int | None, int | None], ...] = ()  # (job, old, new)
 
     @property
     def resamples(self) -> int:
@@ -360,7 +359,6 @@ class ResamplingEngine:
         if self.T >= self.horizon:
             raise InvariantBroken(f"step {self.T + 1} exceeds the declared horizon {self.horizon}")
         touched: list[Hashable] = []
-        changes: list[tuple[Hashable, int | None, int | None]] = []
         if x is not None:
             load = self.loads.pop(x)
             if load and self.roles is not None:
@@ -384,7 +382,6 @@ class ResamplingEngine:
                     assigned[job] = None
                     self.assigned_count -= 1
                     touched.append(job)
-                    changes.append((job, i, None))
             self._charge(units)
         schedule_added = 0
         for job in touched:
@@ -393,14 +390,10 @@ class ResamplingEngine:
         due = sorted(self.list_at.pop(self.T, ()), key=self._job_repr.__getitem__)
         drawn = 0
         for job in due:
-            old = self.assigned[job]
-            new = self.resample(job)
-            if new is not None:
+            if self.resample(job) is not None:
                 drawn += 1
-            if old != new:
-                changes.append((job, old, new))
         self._charge(drawn)
-        return StepReport(tuple(touched), tuple(due), schedule_added, tuple(changes))
+        return StepReport(tuple(touched), tuple(due), schedule_added)
 
     def _extend_schedule(self, job: Hashable) -> int:
         T, list_at = self.T, self.list_at

@@ -238,6 +238,10 @@ class PhaseState(RoleOutput):
             assert self.g.has_edge(*e)
 
 
+def _apply(phase: PhaseState, ev: UpdateEvent) -> Resample3Step:
+    return (phase.insert if ev.kind == INSERT else phase.delete)(*ev.edge)
+
+
 @dataclass(frozen=True)
 class WrappedStep(Step):
     budget: int  # the window's declared per-update op budget
@@ -255,6 +259,9 @@ class WrappedRunner(RoleOutput):
     always the union of the live instance's spanner with the extra edges
     still being fed in or drained out, all of which exist in the graph, so
     it stays a 3-spanner throughout.
+
+    A window is one generator, `_window`, resumed once per update; its
+    cursors are locals.  `D_next` is None until the successor is built.
 
     Work done for the successor is charged to the shared counter as it is
     consumed (snapshot scans count one operation per element, the in-order
@@ -294,8 +301,7 @@ class WrappedRunner(RoleOutput):
         )
         self.D_next: PhaseState | None = None
         self.MAT: list[tuple[int, int]] = list(graph.edges())
-        self.journal_prev: list = []
-        self.journal_cur: list = []
+        self.journal_cur: list[UpdateEvent] = []
         self.extra: set[tuple[int, int]] = set()
         self.remnant: set[tuple[int, int]] = set()
         # the output: one role per edge for each of D_cur.spanner, extra and
@@ -304,15 +310,7 @@ class WrappedRunner(RoleOutput):
         for e in self.D_cur.spanner:
             self.roles.add(e)
         self.roles.flush()
-        self._remnant_list: list[tuple[int, int]] = []
-        self._remnant_pos = 0
-        self._drop_chunk = 0
-        self._build_gen = None
-        self._build_allowance = 0
-        self._feed_list: list[tuple[int, int]] = []
-        self._feed_pos = 0
-        self._feed_chunk = 0
-        self._replayed = 0
+        self._steps = None  # the current window's `_window` generator
         self.step_in_window = 0
         self.window = 0
         self.declared_budget = 0
@@ -320,13 +318,12 @@ class WrappedRunner(RoleOutput):
 
     # -- window orchestration --
 
-    def _sqrt_ceil(self) -> int:
-        r = math.isqrt(self.n)
-        return r if r * r == self.n else r + 1
-
-    def _begin_window(self) -> None:
+    def _window(self):
+        """One window: set-up, then one resume per update, each yielding the
+        update's replayed resamples."""
+        journal_prev = self.journal_cur
         if self.D_next is not None:
-            if self._replayed != len(self.journal_cur):
+            if self.D_next.updates_used != len(journal_prev):
                 raise InvariantBroken("successor not caught up at the rotation")
             prev = self.D_cur
             self.D_cur = self.D_next
@@ -340,36 +337,60 @@ class WrappedRunner(RoleOutput):
             self.extra = set()
             for e in itertools.chain(self.remnant, self.D_cur.spanner):
                 self.roles.add(e)
-            self._remnant_list = sorted(self.remnant)
-            self._remnant_pos = 0
-        self.journal_prev = self.journal_cur
-        self.journal_cur = []
-        self._replayed = 0
-        self._drop_chunk = -(-len(self._remnant_list) // self.third) if self._remnant_list else 0
-        est = self.C_TASK * (len(self.MAT) + len(self.journal_prev) + 2 * self.L) * (
-            self._sqrt_ceil() + 4
-        )
-        self._build_allowance = -(-est // self.third)
-        self._build_gen = self._build_generator(self.rng.randrange(2**62))
-        self._feed_list = []
-        self._feed_pos = 0
-        self._feed_chunk = 0
+        journal = self.journal_cur = []
+        drop = sorted(self.remnant)
+        third, charge = self.third, self.counter.charge
+        r = math.isqrt(self.n)
+        s = r if r * r == self.n else r + 1
+        est = self.C_TASK * (len(self.MAT) + len(journal_prev) + 2 * self.L) * (s + 4)
+        allowance = -(-est // third)
+        build = self._build(self.rng.randrange(2**62), journal_prev)
         self.window += 1
-        s = self._sqrt_ceil()
         log_l = math.floor(math.log2(2 * self.L)) + 1
         log_n = math.ceil(math.log2(max(self.n, 2)))
         live = self.C_LIVE * (s + 1) * (log_l + log_n)
         max_task = 4 * self.n + 24
-        feed_bound = 2 * (-(-(3 * self.n * s + self.L) // self.third)) + 4
-        drop_bound = self._drop_chunk + 2
-        self.declared_budget = live + max(
-            self._build_allowance + max_task, feed_bound + drop_bound, 3 * live
-        )
+        feed_bound = 2 * (-(-(3 * self.n * s + self.L) // third)) + 4
+        c = -(-len(drop) // third)
+        self.declared_budget = live + max(allowance + max_task, feed_bound + c + 2, 3 * live)
+        yield 0
 
-    def _build_generator(self, seed: int):
+        # first third: build the successor, drain the remnant
+        for k in range(third):
+            base = self.counter.current
+            while self.D_next is None and self.counter.current - base < allowance:
+                next(build, None)
+            for e in drop[k * c : (k + 1) * c]:
+                charge(1, "wrap")
+                if e in self.remnant:
+                    self.remnant.discard(e)
+                    self.roles.remove(e)
+            if k == third - 1 and self.D_next is None:
+                raise InvariantBroken("rebuild did not fit its third")
+            yield 0
+
+        # second third: feed the successor's spanner into the output
+        feed = sorted(self.D_next.spanner)
+        c = -(-len(feed) // third)
+        for k in range(third):
+            for e in feed[k * c : (k + 1) * c]:
+                charge(2, "wrap")
+                if self.D_cur.g.has_edge(*e) and e not in self.extra:
+                    self.extra.add(e)
+                    self.roles.add(e)
+            yield 0
+
+        # last third: replay the window three updates at a time; after
+        # update 2*third+k there are at least 3k+3 journalled events
+        for k in range(third):
+            yield sum(self._replay(ev) for ev in journal[3 * k : 3 * k + 3])
+
+    def _build(self, seed: int, journal_prev: list[UpdateEvent]):
+        """The successor's build, one bounded task per step; it sets
+        `D_next` as its last act."""
         charge = self.counter.charge
         net: dict[tuple[int, int], str] = {}
-        for ev in self.journal_prev:
+        for ev in journal_prev:
             net[ev.edge] = ev.kind
             charge(1, "wrap")
             yield
@@ -381,7 +402,7 @@ class WrappedRunner(RoleOutput):
                 seen.add(e)
             charge(1, "wrap")
             yield
-        for ev in self.journal_prev:
+        for ev in journal_prev:
             if net.get(ev.edge) == INSERT and ev.edge not in seen:
                 newmat.append(ev.edge)
                 seen.add(ev.edge)
@@ -395,7 +416,6 @@ class WrappedRunner(RoleOutput):
             bucket_of=self.D_cur.bucket_of,
             counter=self.counter,
         )
-        self.D_next = nxt
         for e in self.MAT:
             nxt._init_edge(nxt.g.insert_edge(*e))
             yield
@@ -404,93 +424,29 @@ class WrappedRunner(RoleOutput):
             charge(1, "wrap")
             yield
         nxt.roles.flush()
+        self.D_next = nxt
 
-    def _start_feed(self) -> None:
-        assert self.D_next is not None
-        self._feed_list = sorted(self.D_next.spanner)
-        self._feed_pos = 0
-        self._feed_chunk = -(-len(self._feed_list) // self.third) if self._feed_list else 0
-
-    def _run_build_chunk(self) -> None:
-        if self._build_gen is None:
-            return
-        base = self.counter.current
-        try:
-            while self.counter.current - base < self._build_allowance:
-                next(self._build_gen)
-        except StopIteration:
-            self._build_gen = None
-
-    def _drop_remnant_chunk(self) -> None:
-        for _ in range(self._drop_chunk):
-            if self._remnant_pos >= len(self._remnant_list):
-                break
-            e = self._remnant_list[self._remnant_pos]
-            self._remnant_pos += 1
-            self.counter.charge(1, "wrap")
-            if e in self.remnant:
-                self.remnant.discard(e)
-                self.roles.remove(e)
-
-    def _run_feed_chunk(self) -> None:
-        for _ in range(self._feed_chunk):
-            if self._feed_pos >= len(self._feed_list):
-                return
-            e = self._feed_list[self._feed_pos]
-            self._feed_pos += 1
-            self.counter.charge(2, "wrap")
-            if self.D_cur.g.has_edge(*e) and e not in self.extra:
-                self.extra.add(e)
-                self.roles.add(e)
-
-    def _replay_chunk(self, k: int) -> int:
-        assert self.D_next is not None
-        resamples = 0
-        target = min(len(self.journal_cur), self._replayed + k)
-        while self._replayed < target:
-            ev = self.journal_cur[self._replayed]
-            self._replayed += 1
-            if ev.kind == INSERT:
-                self.D_next.insert(*ev.edge)
-            else:
-                step = self.D_next.delete(*ev.edge)
-                resamples += step.resamples
-        return resamples
+    def _replay(self, ev: UpdateEvent) -> int:
+        return _apply(self.D_next, ev).resamples
 
     # -- the public update loop --
 
-    def update(self, ev) -> WrappedStep:
+    def update(self, ev: UpdateEvent) -> WrappedStep:
         if self.step_in_window == 0:
-            self._begin_window()
-        k = self.step_in_window
+            self._steps = self._window()
+            next(self._steps)
         self.journal_cur.append(ev)
-        if ev.kind == INSERT:
-            step = self.D_cur.insert(*ev.edge)
-        else:
-            step = self.D_cur.delete(*ev.edge)
+        step = _apply(self.D_cur, ev)
         for e, sign in step.changes:
             (self.roles.add if sign == "+" else self.roles.remove)(e)
-        resamples = step.resamples
         if ev.kind == DELETE:
             e = edge_key(*ev.edge)
             for held in (self.extra, self.remnant):
                 if e in held:
                     held.discard(e)
                     self.roles.remove(e)
-        if k < self.third:
-            self._run_build_chunk()
-            self._drop_remnant_chunk()
-            if k == self.third - 1 and self._build_gen is not None:
-                raise InvariantBroken("rebuild did not fit its third")
-        elif k < 2 * self.third:
-            if k == self.third:
-                self._start_feed()
-            self._run_feed_chunk()
-        else:
-            resamples += self._replay_chunk(3)
-        self.step_in_window += 1
-        if self.step_in_window == self.L:
-            self.step_in_window = 0
+        resamples = step.resamples + next(self._steps)
+        self.step_in_window = (self.step_in_window + 1) % self.L
         op = self.counter.end_step()
         adds, dels = Step.signs(self.roles.flush())
         return WrappedStep(op, resamples, adds, dels, self.spanner_size(), self.declared_budget)

@@ -101,7 +101,7 @@ def test_criterion_2_greedy_order_equivalence():
 
 def test_criterion_3_fully_dynamic_reduction():
     n, k, updates = 32, 2, 5000
-    fd = FullyDynamicSpanner(n, k)
+    fd = FullyDynamicSpanner(DynamicGraph(n), k)
     g = DynamicGraph(n)
     # insertion-biased mix keeps the graph populated while the adversary
     # spends every deletion on a current spanner edge

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,29 @@ def test_bad_args_exit_3():
     assert cli.main(["run", "--algo", "nope"]) == 3
     assert cli.main(["run", "--algo", "jm", "--adversary", "random"]) == 3
     assert cli.main(["frobnicate"]) == 3
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 20, 64])
+def test_seeded_graph_draws_the_listed_sample(n):
+    # the draw by rank picks the same pairs as sampling the listed pairs
+    pairs = list(itertools.combinations(range(n), 2))
+    for m in sorted({0, min(1, len(pairs)), len(pairs) // 3, len(pairs)}):
+        for seed in (0, 1, 601):
+            want = random.Random(seed).sample(pairs, m)
+            assert list(cli.seeded_graph(n, m, seed).edges()) == sorted(want), (m, seed)
+    with pytest.raises(cli.BadArgs):
+        cli.seeded_graph(n, len(pairs) + 1, 0)
+
+
+def test_seeded_graph_memory_does_not_grow_with_the_pair_count():
+    tracemalloc.start()
+    try:
+        g = cli.seeded_graph(1024, 100, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 100
+    assert peak < 1 << 20  # listing all 523,776 pairs would take ~34 MB
 
 
 def test_byte_reproducible_runs(tmp_path):

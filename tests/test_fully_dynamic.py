@@ -23,18 +23,18 @@ def test_level_params_examples():
 
 
 def test_empty_history_empty_spanner():
-    assert FullyDynamicSpanner(16, 2).spanner_edges() == set()
+    assert FullyDynamicSpanner(DynamicGraph(16), 2).spanner_edges() == set()
 
 
 def test_first_insert_goes_to_level_zero():
-    fd = FullyDynamicSpanner(16, 2)
+    fd = FullyDynamicSpanner(DynamicGraph(16), 2)
     assert fd.insert(0, 1) is None  # counter 0->1 flips bit 0 <= ell0=6
     assert fd.owner[(0, 1)] == 0
     assert fd.spanner_edges() == {(0, 1)}
 
 
 def test_insert_number_2_pow_ell0_plus_1_rebuilds_level_one():
-    fd = FullyDynamicSpanner(16, 2)
+    fd = FullyDynamicSpanner(DynamicGraph(16), 2)
     pairs = list(itertools.combinations(range(16), 2))  # 120 pairs
     # churn through insert/delete on one edge so the counter outruns the
     # number of distinct slots; every edge but the probe stays put
@@ -58,14 +58,14 @@ def test_insert_number_2_pow_ell0_plus_1_rebuilds_level_one():
 
 
 def test_duplicate_insert_rejected():
-    fd = FullyDynamicSpanner(8, 2)
+    fd = FullyDynamicSpanner(DynamicGraph(8), 2)
     fd.insert(0, 1)
     with pytest.raises(EdgeExists):
         fd.insert(1, 0)
 
 
 def test_delete_level_zero_edge_shrinks_output_by_it():
-    fd = FullyDynamicSpanner(16, 2)
+    fd = FullyDynamicSpanner(DynamicGraph(16), 2)
     fd.insert(0, 1)
     fd.insert(2, 3)
     out_before = fd.spanner_edges()
@@ -78,7 +78,7 @@ def test_delete_level_zero_edge_shrinks_output_by_it():
 def test_level_delete_matches_standalone_greedy():
     # n=12, k=2: ell0=5, so insertion #64 flips bit 6 and rebuilds level 1
     rng = random.Random(3)
-    fd = FullyDynamicSpanner(12, 2)
+    fd = FullyDynamicSpanner(DynamicGraph(12), 2)
     pairs = list(itertools.combinations(range(12), 2))
     rng.shuffle(pairs)
     for e in pairs:
@@ -99,7 +99,7 @@ def test_level_delete_matches_standalone_greedy():
 
 def test_delete_then_reinsert_moves_levels_but_keeps_stretch():
     rng = random.Random(5)
-    fd = FullyDynamicSpanner(16, 2)
+    fd = FullyDynamicSpanner(DynamicGraph(16), 2)
     graph = DynamicGraph(16)
     pairs = list(itertools.combinations(range(16), 2))
     for step in range(300):
@@ -121,7 +121,7 @@ def test_delete_then_reinsert_moves_levels_but_keeps_stretch():
 def test_mixed_run_size_and_recourse_bounds():
     rng = random.Random(7)
     n, k, updates = 32, 2, 2000
-    fd = FullyDynamicSpanner(n, k)
+    fd = FullyDynamicSpanner(DynamicGraph(n), k)
     graph = DynamicGraph(n)
     pairs = list(itertools.combinations(range(n), 2))
     recourse = 0
@@ -144,6 +144,6 @@ def test_mixed_run_size_and_recourse_bounds():
 
 def test_initial_edges_occupy_top_level():
     edges = [(0, 1), (1, 2), (2, 3)]
-    fd = FullyDynamicSpanner(8, 2, edges=tuple(edges))
+    fd = FullyDynamicSpanner(DynamicGraph(8, edges), 2)
     assert all(fd.owner[e] == max(fd.num_levels, 1) for e in edges)
     assert fd.spanner_edges() == set(edges)  # tree: everything is spanner

@@ -216,7 +216,7 @@ def test_local_rescan_matches_full_rescan_on_every_deletion(k, candidate_twin):
 def test_fd_greedy_levels_match_full_rescan_across_rebuilds(k, candidate_twin):
     rng = random.Random(47)
     n = 12
-    fd = FullyDynamicSpanner(n, k)
+    fd = FullyDynamicSpanner(DynamicGraph(n), k)
     pairs = list(itertools.combinations(range(n), 2))
     present: set[tuple[int, int]] = set()
     rebuilds = level_deletions = 0

@@ -16,10 +16,7 @@ SRC = Path(dynspan.__file__).resolve().parent
 
 # (file, function, condition): asserts that cannot fail once the code
 # before them has run, kept as documentation of the state they rely on
-ALLOWED = {
-    ("resample3.py", "_start_feed", "self.D_next is not None"),
-    ("resample3.py", "_replay_chunk", "self.D_next is not None"),
-}
+ALLOWED: set[tuple[str, str, str]] = set()
 
 
 def asserts_outside_checks(tree: ast.AST, func: str = ""):

@@ -94,8 +94,8 @@ def test_wrapped_runner_reports_the_output_diff():
 
 EIGHT = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)]
 BAD_ENDPOINT = {
-    "fd-insert": (lambda: FullyDynamicSpanner(8, 2), lambda s: s.insert(3, 40)),
-    "fd-delete": (lambda: FullyDynamicSpanner(8, 2, tuple(EIGHT)), lambda s: s.delete(3, 40)),
+    "fd-insert": (lambda: FullyDynamicSpanner(DynamicGraph(8), 2), lambda s: s.insert(3, 40)),
+    "fd-delete": (lambda: FullyDynamicSpanner(DynamicGraph(8, EIGHT), 2), lambda s: s.delete(3, 40)),
     "phase-delete-negative": (
         lambda: PhaseState(DynamicGraph(8, EIGHT), seed=1),
         lambda s: s.delete(0, -1),

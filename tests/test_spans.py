@@ -32,7 +32,7 @@ def test_every_traced_name_resolves():
     assert len(targets) > len(adapters)
     for owner, attr, name, _, _ in targets:
         if owner in adapters and attr == "apply":
-            # inherited from Adapter by all but one: traced only where defined
+            # inherited from Adapter by every adapter, so traced nowhere
             assert callable(getattr(owner, attr)), name
         else:
             assert callable(vars(owner).get(attr)), (owner.__name__, attr, name)

@@ -39,30 +39,25 @@ def bfs_stretch_ok(host: set, spanner: set, t: int) -> bool:
 
 
 class Structure:
-    """One structure under test, its host graph and its own invariant check."""
+    """One structure under test, which owns the graph it changes, and its own
+    invariant check."""
 
-    def __init__(self, name, state, graph, check) -> None:
+    def __init__(self, name, state, check) -> None:
         self.name = name
         self.state = state
-        self.graph = graph  # None: the structure owns the graph it changes
         self.check = check
-
-    def update(self, ev: UpdateEvent):
-        if self.graph is not None:
-            self.graph.apply(ev)
-        return self.state.update(ev)
 
 
 def build(edges: list) -> list[Structure]:
-    fd = FullyDynamicSpanner(N, 2, edges=tuple(edges))
+    fd = FullyDynamicSpanner(DynamicGraph(N, edges), 2)
     det3 = Det3State(DynamicGraph(N, edges))
     r3 = Resample3(DynamicGraph(N, edges), seed=5, phase_len=4)
     wrapped = WrappedRunner(DynamicGraph(N, edges), seed=7, rotation_len=6)
     return [
-        Structure("fd-greedy", fd, DynamicGraph(N, edges), fd.check_invariants),
-        Structure("det3", det3, None, det3.check_against_rebuild),
-        Structure("resample3", r3, None, lambda: r3.phase.check_invariants()),
-        Structure("wrapped", wrapped, None, wrapped.check_invariants),
+        Structure("fd-greedy", fd, fd.check_invariants),
+        Structure("det3", det3, det3.check_against_rebuild),
+        Structure("resample3", r3, lambda: r3.phase.check_invariants()),
+        Structure("wrapped", wrapped, wrapped.check_invariants),
     ]
 
 
@@ -80,7 +75,7 @@ class SpannerStreams(RuleBasedStateMachine):
         for s in self.structures:
             before = s.state.spanner_edges()
             s.state.spanner_masks()
-            step = s.update(ev)
+            step = s.state.update(ev)
             after = s.state.spanner_edges()
             assert (step.adds, step.dels, step.output_size) == (
                 len(after - before),

@@ -66,7 +66,7 @@ def test_rotation_keeps_stretch_and_respects_budget():
         assert step.op_count <= step.budget, (step, runner.window)
         worst = max(worst, step.op_count)
         assert verify_stretch(runner.graph, runner.spanner_edges(), 3).ok
-        if runner.D_next is not None and runner._build_gen is None:
+        if runner.D_next is not None:
             runner.D_next.check_invariants()  # a finished successor build, replayed so far
             built += 1
     assert runner.window == 4  # three full rotations plus the active one
@@ -130,7 +130,7 @@ def test_rebuild_over_its_allowance_raises_at_the_end_of_the_first_third():
 
 def test_successor_left_behind_raises_at_the_rotation():
     class NoReplay(WrappedRunner):
-        def _replay_chunk(self, k):
+        def _replay(self, ev):
             return 0
 
     applied, exc = broken_runner_steps(NoReplay)
