@@ -10,10 +10,16 @@ A host edge that is also a spanner edge is at spanner distance 1, which
 its bit in the spanner's adjacency mask shows, so it needs no search.
 Any other host edge (u, v) is within distance d exactly when the ball of
 radius ceil(d/2) around u meets the ball of radius floor(d/2) around v
-(split a shortest path at its midpoint).  So reach sets are composed for
-every vertex only up to radius floor(t/2), one radius more is composed
-around a lower endpoint only when one of its edges needs it, and an
-unbounded BFS runs only for an edge that fails.
+(split a shortest path at its midpoint).  Distance 2 is tested first, a
+row u at a time: (u, v) is at distance 2 exactly when u's and v's
+spanner neighborhoods meet.  A row with more non-spanner edges above u
+than spanner neighbors of u ANDs them all at once with u's 2-ball
+(composed for the row, or a reach level already when t >= 4); any other
+row tests each edge with one AND of two adjacency masks.  Only the edges
+left run the larger radii: reach sets are composed for every vertex only
+up to radius floor(t/2), one radius more is composed around a lower
+endpoint only when one of its edges needs it, and an unbounded BFS runs
+only for an edge that fails.
 
 `verify_stretch` takes the spanner either as edges or as `SpannerMasks`,
 the adjacency bitmasks a structure keeps next to its output (every
@@ -71,6 +77,17 @@ def adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return masks
 
 
+def grow(masks: list[int], inner: list[int], u: int) -> int:
+    """masks[u] | inner[x] for every neighbor x of u: one radius more
+    around u than the balls in `inner` have around each vertex."""
+    acc = m = masks[u]
+    while m:
+        low = m & -m
+        acc |= inner[low.bit_length() - 1]
+        m ^= low
+    return acc
+
+
 def reach_levels(masks: list[int], r: int) -> list[list[int]]:
     """levels[j][u] = bitmask of the vertices that a walk of 1..j+1 edges
     reaches from u, for j < r: every vertex at distance 1..j+1, and u
@@ -81,21 +98,10 @@ def reach_levels(masks: list[int], r: int) -> list[list[int]]:
     splits at its midpoint, so a check of stretch t never needs a radius
     beyond that around the upper endpoint of an edge.
     """
-    n = len(masks)
     levels = [list(masks)]
-    prev = levels[0]
     for _ in range(r - 1):
-        cur = []
-        for u in range(n):
-            acc = masks[u]
-            m = masks[u]
-            while m:
-                low = m & -m
-                acc |= prev[low.bit_length() - 1]
-                m ^= low
-            cur.append(acc)
-        levels.append(cur)
-        prev = cur
+        prev = levels[-1]
+        levels.append([grow(masks, prev, u) for u in range(len(masks))])
     return levels
 
 
@@ -137,7 +143,13 @@ def verify_stretch(
     seeded uniform subset of them.  The witness on failure is the checked
     edge with the largest (possibly infinite) spanner distance, the first
     one in lexicographic order (exact) or sample order (sampled).  H is
-    given as edges or as `SpannerMasks`, with the same report."""
+    given as edges or as `SpannerMasks`, with the same report.
+
+    Exact mode settles each row's distance-2 edges before any other: with
+    one AND per edge, or with one AND against the row's 2-ball when the
+    row has more non-spanner edges above it than spanner neighbors (the
+    smaller side is walked, as in `mask_dist`).  On a passing input every
+    edge is decided from reach sets, and `mask_dist` never runs."""
     masks = subgraph_masks(g, h_edges)
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -147,36 +159,54 @@ def verify_stretch(
     if mode == "exact" or g.m <= sample:
         levels = reach_levels(masks, t // 2) if t >= 2 else []
         odd = t >= 3 and t % 2 == 1  # then d = t needs one radius more around u
-        rings = [(d, (d + 1) // 2, levels[d // 2 - 1]) for d in range(2, t + 1 - odd)]
+        # (d, the ceil(d/2)-balls, the floor(d/2)-balls) for d = 3 .. t, or t - 1 when odd
+        rings = [(d, levels[(d + 1) // 2 - 1], levels[d // 2 - 1]) for d in range(3, t + 1 - odd)]
         top = levels[-1] if levels else []
+        balls = levels[1] if t >= 4 else None  # every 2-ball, composed already
         for u, row in enumerate(g.adj_mask):
-            above = row >> (u + 1) << (u + 1)  # host edges (u, v) with v > u
-            if not above:
-                continue
-            if worst_edge is None:
-                worst, worst_edge = 1, (u, (above & -above).bit_length() - 1)
-            rest = above & ~masks[u]
+            mu = masks[u]
+            rest = row >> (u + 1) << (u + 1) & ~mu  # non-spanner host edges (u, v), v > u
             if not rest:
                 continue
-            reach = [0] + [lv[u] for lv in levels]  # reach[r]: within 1..r of u
             far = 0  # within 1..ceil(t/2) of u, composed on first need
-            while rest:
-                low = rest & -rest
+            # left: the edges of rest beyond distance 2
+            if balls is not None:
+                left = rest & ~balls[u]
+            elif rest.bit_count() > mu.bit_count():  # compose u's 2-ball, then one AND
+                ball = grow(masks, masks, u)
+                left = rest & ~ball
+                if t == 3:
+                    far = ball
+            else:  # one AND per edge
+                left = 0
+                m = rest
+                while m:
+                    low = m & -m
+                    if not mu & masks[low.bit_length() - 1]:
+                        left |= low
+                    m ^= low
+            if worst < 2 and rest != left:
+                near = rest ^ left
+                worst, worst_edge = 2, (u, (near & -near).bit_length() - 1)
+            while left:
+                low = left & -left
                 v = low.bit_length() - 1
-                rest ^= low
-                for d, a, lv in rings:
-                    if reach[a] & lv[v]:
+                left ^= low
+                for d, around_u, around_v in rings:
+                    if around_u[u] & around_v[v]:
                         break
                 else:
                     if odd and not far:
-                        far = m = masks[u]
-                        while m:
-                            bit = m & -m
-                            far |= top[bit.bit_length() - 1]
-                            m ^= bit
+                        far = grow(masks, top, u)
                     d = t if odd and far & top[v] else mask_dist(masks, u, v) or math.inf
                 if d > worst:
                     worst, worst_edge = d, (u, v)
+        if worst_edge is None:  # no non-spanner edge: the first host edge, at distance 1
+            for u, row in enumerate(g.adj_mask):
+                above = row >> (u + 1) << (u + 1)
+                if above:
+                    worst, worst_edge = 1, (u, (above & -above).bit_length() - 1)
+                    break
     else:
         # sample ranks, not a list of edges: random.sample only indexes its
         # population, so the edges drawn are those of sample(list(g.edges()))
