@@ -17,14 +17,22 @@ than spanner neighbors of u ANDs them all at once with u's 2-ball
 (composed for the row, or a reach level already when t >= 4); any other
 row tests each edge with one AND of two adjacency masks.  Only the edges
 left run the larger radii: reach sets are composed for every vertex only
-up to radius floor(t/2), one radius more is composed around a lower
-endpoint only when one of its edges needs it, and an unbounded BFS runs
-only for an edge that fails.
+up to radius floor(t/2).  For odd t the last radius is settled around
+one endpoint: the first edge of a row that needs it composes one radius
+more around u, unless it is the row's last edge beyond distance 2.  That
+edge instead walks the spanner neighbors x of the endpoint with the
+smaller spanner degree and stops at the first x whose floor(t/2)-ball
+meets the other endpoint's (a path of odd length t splits at its
+midpoint, so the test is symmetric).  An unbounded BFS runs only for an
+edge that fails.
 
 `verify_stretch` takes the spanner either as edges or as `SpannerMasks`,
 the adjacency bitmasks a structure keeps next to its output (every
-structure answers `spanner_masks()`).  Both forms run the same subgraph
-check and the same search, so their reports are identical.  The CLI's
+structure answers `spanner_masks()`).  Both forms run the same search,
+so their reports are identical.  The subgraph check names the first bad
+edge of h for edges, and the lowest bad bit of the lowest bad row for
+masks; an exact check at t <= 3 runs the mask form's in its row loop, a
+row at a time, so it reads the rows once.  The CLI's
 per-step check passes the structure's masks, which saves rebuilding them
 from an edge list on every step; the acceptance tests and the
 benchmark's final check pass edges, and the edge form stays the ground
@@ -105,19 +113,25 @@ def reach_levels(masks: list[int], r: int) -> list[list[int]]:
     return levels
 
 
+def raise_bad_row(g: DynamicGraph, rows: list[int], start: int = 0) -> None:
+    """Raise SpannerNotSubgraph naming the lowest bad bit of the lowest row
+    u >= start with a bit outside g's row u; return if there is none."""
+    for u, (m, a) in enumerate(zip(rows[start:], g.adj_mask[start:]), start):
+        bad = m & ~a
+        if bad:
+            v = (bad & -bad).bit_length() - 1
+            raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
+
+
 def subgraph_masks(g: DynamicGraph, h: Iterable[tuple[int, int]] | SpannerMasks) -> list[int]:
-    """The adjacency masks of the spanner h, given as edges or masks, after
-    checking each row against g's; SpannerNotSubgraph names a bad edge."""
+    """The adjacency masks of the spanner h, given as edges or masks.  Edges
+    are checked against g here, and SpannerNotSubgraph names the first bad
+    one in h's order; of mask rows only the count is checked, and the
+    caller runs `raise_bad_row` on each row before it walks the row's bits."""
     if isinstance(h, SpannerMasks):
-        masks = h.rows
-        if len(masks) != g.n:
-            raise ValueError(f"{len(masks)} spanner mask rows for {g.n} vertices")
-        for u, (m, a) in enumerate(zip(masks, g.adj_mask)):
-            bad = m & ~a
-            if bad:  # name the lowest bad bit of the lowest bad row
-                v = (bad & -bad).bit_length() - 1
-                raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
-        return masks
+        if len(h.rows) != g.n:
+            raise ValueError(f"{len(h.rows)} spanner mask rows for {g.n} vertices")
+        return h.rows
     edges = list(h)
     try:
         masks = adjacency_masks(g.n, edges)
@@ -148,15 +162,31 @@ def verify_stretch(
     Exact mode settles each row's distance-2 edges before any other: with
     one AND per edge, or with one AND against the row's 2-ball when the
     row has more non-spanner edges above it than spanner neighbors (the
-    smaller side is walked, as in `mask_dist`).  On a passing input every
-    edge is decided from reach sets, and `mask_dist` never runs."""
-    masks = subgraph_masks(g, h_edges)
+    smaller side is walked, as in `mask_dist`).  For odd t, a row's last
+    edge beyond the rings walks the neighbors of its endpoint with the
+    smaller spanner degree to the first witness instead of composing one
+    radius more around u.  On a passing input every edge is decided from
+    reach sets, and `mask_dist` never runs.
+
+    A bad `mode` raises ValueError before any row is read.  A mask-form
+    spanner in an exact check at t <= 3 has each row checked against the
+    host's in the row loop, before any of the row's bits is walked; the
+    SpannerNotSubgraph message is the one of checking every row first."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    exact = mode == "exact" or g.m <= sample
+    masks = subgraph_masks(g, h_edges)
+    # rows of a mask-form spanner still to check in the row loop, which
+    # walks a row's bits only after checking it; sampled mode runs no row
+    # loop, and at t >= 4 the reach levels walk every row first
+    unchecked = isinstance(h_edges, SpannerMasks)
+    if unchecked and not (exact and t <= 3):
+        raise_bad_row(g, masks)
+        unchecked = False
 
     worst: float = 0.0
     worst_edge: tuple[int, int] | None = None
-    if mode == "exact" or g.m <= sample:
+    if exact:
         levels = reach_levels(masks, t // 2) if t >= 2 else []
         odd = t >= 3 and t % 2 == 1  # then d = t needs one radius more around u
         # (d, the ceil(d/2)-balls, the floor(d/2)-balls) for d = 3 .. t, or t - 1 when odd
@@ -165,10 +195,12 @@ def verify_stretch(
         balls = levels[1] if t >= 4 else None  # every 2-ball, composed already
         for u, row in enumerate(g.adj_mask):
             mu = masks[u]
+            if unchecked and mu & ~row:
+                raise_bad_row(g, masks, u)
             rest = row >> (u + 1) << (u + 1) & ~mu  # non-spanner host edges (u, v), v > u
             if not rest:
                 continue
-            far = 0  # within 1..ceil(t/2) of u, composed on first need
+            far = 0  # within 1..ceil(t/2) of u, composed on first need, or set by the walk
             # left: the edges of rest beyond distance 2
             if balls is not None:
                 left = rest & ~balls[u]
@@ -197,8 +229,26 @@ def verify_stretch(
                         break
                 else:
                     if odd and not far:
-                        far = grow(masks, top, u)
-                    d = t if odd and far & top[v] else mask_dist(masks, u, v) or math.inf
+                        if left:  # compose u's ball once for the row's edges
+                            far = grow(masks, top, u)
+                        else:  # the row's last edge: walk the smaller side to a witness
+                            mv = masks[v]
+                            if mv.bit_count() < mu.bit_count():
+                                if unchecked and mv & ~g.adj_mask[v]:
+                                    raise_bad_row(g, masks, u + 1)
+                                walk, other = mv, top[u]
+                            else:
+                                walk, other = mu, top[v]
+                            while walk and not top[(walk & -walk).bit_length() - 1] & other:
+                                walk &= walk - 1
+                            far = -1 if walk else 0  # all ones: a witness puts v within t
+                    if odd and far & top[v]:
+                        d = t
+                    else:
+                        if unchecked:  # the search may read any row
+                            raise_bad_row(g, masks, u + 1)
+                            unchecked = False
+                        d = mask_dist(masks, u, v) or math.inf
                 if d > worst:
                     worst, worst_edge = d, (u, v)
         if worst_edge is None:  # no non-spanner edge: the first host edge, at distance 1

@@ -1,26 +1,40 @@
-"""The exact stretch check's row paths: distance 2 first, then the rings.
+"""The exact stretch check's row paths: distance 2 first, then the rings,
+then, for odd t, the last radius.
 
 `verify_stretch` finds each row's distance-2 edges either with one AND per
 edge or, for a row with more non-spanner edges above it than spanner
-neighbors, with one AND against the row's 2-ball.  Both paths must give
-the reports of `reference_verify_stretch`, and a check that passes must
-decide every edge from reach sets alone: a ball composed too small does
-not change a report, since the edge then falls through to the unbounded
-search, so only a count of those searches shows it.
+neighbors, with one AND against the row's 2-ball.  For odd t, a row's last
+edge beyond the rings walks the neighbors of its endpoint with the smaller
+spanner degree to the first witness, and a row with more such edges
+composes one radius more around u once.  Every path must give the reports
+of `reference_verify_stretch`, and a check that passes must decide every
+edge from reach sets alone: a ball composed too small does not change a
+report, since the edge then falls through to the unbounded search, so
+only a count of those searches shows it.  A mask-form spanner is checked
+against the host a row at a time inside the row loop, and must raise what
+a check of every row up front raises.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from dynspan import cli, oracle
-from dynspan.graph import DynamicGraph
+from dynspan.graph import DynamicGraph, iter_bits
 from dynspan.instrumentation import OpCounter
-from dynspan.oracle import SpannerMasks, adjacency_masks, reference_greedy, verify_stretch
-from test_oracle import STREAMS, assert_same
+from dynspan.oracle import (
+    SpannerMasks,
+    SpannerNotSubgraph,
+    adjacency_masks,
+    reference_greedy,
+    verify_stretch,
+)
+from test_oracle import STREAMS, assert_same, outcome
 
 
 def stream_snapshots(spec: str):
@@ -48,20 +62,71 @@ def test_a_passing_exact_check_runs_no_search(spec, monkeypatch):
     assert passed
 
 
-def row_sides(g: DynamicGraph, h: list[tuple[int, int]]) -> tuple[int, int]:
-    """How many rows take the 2-ball path and how many the per-edge path
-    (when t <= 3): rows with more non-spanner edges above them than
-    spanner neighbors, and the other rows with any such edge."""
+def hops(masks: list[int], u: int) -> dict[int, int]:
+    """Spanner distance from u to every vertex it reaches, by a level BFS."""
+    dist, frontier, seen, d = {}, 1 << u, 1 << u, 0
+    while frontier:
+        nxt = 0
+        for x in iter_bits(frontier):
+            dist[x] = d
+            nxt |= masks[x]
+        frontier = nxt & ~seen
+        seen |= frontier
+        d += 1
+    return dist
+
+
+def row_sides(g: DynamicGraph, h: list[tuple[int, int]], t: int = 3) -> Counter:
+    """How many rows take each path of the exact check at stretch t.
+
+    "dense" and "per-edge" count the rows with a non-spanner edge above
+    them that find distance 2 against the 2-ball, or edge by edge (when
+    t <= 3).  For odd t >= 3, "walk-u" and "walk-v" count the rows whose
+    last edge beyond distance 2 is beyond the rings and is settled by the
+    walk from u's or from v's side, and "walk-fails" those whose walked
+    edge is beyond t, so that `mask_dist` runs.  A row walks when no
+    radius was composed around u before its last edge: no earlier edge
+    needed the last radius and, at t = 3, the row is not dense.  When u
+    has no spanner neighbor, what was composed is empty and it walks too."""
     masks = adjacency_masks(g.n, h)
-    dense = sparse = 0
+    sides: Counter = Counter()
     for u, row in enumerate(g.adj_mask):
-        rest = row >> (u + 1) << (u + 1) & ~masks[u]
-        if rest:
-            if rest.bit_count() > masks[u].bit_count():
-                dense += 1
-            else:
-                sparse += 1
-    return dense, sparse
+        mu = masks[u]
+        rest = row >> (u + 1) << (u + 1) & ~mu
+        if not rest:
+            continue
+        dense = rest.bit_count() > mu.bit_count()
+        sides["dense" if dense else "per-edge"] += 1
+        if t < 3 or t % 2 == 0:
+            continue
+        dist = hops(masks, u)
+        left = [v for v in iter_bits(rest) if dist.get(v, math.inf) > 2]
+        if not left or dist.get(left[-1], math.inf) < t:
+            continue
+        composed = (t == 3 and dense) or any(dist.get(v, math.inf) >= t for v in left[:-1])
+        if composed and mu:
+            continue
+        v = left[-1]
+        sides["walk-v" if masks[v].bit_count() < mu.bit_count() else "walk-u"] += 1
+        sides["walk-fails"] += dist.get(v, math.inf) > t
+    return sides
+
+
+def cycles() -> tuple[DynamicGraph, list[tuple[int, int]]]:
+    """Disjoint cycles of length 4..9, each with its spanner the path left
+    by removing its edge (c0, c_last), which is then at distance len - 1.
+    A copy of each has two pendant spanner edges at c0, so that c_last has
+    the smaller spanner degree; in the plain copy the degrees tie."""
+    edges, spanner, n = [], [], 0
+    for length in range(4, 10):
+        for extra in (0, 2):
+            cyc = list(range(n, n + length))
+            path = list(zip(cyc, cyc[1:]))
+            pendant = [(cyc[0], n + length + i) for i in range(extra)]
+            edges += path + pendant + [(cyc[0], cyc[-1])]
+            spanner += path + pendant
+            n += length + extra
+    return DynamicGraph(n, edges), spanner
 
 
 def spanners(rng: random.Random, g: DynamicGraph) -> dict[str, list[tuple[int, int]]]:
@@ -83,24 +148,115 @@ def spanners(rng: random.Random, g: DynamicGraph) -> dict[str, list[tuple[int, i
     return out
 
 
+def check_both_forms(g: DynamicGraph, h: list[tuple[int, int]], seen: dict[int, Counter]) -> None:
+    for t, sides in seen.items():
+        sides += row_sides(g, h, t)
+    masks = SpannerMasks(adjacency_masks(g.n, h))
+    for t in range(8):
+        assert_same(g, h, t)
+        assert verify_stretch(g, masks, t) == verify_stretch(g, h, t), (g.n, t)
+
+
 @pytest.mark.parametrize("n", [48, 96])
 def test_both_row_paths_match_the_reference(n):
     rng = random.Random(n)
-    dense = sparse = 0
+    seen = {t: Counter() for t in (3, 5, 7)}
     for p in (0.1, 0.3, 0.6):
         pairs = itertools.combinations(range(n), 2)
         g = DynamicGraph(n, [e for e in pairs if rng.random() < p])
         for name, h in spanners(rng, g).items():
-            sides = row_sides(g, h)
-            dense, sparse = dense + sides[0], sparse + sides[1]
             if name == "per-vertex":
-                assert all(sides), (p, sides)
-            masks = SpannerMasks(adjacency_masks(n, h))
-            for t in range(8):
-                assert_same(g, h, t)
-                assert verify_stretch(g, masks, t) == verify_stretch(g, h, t), (p, name, t)
-    assert dense and sparse, (dense, sparse)
+                sides = row_sides(g, h)
+                assert sides["dense"] and sides["per-edge"], (p, sides)
+            check_both_forms(g, h, seen)
+    check_both_forms(*cycles(), seen)
+    for t, sides in seen.items():
+        for path in ("dense", "per-edge", "walk-u", "walk-v", "walk-fails"):
+            assert sides[path], (t, path, sides)
     # a spanner edge outside the host graph: the same exception and message
     absent = next(e for e in itertools.combinations(range(n), 2) if not g.has_edge(*e))
     for t in (1, 3):
         assert_same(g, h[:5] + [absent] + h[5:], t)
+
+
+def test_a_row_with_one_far_edge_composes_no_ball(monkeypatch):
+    g, h = cycles()
+    sides = row_sides(g, h, 3)
+    # no dense row, and every per-edge row walks its one edge beyond distance 2
+    assert not sides["dense"] and sides["walk-u"] + sides["walk-v"] == sides["per-edge"], sides
+    assert sides["walk-v"] and sides["walk-fails"], sides
+    grown = []
+    real = oracle.grow
+    monkeypatch.setattr(oracle, "grow", lambda *a: grown.append(a[2]) or real(*a))
+    for form in (h, SpannerMasks(adjacency_masks(g.n, h))):
+        rep = verify_stretch(g, form, 3)
+        assert (rep.ok, rep.worst_dist) == (False, 8) and not grown, (rep, grown)
+    # a per-edge row with two edges at distance 3 composes u's 2-ball once
+    two = DynamicGraph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (4, 5), (0, 5), (0, 6), (0, 7)])
+    kept = [e for e in two.edges() if e not in ((0, 3), (0, 5))]
+    rep = verify_stretch(two, kept, 3)
+    assert rep == verify_stretch(two, SpannerMasks(adjacency_masks(8, kept)), 3) and rep.ok
+    assert grown == [0, 0], grown
+
+
+def test_a_bad_mode_is_rejected_before_any_row_is_read():
+    g = DynamicGraph(3, [(0, 1)])
+    bad = [(1, 2)]  # not a host edge
+    for h in (bad, SpannerMasks(adjacency_masks(3, bad))):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            verify_stretch(g, h, 3, mode="bogus")
+
+
+def test_sampled_mode_checks_mask_rows_as_exact_mode_does():
+    g = DynamicGraph(8, [(u, u + 1) for u in range(7)])
+    rows = adjacency_masks(8, g.edges())
+    rows[5] |= 1 << 2  # the lowest bad row is 2, whose bad bit is 5
+    rows[2] |= 1 << 5 | 1 << 7
+    want = ("raised", SpannerNotSubgraph, "spanner edge (2, 5) not in host graph")
+    for t in (1, 3, 5):
+        assert outcome(verify_stretch, g, SpannerMasks(rows), t) == want, t
+        assert g.m > 3
+        got = outcome(verify_stretch, g, SpannerMasks(rows), t, mode="sampled", sample=3, seed=t)
+        assert got == want, t
+
+
+def test_mask_rows_checked_in_the_row_loop_raise_what_a_full_check_raises():
+    """A bad row above the rows read so far, even one with a vertex out of
+    range that the walk or the search would index, must raise the error of
+    checking every row first: the lowest bad bit of the lowest bad row."""
+    # row 0 walks its one edge beyond distance 2, (0, 3), from row 3's side,
+    # and finds no witness before bit 40
+    g = DynamicGraph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (2, 3)])
+    rows = adjacency_masks(6, [(0, 1), (0, 4), (0, 5), (2, 3)])
+    rows[3] |= 1 << 40
+    want = ("raised", SpannerNotSubgraph, "spanner edge (3, 40) not in host graph")
+    assert outcome(verify_stretch, g, SpannerMasks(rows), 3) == want
+    rng = random.Random(19)
+    raised = 0
+    for case in range(600):
+        n = rng.randrange(1, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = DynamicGraph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+        keep = rng.random()
+        h = [e for e in g.edges() if rng.random() < keep]
+        rows = adjacency_masks(n, h)
+        for _ in range(rng.randrange(3)):  # a non-host pair, a loop or an out-of-range vertex
+            u, v = rng.randrange(n), rng.choice([rng.randrange(n), n + rng.randrange(40)])
+            if g.adj_mask[u] >> v & 1:
+                continue
+            rows[u] |= 1 << v
+            if v < n and rng.random() < 0.5:
+                rows[v] |= 1 << u
+        bad = [(u, r & ~a) for u, (r, a) in enumerate(zip(rows, g.adj_mask)) if r & ~a]
+        for t in range(8):
+            for kwargs in ({}, {"mode": "sampled", "sample": rng.randrange(4), "seed": case}):
+                if bad:
+                    u, b = bad[0]
+                    msg = f"spanner edge {(u, (b & -b).bit_length() - 1)} not in host graph"
+                    want = ("raised", SpannerNotSubgraph, msg)
+                else:
+                    want = outcome(verify_stretch, g, h, t, **kwargs)
+                got = outcome(verify_stretch, g, SpannerMasks(rows), t, **kwargs)
+                assert got == want, (n, sorted(g.edges()), rows, t, kwargs)
+                raised += bool(bad)
+    assert raised
