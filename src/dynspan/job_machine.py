@@ -37,12 +37,16 @@ c <= s has that entry before t.  An entry that the dedup in `list_at`
 skipped belongs to an earlier touch, which blocks the same events.
 
 The max-load adversary attacks the heaviest machine: the live machine of
-largest load, ties going to the smallest machine.  Loads are kept in
-buckets (load -> machines) under a lazily lowered max load.  A load gets a
-min-heap of its machines the first time `heaviest_machine` reads it; from
-then on a machine entering that load is pushed, and one that left is popped
-only when it reaches the top.  A heap that grows past 2·|bucket| + 16 is
-rebuilt from its bucket, so stale entries never outnumber live ones by much.
+largest load, ties going to the smallest machine.  The load index keeps,
+per load, the count of live machines there, under a max load that a move
+upward raises and `heaviest_machine` lowers lazily past empty loads.  A
+load gets a min-heap of its machines the first time `heaviest_machine`
+reads it, from one scan of `loads`; from then on a machine entering that
+load is pushed, and an entry whose machine left (or was deleted) is popped
+only when it reaches the top and `loads` disagrees.  A heap that grows
+past 2·count + 16 is compacted to its live, distinct entries, so stale
+entries never outnumber live ones by much.  So a move costs two count
+updates and, at a load whose heap was read, one push.
 """
 
 from __future__ import annotations
@@ -189,9 +193,10 @@ class ResamplingEngine:
         self.assigned: dict[Hashable, int | None] = {}
         self.assigned_count = 0  # jobs whose assigned routine is not None
         self.loads: dict[Hashable, int] = {}  # keyed by the live machines
-        self._load_buckets: dict[int, set[Hashable]] = {}
+        self._at: list[int] = [0]  # load -> how many live machines have it
         self._max_load = 0  # no live machine is heavier; lowered lazily
-        self._heaps: dict[int, list[Hashable]] = {}  # load -> min-heap over its bucket
+        # load -> min-heap holding every live machine of that load, or None until read
+        self._heaps: list[list[Hashable] | None] = [None]
         self.list_at: dict[int, set[Hashable]] = {}  # step -> jobs due then
         # replayable history: the steps of each job's resample events and touches
         self.resample_events: dict[Hashable, list[int]] = {}
@@ -208,8 +213,8 @@ class ResamplingEngine:
         if x in self.loads:
             raise JobMachineError(f"machine {x!r} already present")
         self.loads[x] = 0
-        self._load_buckets.setdefault(0, set()).add(x)
-        heap = self._heaps.get(0)
+        self._at[0] += 1
+        heap = self._heaps[0]
         if heap is not None:
             heappush(heap, x)
         self._charge(1)
@@ -234,18 +239,26 @@ class ResamplingEngine:
         if k:  # a batch of nothing leaves `by_module` as it was
             self.counter.charge(k, "job_machine")
 
-    def _rebuild_heap(self, load: int) -> list[Hashable]:
-        """Heap of the load's bucket alone.  Called when a heap is first read,
-        and when a machine leaves a load whose heap then exceeds
-        2·|bucket| + 16; a push never crosses that bound, as both sides grow."""
-        heap = self._heaps[load] = list(self._load_buckets[load])
+    def _scan_heap(self, load: int) -> list[Hashable]:
+        """Heap of the machines at `load`, from one scan of `loads`: run when
+        `heaviest_machine` first reads the load, so once per load level."""
+        heap = self._heaps[load] = [x for x, v in self.loads.items() if v == load]
         heapify(heap)
         return heap
 
-    def _shift_load(self, machines: tuple[Hashable, ...], delta: int) -> None:
-        """Move every live machine of a routine by `delta` load units."""
+    def _compact_heap(self, load: int) -> None:
+        """Cut the load's heap down to its live, distinct entries.  Run when a
+        machine leaves a load whose heap then exceeds 2·count + 16; a push
+        never crosses that bound, as the count grows with it."""
         loads = self.loads
-        buckets = self._load_buckets
+        heap = self._heaps[load]
+        heap[:] = dict.fromkeys([x for x in heap if loads.get(x) == load])
+        heapify(heap)
+
+    def _shift_load(self, machines: tuple[Hashable, ...], delta: int) -> None:
+        """Move every live machine of a routine by `delta` (±1) load units."""
+        loads = self.loads
+        at = self._at
         heaps = self._heaps
         roles = self.roles
         for x in machines:
@@ -259,37 +272,37 @@ class ResamplingEngine:
                     roles.add(x)
                 else:
                     roles.remove(x)
-            bucket = buckets[old]
-            bucket.discard(x)
-            heap = heaps.get(old)
-            if heap is not None and len(heap) > 2 * len(bucket) + 16:
-                self._rebuild_heap(old)
-            bucket = buckets.get(new)
-            if bucket is None:
-                bucket = buckets[new] = set()
-            bucket.add(x)
-            heap = heaps.get(new)
-            if heap is not None:
-                heappush(heap, x)
+            at[old] -= 1
+            heap = heaps[old]
+            if heap is not None and len(heap) > 2 * at[old] + 16:
+                self._compact_heap(old)
+            if new == len(at):  # a load no machine had before
+                at.append(1)
+                heaps.append(None)
+            else:
+                at[new] += 1
+                heap = heaps[new]
+                if heap is not None:
+                    heappush(heap, x)
             if delta > 0 and new > self._max_load:
                 self._max_load = new
 
     def heaviest_machine(self) -> Hashable | None:
         """Max-load live machine, ties to the smallest machine; None if no machines."""
-        if not self.loads:
+        loads = self.loads
+        if not loads:
             return None
-        buckets = self._load_buckets
+        at = self._at
         load = self._max_load
-        while not buckets.get(load):  # stops at a live machine's load
+        while not at[load]:  # stops at a live machine's load
             load -= 1
             if load < 0:
                 raise InvariantBroken(f"no live machine has a load from 0 to {self._max_load}")
         self._max_load = load
-        bucket = buckets[load]
-        heap = self._heaps.get(load)
+        heap = self._heaps[load]
         if heap is None:
-            heap = self._rebuild_heap(load)
-        while heap[0] not in bucket:
+            heap = self._scan_heap(load)
+        while loads.get(heap[0]) != load:  # a deleted machine reads None
             heappop(heap)
         return heap[0]
 
@@ -363,11 +376,10 @@ class ResamplingEngine:
             load = self.loads.pop(x)
             if load and self.roles is not None:
                 self.roles.remove(x)
-            bucket = self._load_buckets[load]
-            bucket.discard(x)
-            heap = self._heaps.get(load)
-            if heap is not None and len(heap) > 2 * len(bucket) + 16:
-                self._rebuild_heap(load)
+            self._at[load] -= 1
+            heap = self._heaps[load]
+            if heap is not None and len(heap) > 2 * self._at[load] + 16:
+                self._compact_heap(load)
             live, assigned, machines = self.live, self.assigned, self._machines
             units = 1
             for job, i in self.embedder.on(x):
@@ -447,12 +459,15 @@ class ResamplingEngine:
             for x in self.embedder.machines(job, i) if i is not None else ():
                 recount[x] = recount.get(x, 0) + 1
         assert self.loads == recount, "loads differ from a recount of the assigned routines"
-        members = [(x, load) for load, bucket in self._load_buckets.items() for x in bucket]
-        assert len(members) == len(self.loads)
-        assert all(self.loads.get(x) == load for x, load in members)
-        for load, heap in self._heaps.items():
-            bucket = self._load_buckets[load]
-            assert bucket <= set(heap) and len(heap) <= 2 * len(bucket) + 16
+        at, heaps = self._at, self._heaps
+        assert len(at) == len(heaps) and max(self.loads.values(), default=0) < len(at)
+        members: list[set[Hashable]] = [set() for _ in at]
+        for x, load in self.loads.items():
+            members[load].add(x)
+        assert at == [len(m) for m in members], "load counts differ from a histogram of loads"
+        for load, heap in enumerate(heaps):
+            if heap is not None:
+                assert members[load] <= set(heap) and len(heap) <= 2 * at[load] + 16
         top = max(self.loads.values(), default=None)
         rule = min((x for x, v in self.loads.items() if v == top), default=None)
         assert self.heaviest_machine() == rule

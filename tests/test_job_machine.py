@@ -408,20 +408,26 @@ def brute_heaviest(eng):
 
 
 def assert_heaps_bounded(eng):
-    for load, heap in eng._heaps.items():
-        assert len(heap) <= 2 * len(eng._load_buckets[load]) + 16
+    for load, heap in enumerate(eng._heaps):
+        if heap is not None:
+            assert len(heap) <= 2 * eng._at[load] + 16
 
 
 def record_heap_rebuilds(eng) -> list[bool]:
-    """Per `_rebuild_heap` call: True if it replaced a heap (not a first read)."""
+    """Per heap build: True if it replaced a heap (a compaction), False if it
+    was a load's first read (a scan)."""
     replaced = []
-    rebuild = eng._rebuild_heap
+    scan, compact = eng._scan_heap, eng._compact_heap
 
-    def recording(load):
-        replaced.append(load in eng._heaps)
-        return rebuild(load)
+    def scanning(load):
+        replaced.append(eng._heaps[load] is not None)
+        return scan(load)
 
-    eng._rebuild_heap = recording
+    def compacting(load):
+        replaced.append(eng._heaps[load] is not None)
+        return compact(load)
+
+    eng._scan_heap, eng._compact_heap = scanning, compacting
     return replaced
 
 
@@ -488,6 +494,88 @@ def test_heaviest_machine_matches_brute_force_on_edge_machines():
     assert isinstance(eng.heaviest_machine(), tuple)
     ps.check_invariants()
     assert_heaps_bounded(eng)
+
+
+def test_max_load_rises_again_below_the_highest_load_seen():
+    # machine 0 reaches load 3; once it is gone, heaviest_machine lowers the
+    # max to 1, and machine 2 then climbs to 2: above the true max, below 3
+    routines = [(0, (0,)), (1, (0,)), (2, (0,)), (3, (1,))]
+    routines += [(4, (2,)), (4, (8,)), (5, (2,)), (5, (9,))]  # index 0 is (2,), 1 the other
+    eng = engine_with(routines, 6, 10, seed=3)
+
+    def draw(job, i):
+        for _ in range(64):
+            if eng.assigned[job] == i:
+                return
+            eng.resample(job)
+        raise AssertionError(f"job {job} never drew routine {i}")
+
+    draw(4, 1)
+    draw(5, 1)
+    assert eng.loads[0] == 3 and eng.loads[2] == 0 and eng.heaviest_machine() == 0
+    eng.delete_machine(0)
+    assert eng.heaviest_machine() == 1 and eng._max_load == 1 < len(eng._at) - 1 == 3
+    draw(4, 0)
+    draw(5, 0)
+    assert eng.loads[2] == 2
+    assert eng.heaviest_machine() == 2 == brute_heaviest(eng)
+    eng.check_feasible()
+
+
+def record_scans(monkeypatch) -> tuple[list, list]:
+    """Every (engine, load) of `_scan_heap` and of `_compact_heap` from now
+    on; each compacted heap must hold the machines at its load, once each."""
+    scans, compactions = [], []
+    scan, compact = ResamplingEngine._scan_heap, ResamplingEngine._compact_heap
+
+    def scanning(eng, load):
+        scans.append((eng, load))
+        return scan(eng, load)
+
+    def compacting(eng, load):
+        compactions.append((eng, load))
+        compact(eng, load)
+        assert sorted(eng._heaps[load]) == sorted(x for x, v in eng.loads.items() if v == load)
+
+    monkeypatch.setattr(ResamplingEngine, "_scan_heap", scanning)
+    monkeypatch.setattr(ResamplingEngine, "_compact_heap", compacting)
+    return scans, compactions
+
+
+def scanned_levels(eng, scans) -> list[int]:
+    """The loads `eng` scanned `loads` for, each at most once and each a
+    load some machine of `eng` reached."""
+    levels = [load for e, load in scans if e is eng]
+    assert len(levels) == len(set(levels)), sorted(levels)
+    assert set(levels) <= set(range(len(eng._at)))
+    return levels
+
+
+def test_each_load_level_is_scanned_at_most_once(monkeypatch):
+    # a load's heap costs one O(m) scan of `loads`, at its first read; a
+    # compaction reads the heap alone, and no step rescans
+    scans, compactions = record_scans(monkeypatch)
+    rng = random.Random(1900)
+    eng = ResamplingEngine(random_instance(rng, jobs=200, machines=1200), 1, horizon=400)
+    for _ in range(400):
+        top = eng.heaviest_machine()
+        eng.delete_machine(top if rng.random() < 0.7 else rng.choice(sorted(eng.loads)))
+    assert len(scanned_levels(eng, scans)) >= 3
+    assert any(e is eng for e, _ in compactions)
+    n, steps = 40, 250
+    pairs = list(itertools.combinations(range(n), 2))
+    g = DynamicGraph(n, random.Random(72).sample(pairs, 300))
+    ps = PhaseState(g, seed=8, phase_len=steps)
+    adv = WitnessHammer(seed=9, budget=steps, p_insert=0.25)
+    view = AdversaryView(
+        g, spanner_masks=ps.spanner_masks, heaviest_machine=ps.engine.heaviest_machine
+    )
+    for _ in range(steps):
+        ev = adv.next_event(view)
+        (ps.insert if ev.kind == INSERT else ps.delete)(*ev.edge)
+    assert len(scanned_levels(ps.engine, scans)) >= 2
+    assert any(e is ps.engine for e, _ in compactions)
+    ps.check_invariants()
 
 
 # -- index order: jm by repr(machines), a phase by witness, due jobs by repr(job) --
@@ -602,13 +690,14 @@ def test_resample_redrawing_its_own_routine_moves_no_load():
     for i in range(24):
         before = (len(eng.resample_events[0]), sum(map(len, eng.resample_events.values())))
         loads = dict(eng.loads)
-        heaps = {load: list(heap) for load, heap in eng._heaps.items()}
+        at = list(eng._at)
+        heaps = [None if heap is None else list(heap) for heap in eng._heaps]
         assert eng.resample(0) == 0
         assert eng.assigned[0] == 0
         assert eng.resample_events[0][-1] == eng.T
         after = (len(eng.resample_events[0]), sum(map(len, eng.resample_events.values())))
         assert after == (before[0] + 1, before[1] + 1)
-        assert eng.loads == loads and eng._heaps == heaps
+        assert eng.loads == loads and eng._at == at and eng._heaps == heaps
         assert eng.heaviest_machine() == brute_heaviest(eng)
         eng.check_feasible()
         assert_heaps_bounded(eng)

@@ -10,7 +10,9 @@ composes one radius more around u once.  Every path must give the reports
 of `reference_verify_stretch`, and a check that passes must decide every
 edge from reach sets alone: a ball composed too small does not change a
 report, since the edge then falls through to the unbounded search, so
-only a count of those searches shows it.  A mask-form spanner is checked
+only a count of those searches shows it.  Likewise the walk answers the
+same from either endpoint, and only a count of the rows it reads shows
+that it walks the smaller side.  A mask-form spanner is checked
 against the host a row at a time inside the row loop, and must raise what
 a check of every row up front raises.
 """
@@ -197,6 +199,48 @@ def test_a_row_with_one_far_edge_composes_no_ball(monkeypatch):
     rep = verify_stretch(two, kept, 3)
     assert rep == verify_stretch(two, SpannerMasks(adjacency_masks(8, kept)), 3) and rep.ok
     assert grown == [0, 0], grown
+
+
+class RowReads(list):
+    """A reach level that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_the_walk_reads_the_smaller_side(monkeypatch):
+    # host edge (0, 1) closes the spanner path 0 - x - y - 1; one endpoint
+    # has `big` more pendant spanner neighbors, all below the path's vertex,
+    # so a walk of the larger side would read every one of them first
+    big = 40
+    made = []
+    real = oracle.reach_levels
+
+    def counted(masks, r):
+        levels = [RowReads(level) for level in real(masks, r)]
+        made.extend(levels)
+        return levels
+
+    monkeypatch.setattr(oracle, "reach_levels", counted)
+    path_end = 3 + big  # the path's vertex at the large side
+    pendants = range(3, 3 + big)
+    for large, small, path in ((0, 1, (path_end, 2)), (1, 0, (2, path_end))):
+        x, y = path  # 0 - x - y - 1
+        h = [(0, x), (x, y), (y, 1)] + [(large, p) for p in pendants]
+        g = DynamicGraph(4 + big, h + [(0, 1)])
+        assert row_sides(g, h, 3) == Counter({"per-edge": 1, "walk-v" if small else "walk-u": 1})
+        masks = adjacency_masks(g.n, h)
+        assert (masks[small].bit_count(), masks[large].bit_count()) == (1, big + 1)
+        for form in (h, SpannerMasks(masks)):
+            made.clear()
+            rep = verify_stretch(g, form, 3)
+            assert (rep.ok, rep.worst_edge, rep.worst_dist) == (True, (0, 1), 3)
+            # the walked rows, the other endpoint's ball and the final test of v
+            reads = sum(level.reads for level in made)
+            assert len(made) == 1 and reads <= masks[small].bit_count() + 2, (large, reads)
 
 
 def test_a_bad_mode_is_rejected_before_any_row_is_read():
