@@ -13,8 +13,7 @@ streams (an insertion is a uniformly random absent pair).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Hashable, NamedTuple
 
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key, nth_bit
 from dynspan.instrumentation import EdgeRanks, InvariantBroken
@@ -34,8 +33,7 @@ class StreamParse(Exception):
         self.lineno = lineno
 
 
-@dataclass
-class AdversaryView:
+class AdversaryView(NamedTuple):
     """Read-only window onto the structure under attack."""
 
     graph: DynamicGraph
@@ -152,8 +150,7 @@ class WitnessHammer(_EdgeAdversary):
         return next(view.graph.edges())  # lexicographic: the smallest edge
 
 
-@dataclass(frozen=True)
-class MachineDelete:
+class MachineDelete(NamedTuple):
     seq: int
     machine: Hashable
 

@@ -10,7 +10,7 @@ Deletions are delegated to the owning level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dynspan.graph import INSERT, DynamicGraph, UpdateEvent
 from dynspan.greedy import GreedyState
@@ -33,8 +33,7 @@ def level_params(n: int, k: int) -> tuple[int, int]:
     return ell0, j
 
 
-@dataclass(frozen=True)
-class RebuildInfo:
+class RebuildInfo(NamedTuple):
     level: int
     size: int  # edges in the rebuilt level
 

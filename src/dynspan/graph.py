@@ -11,8 +11,7 @@ than d(src, dst) are disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from dynspan.instrumentation import OpCounter
 
@@ -63,8 +62,7 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
+class UpdateEvent(NamedTuple):
     """One step of an update stream; seq is 1-based and strictly increasing."""
 
     seq: int

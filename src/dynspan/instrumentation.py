@@ -9,8 +9,7 @@ wall-clock time, so assertions are machine independent.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 
 class InvariantBroken(Exception):
@@ -21,8 +20,7 @@ class InvariantBroken(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """What one update did, as every structure's `update(ev) -> Step` reports it."""
 
     op_count: int  # the update's own op-counter step, closed by `update`
@@ -210,8 +208,7 @@ class OpCounter:
         assert sum(self.by_module.values()) == self.total
 
 
-@dataclass(frozen=True)
-class OverheadSample:
+class OverheadSample(NamedTuple):
     """One (step, machine) observation of actual load vs target load."""
 
     step: int
@@ -220,8 +217,7 @@ class OverheadSample:
     target: float
 
 
-@dataclass(frozen=True)
-class OverheadReport:
+class OverheadReport(NamedTuple):
     total: int
     violations: int
     worst_residual: float
@@ -258,8 +254,7 @@ def measure_overhead(
 CSV_HEADER = "step,event,recourse_add,recourse_del,spanner_size,op_count,resamples,stretch_ok"
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     step: int
     event: str
     recourse_add: int

@@ -23,10 +23,14 @@ order.  A resample that redraws the assigned routine moves no load.
 
 Step order per machine deletion: extend schedules of touched jobs with
 {T + 2^k : k >= 0, T + 2^k <= horizon}, advance the clock, then resample
-every job due now (the T+1 entry delivers the immediate repair).  A job
-costs Σ|machines| to add, a deletion 1 plus the other machines of each
-routine it kills, and a draw one unit, charged by the caller of
-`resample`: `add_job`, or `_step` once for all the draws of its step.
+every job due now (the T+1 entry delivers the immediate repair) in one
+loop, `_draw`, the draw body that `resample` shares.  A due job with no
+live routine draws nothing and stays unassigned, but its entry still logs
+a resample event and counts in `StepReport.resampled`, so in the CSV
+`resamples` column too.  A job costs Σ|machines| to add, a deletion 1 plus
+the other machines of each routine it kills, and a draw that returns a
+routine one unit, charged by the caller of `_draw`: `add_job`, or `_step`
+once for all the draws of its step; a direct `resample` charges nothing.
 
 Besides the schedule `list_at`, the engine keeps per job the steps of its
 resample events and of its touches (deaths of its assigned routine); only
@@ -52,10 +56,9 @@ updates and, at a load whose heap was read, one push.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from dynspan.graph import UpdateEvent, nth_bit
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
@@ -156,8 +159,7 @@ class HyperInstance:
         return cls(range(jobs), range(machines), routines)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     touched: tuple[Hashable, ...]
     resampled: tuple[Hashable, ...]
     schedule_added: int
@@ -229,9 +231,7 @@ class ResamplingEngine:
         self.assigned[job] = None
         self.resample_events[job] = []
         self.touch_times[job] = []
-        if self.resample(job) is not None:
-            slots += 1
-        self._charge(slots)
+        self._charge(slots + self._draw((job,)))
 
     # -- load bookkeeping --
 
@@ -328,26 +328,36 @@ class ResamplingEngine:
     def resample(self, job: Hashable) -> int | None:
         """Reassign `job` uniformly over its live routines; logs the event.
         A draw that returns a routine costs one unit, which the caller charges."""
-        live = self.live.get(job)
-        if live is None:
+        if job not in self.live:
             raise UnknownJob(f"job {job!r} unknown")
-        self.resample_events[job].append(self.T)
-        old = self.assigned[job]
-        if not live:
-            if old is not None:
-                self.assigned_count -= 1
-            self.assigned[job] = None
-            return None
-        new = nth_bit(live, self.rng.randrange(live.bit_count()))
-        machines = self._machines
-        if old is None:
-            self.assigned_count += 1
-            self._shift_load(machines(job, new), +1)
-        elif old != new:  # redrawing the assigned routine moves no load
-            self._shift_load(machines(job, old), -1)
-            self._shift_load(machines(job, new), +1)
-        self.assigned[job] = new
-        return new
+        self._draw((job,))
+        return self.assigned[job]
+
+    def _draw(self, jobs: Iterable[Hashable]) -> int:
+        """Resample each of `jobs` in turn, logging an event for each; returns
+        how many drew a routine.  A job with no live routine draws nothing
+        and stays unassigned."""
+        T = self.T
+        live, assigned, events = self.live, self.assigned, self.resample_events
+        machines, shift = self._machines, self._shift_load
+        randrange = self.rng.randrange
+        drawn = 0
+        for job in jobs:
+            events[job].append(T)
+            mask = live[job]
+            if not mask:
+                continue  # no live routine, so unassigned since the last one died
+            new = nth_bit(mask, randrange(mask.bit_count()))
+            drawn += 1
+            old = assigned[job]
+            if old is None:
+                self.assigned_count += 1
+                shift(machines(job, new), +1)
+            elif old != new:  # redrawing the assigned routine moves no load
+                shift(machines(job, old), -1)
+                shift(machines(job, new), +1)
+            assigned[job] = new
+        return drawn
 
     def delete_machine(self, x: Hashable) -> StepReport:
         if x not in self.loads:
@@ -400,11 +410,7 @@ class ResamplingEngine:
             schedule_added += self._extend_schedule(job)
         self.T += 1
         due = sorted(self.list_at.pop(self.T, ()), key=self._job_repr.__getitem__)
-        drawn = 0
-        for job in due:
-            if self.resample(job) is not None:
-                drawn += 1
-        self._charge(drawn)
+        self._charge(self._draw(due))
         return StepReport(tuple(touched), tuple(due), schedule_added)
 
     def _extend_schedule(self, job: Hashable) -> int:

@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist
 from dynspan.instrumentation import EdgeRanks
@@ -58,8 +57,7 @@ class OrderNotPermutation(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StretchReport:
+class StretchReport(NamedTuple):
     ok: bool
     worst_edge: tuple[int, int] | None
     worst_dist: float  # hop count; inf when the witness pair is disconnected
@@ -68,8 +66,7 @@ class StretchReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SpannerMasks:
+class SpannerMasks(NamedTuple):
     """A spanner given as symmetric per-vertex adjacency bitmasks: bit v of
     rows[u] is set iff (u, v) is a spanner edge.  `verify_stretch` reads the
     rows and never changes them."""

@@ -31,8 +31,7 @@ import math
 import random
 import weakref
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from dynspan.det3 import bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key
@@ -50,8 +49,7 @@ def default_phase_len(n: int) -> int:
     return max(1, math.ceil(n**1.5))
 
 
-@dataclass(frozen=True)
-class Resample3Step:
+class Resample3Step(NamedTuple):
     changes: tuple[tuple[tuple[int, int], str], ...]
     resamples: int
     touched: int
@@ -242,8 +240,14 @@ def _apply(phase: PhaseState, ev: UpdateEvent) -> Resample3Step:
     return (phase.insert if ev.kind == INSERT else phase.delete)(*ev.edge)
 
 
-@dataclass(frozen=True)
-class WrappedStep(Step):
+class WrappedStep(NamedTuple):
+    """`Step`'s fields, in its order, then the window's declared budget."""
+
+    op_count: int
+    resamples: int
+    adds: int
+    dels: int
+    output_size: int
     budget: int  # the window's declared per-update op budget
 
 
@@ -506,7 +510,7 @@ class Resample3(RoleOutput):
             # the new phase flushed its build, so report the swap of the whole output
             new = self.phase.spanner
             changes = sorted([(e, "+") for e in new - old] + [(e, "-") for e in old - new])
-            step = replace(step, changes=tuple(changes))
+            step = step._replace(changes=tuple(changes))
         return step
 
     def insert(self, u: int, v: int) -> Resample3Step:

@@ -86,6 +86,32 @@ def test_resample_with_no_live_routines_is_unassigned():
     assert eng.assigned[0] is None and eng.assigned_count == 0  # no recourse for unassigned
 
 
+def test_a_dead_due_entry_draws_nothing_but_is_logged_and_counted():
+    # job 0's only routine dies with machine 0 at T=0, which schedules it at
+    # 1, 2, 4, ...: each entry then logs an event and is counted as a resample
+    # without drawing, assigning or moving load; job 1 is never due
+    eng = engine_with([(0, (0,)), (1, (1,)), (1, (2,))], 2, 3, horizon=40)
+    state = eng.rng.getstate()
+    rep = eng.delete_machine(0)
+    assert rep.touched == (0,) and rep.resampled == (0,)  # the T+1 repair
+    assert eng.assigned[0] is None and eng.rng.getstate() == state
+    due = [2, 4, 8, 16, 32]
+    while eng.T < eng.horizon:
+        events = list(eng.resample_events[0])
+        state, loads = eng.rng.getstate(), dict(eng.loads)
+        rep = eng.tick()
+        if eng.T in due:
+            assert eng.resample_events[0] == events + [eng.T]
+            assert eng.assigned[0] is None
+            assert eng.rng.getstate() == state
+            assert eng.loads == loads
+            assert rep.resampled == (0,)
+        else:
+            assert rep.resampled == ()
+    assert eng.resample_events[0] == [0, 1] + due
+    eng.check_feasible()
+
+
 def test_resample_unknown_job():
     eng = engine_with([], 0, 1)
     with pytest.raises(UnknownJob):

@@ -75,6 +75,15 @@ def test_stretch_c5_minus_edge_fails():
     assert rep.worst_dist == 4  # path 0-1-2-3-4 is all that is left
 
 
+def test_a_stretch_report_is_true_iff_ok():
+    # a report is a tuple, which is true whenever it is not empty; it answers `ok`
+    c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    g = DynamicGraph(5, c5)
+    passing, failing = verify_stretch(g, c5, 3), verify_stretch(g, c5[:-1], 3)
+    assert (passing.ok, failing.ok) == (True, False)
+    assert (bool(passing), bool(failing)) == (True, False)
+
+
 def test_stretch_rejects_non_subgraph():
     g = DynamicGraph(3, [(0, 1)])
     with pytest.raises(SpannerNotSubgraph):
