@@ -81,15 +81,13 @@ class Det3State(RoleOutput):
     # -- construction ------------------------------------------------------
 
     def _build(self) -> None:
-        if self.g.m:
-            self._charge(2 * self.g.m)  # each edge joins two sets E(v, V_i)
         for v, row in enumerate(self.g.adj_mask):
             for i, members in enumerate(self.bucket_mask):
                 if i != self.bucket_of[v] and (nbrs := row & members):
                     c = nth_bit(nbrs, 0)
-                    self._charge(1)
+                    self._charge(2)  # the center and its partner role
                     self.center[(v, i)] = c
-                    self._add_t1(edge_key(v, c), v)
+                    self.roles.add(edge_key(v, c))
         for u, v in self.g.edges():
             for near, far in ((u, v), (v, u)):
                 pair = self._pair_of(near, far)
@@ -99,9 +97,9 @@ class Det3State(RoleOutput):
         for pair, zs in sorted(self.cedge.items()):
             if zs:
                 z = min(zs, key=lambda w: edge_key(pair[0], w))
-                self._charge(1)
+                self._charge(2)  # the choice and its role
                 self.chosen[pair] = z
-                self._add_t2(edge_key(pair[0], z), pair)
+                self.roles.add(edge_key(pair[0], z))
         self.counter.end_step()
         self.roles.flush()
 
@@ -120,20 +118,8 @@ class Det3State(RoleOutput):
             return None
         return (near, q)
 
-    # role changes; the holder argument (owner vertex or pair) names whose role it is
-
-    def _add_t1(self, e: tuple[int, int], owner: int) -> None:
-        self.roles.add(e)
-        self._charge(1)
-
-    def _remove_t1(self, e: tuple[int, int], owner: int) -> None:
-        self.roles.remove(e)
-        self._charge(1)
-
-    def _add_t2(self, e: tuple[int, int], pair: tuple[int, int]) -> None:
-        self.roles.add(e)
-        self._charge(1)
-
+    # kept under this name because bench/test_bench.py's fault injection
+    # calls it (tests/test_spans.py pins it); it goes with `cedge`
     def _remove_t2(self, e: tuple[int, int], pair: tuple[int, int]) -> None:
         self.roles.remove(e)
         self._charge(1)
@@ -144,7 +130,8 @@ class Det3State(RoleOutput):
         self._charge(1)
         if pair not in self.chosen:
             self.chosen[pair] = far
-            self._add_t2(edge_key(pair[0], far), pair)
+            self.roles.add(edge_key(pair[0], far))
+            self._charge(1)
 
     def _cedge_remove(self, pair: tuple[int, int], far: int) -> None:
         zs = self.cedge.get(pair)
@@ -158,9 +145,9 @@ class Det3State(RoleOutput):
             self._remove_t2(edge_key(pair[0], far), pair)
             if zs:
                 z = min(zs, key=lambda w: edge_key(pair[0], w))
-                self._charge(1)
+                self._charge(2)
                 self.chosen[pair] = z
-                self._add_t2(edge_key(pair[0], z), pair)
+                self.roles.add(edge_key(pair[0], z))
             else:
                 del self.chosen[pair]
 
@@ -170,7 +157,6 @@ class Det3State(RoleOutput):
         e = self.g.insert_edge(u, v)
         u, v = e
         i, j = self.bucket_of[u], self.bucket_of[v]
-        self._charge(2)  # E(u, V_j) and E(v, V_i) each gain a member
         if i != j:
             # sole-member promotion; a vertex gaining its first center has no
             # other edges into that bucket, so no migration can be needed
@@ -178,12 +164,12 @@ class Det3State(RoleOutput):
             cv = self.g.adj_mask[v] & self.bucket_mask[i]
             if cu & (cu - 1) == 0:
                 self.center[(u, j)] = v
-                self._add_t1(e, u)
-                self._charge(1)
+                self.roles.add(e)
+                self._charge(2)
             if cv & (cv - 1) == 0:
                 self.center[(v, i)] = u
-                self._add_t1(e, v)
-                self._charge(1)
+                self.roles.add(e)
+                self._charge(2)
         for near, far in ((u, v), (v, u)):
             pair = self._pair_of(near, far)
             if pair is not None:
@@ -203,7 +189,6 @@ class Det3State(RoleOutput):
         t1_owners = [x for x, y in (e, e[::-1]) if self.center.get((x, self.bucket_of[y])) == y]
         self.g.delete_edge(u, v)
         u, v = e
-        self._charge(2)  # E(u, V_j) and E(v, V_i) each lose a member
         for pair, far in memberships:
             self._cedge_remove(pair, far)
         for owner in t1_owners:
@@ -220,16 +205,16 @@ class Det3State(RoleOutput):
         """The partner edge (owner, old_center) died; re-center owner in that
         bucket and migrate its edges between the affected pair sets."""
         i = self.bucket_of[old_center]
-        self._remove_t1(e, owner)
+        self.roles.remove(e)
         del self.center[(owner, i)]
-        self._charge(2)
+        self._charge(2)  # the role and the center
         rest = self.g.adj_mask[owner] & self.bucket_mask[i]
         new_center = nth_bit(rest, 0) if rest else None
         self._charge(1)
         if new_center is not None:
             self.center[(owner, i)] = new_center
-            self._add_t1(edge_key(owner, new_center), owner)
-            self._charge(1)
+            self.roles.add(edge_key(owner, new_center))
+            self._charge(2)
         for w in iter_bits(rest):
             # edge (w, owner) leaves E(w, C+(old_center)) and joins the new
             # center's set; rest excludes old_center, so both pairs are proper

@@ -94,21 +94,12 @@ class PhaseState(RoleOutput):
             self._init_pair(p)
         self.roles.flush()
 
-    def _charge_core(self, u: int, v: int) -> None:
-        """4, plus one per pair whose common neighbors the core edge (u, v),
-        absent from the rows, changes: u's bucket-mates adjacent to v and v's
-        adjacent to u."""
-        core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
-        mates = (core[v] & bucket_mask[bucket_of[u]]).bit_count()
-        mates += (core[u] & bucket_mask[bucket_of[v]]).bit_count()
-        self.counter.charge(4 + mates, "partnership")
-
     # -- incremental construction pieces (also used by the wrapped driver) --
 
     def _init_edge(self, e: tuple[int, int]) -> None:
         u, v = e
         core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
-        self._charge_core(u, v)
+        self.counter.charge(2, "partnership")  # one per row bit
         self.engine.add_machine(e)
         if bucket_of[u] == bucket_of[v]:
             self.roles.add(e)  # intra-bucket edges never serve as partner edges
@@ -145,7 +136,8 @@ class PhaseState(RoleOutput):
         return ((a, w) if a < w else (w, a)), ((b, w) if b < w else (w, b))
 
     def on(self, x: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
-        """The witness routines through the core edge x, the mates `_charge_core` counts."""
+        """The witness routines through the core edge x: the pairs of an endpoint
+        and a bucket-mate adjacent to the other endpoint, which is their witness."""
         core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
         u, v = x
         out = []
@@ -186,7 +178,7 @@ class PhaseState(RoleOutput):
             core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
             core[u] &= ~(1 << v)
             core[v] &= ~(1 << u)
-            self._charge_core(u, v)
+            self.counter.charge(2, "partnership")  # one per row bit
             if bucket_of[u] == bucket_of[v]:
                 self.roles.remove(e)
             else:
@@ -196,7 +188,6 @@ class PhaseState(RoleOutput):
                         self.roles.remove(e)
                         if rest:
                             self.roles.add(edge_key(x, nth_bit(rest, 0)))
-                        self.counter.charge(2, "resample3")
             report = self.engine.delete_machine(e)
         self.updates_used += 1
         return Resample3Step(

@@ -266,7 +266,13 @@ def test_fault_injection_is_caught(tmp_path, monkeypatch):
 
 def test_spanner_edge_outside_the_host_graph_fails_the_check(tmp_path, monkeypatch, capsys):
     # a det3 that never drops a lost partner edge keeps the deleted edge in its output
-    monkeypatch.setattr(Det3State, "_remove_t1", lambda self, e, owner: None)
+    handle_center_loss = Det3State._handle_center_loss
+
+    def keep_the_partner_role(self, owner, old_center, e):
+        handle_center_loss(self, owner, old_center, e)
+        self.roles.add(e)  # the role the original just removed
+
+    monkeypatch.setattr(Det3State, "_handle_center_loss", keep_the_partner_role)
     out = tmp_path / "run.csv"
     argv = "run --algo det3 --n 30 --init-m 120 --steps 60 --seed 5 --adversary spanner-target"
     assert cli.main([*argv.split(), "--check", "exact", "--out", str(out)]) == 2

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from dynspan.det3 import Det3State, bucket_masks, default_buckets
-from dynspan.graph import DynamicGraph, EdgeExists, EdgeMissing
+from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent
+from dynspan.instrumentation import OpCounter
 from dynspan.oracle import verify_stretch
 
 
@@ -161,6 +163,32 @@ def test_empty_graph_insert_cost_small():
     s = make(9, [])
     s.insert_edge(0, 4)
     assert s.counter.last_step <= 12
+
+
+def test_an_insertion_that_changes_no_center_or_choice_charges_its_memberships():
+    # the graph's two row bits plus one det3 op per pair set the edge joins
+    rng = random.Random(5)
+    n = 30
+    pairs = list(itertools.combinations(range(n), 2))
+    counter = OpCounter()
+    s = Det3State(DynamicGraph(n, rng.sample(pairs, 120), counter=counter), counter=counter)
+    checked = 0
+    for u, v in pairs:
+        i, j = s.bucket_of[u], s.bucket_of[v]
+        if s.g.has_edge(u, v) or i != j and not (
+            s.g.adj_mask[u] & s.bucket_mask[j] and s.g.adj_mask[v] & s.bucket_mask[i]
+        ):
+            continue  # present, or u or v would gain its first center in that bucket
+        joins = [p for p in (s._pair_of(u, v), s._pair_of(v, u)) if p is not None]
+        if not all(p in s.chosen for p in joins):
+            continue  # the first member of a pair set is chosen
+        before = Counter(counter.by_module)
+        step = s.update(UpdateEvent(0, INSERT, (u, v)))
+        assert (step.adds, step.dels, step.op_count) == (0, 0, 2 + len(joins))
+        assert counter.by_module - before == Counter(graph=2, det3=len(joins))
+        checked += 1
+    assert checked
+    s.check_against_rebuild()
 
 
 def test_random_updates_keep_invariants():

@@ -39,11 +39,11 @@ RUNS = {
 
 RUN_DIGESTS = {
     "det3": (
-        "6c6afcd50067a97a83b1a043593d88e7af0df64fb282d76b911febea610e4845",
+        "ab5c646d8f0e8f6bd5bb42ff21065b5a24e11713279a73dfc6f22cd4a6f5bccb",
         "c980cb220c3a98c99bfec98b8f63dd38f734b75818ba9a415268a74d5b3ed97a",
     ),
     "det3-sampled": (
-        "37884a3614d2b40e9a4744974c840f504aa277709b5183a5d89b30c1b0c2eace",
+        "12d9e7ac1a74c378f3d5647fa231e20f6554c2ff9c1a81e6a92efcf8a0f121de",
         "0344b71d6e0c4790c8eab80c9613324f28c1b9cc86373ef8e38e81684d09f224",
     ),
     "fd-greedy": (
@@ -61,7 +61,7 @@ RUN_DIGESTS = {
     # the two rollover rows (steps 26 and 51) report the swap of the whole output;
     # a phase draws its witnesses in ascending-w order
     "resample3": (
-        "f296fd235cb23943a71078ae183c37230b933c17e29a7cf9521f1507c6496361",
+        "9becd378b3ce48fcb1d184c54413d89c96de4579a93a6b9f7d54acfc4faebd92",
         "498578e2587b64d41e3c47eb7c0380f49ef28f64d8307f8332ac8ae67dc14185",
     ),
 }
@@ -86,7 +86,7 @@ STREAM_DIGESTS = {
     ("witness-hammer", 1.0): "2991489ca1c9207f0b6231025237a5aac7f06abb60977fbc720a13fb112b7126",
 }
 
-WRAPPED_DIGEST = "4455a5c052e934737817b067600a432996734f0d99d719bcea90ba8f0e259253"
+WRAPPED_DIGEST = "815b169034cf6d33915156d6d7921167a4e50c3b1732bad95d7183b5d2cf3e41"
 
 
 def digest(data: bytes | str) -> str:

@@ -15,7 +15,7 @@ from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
 from dynspan.graph import DynamicGraph, VertexOutOfRange
 from dynspan.instrumentation import OpCounter, Step
-from dynspan.resample3 import PhaseState, WrappedRunner
+from dynspan.resample3 import PhaseState, Resample3, WrappedRunner
 
 RUNS = {
     "greedy": "--algo greedy --k 2 --n 24 --init-m 100 --steps 40 --seed 3 --p-insert 0",
@@ -74,6 +74,31 @@ def test_each_step_reports_the_output_diff(algo):
     assert rollovers == ([26, 51] if algo == "resample3" else [])
 
 
+@pytest.mark.parametrize("algo", sorted(cli.ALGO_FACTORIES))
+def test_set_up_and_rows_account_for_every_op(algo, monkeypatch):
+    # no cost hides between rows: the set-up's ops, the rows' op counts and
+    # the resample3 rollover builds, each its own op step, sum to the total
+    builds = []
+    new_phase = Resample3._new_phase
+
+    def logged_new_phase(self):
+        phase = new_phase(self)
+        builds.append(self.counter.last_step)
+        return phase
+
+    monkeypatch.setattr(Resample3, "_new_phase", logged_new_phase)
+    jm = "--algo jm --jm-jobs 40 --jm-machines 200 --steps 60 --seed 7 --adversary max-load"
+    args = cli.build_parser().parse_args(["run", *{**RUNS, "jm": jm}[algo].split()])
+    counter = OpCounter()
+    adapter = cli.ALGO_FACTORIES[algo](args, counter)
+    set_up = counter.total
+    builds.clear()  # the first phase is set-up
+    rows, failure = cli.run_loop(adapter, cli.make_adversary(args, adapter), args)
+    assert failure is None and len(rows) == args.steps
+    assert len(builds) == (2 if algo == "resample3" else 0)
+    assert set_up + sum(r.op_count for r in rows) + sum(builds) == counter.total
+
+
 def test_wrapped_runner_reports_the_output_diff():
     # the stream of test_wrapped.py's rotation test: three rotations, with
     # remnant drains, successor feeds and deletions of fed edges
@@ -83,13 +108,16 @@ def test_wrapped_runner_reports_the_output_diff():
     g = DynamicGraph(n, rng.sample(pairs, m))
     events = random_events(random.Random(13), g, pairs, 3 * L + 5)
     runner = WrappedRunner(g, seed=21, rotation_len=L)
+    set_up, ops = runner.counter.total, 0
     for i, ev in enumerate(events, 1):
         before = runner.spanner_edges()
         step = runner.update(ev)
         r = Record(step, before, runner.spanner_edges(), runner.counter.last_step, False)
         assert r.conforms(), (i, step)
         runner.check_invariants()
+        ops += step.op_count
     assert runner.window == 4
+    assert set_up + ops == runner.counter.total  # successor work is charged to the steps
 
 
 EIGHT = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)]

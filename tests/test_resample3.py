@@ -36,10 +36,29 @@ def test_core_rows_track_common_neighbors():
     ps.delete(1, 2)
     assert ps.core[0] & ps.core[1] == 1 << 3
     check_rows(ps.core)
-    # 4 per core update plus one per pair whose common neighbors it changes:
-    # (0, 2) none, (1, 2) pair (0, 1), (0, 3) pair (2, 3), (1, 3) and the
-    # removal of (1, 2) both pairs
-    assert counter.by_module["partnership"] == 4 + 5 + 5 + 6 + 6
+    # one per row bit: five core updates, two bits each
+    assert counter.by_module["partnership"] == 5 * 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_phase_build_charges_two_partnership_ops_per_edge(seed):
+    rng = random.Random(seed)
+    n, m = 30, 150
+    edges = rng.sample(list(itertools.combinations(range(n), 2)), m)
+    counter = OpCounter()
+    PhaseState(DynamicGraph(n, edges), seed, counter=counter)
+    assert counter.by_module["partnership"] == 2 * m
+
+
+def test_a_partner_hand_off_charges_only_the_row_bits():
+    counter = OpCounter()
+    g = DynamicGraph(5, [(0, 2), (0, 3)])
+    ps = PhaseState(g, seed=1, bucket_of=[0, 0, 1, 1, 1], counter=counter)
+    before = Counter(counter.by_module)
+    ps.delete(0, 2)  # 3 takes over from 2 as 0's partner in bucket 1
+    ps.check_invariants()
+    assert (counter.by_module - before)["partnership"] == 2
+    assert "resample3" not in counter.by_module
 
 
 def test_phase_check_catches_a_one_sided_neighbor():
@@ -264,8 +283,8 @@ def test_phase_build_op_totals_are_pinned():
     g = DynamicGraph(n, rng.sample(pairs, 300), counter=counter)
     drv = Resample3(g, seed=3, phase_len=20, counter=counter)
     assert (dict(counter.by_module), counter.total) == (
-        {"graph": 600, "partnership": 1767, "job_machine": 1528},
-        3895,
+        {"graph": 600, "partnership": 600, "job_machine": 1528},
+        2728,
     )
     for _ in range(21):
         if rng.random() < 0.7:
@@ -273,9 +292,8 @@ def test_phase_build_op_totals_are_pinned():
         else:
             drv.insert(*rng.choice([p for p in pairs if not g.has_edge(*p)]))
     assert drv.phase_index == 2
-    # a phase draws in ascending-witness order, so its deletions touch other jobs
-    # than the repr-order draws did: job_machine read 3123 and the total 7370
+    # partnership: 2 for each core edge either build adds and each core deletion
     assert (dict(counter.by_module), counter.total) == (
-        {"graph": 642, "partnership": 3569, "job_machine": 3130, "resample3": 36},
-        7377,
+        {"graph": 642, "partnership": 1210, "job_machine": 3130},
+        4982,
     )
