@@ -187,19 +187,27 @@ class DynamicGraph:
         check_range(self.n, u, v)
         return self.adj_mask[u] >> v & 1 == 1
 
-    def insert_edge(self, u: int, v: int) -> tuple[int, int]:
+    def check_update(self, kind: str, u: int, v: int) -> tuple[int, int]:
+        """The edge an update of `kind` on (u, v) applies to; raises what the
+        update would raise, and changes nothing."""
+        if kind != INSERT and kind != DELETE:
+            raise ValueError(f"unknown event kind {kind!r}")
         check_range(self.n, u, v)
         e = edge_key(u, v)
-        if self.adj_mask[e[0]] >> e[1] & 1:
+        present = self.adj_mask[e[0]] >> e[1] & 1
+        if kind == INSERT and present:
             raise EdgeExists(f"edge {e} already present")
+        if kind == DELETE and not present:
+            raise EdgeMissing(f"edge {e} not present")
+        return e
+
+    def insert_edge(self, u: int, v: int) -> tuple[int, int]:
+        e = self.check_update(INSERT, u, v)
         self._link(*e)
         return e
 
     def delete_edge(self, u: int, v: int) -> tuple[int, int]:
-        check_range(self.n, u, v)
-        e = edge_key(u, v)
-        if not self.adj_mask[e[0]] >> e[1] & 1:
-            raise EdgeMissing(f"edge {e} not present")
+        e = self.check_update(DELETE, u, v)
         self._unlink(*e)
         return e
 

@@ -9,7 +9,7 @@ wall-clock time, so assertions are machine independent.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class InvariantBroken(Exception):
@@ -29,15 +29,11 @@ class Step(NamedTuple):
     dels: int
     output_size: int  # after the update
 
-    @staticmethod
-    def signs(changes: Sequence[tuple[Hashable, str]]) -> tuple[int, int]:
-        """(adds, dels) of (edge, "+"/"-") changes such as `RoleSet.flush()` returns."""
-        adds = sum(1 for _, sign in changes if sign == "+")
-        return adds, len(changes) - adds
-
     @classmethod
     def of(cls, changes, op_count: int, resamples: int, output_size: int) -> "Step":
-        return cls(op_count, resamples, *cls.signs(changes), output_size)
+        """The step of (edge, "+"/"-") changes such as `RoleSet.flush()` returns."""
+        adds = sum(1 for _, sign in changes if sign == "+")
+        return cls(op_count, resamples, adds, len(changes) - adds, output_size)
 
 
 class EdgeRanks:
@@ -188,7 +184,6 @@ class OpCounter:
     def __init__(self) -> None:
         self.current = 0
         self.last_step = 0  # the count of the last closed step
-        self.max_step = 0
         self.total = 0
         self.by_module: Counter[str] = Counter()
 
@@ -199,8 +194,6 @@ class OpCounter:
 
     def end_step(self) -> int:
         count = self.last_step = self.current
-        if count > self.max_step:
-            self.max_step = count
         self.current = 0
         return count
 

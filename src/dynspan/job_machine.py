@@ -116,7 +116,11 @@ class HyperInstance:
                 for x in ms:
                     entries = on.setdefault(x, [])
                     if entries and entries[-1][0] == job:  # a job's entries are adjacent
-                        raise DisjointnessViolated(f"job {job!r}: two routines share machine {x!r}")
+                        if entries[-1][1] == i:
+                            msg = f"routine of job {job!r} names machine {x!r} twice"
+                        else:
+                            msg = f"job {job!r}: two routines share machine {x!r}"
+                        raise DisjointnessViolated(msg)
                     entries.append((job, i))
         self.table = table  # job -> its routines' machines, in index order
         self._on = on

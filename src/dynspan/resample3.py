@@ -31,7 +31,7 @@ import math
 import random
 import weakref
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from dynspan.det3 import bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key
@@ -49,18 +49,13 @@ def default_phase_len(n: int) -> int:
     return max(1, math.ceil(n**1.5))
 
 
-class Resample3Step(NamedTuple):
-    changes: tuple[tuple[tuple[int, int], str], ...]
-    resamples: int
-    touched: int
-    schedule_added: int
-
-
 class PhaseState(RoleOutput):
     """One phase of the randomized 3-spanner over a decremental core graph.
 
-    It charges its work to `counter` but never closes a step; its drivers
-    (`Resample3`, `WrappedRunner`) decide where steps end.
+    An update (`insert`, `delete`, `apply`) charges its work to `counter`,
+    records its output changes in `roles` and returns its resample count;
+    its driver (`Resample3`, `WrappedRunner`) closes both steps, the op
+    step and the output step (`roles.flush()`).  The build flushes itself.
     """
 
     def __init__(
@@ -156,16 +151,19 @@ class PhaseState(RoleOutput):
     def exhausted(self) -> bool:
         return self.updates_used >= self.L
 
-    def insert(self, u: int, v: int) -> Resample3Step:
+    def apply(self, ev: UpdateEvent) -> int:
+        return (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)
+
+    def insert(self, u: int, v: int) -> int:
         if self.exhausted:
             raise PhaseExhausted(f"phase budget of {self.L} updates spent")
         e = self.g.insert_edge(u, v)
         self.buffer.add(e)
         self.roles.add(e)
         self.updates_used += 1
-        return Resample3Step(tuple(self.roles.flush()), 0, 0, 0)
+        return 0
 
-    def delete(self, u: int, v: int) -> Resample3Step:
+    def delete(self, u: int, v: int) -> int:
         if self.exhausted:
             raise PhaseExhausted(f"phase budget of {self.L} updates spent")
         e = self.g.delete_edge(u, v)  # a bad vertex or missing edge raises, changing nothing
@@ -190,9 +188,7 @@ class PhaseState(RoleOutput):
                             self.roles.add(edge_key(x, nth_bit(rest, 0)))
             report = self.engine.delete_machine(e)
         self.updates_used += 1
-        return Resample3Step(
-            tuple(self.roles.flush()), report.resamples, len(report.touched), report.schedule_added
-        )
+        return report.resamples
 
     # -- views --
 
@@ -227,21 +223,6 @@ class PhaseState(RoleOutput):
             assert self.g.has_edge(*e)
 
 
-def _apply(phase: PhaseState, ev: UpdateEvent) -> Resample3Step:
-    return (phase.insert if ev.kind == INSERT else phase.delete)(*ev.edge)
-
-
-class WrappedStep(NamedTuple):
-    """`Step`'s fields, in its order, then the window's declared budget."""
-
-    op_count: int
-    resamples: int
-    adds: int
-    dels: int
-    output_size: int
-    budget: int  # the window's declared per-update op budget
-
-
 class WrappedRunner(RoleOutput):
     """De-amortized driver: two overlapping instances, rotated every L updates.
 
@@ -263,6 +244,10 @@ class WrappedRunner(RoleOutput):
     walk cost of the model's balanced trees).  `declared_budget` is fixed
     at each window start from known queue sizes before any of the window's
     updates run; per-update charges never exceed it.
+
+    `update` closes the op and output steps of both instances' updates; the
+    replay's role changes are dropped at the rotation, which rebuilds the
+    output.  A rejected update raises before anything changes.
 
     `rotation_len` must be a positive multiple of 3.  Each inner instance
     is built with a phase budget of 2*rotation_len: L replayed plus L live.
@@ -330,6 +315,7 @@ class WrappedRunner(RoleOutput):
             self.remnant = set(prev.spanner)
             self.remnant |= self.extra
             self.extra = set()
+            self.D_cur.roles.flush()  # the replay's changes: the output is rebuilt here
             for e in itertools.chain(self.remnant, self.D_cur.spanner):
                 self.roles.add(e)
         journal = self.journal_cur = []
@@ -378,7 +364,7 @@ class WrappedRunner(RoleOutput):
         # last third: replay the window three updates at a time; after
         # update 2*third+k there are at least 3k+3 journalled events
         for k in range(third):
-            yield sum(self._replay(ev) for ev in journal[3 * k : 3 * k + 3])
+            yield sum(self.D_next.apply(ev) for ev in journal[3 * k : 3 * k + 3])
 
     def _build(self, seed: int, journal_prev: list[UpdateEvent]):
         """The successor's build, one bounded task per step; it sets
@@ -421,18 +407,17 @@ class WrappedRunner(RoleOutput):
         nxt.roles.flush()
         self.D_next = nxt
 
-    def _replay(self, ev: UpdateEvent) -> int:
-        return _apply(self.D_next, ev).resamples
-
     # -- the public update loop --
 
-    def update(self, ev: UpdateEvent) -> WrappedStep:
+    def update(self, ev: UpdateEvent) -> Step:
+        # before any side effect; at a rotation the caught-up successor has this graph
+        self.D_cur.g.check_update(ev.kind, *ev.edge)
         if self.step_in_window == 0:
             self._steps = self._window()
             next(self._steps)
         self.journal_cur.append(ev)
-        step = _apply(self.D_cur, ev)
-        for e, sign in step.changes:
+        resamples = self.D_cur.apply(ev)
+        for e, sign in self.D_cur.roles.flush():
             (self.roles.add if sign == "+" else self.roles.remove)(e)
         if ev.kind == DELETE:
             e = edge_key(*ev.edge)
@@ -440,11 +425,10 @@ class WrappedRunner(RoleOutput):
                 if e in held:
                     held.discard(e)
                     self.roles.remove(e)
-        resamples = step.resamples + next(self._steps)
+        resamples += next(self._steps)
         self.step_in_window = (self.step_in_window + 1) % self.L
         op = self.counter.end_step()
-        adds, dels = Step.signs(self.roles.flush())
-        return WrappedStep(op, resamples, adds, dels, self.spanner_size(), self.declared_budget)
+        return Step.of(self.roles.flush(), op, resamples, self.spanner_size())
 
     # -- views --
 
@@ -465,6 +449,8 @@ class Resample3(RoleOutput):
 
     Each phase build and each update closes one op-counter step, so a
     rollover's build is never charged to the update that triggered it.
+    An update's `Step` reports its phase's role changes, or on a rollover
+    the swap of the whole output; a rejected update never rolls the phase.
     """
 
     def __init__(
@@ -489,30 +475,30 @@ class Resample3(RoleOutput):
         self.counter.end_step()
         return phase
 
-    def _apply(self, kind: str, u: int, v: int) -> Resample3Step:
+    def _apply(self, kind: str, u: int, v: int) -> Step:
+        self.g.check_update(kind, u, v)  # a rejected update must not roll the phase
         old = None
         if self.phase.exhausted:
             old = self.phase.spanner  # the abandoned phase's roles no longer change
             del self.phase  # freed before the build, so two phases never coexist
             self.phase = self._new_phase()
-        step = (self.phase.insert if kind == INSERT else self.phase.delete)(u, v)
-        self.counter.end_step()
-        if old is not None:
-            # the new phase flushed its build, so report the swap of the whole output
-            new = self.phase.spanner
-            changes = sorted([(e, "+") for e in new - old] + [(e, "-") for e in old - new])
-            step = step._replace(changes=tuple(changes))
-        return step
+        phase = self.phase
+        resamples = (phase.insert if kind == INSERT else phase.delete)(u, v)
+        op = self.counter.end_step()
+        changes = phase.roles.flush()
+        if old is None:
+            return Step.of(changes, op, resamples, len(phase.spanner))
+        new = phase.spanner  # the new phase flushed its build: report the whole swap
+        return Step(op, resamples, len(new - old), len(old - new), len(new))
 
-    def insert(self, u: int, v: int) -> Resample3Step:
+    def insert(self, u: int, v: int) -> Step:
         return self._apply(INSERT, u, v)
 
-    def delete(self, u: int, v: int) -> Resample3Step:
+    def delete(self, u: int, v: int) -> Step:
         return self._apply(DELETE, u, v)
 
     def update(self, ev: UpdateEvent) -> Step:
-        step = (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)
-        return Step.of(step.changes, self.counter.last_step, step.resamples, self.spanner_size())
+        return self._apply(ev.kind, *ev.edge)
 
     @property
     def roles(self) -> RoleSet:

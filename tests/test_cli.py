@@ -168,6 +168,7 @@ def test_jm_instance_file_runs_as_the_seeded_instance(tmp_path):
     "text,message",
     [
         ("J 1\nM 3\nR 0 0 1\nR 0 1 2\n", "two routines share machine 1"),
+        ("J 1\nM 3\nR 0 1 1\n", "routine of job 0 names machine 1 twice"),
         ("J 1\nM 3\nR 0 5\n", "unknown machine 5"),
         ("J 1\nM 3\nR 0\n", "empty machine set"),
         ("J 1\nM 3\nX 0 1\n", "unknown record 'X'"),

@@ -136,7 +136,10 @@ def wrapped_steps() -> str:
             ev = UpdateEvent(seq, DELETE, rng.choice(sorted(g.edges())))
         else:
             ev = UpdateEvent(seq, INSERT, rng.choice([p for p in pairs if not g.has_edge(*p)]))
-        out.append(repr(runner.update(ev)))
+        step = runner.update(ev)
+        # one line per update: the step's fields, then the window's declared budget
+        fields = ", ".join(f"{k}={v}" for k, v in step._asdict().items())
+        out.append(f"WrappedStep({fields}, budget={runner.declared_budget})")
     assert runner.window == 4  # three rotations
     return "\n".join(out)
 

@@ -13,7 +13,15 @@ from test_wrapped import random_events
 from dynspan import cli
 from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
-from dynspan.graph import DynamicGraph, VertexOutOfRange
+from dynspan.graph import (
+    DELETE,
+    INSERT,
+    DynamicGraph,
+    EdgeExists,
+    EdgeMissing,
+    UpdateEvent,
+    VertexOutOfRange,
+)
 from dynspan.instrumentation import OpCounter, Step
 from dynspan.resample3 import PhaseState, Resample3, WrappedRunner
 
@@ -38,7 +46,7 @@ class Record:
 
     def conforms(self) -> bool:
         s = self.step
-        return (s.adds, s.dels, s.output_size, s.op_count) == (
+        return type(s) is Step and (s.adds, s.dels, s.output_size, s.op_count) == (
             len(self.after - self.before),
             len(self.before - self.after),
             len(self.after),
@@ -143,3 +151,55 @@ def test_an_out_of_range_endpoint_changes_nothing(case):
     with pytest.raises(VertexOutOfRange):
         call(s)
     assert (s.spanner_edges(), s.spanner_masks()) == (edges, masks)
+
+
+PAIRS12 = list(itertools.combinations(range(12), 2))
+START12 = random.Random(5).sample(PAIRS12, 30)
+# (structure, legal updates applied before the rejected one)
+REJECTED = {
+    # phase_len 4: the fifth update rolls the phase
+    "resample3-rollover": (lambda g: Resample3(g, seed=6, phase_len=4), 4),
+    # rotation_len 3: the fourth update rotates, the fifth is mid-window
+    "wrapped-rotation": (lambda g: WrappedRunner(g, seed=7, rotation_len=3), 3),
+    "wrapped-mid-window": (lambda g: WrappedRunner(g, seed=7, rotation_len=3), 4),
+}
+
+
+def observed(s):
+    """What a rejected update must leave as it was: the output, and a
+    driver's phase, window and journal."""
+    return (
+        s.spanner_edges(),
+        list(s.spanner_masks()),
+        getattr(s, "phase_index", None),
+        getattr(s, "window", None),
+        list(getattr(s, "journal_cur", ())),
+    )
+
+
+@pytest.mark.parametrize("kind", [INSERT, DELETE, "move"])
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_a_rejected_update_raises_and_changes_nothing(case, kind):
+    # a duplicate insert, a missing delete or an unknown kind at a rollover,
+    # a rotation or mid-window: the run goes on as if it never came
+    make, before = REJECTED[case]
+    graphs = [DynamicGraph(12, START12) for _ in range(2)]
+    s, twin = make(graphs[0]), make(graphs[1])
+    events = random_events(random.Random(8), graphs[0], PAIRS12, before + 3)
+    for ev in events[:before]:
+        assert s.update(ev) == twin.update(ev)
+    g = s.graph if isinstance(s, WrappedRunner) else s.g
+    if kind == INSERT:
+        bad, error = UpdateEvent(before + 1, INSERT, min(g.edges())), EdgeExists
+    elif kind == DELETE:
+        absent = min(p for p in PAIRS12 if not g.has_edge(*p))
+        bad, error = UpdateEvent(before + 1, DELETE, absent), EdgeMissing
+    else:  # a present edge, which a delete would remove
+        bad, error = UpdateEvent(before + 1, kind, min(g.edges())), ValueError
+    seen = observed(s)
+    with pytest.raises(error):
+        s.update(bad)
+    assert observed(s) == seen
+    for ev in events[before:]:
+        assert s.update(ev) == twin.update(ev), ev
+    assert s.spanner_edges() == twin.spanner_edges()

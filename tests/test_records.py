@@ -20,7 +20,6 @@ from dynspan.graph import INSERT, UpdateEvent
 from dynspan.instrumentation import MetricsRow, OverheadReport, OverheadSample, Step
 from dynspan.job_machine import StepReport
 from dynspan.oracle import SpannerMasks, StretchReport
-from dynspan.resample3 import Resample3Step, WrappedStep
 
 SRC = Path(dynspan.__file__).resolve().parent
 
@@ -28,10 +27,8 @@ RECORDS = [
     (UpdateEvent(1, INSERT, (0, 1)), "seq"),
     (MachineDelete(1, 0), "machine"),
     (Step(3, 0, 1, 0, 5), "op_count"),
-    (WrappedStep(3, 0, 1, 0, 5, 9), "budget"),
     (MetricsRow(1, INSERT, 1, 0, 5, 3, 0, ""), "stretch_ok"),
     (StepReport((0,), (0, 1), 2), "resampled"),
-    (Resample3Step((((0, 1), "+"),), 0, 0, 0), "changes"),
     (StretchReport(True, None, 0.0), "ok"),
     (SpannerMasks([0, 0]), "rows"),
     (RebuildInfo(1, 4), "size"),

@@ -24,6 +24,20 @@ def k4_phase(seed):
     return PhaseState(g, seed, bucket_of=[0, 0, 1, 1])
 
 
+def engine_reports(ps, name):
+    """The `StepReport`s of the calls `ps` makes to its engine's method `name`
+    from now on, wrapped on the instance."""
+    method = getattr(ps.engine, name)
+    reports = []
+
+    def logged(*args):
+        reports.append(method(*args))
+        return reports[-1]
+
+    setattr(ps.engine, name, logged)
+    return reports
+
+
 def test_core_rows_track_common_neighbors():
     counter = OpCounter()
     ps = PhaseState(DynamicGraph(5), seed=1, bucket_of=[0, 0, 1, 1, 1], counter=counter)
@@ -159,9 +173,11 @@ def test_delete_uninvolved_edge_minimal_changes():
     g = DynamicGraph(6, [(0, 1), (2, 3)])
     ps = PhaseState(g, seed=9)
     ps.insert(4, 5)
-    step = ps.delete(4, 5)
-    assert step.changes == (((4, 5), "-"),)
-    assert step.resamples == 0 and step.touched == 0
+    ps.roles.flush()
+    ticks = engine_reports(ps, "tick")
+    assert ps.delete(4, 5) == 0  # no resamples
+    assert ps.roles.flush() == [((4, 5), "-")]
+    assert [rep.touched for rep in ticks] == [()]
 
 
 def test_hub_deletion_touches_every_pair_through_it():
@@ -169,12 +185,14 @@ def test_hub_deletion_touches_every_pair_through_it():
     g = DynamicGraph(8, [(0, 4), (1, 4), (2, 4), (3, 4)])
     ps = PhaseState(g, seed=3, bucket_of=[0, 0, 0, 0, 1, 1, 1, 1])
     assert ps.witnesses() == {p: 4 for p in itertools.combinations(range(4), 2)}
-    step = ps.delete(0, 4)
-    assert step.touched == 3  # pairs (0,1), (0,2), (0,3)
-    assert step.resamples == 3  # immediate repair arrives via the T+1 entry
+    deletions = engine_reports(ps, "delete_machine")
+    resamples = ps.delete(0, 4)
+    (rep,) = deletions
+    assert len(rep.touched) == 3  # pairs (0,1), (0,2), (0,3)
+    assert resamples == 3  # immediate repair arrives via the T+1 entry
     entries = {1, 2, 4, 8, 16}
     horizon_entries = {t for t in entries if t <= ps.L}
-    assert step.schedule_added == 3 * len(horizon_entries)
+    assert rep.schedule_added == 3 * len(horizon_entries)
     ps.check_invariants()
     assert verify_stretch(ps.g, ps.spanner_edges(), 3).ok
 
@@ -230,8 +248,7 @@ def test_random_run_invariants_and_resample_bound():
             break
         loads = ps.engine.loads
         victim = max(sorted(loads), key=lambda e: loads[e])  # hammer the witnesses
-        rep = ps.delete(*victim)
-        assert rep.resamples <= bound
+        assert ps.delete(*victim) <= bound  # its resamples
         assert ps.spanner_size() <= size_bound + len(ps.buffer)
         assert verify_stretch(g, ps.spanner_edges(), 3).ok
         if step % 40 == 0:

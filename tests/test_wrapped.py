@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
+import pytest
+
+from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent
 from dynspan.instrumentation import InvariantBroken
 from dynspan.oracle import verify_stretch
 from dynspan.resample3 import PhaseState, WrappedRunner
@@ -63,7 +65,7 @@ def test_rotation_keeps_stretch_and_respects_budget():
     built = 0
     for ev in events:
         step = runner.update(ev)
-        assert step.op_count <= step.budget, (step, runner.window)
+        assert step.op_count <= runner.declared_budget, (step, runner.window)
         worst = max(worst, step.op_count)
         assert verify_stretch(runner.graph, runner.spanner_edges(), 3).ok
         if runner.D_next is not None:
@@ -103,6 +105,38 @@ def test_wrapped_run_is_deterministic():
     assert run() == run()
 
 
+def test_rejected_updates_leave_every_step_as_it_was():
+    # the golden wrapped stream (tests/test_golden.py), with a duplicate
+    # insert and a missing delete rejected before updates 5, 13, 25 and 30:
+    # 13 and 25 open a window, 5 and 30 fall inside one
+    rng = random.Random(29)
+    n, L = 14, 12
+    pairs = list(itertools.combinations(range(n), 2))
+    init = rng.sample(pairs, 40)
+    clean = WrappedRunner(DynamicGraph(n, init), seed=37, rotation_len=L)
+    events, steps = [], []
+    for seq in range(1, 3 * L + 2):
+        g = clean.graph
+        if g.m and rng.random() < 0.5:
+            ev = UpdateEvent(seq, DELETE, rng.choice(sorted(g.edges())))
+        else:
+            ev = UpdateEvent(seq, INSERT, rng.choice([p for p in pairs if not g.has_edge(*p)]))
+        events.append(ev)
+        steps.append(clean.update(ev))
+    runner = WrappedRunner(DynamicGraph(n, init), seed=37, rotation_len=L)
+    for ev, step in zip(events, steps):
+        if ev.seq in (5, 13, 25, 30):
+            g = runner.graph
+            with pytest.raises(EdgeExists):
+                runner.update(UpdateEvent(ev.seq, INSERT, min(g.edges())))
+            absent = min(p for p in pairs if not g.has_edge(*p))
+            with pytest.raises(EdgeMissing):
+                runner.update(UpdateEvent(ev.seq, DELETE, absent))
+        assert runner.update(ev) == step, ev
+    assert runner.window == 4
+    assert runner.spanner_edges() == clean.spanner_edges()
+
+
 def broken_runner_steps(runner_cls, L=12):
     """Drive `runner_cls` until it raises; returns (steps applied, exception)."""
     rng = random.Random(41)
@@ -130,8 +164,9 @@ def test_rebuild_over_its_allowance_raises_at_the_end_of_the_first_third():
 
 def test_successor_left_behind_raises_at_the_rotation():
     class NoReplay(WrappedRunner):
-        def _replay(self, ev):
-            return 0
+        def _build(self, seed, journal_prev):
+            yield from super()._build(seed, journal_prev)
+            self.D_next.apply = lambda ev: 0  # the finished successor replays nothing
 
     applied, exc = broken_runner_steps(NoReplay)
     assert applied == 12  # the first update of the second window
