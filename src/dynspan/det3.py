@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from dynspan.graph import INSERT, DynamicGraph, UpdateEvent, check_range, edge_key, iter_bits
+from dynspan.graph import DynamicGraph, UpdateEvent, by_kind, check_range, edge_key, iter_bits
 from dynspan.graph import nth_bit
 from dynspan.instrumentation import OpCounter, RoleOutput, RoleSet, Step
 
@@ -198,7 +198,7 @@ class Det3State(RoleOutput):
         return self.roles.flush()
 
     def update(self, ev: UpdateEvent) -> Step:
-        changes = (self.insert_edge if ev.kind == INSERT else self.delete_edge)(*ev.edge)
+        changes = by_kind(ev.kind, self.insert_edge, self.delete_edge)(*ev.edge)
         return Step.of(changes, self.counter.last_step, 0, self.spanner_size())
 
     def _handle_center_loss(self, owner: int, old_center: int, e: tuple[int, int]) -> None:

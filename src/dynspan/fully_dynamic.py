@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from dynspan.graph import INSERT, DynamicGraph, UpdateEvent
+from dynspan.graph import DynamicGraph, UpdateEvent, by_kind
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import OpCounter, RoleOutput, RoleSet, Step
 
@@ -117,7 +117,7 @@ class FullyDynamicSpanner(RoleOutput):
 
     def update(self, ev: UpdateEvent) -> Step:
         """Apply one insertion or deletion and close its op step."""
-        (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)
+        by_kind(ev.kind, self.insert, self.delete)(*ev.edge)
         return Step.of(self.roles.flush(), self.counter.end_step(), 0, self.spanner_size())
 
     def check_invariants(self) -> None:

@@ -70,6 +70,16 @@ class UpdateEvent(NamedTuple):
     edge: tuple[int, int]
 
 
+def by_kind(kind: str, insert, delete):
+    """`insert` for an INSERT and `delete` for a DELETE; any other kind
+    raises ValueError, so an update of it changes nothing."""
+    if kind == INSERT:
+        return insert
+    if kind == DELETE:
+        return delete
+    raise ValueError(f"unknown event kind {kind!r}")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of set bits, ascending."""
     while mask:
@@ -235,11 +245,7 @@ class DynamicGraph:
         return mask_dist(self.adj_mask, u, v, cap)
 
     def apply(self, event: UpdateEvent) -> tuple[int, int]:
-        if event.kind == INSERT:
-            return self.insert_edge(*event.edge)
-        if event.kind == DELETE:
-            return self.delete_edge(*event.edge)
-        raise ValueError(f"unknown event kind {event.kind!r}")
+        return by_kind(event.kind, self.insert_edge, self.delete_edge)(*event.edge)
 
     def copy(self) -> "DynamicGraph":
         g = DynamicGraph(self.n)

@@ -8,15 +8,19 @@ onto any machine.  Routines of one job must be machine-disjoint.
 
 A routine is an index into its job's routines: a job's live routines are
 one int bitmask, and its assignment is an index or None.  An embedder
-answers what needs machines: `machines(job, i)`, read by every load shift,
+answers what needs machines: `machines(job, i)`, read by every load move,
 and `on(x)`, the (job, i) routines through machine x, read by a deletion
 and `target`, which skip the dead ones and those of jobs not yet added.
 `HyperInstance` embeds as a table; resample3's `PhaseState` reads its
 witness routines off its core rows.
 
-Index order fixes the draws, and so every output: a draw takes the live
-bit of rank randrange(popcount).  `HyperInstance` sorts a job's routines
-by repr(machines) and each `on(x)` by repr(job), the order of the routine
+Index order fixes the draws, and so every output.  The engine's rank
+rule: a draw over c live routines redraws getrandbits(c.bit_length())
+until the value r is below c, and takes the live bit of rank r, counting
+from the lowest.  The rule is the engine's own, so the stream depends on
+no private function of `random`; under CPython 3.11 it draws what
+randrange(c) drew.  `HyperInstance` sorts a job's routines by
+repr(machines) and each `on(x)` by repr(job), the order of the routine
 objects this engine once kept; routine w of a phase's pair is its witness
 w, so a phase draws in ascending-w order.  Due jobs run in repr(job)
 order.  A resample that redraws the assigned routine moves no load.
@@ -24,13 +28,16 @@ order.  A resample that redraws the assigned routine moves no load.
 Step order per machine deletion: extend schedules of touched jobs with
 {T + 2^k : k >= 0, T + 2^k <= horizon}, advance the clock, then resample
 every job due now (the T+1 entry delivers the immediate repair) in one
-loop, `_draw`, the draw body that `resample` shares.  A due job with no
-live routine draws nothing and stays unassigned, but its entry still logs
-a resample event and counts in `StepReport.resampled`, so in the CSV
-`resamples` column too.  A job costs Σ|machines| to add, a deletion 1 plus
-the other machines of each routine it kills, and a draw that returns a
-routine one unit, charged by the caller of `_draw`: `add_job`, or `_step`
-once for all the draws of its step; a direct `resample` charges nothing.
+loop, `_draw`, the draw body that `resample` shares.  The deletion only
+records the death of a job's assigned routine; the repair draw unloads
+the dying routine from its surviving machines, and unassigns the job if
+no live routine is left.  A due job with no live routine draws nothing
+and stays unassigned, but its entry still logs a resample event and
+counts in `StepReport.resampled`, so in the CSV `resamples` column too.
+A job costs Σ|machines| to add, a deletion 1 plus the other machines of
+each routine it kills, and a draw that returns a routine one unit,
+charged by the caller of `_draw`: `add_job`, or `_step` once for all the
+draws of its step; a direct `resample` charges nothing.
 
 Besides the schedule `list_at`, the engine keeps per job the steps of its
 resample events and of its touches (deaths of its assigned routine); only
@@ -60,7 +67,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, NamedTuple
 
-from dynspan.graph import UpdateEvent, nth_bit
+from dynspan.graph import UpdateEvent
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
 
 
@@ -259,38 +266,6 @@ class ResamplingEngine:
         heap[:] = dict.fromkeys([x for x in heap if loads.get(x) == load])
         heapify(heap)
 
-    def _shift_load(self, machines: tuple[Hashable, ...], delta: int) -> None:
-        """Move every live machine of a routine by `delta` (±1) load units."""
-        loads = self.loads
-        at = self._at
-        heaps = self._heaps
-        roles = self.roles
-        for x in machines:
-            old = loads.get(x)
-            if old is None:
-                continue  # the deleted machine of a dying routine
-            new = old + delta
-            loads[x] = new
-            if not (old and new) and roles is not None:
-                if new:
-                    roles.add(x)
-                else:
-                    roles.remove(x)
-            at[old] -= 1
-            heap = heaps[old]
-            if heap is not None and len(heap) > 2 * at[old] + 16:
-                self._compact_heap(old)
-            if new == len(at):  # a load no machine had before
-                at.append(1)
-                heaps.append(None)
-            else:
-                at[new] += 1
-                heap = heaps[new]
-                if heap is not None:
-                    heappush(heap, x)
-            if delta > 0 and new > self._max_load:
-                self._max_load = new
-
     def heaviest_machine(self) -> Hashable | None:
         """Max-load live machine, ties to the smallest machine; None if no machines."""
         loads = self.loads
@@ -340,27 +315,90 @@ class ResamplingEngine:
     def _draw(self, jobs: Iterable[Hashable]) -> int:
         """Resample each of `jobs` in turn, logging an event for each; returns
         how many drew a routine.  A job with no live routine draws nothing
-        and stays unassigned."""
+        and stays unassigned.  A job whose assigned routine died at this step
+        still holds it here: the draw unloads it, and if no live routine is
+        left, unassigns the job.
+
+        One loop does all of it, with no call per job or machine but
+        `machines` and the role transitions: the rank rule of the module
+        docstring, the bit select of `graph.nth_bit` inline, and one body for
+        a move down and one for a move up.  Of the machines a move reads,
+        only a dying routine's deleted one is missing from `loads`."""
         T = self.T
         live, assigned, events = self.live, self.assigned, self.resample_events
-        machines, shift = self._machines, self._shift_load
-        randrange = self.rng.randrange
+        machines, getrandbits, roles = self._machines, self.rng.getrandbits, self.roles
+        loads, at, heaps = self.loads, self._at, self._heaps
+        max_load, assigned_count = self._max_load, self.assigned_count
         drawn = 0
         for job in jobs:
             events[job].append(T)
             mask = live[job]
-            if not mask:
-                continue  # no live routine, so unassigned since the last one died
-            new = nth_bit(mask, randrange(mask.bit_count()))
-            drawn += 1
             old = assigned[job]
-            if old is None:
-                self.assigned_count += 1
-                shift(machines(job, new), +1)
-            elif old != new:  # redrawing the assigned routine moves no load
-                shift(machines(job, old), -1)
-                shift(machines(job, new), +1)
+            if mask:
+                c = mask.bit_count()
+                k = c.bit_length()
+                r = getrandbits(k)
+                while r >= c:
+                    r = getrandbits(k)
+                above = c - 1 - r  # set bits above the one sought
+                if above < r:  # fewer to strip from the top
+                    for _ in range(above):
+                        mask ^= 1 << (mask.bit_length() - 1)
+                    new = mask.bit_length() - 1
+                else:
+                    for _ in range(r):
+                        mask &= mask - 1
+                    new = (mask & -mask).bit_length() - 1
+                drawn += 1
+                if old == new:
+                    continue  # redrawing the assigned routine moves no load
+                if old is None:
+                    assigned_count += 1
+            elif old is None:
+                continue  # no live routine, so unassigned since the last one died
+            else:  # its last live routine died at this step
+                new = None
+                assigned_count -= 1
             assigned[job] = new
+            if old is not None:  # a move down
+                for x in machines(job, old):
+                    load = loads.get(x)
+                    if load is None:
+                        continue  # the deleted machine of a dying routine
+                    loads[x] = load - 1
+                    at[load] -= 1
+                    heap = heaps[load]
+                    if heap is not None and len(heap) > 2 * at[load] + 16:
+                        self._compact_heap(load)
+                    load -= 1
+                    at[load] += 1
+                    heap = heaps[load]
+                    if heap is not None:
+                        heappush(heap, x)
+                    if not load and roles is not None:
+                        roles.remove(x)
+            if new is not None:  # a move up
+                for x in machines(job, new):
+                    load = loads[x]
+                    loads[x] = load + 1
+                    at[load] -= 1
+                    heap = heaps[load]
+                    if heap is not None and len(heap) > 2 * at[load] + 16:
+                        self._compact_heap(load)
+                    if not load and roles is not None:
+                        roles.add(x)
+                    load += 1
+                    if load == len(at):  # a load no machine had before
+                        at.append(1)
+                        heaps.append(None)
+                    else:
+                        at[load] += 1
+                        heap = heaps[load]
+                        if heap is not None:
+                            heappush(heap, x)
+                    if load > max_load:
+                        max_load = load
+        self._max_load, self.assigned_count = max_load, assigned_count
         return drawn
 
     def delete_machine(self, x: Hashable) -> StepReport:
@@ -400,14 +438,9 @@ class ResamplingEngine:
                 if not live.get(job, 0) >> i & 1:
                     continue  # died with an earlier machine, or its job is not added yet
                 live[job] ^= 1 << i
-                ms = machines(job, i)
-                units += len(ms) - 1  # a live routine's other machines are live
+                units += len(machines(job, i)) - 1  # a live routine's other machines are live
                 if assigned[job] == i:
-                    # the dead routine no longer loads surviving machines
-                    self._shift_load(ms, -1)
-                    assigned[job] = None
-                    self.assigned_count -= 1
-                    touched.append(job)
+                    touched.append(job)  # its repair draw, due at T + 1, unloads the routine
             self._charge(units)
         schedule_added = 0
         for job in touched:

@@ -34,7 +34,7 @@ from collections import Counter
 from typing import Sequence
 
 from dynspan.det3 import bucket_masks, default_buckets
-from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key
+from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, by_kind, edge_key
 from dynspan.graph import check_rows, iter_bits, nth_bit
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleOutput, RoleSet, Step
 from dynspan.job_machine import ResamplingEngine
@@ -152,7 +152,7 @@ class PhaseState(RoleOutput):
         return self.updates_used >= self.L
 
     def apply(self, ev: UpdateEvent) -> int:
-        return (self.insert if ev.kind == INSERT else self.delete)(*ev.edge)
+        return by_kind(ev.kind, self.insert, self.delete)(*ev.edge)
 
     def insert(self, u: int, v: int) -> int:
         if self.exhausted:
@@ -483,7 +483,7 @@ class Resample3(RoleOutput):
             del self.phase  # freed before the build, so two phases never coexist
             self.phase = self._new_phase()
         phase = self.phase
-        resamples = (phase.insert if kind == INSERT else phase.delete)(u, v)
+        resamples = by_kind(kind, phase.insert, phase.delete)(u, v)
         op = self.counter.end_step()
         changes = phase.roles.flush()
         if old is None:

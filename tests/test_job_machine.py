@@ -16,7 +16,7 @@ from typing import Hashable, Iterable
 
 import pytest
 
-from dynspan import resample3
+from dynspan import job_machine, resample3
 from dynspan.adversary import AdversaryView, WitnessHammer
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key, iter_bits, nth_bit
 from dynspan.instrumentation import InvariantBroken, OpCounter, Step
@@ -415,6 +415,97 @@ def test_engine_is_deterministic_given_seed():
     assert runs[0] == runs[1]
 
 
+class NoRandrange(random.Random):
+    def randrange(self, *args):
+        raise AssertionError("the engine draws by its own rank rule, not randrange")
+
+
+# assignments of jobs 0..5 after the build, after resampling each job, and
+# after each of 12 steps; recorded once, equal to what randrange drew
+RANK_RULE_TRAIL = [
+    (3, 4, 0, 0, 1, 1),
+    (5, 0, 0, 0, 4, 0),
+    (2, 0, 0, 0, 0, 0),
+    (4, 1, 0, None, 3, 2),
+    (4, 3, None, None, 2, 2),
+    (0, 3, None, None, 1, 2),
+    (0, 1, None, None, 2, 2),
+    (0, 1, None, None, 2, None),
+    (4, 1, None, None, 2, None),
+    (4, 3, None, None, None, None),
+    (4, 2, None, None, None, None),
+    (4, 2, None, None, None, None),
+    (4, 3, None, None, None, None),
+    (4, 3, None, None, None, None),
+]
+
+
+def test_the_rank_rule_is_the_engines_own(monkeypatch):
+    # the engine's stream is getrandbits under its own rejection rule: an rng
+    # whose randrange raises draws the same assignments as ever
+    monkeypatch.setattr(job_machine, "random", SimpleNamespace(Random=NoRandrange))
+    inst = random_instance(random.Random(24), jobs=6, machines=14)
+    eng = ResamplingEngine(inst, seed=9, horizon=30)
+    assert type(eng.rng) is NoRandrange
+    trail = [tuple(eng.assigned[j] for j in inst.jobs)]
+    for job in inst.jobs:
+        eng.resample(job)
+    trail.append(tuple(eng.assigned[j] for j in inst.jobs))
+    for t in range(12):  # kill the assigned routine of job t % 6, if it has one
+        i = eng.assigned[t % 6]
+        if i is None:
+            eng.tick()
+        else:
+            eng.delete_machine(inst.table[t % 6][i][0])
+        trail.append(tuple(eng.assigned[j] for j in inst.jobs))
+        eng.check_feasible()
+    assert trail == RANK_RULE_TRAIL
+
+
+def assert_killed(eng, job, others):
+    """After a step that killed the assigned routine of `job`, leaving it
+    `others` live routines: it is repaired or unassigned, and the loads, the
+    load index and the heaviest machine hold without the dead routine."""
+    assert eng.touch_times[job][-1] == eng.T - 1  # the death was at this step
+    assert eng.live[job].bit_count() == others
+    assert (eng.assigned[job] is None) == (not others)
+    eng.check_feasible()  # recounts the loads from the assigned routines
+    assert eng.heaviest_machine() == brute_heaviest(eng)
+
+
+def test_a_killed_routine_is_unloaded_by_its_repair_draw():
+    # job 0 keeps a live routine after the kill; job 1 has none left; job 2
+    # shares their machines, so a load the dead routine kept would show
+    routines = [(0, (0, 1)), (0, (2, 3)), (1, (4, 5)), (2, (1, 5)), (2, (3, 6))]
+    for seed in range(4):
+        eng = engine_with(routines, 3, 7, seed=seed, horizon=20)
+        eng.heaviest_machine()  # gives the loads heaps, which every move keeps
+        eng.delete_machine(held(eng, 0)[0])
+        assert_killed(eng, 0, others=1)
+        eng.delete_machine(4)
+        assert_killed(eng, 1, others=0)
+        while eng.T < eng.horizon:
+            eng.tick()
+            eng.check_feasible()
+
+
+def test_a_killed_witness_is_unloaded_by_its_repair_draw():
+    # a phase: kill a pair's witness while it has others, then the witness of
+    # a pair with no other common neighbor
+    pairs = list(itertools.combinations(range(12), 2))
+    g = DynamicGraph(12, random.Random(3).sample(pairs, 30))
+    ps = PhaseState(g, seed=3)
+    eng = ps.engine
+    eng.heaviest_machine()
+    for others in (1, 0):
+        p, w = next(
+            (p, w) for p, w in sorted(ps.witnesses().items()) if eng.live[p].bit_count() == others + 1
+        )
+        ps.delete(p[0], w)
+        assert_killed(eng, p, others)
+        ps.check_invariants()
+
+
 def test_step_past_the_horizon_raises():
     eng = ResamplingEngine(None, 0, horizon=1)
     eng.tick()
@@ -668,7 +759,8 @@ def test_phase_index_order_is_ascending_witness():
     g = DynamicGraph(n, random.Random(81).sample(pairs, 180))
     ps = PhaseState(g, seed=seed, phase_len=60)
     eng = ps.engine
-    # the build drew each pair's witness as the live bit of rank randrange(popcount)
+    # the build drew each pair's witness by the rank rule, which under CPython
+    # 3.11 takes the live bit of rank randrange(popcount)
     rng = random.Random(seed)
     drawn = {}
     for a, b in ps._pair_keys():

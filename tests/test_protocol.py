@@ -157,6 +157,10 @@ PAIRS12 = list(itertools.combinations(range(12), 2))
 START12 = random.Random(5).sample(PAIRS12, 30)
 # (structure, legal updates applied before the rejected one)
 REJECTED = {
+    "det3": (Det3State, 4),
+    "fully-dynamic": (lambda g: FullyDynamicSpanner(g, 2), 4),
+    # a phase's own update, as its drivers call it
+    "phase": (lambda g: PhaseState(g, seed=6), 4),
     # phase_len 4: the fifth update rolls the phase
     "resample3-rollover": (lambda g: Resample3(g, seed=6, phase_len=4), 4),
     # rotation_len 3: the fourth update rotates, the fifth is mid-window
@@ -165,11 +169,17 @@ REJECTED = {
 }
 
 
+def update_of(s):
+    """The structure's update: `apply` for a phase, `update` for the rest."""
+    return s.apply if isinstance(s, PhaseState) else s.update
+
+
 def observed(s):
-    """What a rejected update must leave as it was: the output, and a
-    driver's phase, window and journal."""
+    """What a rejected update must leave as it was: the output, the op
+    count, and a driver's phase, window and journal."""
     return (
         s.spanner_edges(),
+        s.counter.current,
         list(s.spanner_masks()),
         getattr(s, "phase_index", None),
         getattr(s, "window", None),
@@ -180,14 +190,16 @@ def observed(s):
 @pytest.mark.parametrize("kind", [INSERT, DELETE, "move"])
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_a_rejected_update_raises_and_changes_nothing(case, kind):
-    # a duplicate insert, a missing delete or an unknown kind at a rollover,
-    # a rotation or mid-window: the run goes on as if it never came
+    # a duplicate insert, a missing delete or an unknown kind, in a structure,
+    # a phase, or a phase driver at a rollover, a rotation or mid-window: the
+    # run goes on as if it never came
     make, before = REJECTED[case]
     graphs = [DynamicGraph(12, START12) for _ in range(2)]
     s, twin = make(graphs[0]), make(graphs[1])
+    update, twin_update = update_of(s), update_of(twin)
     events = random_events(random.Random(8), graphs[0], PAIRS12, before + 3)
     for ev in events[:before]:
-        assert s.update(ev) == twin.update(ev)
+        assert update(ev) == twin_update(ev)
     g = s.graph if isinstance(s, WrappedRunner) else s.g
     if kind == INSERT:
         bad, error = UpdateEvent(before + 1, INSERT, min(g.edges())), EdgeExists
@@ -198,8 +210,8 @@ def test_a_rejected_update_raises_and_changes_nothing(case, kind):
         bad, error = UpdateEvent(before + 1, kind, min(g.edges())), ValueError
     seen = observed(s)
     with pytest.raises(error):
-        s.update(bad)
+        update(bad)
     assert observed(s) == seen
     for ev in events[before:]:
-        assert s.update(ev) == twin.update(ev), ev
+        assert update(ev) == twin_update(ev), ev
     assert s.spanner_edges() == twin.spanner_edges()
