@@ -111,9 +111,6 @@ class _EdgeAdversary(_Budgeted):
 class RandomOblivious(_EdgeAdversary):
     """Seeded random legal update; ignores the view's output entirely."""
 
-    def __init__(self, seed: int, budget: int, p_insert: float = 0.5) -> None:
-        super().__init__(seed, budget, p_insert)
-
     def victim(self, view: AdversaryView) -> tuple[int, int]:
         return _uniform_present_edge(view.graph, self.rng)
 
@@ -158,9 +155,6 @@ class MachineDelete(NamedTuple):
 class MaxLoadMachine(_Budgeted):
     """For engine runs: deletes the machine with the largest assigned load."""
 
-    def __init__(self, budget: int) -> None:
-        super().__init__(budget)
-
     def next_event(self, engine) -> MachineDelete | None:
         seq = self._next_seq()
         if seq is None:
@@ -174,18 +168,13 @@ class MaxLoadMachine(_Budgeted):
 class Replay(_Budgeted):
     """Feeds a stream file: header `N <n>`, then `+ <u> <v>` / `- <u> <v>`."""
 
-    def __init__(self, text: str, budget: int | None = None) -> None:
+    def __init__(self, text: str) -> None:
         self.n, self.events = parse_stream(text)
-        super().__init__(budget if budget is not None else len(self.events))
-        self._pos = 0
+        super().__init__(len(self.events))
 
     def next_event(self, view: AdversaryView | None = None) -> UpdateEvent | None:
         seq = self._next_seq()
-        if seq is None or self._pos >= len(self.events):
-            return None
-        ev = self.events[self._pos]
-        self._pos += 1
-        return ev
+        return None if seq is None else self.events[seq - 1]
 
 
 def parse_stream(text: str) -> tuple[int, list[UpdateEvent]]:

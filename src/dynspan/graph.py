@@ -131,6 +131,16 @@ def mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None = None) -
     return None
 
 
+def row_edges(rows: list[int]) -> Iterator[tuple[int, int]]:
+    """Edges of symmetric rows in lexicographic order: each row's bits above the diagonal."""
+    for u, row in enumerate(rows):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            yield (u, u + low.bit_length())
+            row ^= low
+
+
 def check_rows(rows: list[int]) -> None:
     """Asserts that bitmask rows are the adjacency of a simple undirected
     graph on len(rows) vertices: symmetric, loop-free, in range."""
@@ -229,13 +239,8 @@ class DynamicGraph:
         return max((row.bit_count() for row in self.adj_mask), default=0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges in lexicographic order: the bits of each row above the diagonal."""
-        for u, row in enumerate(self.adj_mask):
-            row >>= u + 1
-            while row:
-                low = row & -row
-                yield (u, u + low.bit_length())
-                row ^= low
+        """Edges in lexicographic order."""
+        return row_edges(self.adj_mask)
 
     def bfs_dist(self, u: int, v: int, cap: int | None = None) -> int | None:
         """Exact hop distance if <= cap (None means uncapped); None if beyond."""

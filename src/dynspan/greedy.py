@@ -13,13 +13,14 @@ only if all its short paths used (a, b); a rescan of every non-spanner
 edge would reject the others.
 The maintained edge sequence doubles as a greedy inspection prefix: the
 structure always equals the order-driven greedy run that inspects the
-surviving spanner sequence first and the rest ascending.
+surviving spanner sequence first and the rest ascending.  The rest is
+not stored: the non-spanner edges are the bits of `adj_mask & ~span_mask`.
 """
 
 from __future__ import annotations
 
-from dynspan.graph import DELETE, DynamicGraph, EdgeMissing, UpdateEvent, edge_key, iter_bits
-from dynspan.graph import UnsupportedUpdate, mask_balls, mask_dist
+from dynspan.graph import DELETE, DynamicGraph, UpdateEvent, edge_key, iter_bits
+from dynspan.graph import UnsupportedUpdate, mask_balls, mask_dist, row_edges
 from dynspan.instrumentation import OpCounter, Step
 
 
@@ -33,15 +34,13 @@ class GreedyState:
         self.counter = counter or OpCounter()
         # the spanner edges in admission order: the maintained greedy sequence
         self.in_spanner: dict[tuple[int, int], None] = {}
-        self.non_spanner: set[tuple[int, int]] = set()
         self.span_mask = [0] * graph.n
         self.admitted = 0  # edges ever admitted, the build included
         self._build()
 
     def _build(self) -> None:
         for e in self.graph.edges():
-            if not self._inspect(e):
-                self.non_spanner.add(e)
+            self._inspect(e)
 
     def _inspect(self, e: tuple[int, int]) -> bool:
         """Admit e into the spanner iff its endpoints sit at spanner distance >= 2k."""
@@ -57,6 +56,11 @@ class GreedyState:
     def spanner_edges(self) -> set[tuple[int, int]]:
         return set(self.in_spanner)
 
+    @property
+    def non_spanner(self) -> set[tuple[int, int]]:
+        """The host edges outside the spanner, read off the rows."""
+        return set(row_edges([a & ~s for a, s in zip(self.graph.adj_mask, self.span_mask)]))
+
     def spanner_size(self) -> int:
         return len(self.in_spanner)
 
@@ -70,19 +74,13 @@ class GreedyState:
         """Remove edge (u, v); returns the edges promoted into the spanner."""
         e = edge_key(u, v)
         self.graph.delete_edge(*e)
-        self.counter.charge(2, "greedy")
-        if e in self.non_spanner:
-            self.non_spanner.discard(e)
-            return []
+        self.counter.charge(2, "greedy")  # one per row bit of the deleted edge
         if e not in self.in_spanner:
-            raise EdgeMissing(f"edge {e} tracked nowhere")  # unreachable if graph agreed
+            return []
         del self.in_spanner[e]
         self.span_mask[e[0]] &= ~(1 << e[1])
         self.span_mask[e[1]] &= ~(1 << e[0])
-        added = [cand for cand in self._candidates(*e) if self._inspect(cand)]
-        for cand in added:
-            self.non_spanner.discard(cand)
-        return added
+        return [cand for cand in self._candidates(*e) if self._inspect(cand)]
 
     def _candidates(self, a: int, b: int) -> list[tuple[int, int]]:
         """Non-spanner edges (x, y) with d(x, a) + d(b, y) <= 2k-2 in the spanner, ascending.
@@ -119,8 +117,7 @@ class GreedyState:
         return Step(self.counter.end_step(), 0, adds, dels, self.spanner_size())
 
     def check_invariants(self) -> None:
-        assert self.in_spanner.keys() | self.non_spanner == set(self.graph.edges())
-        assert not (self.in_spanner.keys() & self.non_spanner)
+        assert self.in_spanner.keys() <= set(self.graph.edges())
         for u, row in enumerate(self.graph.adj_mask):
             kept = (v for v in iter_bits(row) if edge_key(u, v) in self.in_spanner)
             assert self.span_mask[u] == sum(1 << v for v in kept)

@@ -36,6 +36,15 @@ class Step(NamedTuple):
         return cls(op_count, resamples, adds, len(changes) - adds, output_size)
 
 
+def adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Symmetric per-vertex bitmasks over 0..n-1 of the edges (u, v)."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 class EdgeRanks:
     """Rank-select over the edges (u, v), u < v, of symmetric bitmask rows in
     lexicographic order: a Fenwick tree over the rows' counts of bits above
@@ -95,17 +104,10 @@ class RoleSet:
         self._was: dict[tuple[int, int], bool] = {}  # membership before the current step
         self._ranks: EdgeRanks | None = None
 
-    def _adjacency(self) -> list[int]:
-        masks = [0] * self.n
-        for u, v in self.count:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
-
     @property
     def ranks(self) -> EdgeRanks:
         if self._ranks is None:
-            self._ranks = EdgeRanks(self._adjacency())
+            self._ranks = EdgeRanks(adjacency_masks(self.n, self.count))
         return self._ranks
 
     @property
@@ -142,7 +144,7 @@ class RoleSet:
         """Built masks equal the adjacency of the members, and their ranks a
         fresh build; unbuilt ones are not checked."""
         if self._ranks is not None:
-            assert vars(self._ranks) == vars(EdgeRanks(self._adjacency()))
+            assert vars(self._ranks) == vars(EdgeRanks(adjacency_masks(self.n, self.count)))
 
     def flush(self) -> list[tuple[tuple[int, int], str]]:
         """Sorted (edge, "+"/"-") net membership changes since the last flush."""
@@ -184,21 +186,21 @@ class OpCounter:
     def __init__(self) -> None:
         self.current = 0
         self.last_step = 0  # the count of the last closed step
-        self.total = 0
         self.by_module: Counter[str] = Counter()
+
+    @property
+    def total(self) -> int:
+        """Every op charged so far, each to one module."""
+        return sum(self.by_module.values())
 
     def charge(self, n: int = 1, module: str = "core") -> None:
         self.current += n
-        self.total += n
         self.by_module[module] += n
 
     def end_step(self) -> int:
         count = self.last_step = self.current
         self.current = 0
         return count
-
-    def check_attribution(self) -> None:
-        assert sum(self.by_module.values()) == self.total
 
 
 class OverheadSample(NamedTuple):

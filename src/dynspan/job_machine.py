@@ -32,17 +32,20 @@ loop, `_draw`, the draw body that `resample` shares.  The deletion only
 records the death of a job's assigned routine; the repair draw unloads
 the dying routine from its surviving machines, and unassigns the job if
 no live routine is left.  A due job with no live routine draws nothing
-and stays unassigned, but its entry still logs a resample event and
+and stays unassigned, but its entry is still a resample event and
 counts in `StepReport.resampled`, so in the CSV `resamples` column too.
 A job costs Σ|machines| to add, a deletion 1 plus the other machines of
 each routine it kills, and a draw that returns a routine one unit,
 charged by the caller of `_draw`: `add_job`, or `_step` once for all the
 draws of its step; a direct `resample` charges nothing.
 
-Besides the schedule `list_at`, the engine keeps per job the steps of its
-resample events and of its touches (deaths of its assigned routine); only
-the relevance replay `rel_times` reads them.  A touch at c scheduled the
-job at c + 2^k, so its first entry after a step s >= c is
+Besides the schedule `list_at`, the engine keeps per job only the steps
+of its touches (deaths of its assigned routine).  Its resample events,
+which only the relevance replay `rel_times` reads, follow from them
+(`resample_times`): the build draw at 0, as jobs join before the clock
+starts, and each entry c + 2^k <= T of a touch at c.  A direct `resample`
+is no event; no step calls it.  A touch at c scheduled the job at
+c + 2^k, so its first entry after a step s >= c is
 c + 2^bit_length(s - c), and an event at s is blocked at t iff some touch
 c <= s has that entry before t.  An entry that the dedup in `list_at`
 skipped belongs to an earlier touch, which blocks the same events.
@@ -211,8 +214,7 @@ class ResamplingEngine:
         # load -> min-heap holding every live machine of that load, or None until read
         self._heaps: list[list[Hashable] | None] = [None]
         self.list_at: dict[int, set[Hashable]] = {}  # step -> jobs due then
-        # replayable history: the steps of each job's resample events and touches
-        self.resample_events: dict[Hashable, list[int]] = {}
+        # replayable history: the steps of each job's touches
         self.touch_times: dict[Hashable, list[int]] = {}
         if isinstance(embedder, HyperInstance):
             for x in embedder.machine_ids:
@@ -220,7 +222,7 @@ class ResamplingEngine:
             for job, rows in embedder.table.items():
                 self.add_job(job, (1 << len(rows)) - 1, sum(map(len, rows)))
 
-    # -- incremental construction (clock must not have started) --
+    # -- incremental construction --
 
     def add_machine(self, x: Hashable) -> None:
         if x in self.loads:
@@ -234,13 +236,15 @@ class ResamplingEngine:
 
     def add_job(self, job: Hashable, live: int, slots: int) -> None:
         """Register `job` with the routines whose indices are the bits of
-        `live`, `slots` being their Σ|machines|, and draw its assignment."""
+        `live`, `slots` being their Σ|machines|, and draw its assignment.
+        Only before the clock starts: a job's build draw is at step 0."""
+        if self.T:
+            raise JobMachineError(f"job {job!r} added at step {self.T}: the clock has started")
         if job in self.live:
             raise JobMachineError(f"job {job!r} already present")
         self.live[job] = live
         self._job_repr[job] = repr(job)
         self.assigned[job] = None
-        self.resample_events[job] = []
         self.touch_times[job] = []
         self._charge(slots + self._draw((job,)))
 
@@ -305,33 +309,30 @@ class ResamplingEngine:
     # -- the dynamic process --
 
     def resample(self, job: Hashable) -> int | None:
-        """Reassign `job` uniformly over its live routines; logs the event.
-        A draw that returns a routine costs one unit, which the caller charges."""
+        """Reassign `job` uniformly over its live routines.  Not a resample
+        event (see `resample_times`), and it charges nothing: a forced draw."""
         if job not in self.live:
             raise UnknownJob(f"job {job!r} unknown")
         self._draw((job,))
         return self.assigned[job]
 
     def _draw(self, jobs: Iterable[Hashable]) -> int:
-        """Resample each of `jobs` in turn, logging an event for each; returns
-        how many drew a routine.  A job with no live routine draws nothing
-        and stays unassigned.  A job whose assigned routine died at this step
-        still holds it here: the draw unloads it, and if no live routine is
-        left, unassigns the job.
+        """Resample each of `jobs` in turn; returns how many drew a routine.
+        A job with no live routine draws nothing and stays unassigned.  A job
+        whose assigned routine died at this step still holds it here: the
+        draw unloads it, and if no live routine is left, unassigns the job.
 
         One loop does all of it, with no call per job or machine but
         `machines` and the role transitions: the rank rule of the module
         docstring, the bit select of `graph.nth_bit` inline, and one body for
         a move down and one for a move up.  Of the machines a move reads,
         only a dying routine's deleted one is missing from `loads`."""
-        T = self.T
-        live, assigned, events = self.live, self.assigned, self.resample_events
+        live, assigned = self.live, self.assigned
         machines, getrandbits, roles = self._machines, self.rng.getrandbits, self.roles
         loads, at, heaps = self.loads, self._at, self._heaps
         max_load, assigned_count = self._max_load, self.assigned_count
         drawn = 0
         for job in jobs:
-            events[job].append(T)
             mask = live[job]
             old = assigned[job]
             if mask:
@@ -469,6 +470,13 @@ class ResamplingEngine:
 
     # -- relevance replay --
 
+    def resample_times(self, job: Hashable) -> list[int]:
+        """Steps of `job`'s resample events, ascending: its build draw at 0,
+        and every schedule entry c + 2^k <= T of a touch at c."""
+        T = self.T
+        due = {c + (1 << k) for c in self.touch_times[job] for k in range((T - c).bit_length())}
+        return sorted(due | {0})
+
     def rel_times(self, t: int, job: Hashable, i: int) -> list[int]:
         """Steps of resample events of `job` before t that could still explain
         its live routine i being assigned at t: event at step s counts unless
@@ -480,7 +488,7 @@ class ResamplingEngine:
             raise ValueError("t is in the future")
         touches = self.touch_times[job]
         times = []
-        for s in self.resample_events[job]:
+        for s in self.resample_times(job):
             if s >= t:
                 break
             blocked = any(c + (1 << (s - c).bit_length()) < t for c in touches if c <= s)

@@ -46,7 +46,7 @@ import random
 from typing import Iterable, NamedTuple, Sequence
 
 from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist
-from dynspan.instrumentation import EdgeRanks
+from dynspan.instrumentation import EdgeRanks, adjacency_masks
 
 
 class SpannerNotSubgraph(Exception):
@@ -72,14 +72,6 @@ class SpannerMasks(NamedTuple):
     rows and never changes them."""
 
     rows: list[int]
-
-
-def adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def grow(masks: list[int], inner: list[int], u: int) -> int:

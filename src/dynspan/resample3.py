@@ -35,10 +35,9 @@ from typing import Sequence
 
 from dynspan.det3 import bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, by_kind, edge_key
-from dynspan.graph import check_rows, iter_bits, nth_bit
+from dynspan.graph import check_rows, iter_bits, nth_bit, row_edges
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleOutput, RoleSet, Step
 from dynspan.job_machine import ResamplingEngine
-from dynspan.oracle import adjacency_masks
 
 
 class PhaseExhausted(Exception):
@@ -56,6 +55,7 @@ class PhaseState(RoleOutput):
     records its output changes in `roles` and returns its resample count;
     its driver (`Resample3`, `WrappedRunner`) closes both steps, the op
     step and the output step (`roles.flush()`).  The build flushes itself.
+    The buffer is not stored: it is the host edges outside the core.
     """
 
     def __init__(
@@ -73,7 +73,6 @@ class PhaseState(RoleOutput):
         self.bucket_of = list(bucket_of) if bucket_of is not None else default_buckets(self.n)
         self.bucket_mask = bucket_masks(self.bucket_of, self.n)
         self.core = [0] * self.n  # the phase-start edges minus the deletions since
-        self.buffer: set[tuple[int, int]] = set()  # edges inserted this phase
         # roles: one per endpoint whose partner edge it is, one for an
         # intra-bucket core edge, one for the buffer, and one, held by the
         # engine, for carrying any chosen witness routine (a load above 0)
@@ -157,8 +156,7 @@ class PhaseState(RoleOutput):
     def insert(self, u: int, v: int) -> int:
         if self.exhausted:
             raise PhaseExhausted(f"phase budget of {self.L} updates spent")
-        e = self.g.insert_edge(u, v)
-        self.buffer.add(e)
+        e = self.g.insert_edge(u, v)  # a buffered edge: in the host, not the core
         self.roles.add(e)
         self.updates_used += 1
         return 0
@@ -167,13 +165,13 @@ class PhaseState(RoleOutput):
         if self.exhausted:
             raise PhaseExhausted(f"phase budget of {self.L} updates spent")
         e = self.g.delete_edge(u, v)  # a bad vertex or missing edge raises, changing nothing
-        if e in self.buffer:
-            self.buffer.discard(e)
+        u, v = e
+        core = self.core
+        if not core[u] >> v & 1:  # inserted this phase: a buffered edge
             self.roles.remove(e)
             report = self.engine.tick()  # clock advances on every deletion
-        else:  # every other host edge is a core edge
-            u, v = e
-            core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
+        else:
+            bucket_mask, bucket_of = self.bucket_mask, self.bucket_of
             core[u] &= ~(1 << v)
             core[v] &= ~(1 << u)
             self.counter.charge(2, "partnership")  # one per row bit
@@ -192,14 +190,19 @@ class PhaseState(RoleOutput):
 
     # -- views --
 
+    @property
+    def buffer(self) -> set[tuple[int, int]]:
+        """The edges inserted this phase and still present."""
+        return set(row_edges([a & ~c for a, c in zip(self.g.adj_mask, self.core)]))
+
     def witnesses(self) -> dict[tuple[int, int], int]:
         return {p: w for p, w in self.engine.assigned.items() if w is not None}
 
     def check_invariants(self) -> None:
         core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
         check_rows(core)
-        host = [row & ~b for row, b in zip(self.g.adj_mask, adjacency_masks(self.n, self.buffer))]
-        assert core == host, "core rows differ from the host rows less the buffer"
+        for c, row in zip(core, self.g.adj_mask):
+            assert not c & ~row, "core rows hold an edge the host rows lack"
         # every pair with a common core neighbor is a job, and a job's live
         # routines are its common neighbors
         assert set(self._pair_keys()) <= self.engine.live.keys()

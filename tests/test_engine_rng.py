@@ -4,11 +4,18 @@ Its rank rule (see `dynspan.job_machine`) is written in the engine, so the
 stream of draws depends on `random.Random.getrandbits` alone: a method that
 read `self.rng` any other way (`randrange`, `choice`, passing the generator
 on) would tie every output to a private algorithm of `random` again.
+
+The rest of the program still draws through `randrange`: the jm instance,
+every adversary and the resample3 phase seeds.  Those streams rest on
+CPython's private `_randbelow`, which today draws by the same rule; the last
+test here pins that, so an interpreter that changes it fails one named test
+before it moves the golden digests.
 """
 
 from __future__ import annotations
 
 import ast
+import random
 from pathlib import Path
 
 from dynspan import job_machine
@@ -79,3 +86,31 @@ def test_the_walker_sees_every_other_read_of_the_rng():
         ("share", "helper(self.rng)"),
         ("state", "self.rng.getstate"),
     }
+
+
+def rank_rule(rng: random.Random, c: int) -> int:
+    """The engine's rank rule for c >= 1: redraw getrandbits(c.bit_length())
+    until the value is below c."""
+    k = c.bit_length()
+    r = rng.getrandbits(k)
+    while r >= c:
+        r = rng.getrandbits(k)
+    return r
+
+
+# the sizes the program passes to `randrange`: pair draws (n <= 256) and
+# spanner ranks, degree walks (2m: ~3000 and ~16000 on the benchmark's
+# graphs), the jm instance's pools (16000 machines), and the phase seeds
+RANDRANGE_SIZES = [*range(1, 300), *range(2990, 3010), *range(15990, 16010), 2**62]
+
+
+def test_randrange_draws_by_the_engines_rank_rule():
+    for seed in (0, 1, 601):
+        for c in RANDRANGE_SIZES:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            want = [rank_rule(ours, c) for _ in range(16)]
+            assert [theirs.randrange(c) for _ in range(16)] == want, c
+            assert theirs.getstate() == ours.getstate(), c  # and the same bits consumed
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for lo, hi in ((1, 7), (1, 4)):  # randrange(lo, hi) is lo + a draw below hi - lo
+            assert theirs.randrange(lo, hi) == lo + rank_rule(ours, hi - lo)

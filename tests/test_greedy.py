@@ -266,7 +266,7 @@ def test_rescan_stays_in_the_deleted_edges_component(monkeypatch):
 def test_check_invariants_catches_a_far_non_spanner_edge():
     g = DynamicGraph(5, [(0, 1), (1, 2), (0, 2)])
     s = GreedyState(g, 2)
-    g.insert_edge(3, 4)
-    s.non_spanner.add((3, 4))  # its endpoints are not joined in the spanner at all
+    g.insert_edge(3, 4)  # a non-spanner edge whose endpoints the spanner does not join
+    assert s.non_spanner == {(1, 2), (3, 4)}
     with pytest.raises(AssertionError):
         s.check_invariants()

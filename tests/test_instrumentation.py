@@ -27,7 +27,6 @@ def test_op_counter_steps_and_attribution():
     assert c.end_step() == 5
     assert c.total == 8
     assert c.by_module == {"a": 7, "b": 1}
-    c.check_attribution()
     assert c.last_step == 5
 
 

@@ -54,13 +54,13 @@ def live_routines(eng):
 def test_init_no_jobs():
     eng = engine_with([], 0, 3)
     assert eng.assigned == {}
-    assert eng.resample_events == {}
+    assert eng.touch_times == {}
 
 
 def test_init_single_routine_deterministic():
     eng = engine_with([(0, (1,))], 1, 2)
     assert eng.assigned[0] == 0 and held(eng, 0) == (1,)
-    assert eng.resample_events == {0: [0]}  # one draw, at step 0
+    assert eng.resample_times(0) == [0]  # one draw, at step 0
 
 
 def test_init_uniform_over_routines():
@@ -88,7 +88,7 @@ def test_resample_with_no_live_routines_is_unassigned():
 
 def test_a_dead_due_entry_draws_nothing_but_is_logged_and_counted():
     # job 0's only routine dies with machine 0 at T=0, which schedules it at
-    # 1, 2, 4, ...: each entry then logs an event and is counted as a resample
+    # 1, 2, 4, ...: each entry then is an event and is counted as a resample
     # without drawing, assigning or moving load; job 1 is never due
     eng = engine_with([(0, (0,)), (1, (1,)), (1, (2,))], 2, 3, horizon=40)
     state = eng.rng.getstate()
@@ -97,19 +97,29 @@ def test_a_dead_due_entry_draws_nothing_but_is_logged_and_counted():
     assert eng.assigned[0] is None and eng.rng.getstate() == state
     due = [2, 4, 8, 16, 32]
     while eng.T < eng.horizon:
-        events = list(eng.resample_events[0])
+        events = eng.resample_times(0)
         state, loads = eng.rng.getstate(), dict(eng.loads)
         rep = eng.tick()
         if eng.T in due:
-            assert eng.resample_events[0] == events + [eng.T]
+            assert eng.resample_times(0) == events + [eng.T]
             assert eng.assigned[0] is None
             assert eng.rng.getstate() == state
             assert eng.loads == loads
             assert rep.resampled == (0,)
         else:
             assert rep.resampled == ()
-    assert eng.resample_events[0] == [0, 1] + due
+    assert eng.resample_times(0) == [0, 1] + due
     eng.check_feasible()
+
+
+def test_add_job_after_the_clock_started_raises():
+    # a job's build draw is its resample event at step 0, so jobs join only then
+    eng = engine_with([(0, (0,))], 1, 3)
+    eng.add_job(1, 0, 0)
+    eng.tick()
+    with pytest.raises(JobMachineError, match="clock has started"):
+        eng.add_job(2, 0, 0)
+    assert 2 not in eng.live and eng.T == 1
 
 
 def test_resample_unknown_job():
@@ -156,7 +166,7 @@ def test_same_timestep_from_two_touches_resamples_once():
     eng.delete_machine(held(eng, 0)[0])  # touch at T=2 -> {3,4,6,...}
     assert 0 in eng.list_at[4]  # scheduled by both touches, stored once
     eng.delete_machine(5)  # clock reaches 4 and drains it
-    assert eng.resample_events[0].count(4) == 1
+    assert eng.resample_times(0).count(4) == 1
 
 
 def test_load_and_target_values():
@@ -250,7 +260,7 @@ def reference_rel_times(eng, t, job):
     schedule entry t' with s < t' < t already existed at step s."""
     entries = eng.schedule_log.get(job, [])
     times = []
-    for s in eng.resample_events[job]:
+    for s in eng.resample_times(job):
         if s >= t:
             break
         blocked = any(e.created <= s < e.at < t for e in entries)
@@ -289,7 +299,7 @@ def test_rel_times_matches_entry_replay_on_max_load_runs():
                     times = eng.rel_times(t, job, i)
                     assert times == reference_rel_times(eng, t, job)
                     seen["checks"] += 1
-                    events = [s for s in eng.resample_events[job] if s < t]
+                    events = [s for s in eng.resample_times(job) if s < t]
                     if times != events:
                         seen["an event blocked"] += 1
         seen["runs with a shared entry"] += eng.shared > 0
@@ -350,7 +360,7 @@ def test_total_recourse_within_calibrated_bound():
         eng.delete_machine(x)
     log_m2 = math.log2(machines) ** 2
     bound = jobs * math.log2(delta + 2) * log_m2 + horizon * log_m2
-    assert sum(map(len, eng.resample_events.values())) <= bound
+    assert sum(len(eng.resample_times(job)) for job in eng.live) <= bound
 
 
 def test_engine_op_totals_are_pinned():
@@ -806,15 +816,14 @@ def test_resample_redrawing_its_own_routine_moves_no_load():
     rng = random.Random(5)
     spare = [0, 1, 4, 6, 7]  # machine 1 carries a routine of job 1
     for i in range(24):
-        before = (len(eng.resample_events[0]), sum(map(len, eng.resample_events.values())))
+        events = {job: eng.resample_times(job) for job in eng.live}
         loads = dict(eng.loads)
         at = list(eng._at)
         heaps = [None if heap is None else list(heap) for heap in eng._heaps]
         assert eng.resample(0) == 0
         assert eng.assigned[0] == 0
-        assert eng.resample_events[0][-1] == eng.T
-        after = (len(eng.resample_events[0]), sum(map(len, eng.resample_events.values())))
-        assert after == (before[0] + 1, before[1] + 1)
+        # a forced draw is no resample event, of job 0 or any other
+        assert {job: eng.resample_times(job) for job in eng.live} == events
         assert eng.loads == loads and eng._at == at and eng._heaps == heaps
         assert eng.heaviest_machine() == brute_heaviest(eng)
         eng.check_feasible()
@@ -832,7 +841,8 @@ def test_resample_redrawing_its_own_routine_moves_no_load():
 # rule: a routine with a tag (a phase's witness w) orders by (repr(job), w),
 # the order in which the bitmask engine draws a phase's witnesses.  Both are
 # fed the same calls and compared after each: assignments, live routines,
-# loads, the heaviest machine, resample events, touches, the schedule,
+# loads, the heaviest machine, resample events (the engine derives them
+# from its touches, the twin logs each draw), touches, the schedule,
 # relevance replays and op counts.  So the rewrite moved nothing but a
 # phase's draw order.
 
@@ -1180,7 +1190,7 @@ def assert_twins(eng, twin):
     assert eng.assigned_count == twin.assigned_count
     assert eng.loads == twin.loads
     assert eng.heaviest_machine() == twin.heaviest_machine()
-    assert eng.resample_events == twin.resample_events
+    assert {job: eng.resample_times(job) for job in eng.touch_times} == twin.resample_events
     assert eng.touch_times == twin.touch_times
     assert eng.list_at == twin.list_at
 

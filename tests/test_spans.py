@@ -4,7 +4,9 @@
 `Tracer.installed()` skips a name it does not find, so a renamed function
 would silently zero a per-layer metric.  This loads the tracer from its
 file, unedited, and checks each of its targets.  `bench/test_bench.py`
-injects a fault through det3 internals, checked here the same way.
+injects a fault through det3 internals, checked here the same way, and
+the tracer's hooks and `bench/driver.py::output_checks` read attributes
+off the program's objects, checked here by name too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ import inspect
 from pathlib import Path
 
 from dynspan import cli
+from dynspan.fully_dynamic import RebuildInfo
 from dynspan.graph import DynamicGraph
+from dynspan.instrumentation import OpCounter
+from dynspan.job_machine import ResamplingEngine, StepReport
+from dynspan.resample3 import PhaseState
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -49,3 +55,29 @@ def test_fault_injection_names_resolve():
     state = cli.Det3State(DynamicGraph(4, [(0, 1), (1, 2)]))
     for attr in ("cedge", "chosen"):
         assert isinstance(vars(state).get(attr), dict), attr
+
+
+def adapter(algo: str):
+    args = cli.build_parser().parse_args(
+        ["run", "--algo", algo, "--n", "12", "--init-m", "30", "--steps", "4", "--seed", "5"]
+    )
+    return cli.ALGO_FACTORIES[algo](args, OpCounter())
+
+
+def test_attributes_the_bench_reads_resolve():
+    # an AttributeError in a hook or a final check fails the bench run and
+    # nothing else, so each name it reads is pinned here
+    fd = adapter("fd-greedy").state
+    assert isinstance(fd.owner, dict) and set(fd.owner) == set(fd.g.edges())
+    assert isinstance(fd.levels, dict) and fd.levels
+    for level in fd.levels.values():
+        assert isinstance(level.in_spanner, dict) and isinstance(level.non_spanner, set)
+    assert RebuildInfo._fields == ("level", "size")
+    r3 = adapter("resample3").state
+    assert isinstance(r3.phase, PhaseState) and r3.phase_index == 1
+    engine = adapter("jm").engine
+    assert isinstance(engine, ResamplingEngine)
+    rep = engine.tick()
+    assert isinstance(rep, StepReport)
+    assert isinstance(rep.resamples, int) and isinstance(rep.schedule_added, int)
+    adapter("det3").state.check_against_rebuild()
