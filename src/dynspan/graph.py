@@ -178,15 +178,20 @@ class DynamicGraph:
         if n < 0:
             raise VertexOutOfRange(f"negative vertex count {n}")
         self.n = n
-        self.m = 0
-        self.adj_mask: list[int] = [0] * n
         self.counter = counter or OpCounter()
-        for u, v in edges:
-            check_range(self.n, u, v)
-            e = edge_key(u, v)
-            if self.has_edge(*e):
-                raise DuplicateEdge(f"duplicate edge {e}")
-            self._link(*e)
+        rows = self.adj_mask = [0] * n
+        m = 0
+        for u, v in edges:  # one inline loop, checked as it goes: the first bad edge raises
+            if not (0 <= u < n and 0 <= v < n):
+                check_range(n, u, v)
+            if rows[u] >> v & 1 or u == v:
+                raise DuplicateEdge(f"duplicate edge {edge_key(u, v)}")  # a self-loop: SelfLoop
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            m += 1
+        self.m = m
+        if m:
+            self._charge(2 * m)  # two row bits per edge, charged once
 
     def _charge(self, k: int) -> None:
         self.counter.charge(k, "graph")
@@ -235,19 +240,9 @@ class DynamicGraph:
         check_range(self.n, v)
         return self.adj_mask[v].bit_count()
 
-    def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.adj_mask), default=0)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in lexicographic order."""
         return row_edges(self.adj_mask)
-
-    def bfs_dist(self, u: int, v: int, cap: int | None = None) -> int | None:
-        """Exact hop distance if <= cap (None means uncapped); None if beyond."""
-        check_range(self.n, u, v)
-        if cap is not None and cap < 0:
-            raise ValueError("cap must be >= 0")
-        return mask_dist(self.adj_mask, u, v, cap)
 
     def apply(self, event: UpdateEvent) -> tuple[int, int]:
         return by_kind(event.kind, self.insert_edge, self.delete_edge)(*event.edge)

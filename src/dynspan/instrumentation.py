@@ -1,4 +1,4 @@
-"""Recourse, elementary-operation, and load-overhead accounting.
+"""Recourse and elementary-operation accounting, and the metrics CSV.
 
 All algorithm modules report through these structures so that runs are
 comparable and byte-reproducible.  Costs are counted in elementary
@@ -201,49 +201,6 @@ class OpCounter:
         count = self.last_step = self.current
         self.current = 0
         return count
-
-
-class OverheadSample(NamedTuple):
-    """One (step, machine) observation of actual load vs target load."""
-
-    step: int
-    machine: object
-    load: int
-    target: float
-
-
-class OverheadReport(NamedTuple):
-    total: int
-    violations: int
-    worst_residual: float
-    worst_sample: OverheadSample | None
-
-    @property
-    def fraction(self) -> float:
-        return self.violations / self.total if self.total else 0.0
-
-
-def measure_overhead(
-    samples: Iterable[OverheadSample],
-    alpha: float,
-    beta: float,
-) -> OverheadReport:
-    """Fraction of samples violating load <= alpha*target + beta."""
-    total = 0
-    violations = 0
-    worst = float("-inf")
-    worst_sample = None
-    for s in samples:
-        total += 1
-        residual = s.load - (alpha * s.target + beta)
-        if residual > worst:
-            worst = residual
-            worst_sample = s
-        if residual > 0:
-            violations += 1
-    if worst_sample is None:
-        worst = 0.0
-    return OverheadReport(total, violations, worst, worst_sample)
 
 
 CSV_HEADER = "step,event,recourse_add,recourse_del,spanner_size,op_count,resamples,stretch_ok"

@@ -34,10 +34,11 @@ the dying routine from its surviving machines, and unassigns the job if
 no live routine is left.  A due job with no live routine draws nothing
 and stays unassigned, but its entry is still a resample event and
 counts in `StepReport.resampled`, so in the CSV `resamples` column too.
-A job costs Σ|machines| to add, a deletion 1 plus the other machines of
-each routine it kills, and a draw that returns a routine one unit,
-charged by the caller of `_draw`: `add_job`, or `_step` once for all the
-draws of its step; a direct `resample` charges nothing.
+A machine costs one unit to add, a job Σ|machines|, a deletion 1 plus
+the other machines of each routine it kills, and a draw that returns a
+routine one unit, charged by the caller of `_draw`.  `add_jobs` charges
+its batch's slots and draws at once, as `_step` does the draws of its
+step; a direct `resample` charges nothing.
 
 Besides the schedule `list_at`, the engine keeps per job only the steps
 of its touches (deaths of its assigned routine).  Its resample events,
@@ -68,7 +69,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Hashable, Iterable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from dynspan.graph import UpdateEvent
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
@@ -173,6 +174,19 @@ class HyperInstance:
         return cls(range(jobs), range(machines), routines)
 
 
+def _fresh(kind: str, keys: Sequence[Hashable], present: dict) -> dict[Hashable, int]:
+    """`keys`, in order, as the keys of a dict of zeros; raises for the first
+    key already in `present` or earlier in `keys`."""
+    fresh = dict.fromkeys(keys, 0)
+    if len(fresh) < len(keys) or not present.keys().isdisjoint(fresh):
+        seen = set(present)
+        for key in keys:
+            if key in seen:
+                raise JobMachineError(f"{kind} {key!r} already present")
+            seen.add(key)
+    return fresh
+
+
 class StepReport(NamedTuple):
     touched: tuple[Hashable, ...]
     resampled: tuple[Hashable, ...]
@@ -217,36 +231,42 @@ class ResamplingEngine:
         # replayable history: the steps of each job's touches
         self.touch_times: dict[Hashable, list[int]] = {}
         if isinstance(embedder, HyperInstance):
-            for x in embedder.machine_ids:
-                self.add_machine(x)
-            for job, rows in embedder.table.items():
-                self.add_job(job, (1 << len(rows)) - 1, sum(map(len, rows)))
+            self.add_machines(embedder.machine_ids)
+            table = embedder.table
+            self.add_jobs([(job, (1 << len(rs)) - 1, sum(map(len, rs))) for job, rs in table.items()])
 
-    # -- incremental construction --
+    # -- construction in batches, each checked whole before any side effect --
 
-    def add_machine(self, x: Hashable) -> None:
-        if x in self.loads:
-            raise JobMachineError(f"machine {x!r} already present")
-        self.loads[x] = 0
-        self._at[0] += 1
+    def add_machines(self, xs: Sequence[Hashable]) -> None:
+        """Register the machines `xs`, in order, each at load 0."""
+        self.loads.update(_fresh("machine", xs, self.loads))
+        self._at[0] += len(xs)
         heap = self._heaps[0]
         if heap is not None:
-            heappush(heap, x)
-        self._charge(1)
+            for x in xs:
+                heappush(heap, x)
+        self._charge(len(xs))
 
-    def add_job(self, job: Hashable, live: int, slots: int) -> None:
-        """Register `job` with the routines whose indices are the bits of
-        `live`, `slots` being their Σ|machines|, and draw its assignment.
-        Only before the clock starts: a job's build draw is at step 0."""
+    def add_jobs(self, jobs: Sequence[tuple[Hashable, int, int]]) -> None:
+        """Register each (job, live, slots) of `jobs`: the job with the
+        routines whose indices are the bits of `live`, `slots` being their
+        Σ|machines|.  Then one `_draw` gives every job its assignment, in
+        batch order.  Only before the clock starts: a job's build draw is at
+        step 0."""
         if self.T:
-            raise JobMachineError(f"job {job!r} added at step {self.T}: the clock has started")
-        if job in self.live:
-            raise JobMachineError(f"job {job!r} already present")
-        self.live[job] = live
-        self._job_repr[job] = repr(job)
-        self.assigned[job] = None
-        self.touch_times[job] = []
-        self._charge(slots + self._draw((job,)))
+            raise JobMachineError(f"jobs added at step {self.T}: the clock has started")
+        names = [job for job, _, _ in jobs]
+        _fresh("job", names, self.live)
+        live, job_repr, assigned = self.live, self._job_repr, self.assigned
+        touch_times = self.touch_times
+        slots = 0
+        for job, mask, k in jobs:
+            live[job] = mask
+            job_repr[job] = repr(job)
+            assigned[job] = None
+            touch_times[job] = []
+            slots += k
+        self._charge(slots + self._draw(names))
 
     # -- load bookkeeping --
 

@@ -1,4 +1,4 @@
-"""Ground-truth verification: stretch, size, girth, and a reference greedy spanner.
+"""Ground-truth verification: stretch, girth, and a reference greedy spanner.
 
 Everything here is a pure function of its inputs; repeated calls on the
 same snapshot are identical.  Stretch is verified over the edges of the
@@ -256,10 +256,6 @@ def verify_stretch(
             if d > worst:
                 worst, worst_edge = d, (u, v)
     return StretchReport(worst_edge is None or worst <= t, worst_edge, worst)
-
-
-def verify_size(h_edges: Iterable[tuple[int, int]], bound: float) -> bool:
-    return sum(1 for _ in h_edges) <= bound
 
 
 def girth_at_least(n: int, h_edges: Iterable[tuple[int, int]], g_min: int) -> bool:

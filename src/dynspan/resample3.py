@@ -31,7 +31,7 @@ import math
 import random
 import weakref
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from dynspan.det3 import bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, by_kind, edge_key
@@ -54,8 +54,11 @@ class PhaseState(RoleOutput):
     An update (`insert`, `delete`, `apply`) charges its work to `counter`,
     records its output changes in `roles` and returns its resample count;
     its driver (`Resample3`, `WrappedRunner`) closes both steps, the op
-    step and the output step (`roles.flush()`).  The build flushes itself.
-    The buffer is not stored: it is the host edges outside the core.
+    step and the output step (`roles.flush()`).  The build flushes itself:
+    it passes every host edge to `_init_edges` and every pair to
+    `_init_pairs` in one call each, the same bodies the wrapped runner's
+    bounded tasks call with one edge or one pair.  The buffer is not
+    stored: it is the host edges outside the core.
     """
 
     def __init__(
@@ -82,30 +85,37 @@ class PhaseState(RoleOutput):
         # the engine reaches its phase through a proxy, so no cycle keeps an
         # abandoned phase alive; the engine works only while the phase does
         self.engine = ResamplingEngine(weakref.proxy(self), seed, self.L, self.counter, self.roles)
-        for e in graph.edges():
-            self._init_edge(e)
-        for p in self._pair_keys():
-            self._init_pair(p)
+        self._init_edges(graph.edges())
+        self._init_pairs(self._pair_keys())
         self.roles.flush()
 
-    # -- incremental construction pieces (also used by the wrapped driver) --
+    # -- construction in batches (also used by the wrapped driver) --
 
-    def _init_edge(self, e: tuple[int, int]) -> None:
-        u, v = e
+    def _init_edges(self, edges: Iterable[tuple[int, int]]) -> None:
+        """Add the canonical edges `edges` to the core, in any order, with
+        their roles, and register them as the engine's machines.  One loop
+        body serves the build, which passes every edge in one call, and the
+        wrapped runner, whose bounded tasks pass one edge each."""
+        edges = list(edges)
         core, bucket_mask, bucket_of = self.core, self.bucket_mask, self.bucket_of
-        self.counter.charge(2, "partnership")  # one per row bit
-        self.engine.add_machine(e)
-        if bucket_of[u] == bucket_of[v]:
-            self.roles.add(e)  # intra-bucket edges never serve as partner edges
-        else:
-            for x, y in ((u, v), (v, u)):
-                row = core[x] & bucket_mask[bucket_of[y]]
-                if not row & ((1 << y) - 1):  # no bit below y: y becomes x's partner
-                    if row:
-                        self.roles.remove(edge_key(x, nth_bit(row, 0)))
-                    self.roles.add(edge_key(x, y))
-        core[u] |= 1 << v
-        core[v] |= 1 << u
+        add, remove = self.roles.add, self.roles.remove
+        for e in edges:
+            u, v = e
+            if bucket_of[u] == bucket_of[v]:
+                add(e)  # intra-bucket edges never serve as partner edges
+            else:
+                for x, y in ((u, v), (v, u)):
+                    row = core[x] & bucket_mask[bucket_of[y]]
+                    if not row & ((1 << y) - 1):  # no bit below y: y becomes x's partner
+                        if row:
+                            w = (row & -row).bit_length() - 1
+                            remove((x, w) if x < w else (w, x))
+                        add(e)
+            core[u] |= 1 << v
+            core[v] |= 1 << u
+        if edges:
+            self.counter.charge(2 * len(edges), "partnership")  # one per row bit
+        self.engine.add_machines(edges)
 
     def _pair_keys(self) -> list[tuple[int, int]]:
         """The same-bucket pairs a < b with a common core neighbor, ascending."""
@@ -117,9 +127,15 @@ class PhaseState(RoleOutput):
                 keys.extend((a, b) for b in iter_bits(mates) if row & core[b])
         return keys
 
-    def _init_pair(self, p: tuple[int, int]) -> None:
-        live = self.core[p[0]] & self.core[p[1]]
-        self.engine.add_job(p, live, 2 * live.bit_count())
+    def _init_pairs(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Register the pairs as the engine's jobs, their live routines their
+        common core neighbors, and draw their witnesses in pair order."""
+        core = self.core
+        jobs = []
+        for p in pairs:
+            live = core[p[0]] & core[p[1]]
+            jobs.append((p, live, 2 * live.bit_count()))
+        self.engine.add_jobs(jobs)
 
     # -- the engine's embedder: routine w of a pair is its witness w --
 
@@ -401,10 +417,10 @@ class WrappedRunner(RoleOutput):
             counter=self.counter,
         )
         for e in self.MAT:
-            nxt._init_edge(nxt.g.insert_edge(*e))
+            nxt._init_edges((nxt.g.insert_edge(*e),))
             yield
         for p in nxt._pair_keys():
-            nxt._init_pair(p)
+            nxt._init_pairs((p,))
             charge(1, "wrap")
             yield
         nxt.roles.flush()

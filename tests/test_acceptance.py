@@ -25,10 +25,10 @@ from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
 from dynspan.graph import DELETE, INSERT, DynamicGraph, iter_bits, mask_dist
 from dynspan.greedy import GreedyState
-from dynspan.instrumentation import OverheadSample, measure_overhead
 from dynspan.job_machine import ResamplingEngine, random_instance
 from dynspan.oracle import girth_at_least, reference_greedy, verify_stretch
 from dynspan.resample3 import PhaseState, WrappedRunner
+from helpers import OverheadSample, max_degree, measure_overhead
 
 
 def sqrt_ceil(n: int) -> int:
@@ -147,7 +147,7 @@ def test_criterion_4_det3_worst_case():
             else:
                 changes = s.delete_edge(*ev.edge)
             assert len(changes) <= 2 * root_n + 2
-            delta = g.max_degree()
+            delta = max_degree(g)
             assert s.counter.last_step <= op_const * (min(delta, root_n) + 1) * logn
             assert verify_stretch(g, s.spanner, 3).ok
             assert len(s.spanner) <= 3 * n * root_n

@@ -13,6 +13,7 @@ from dynspan.det3 import Det3State, bucket_masks, default_buckets
 from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent
 from dynspan.instrumentation import OpCounter
 from dynspan.oracle import verify_stretch
+from helpers import max_degree
 
 
 def make(n, edges, buckets=None):
@@ -235,7 +236,7 @@ def test_per_update_op_cost_bound():
             e = rng.choice([p for p in pairs if p not in present])
             s.insert_edge(*e)
             present.add(e)
-        delta = s.g.max_degree()
+        delta = max_degree(s.g)
         denom = (min(delta, root_n) + 1) * logn
         worst_ratio = max(worst_ratio, s.counter.last_step / denom)
     # C frozen from calibration runs (max observed ratio ~2.1 across seeds)

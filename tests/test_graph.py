@@ -15,13 +15,17 @@ from dynspan.graph import (
     DynamicGraph,
     EdgeExists,
     EdgeMissing,
+    GraphError,
     SelfLoop,
     UpdateEvent,
     VertexOutOfRange,
+    check_range,
     edge_key,
     mask_balls,
     mask_dist,
 )
+from dynspan.instrumentation import OpCounter
+from helpers import bfs_dist, max_degree
 
 
 def adjacency_sets(n: int, edges) -> list[set[int]]:
@@ -109,6 +113,62 @@ def test_constructor_rejections():
         DynamicGraph(3, [(0, 3)])
 
 
+def per_edge_build(n: int, edges) -> DynamicGraph:
+    """What `DynamicGraph(n, edges)` must do, one edge at a time: check its
+    range, key it, reject a duplicate of the key, insert it."""
+    g = DynamicGraph(n, counter=OpCounter())
+    for u, v in edges:
+        check_range(n, u, v)
+        e = edge_key(u, v)
+        if g.has_edge(*e):
+            raise DuplicateEdge(f"duplicate edge {e}")
+        g.insert_edge(*e)
+    return g
+
+
+def build_outcome(build):
+    """The exception class and message a build raises, or the graph it holds."""
+    try:
+        g = build()
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return g.adj_mask, g.m, g.counter.by_module
+
+
+@pytest.mark.parametrize(
+    "edges,error,message",
+    [
+        ([(0, 1), (2, 5), (3, 3)], VertexOutOfRange, "vertex 5 not in [0, 4)"),
+        ([(0, 1), (-1, 9)], VertexOutOfRange, "vertex -1 not in [0, 4)"),
+        ([(0, 1), (2, 2), (1, 0)], SelfLoop, "self-loop at vertex 2"),
+        ([(1, 3), (0, 2), (3, 1), (2, 2)], DuplicateEdge, "duplicate edge (1, 3)"),
+    ],
+)
+def test_constructor_raises_for_the_first_bad_edge(edges, error, message):
+    with pytest.raises(error) as exc:
+        DynamicGraph(4, edges)
+    assert str(exc.value) == message
+    assert build_outcome(lambda: per_edge_build(4, edges)) == (error, message)
+
+
+def test_constructor_matches_the_per_edge_build():
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randrange(2, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        sample = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in sample]
+        for _ in range(rng.randrange(3)):  # bad edges: out of range, a loop, a reversed duplicate
+            u = rng.randrange(n)
+            bad = [(u, rng.choice([-1, n, n + 3])), (u, u)] + [e[::-1] for e in edges[:1]]
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(bad))
+        counter = OpCounter()
+        got = build_outcome(lambda: DynamicGraph(n, edges, counter=counter))
+        assert got == build_outcome(lambda: per_edge_build(n, edges))
+        if isinstance(got[0], list):  # a build charges two ops per edge, and only to graph
+            assert counter.total == counter.by_module["graph"] == 2 * len(edges)
+
+
 def test_edge_key_normalizes():
     assert edge_key(5, 2) == (2, 5)
     with pytest.raises(SelfLoop):
@@ -154,13 +214,13 @@ def test_delete_all_of_k4_any_order():
 
 def test_bfs_dist_examples():
     path = DynamicGraph(3, [(0, 1), (1, 2)])
-    assert path.bfs_dist(0, 2, 5) == 2
+    assert bfs_dist(path, 0, 2, 5) == 2
     two_comp = DynamicGraph(4, [(0, 1), (2, 3)])
-    assert two_comp.bfs_dist(0, 3, 10) is None
+    assert bfs_dist(two_comp, 0, 3, 10) is None
     p4 = DynamicGraph(4, [(0, 1), (1, 2), (2, 3)])
-    assert p4.bfs_dist(0, 3, 2) is None  # cap binds
-    assert p4.bfs_dist(0, 3, 3) == 3
-    assert p4.bfs_dist(2, 2, 0) == 0
+    assert bfs_dist(p4, 0, 3, 2) is None  # cap binds
+    assert bfs_dist(p4, 0, 3, 3) == 3
+    assert bfs_dist(p4, 2, 2, 0) == 0
 
 
 def test_bfs_against_all_pairs_reference():
@@ -172,8 +232,8 @@ def test_bfs_against_all_pairs_reference():
         for src in range(n):
             ref = plain_bfs(adj, src)
             for dst in range(n):
-                assert g.bfs_dist(src, dst) == ref.get(dst)
-                capped = g.bfs_dist(src, dst, 3)
+                assert bfs_dist(g, src, dst) == ref.get(dst)
+                capped = bfs_dist(g, src, dst, 3)
                 want = ref.get(dst)
                 assert capped == (want if want is not None and want <= 3 else None)
 
@@ -298,7 +358,7 @@ def test_rows_agree_with_the_input_edges(n):
     adj = adjacency_sets(n, edges)
     assert list(g.edges()) == sorted(edges)
     assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
-    assert g.max_degree() == max(map(len, adj), default=0)
+    assert max_degree(g) == max(map(len, adj), default=0)
     assert all(g.has_edge(u, v) == (v in adj[u]) for u, v in pairs)
     h = g.copy()
     for e in edges[: len(edges) // 2]:

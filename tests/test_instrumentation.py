@@ -12,10 +12,9 @@ from dynspan.instrumentation import (
     CSV_HEADER,
     MetricsRow,
     OpCounter,
-    OverheadSample,
-    measure_overhead,
     write_metrics_csv,
 )
+from helpers import OverheadSample, measure_overhead
 
 
 def test_op_counter_steps_and_attribution():

@@ -112,14 +112,88 @@ def test_a_dead_due_entry_draws_nothing_but_is_logged_and_counted():
     eng.check_feasible()
 
 
-def test_add_job_after_the_clock_started_raises():
+def engine_state(eng):
+    """Everything a batch that raises must leave as it was."""
+    return (
+        dict(eng.live), dict(eng.assigned), dict(eng.loads), dict(eng.touch_times),
+        list(eng._at), eng.rng.getstate(), Counter(eng.counter.by_module),
+    )
+
+
+def test_add_jobs_after_the_clock_started_raises():
     # a job's build draw is its resample event at step 0, so jobs join only then
     eng = engine_with([(0, (0,))], 1, 3)
-    eng.add_job(1, 0, 0)
+    eng.add_jobs([(1, 0, 0)])
     eng.tick()
+    before = engine_state(eng)
     with pytest.raises(JobMachineError, match="clock has started"):
-        eng.add_job(2, 0, 0)
-    assert 2 not in eng.live and eng.T == 1
+        eng.add_jobs([(2, 0b1, 1), (3, 0, 0)])
+    assert engine_state(eng) == before and eng.T == 1
+
+
+@pytest.mark.parametrize(
+    "batch,repeat",
+    [([(5, 0b1, 1), (0, 0b1, 1)], 0), ([(5, 0b1, 1), (6, 0, 0), (5, 0, 0)], 5)],
+    ids=["present", "twice"],
+)
+def test_add_jobs_checks_the_whole_batch_first(batch, repeat):
+    eng = engine_with([(0, (0,)), (1, (1,)), (1, (2,))], 2, 3)
+    before = engine_state(eng)
+    with pytest.raises(JobMachineError, match=f"job {repeat} already present"):
+        eng.add_jobs(batch)
+    assert engine_state(eng) == before
+
+
+@pytest.mark.parametrize("batch,repeat", [([7, 1], 1), ([7, 8, 7], 7)], ids=["present", "twice"])
+def test_add_machines_checks_the_whole_batch_first(batch, repeat):
+    eng = engine_with([(0, (0,)), (1, (1,))], 2, 3)
+    before = engine_state(eng)
+    with pytest.raises(JobMachineError, match=f"machine {repeat} already present"):
+        eng.add_machines(batch)
+    assert engine_state(eng) == before
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_batch_built_engine_equals_one_fed_singly(seed):
+    # draws read no loads, so one `_draw` over the batch draws what one per job drew
+    inst = random_instance(random.Random(800 + seed), jobs=80, machines=300)
+    batch = ResamplingEngine(inst, seed, horizon=50)
+    table = SimpleNamespace(machines=inst.machines, on=inst.on)  # not a HyperInstance: no build
+    single = ResamplingEngine(table, seed, horizon=50)
+    for x in inst.machine_ids:
+        single.add_machines((x,))
+    for job, rows in inst.table.items():
+        single.add_jobs([(job, (1 << len(rows)) - 1, sum(map(len, rows)))])
+    assert engine_state(single) == engine_state(batch)
+    assert single.assigned_count == batch.assigned_count
+    single.check_feasible()
+
+
+def count_calls(monkeypatch, cls, names):
+    """Calls of each method `names` of `cls` from now on, by name."""
+    calls = Counter()
+    for name in names:
+        method = getattr(cls, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_build_draws_and_adds_machines_in_one_call_each(monkeypatch):
+    # no per-edge or per-job call loop: one batch for the machines, one draw for the jobs
+    calls = count_calls(monkeypatch, ResamplingEngine, ("_draw", "add_machines", "add_jobs"))
+    ResamplingEngine(random_instance(random.Random(5), jobs=50, machines=200), 1, horizon=10)
+    assert calls == {"_draw": 1, "add_machines": 1, "add_jobs": 1}
+    calls.clear()
+    n = 40
+    pairs = list(itertools.combinations(range(n), 2))
+    ps = PhaseState(DynamicGraph(n, random.Random(6).sample(pairs, 300)), seed=7)
+    assert len(ps.engine.live) > 50 and len(ps.engine.loads) == 300
+    assert calls == {"_draw": 1, "add_machines": 1, "add_jobs": 1}
 
 
 def test_resample_unknown_job():
@@ -1258,17 +1332,24 @@ class TwinnedPhase(PhaseState):
         TwinnedPhase.mirrored[kind] += 1
         return out, rep
 
-    def _init_edge(self, e):
+    def _init_edges(self, edges):
+        edges = list(edges)
         self._mirror(
-            lambda: PhaseState._init_edge(self, e), lambda: self.twin.add_machine(e), "machine"
+            lambda: PhaseState._init_edges(self, edges),
+            lambda: [self.twin.add_machine(e) for e in edges],
+            "machine",
         )
 
-    def _init_pair(self, p):
-        a, b = p
-        witnesses = iter_bits(self.core[a] & self.core[b])
-        routines = [Routine(p, self.machines(p, w), w) for w in witnesses]
+    def _init_pairs(self, pairs):
+        core = self.core
+        routines = {
+            p: [Routine(p, self.machines(p, w), w) for w in iter_bits(core[p[0]] & core[p[1]])]
+            for p in pairs
+        }
         self._mirror(
-            lambda: PhaseState._init_pair(self, p), lambda: self.twin.add_job(p, routines), "job"
+            lambda: PhaseState._init_pairs(self, list(routines)),
+            lambda: [self.twin.add_job(p, rs) for p, rs in routines.items()],
+            "job",
         )
 
     def delete(self, u, v):

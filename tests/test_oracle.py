@@ -18,9 +18,9 @@ from dynspan.oracle import (
     StretchReport,
     girth_at_least,
     reference_greedy,
-    verify_size,
     verify_stretch,
 )
+from helpers import verify_size
 from test_graph import levelwise_mask_dist
 
 

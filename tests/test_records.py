@@ -17,9 +17,10 @@ import dynspan
 from dynspan.adversary import MachineDelete
 from dynspan.fully_dynamic import RebuildInfo
 from dynspan.graph import INSERT, UpdateEvent
-from dynspan.instrumentation import MetricsRow, OverheadReport, OverheadSample, Step
+from dynspan.instrumentation import MetricsRow, Step
 from dynspan.job_machine import StepReport
 from dynspan.oracle import SpannerMasks, StretchReport
+from helpers import OverheadReport, OverheadSample
 
 SRC = Path(dynspan.__file__).resolve().parent
 

@@ -41,11 +41,10 @@ def engine_reports(ps, name):
 def test_core_rows_track_common_neighbors():
     counter = OpCounter()
     ps = PhaseState(DynamicGraph(5), seed=1, bucket_of=[0, 0, 1, 1, 1], counter=counter)
-    for e in [(0, 2), (1, 2)]:
-        ps._init_edge(ps.g.insert_edge(*e))
+    ps._init_edges([ps.g.insert_edge(*e) for e in [(0, 2), (1, 2)]])
     assert ps.core[0] & ps.core[1] == 1 << 2
     for e in [(0, 3), (1, 3)]:
-        ps._init_edge(ps.g.insert_edge(*e))
+        ps._init_edges((ps.g.insert_edge(*e),))
     assert ps.core[0] & ps.core[1] == 1 << 2 | 1 << 3
     ps.delete(1, 2)
     assert ps.core[0] & ps.core[1] == 1 << 3
@@ -96,24 +95,31 @@ def test_bad_bucket_maps_are_rejected(bucket_of):
 @pytest.mark.parametrize("seed", range(4))
 def test_phase_build_order_does_not_matter(seed):
     # the wrapped runner builds a successor from its edge list plus the
-    # journal, out of key order, so a later edge can take an earlier one's
-    # partner role; the result must be the key-order build's
+    # journal, out of key order and one edge or pair per task, so a later
+    # edge can take an earlier one's partner role; a shuffled build, in one
+    # batch or one item at a time, must be the key-order build in one batch
     rng = random.Random(seed)
     n = 30
     edges = rng.sample(list(itertools.combinations(range(n), 2)), 150)
     by_key = PhaseState(DynamicGraph(n, edges), seed, counter=OpCounter())
-    shuffled = PhaseState(DynamicGraph(n), seed, counter=OpCounter())
     rng.shuffle(edges)
+    shuffled = PhaseState(DynamicGraph(n), seed, counter=OpCounter())
+    shuffled._init_edges([shuffled.g.insert_edge(*e) for e in edges])
+    shuffled._init_pairs(shuffled._pair_keys())
+    single = PhaseState(DynamicGraph(n), seed, counter=OpCounter())
     for e in edges:
-        shuffled._init_edge(shuffled.g.insert_edge(*e))
-    for p in shuffled._pair_keys():
-        shuffled._init_pair(p)
-    shuffled.roles.flush()
-    shuffled.check_invariants()
-    assert shuffled.roles.count == by_key.roles.count
-    assert shuffled.witnesses() == by_key.witnesses()
-    for module in ("partnership", "job_machine"):
-        assert shuffled.counter.by_module[module] == by_key.counter.by_module[module]
+        single._init_edges((single.g.insert_edge(*e),))
+    for p in single._pair_keys():
+        single._init_pairs((p,))
+    for ps in (shuffled, single):
+        ps.roles.flush()
+        ps.check_invariants()
+        assert ps.roles.count == by_key.roles.count
+        assert ps.witnesses() == by_key.witnesses()
+        for attr in ("loads", "live", "assigned"):
+            assert getattr(ps.engine, attr) == getattr(by_key.engine, attr), attr
+        assert ps.engine.rng.getstate() == by_key.engine.rng.getstate()
+        assert ps.counter.by_module == by_key.counter.by_module
 
 
 def test_phase_check_catches_a_stale_core_bit():
