@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Hashable, NamedTuple
 
-from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key, nth_bit
+from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, edge_key, nth_bit, rank_below
 from dynspan.instrumentation import EdgeRanks, InvariantBroken
 
 
@@ -46,7 +46,7 @@ class AdversaryView(NamedTuple):
 
 def _uniform_present_edge(g: DynamicGraph, rng: random.Random) -> tuple[int, int]:
     """Degree-weighted vertex then uniform neighbor: uniform over edges."""
-    r = rng.randrange(2 * g.m)
+    r = rank_below(rng.getrandbits, 2 * g.m)
     for u, row in enumerate(g.adj_mask):
         d = row.bit_count()
         if r < d:
@@ -59,9 +59,10 @@ def _uniform_absent_pair(g: DynamicGraph, rng: random.Random) -> tuple[int, int]
     total = g.n * (g.n - 1) // 2
     if g.m >= total:
         raise Exhausted("graph is complete")
+    bits = rng.getrandbits
     while True:  # rejection sampling; absent pairs are the common case
-        u = rng.randrange(g.n)
-        v = rng.randrange(g.n)
+        u = rank_below(bits, g.n)
+        v = rank_below(bits, g.n)
         if u != v and not g.has_edge(u, v):
             return edge_key(u, v)
 
@@ -131,7 +132,7 @@ class SpannerTargeting(_EdgeAdversary):
         elif view.spanner_masks is not None:
             ranks = EdgeRanks(view.spanner_masks())
         if ranks is not None and ranks.total:
-            return ranks.edge_at(self.rng.randrange(ranks.total))
+            return ranks.edge_at(rank_below(self.rng.getrandbits, ranks.total))
         return _uniform_present_edge(view.graph, self.rng)
 
 

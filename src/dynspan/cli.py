@@ -27,7 +27,7 @@ from dynspan.adversary import (
 )
 from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
-from dynspan.graph import DynamicGraph, GraphError
+from dynspan.graph import DynamicGraph, GraphError, sample_below
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import InvariantBroken, MetricsRow, OpCounter, Step, write_metrics_csv
 from dynspan.job_machine import HyperInstance, JobMachineError, ResamplingEngine, random_instance
@@ -50,13 +50,13 @@ class CheckFailed(Exception):
 
 def seeded_graph(n: int, m: int, seed: int, counter: OpCounter | None = None) -> DynamicGraph:
     """m distinct pairs drawn by rank from the lexicographic list of all
-    n(n-1)/2, which is never built: `sample` reads only its length."""
+    n(n-1)/2, which is never built: `sample_below` draws the ranks."""
     total = n * (n - 1) // 2 if n > 0 else 0
     if m > total:
         raise BadArgs(f"--init-m {m} exceeds {total} possible edges")
     starts = list(itertools.accumulate(range(n - 1, 0, -1), initial=0))  # row u's first rank
     edges = []
-    for r in random.Random(seed).sample(range(total), m):
+    for r in sample_below(random.Random(seed).getrandbits, total, m):
         u = bisect.bisect_right(starts, r) - 1
         edges.append((u, u + 1 + r - starts[u]))
     return DynamicGraph(n, edges, counter=counter)

@@ -7,11 +7,16 @@ count bits, and edges are walked bit by bit.  `mask_dist` is the one
 bounded BFS over such rows: it grows the smaller of two frontiers, one
 per endpoint, and is exact because two balls whose radii sum to less
 than d(src, dst) are disjoint.
+
+`rank_below` and `sample_below` are the program's one draw rule: every
+draw reads a generator's `getrandbits` alone, so no stream rests on a
+private function of `random`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from math import ceil, log
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from dynspan.instrumentation import OpCounter
 
@@ -98,6 +103,54 @@ def nth_bit(mask: int, r: int) -> int:
     for _ in range(r):
         mask &= mask - 1
     return (mask & -mask).bit_length() - 1
+
+
+def rank_below(getrandbits: Callable[[int], int], c: int) -> int:
+    """A uniform draw from range(c), by the rank rule: redraw
+    getrandbits(c.bit_length()) until the value is below c.  Under CPython
+    3.11 it draws, from the same bits, what randrange(c) draws.  c < 1 raises
+    ValueError: getrandbits(0) is always 0, so the rule would never stop."""
+    if c < 1:
+        raise ValueError(f"empty range for rank_below: {c}")
+    k = c.bit_length()
+    r = getrandbits(k)
+    while r >= c:
+        r = getrandbits(k)
+    return r
+
+
+def sample_below(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """k distinct draws from range(n), in draw order, each by the rank rule.
+    The two branches are CPython 3.11's `sample(range(n), k)`: when an
+    n-list is smaller than a k-set, draw an index into the shrinking pool and
+    fill its hole from the end; otherwise redraw from all of range(n) past
+    the values drawn.  So it draws the same values, from the same bits."""
+    if not 0 <= k <= n:
+        raise ValueError(f"sample_below: cannot draw {k} of {n}")
+    setsize = 21  # a small set's size less an empty list's, as `sample` has it
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        out = []
+        for c in range(n, n - k, -1):
+            b = c.bit_length()
+            j = getrandbits(b)
+            while j >= c:
+                j = getrandbits(b)
+            out.append(pool[j])
+            pool[j] = pool[c - 1]
+        return out
+    b = n.bit_length()
+    drawn: set[int] = set()
+    out = []
+    for _ in range(k):
+        j = getrandbits(b)
+        while j >= n or j in drawn:
+            j = getrandbits(b)
+        drawn.add(j)
+        out.append(j)
+    return out
 
 
 def mask_dist(adj_mask: list[int], src: int, dst: int, cap: int | None = None) -> int | None:

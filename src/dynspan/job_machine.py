@@ -17,13 +17,15 @@ witness routines off its core rows.
 Index order fixes the draws, and so every output.  The engine's rank
 rule: a draw over c live routines redraws getrandbits(c.bit_length())
 until the value r is below c, and takes the live bit of rank r, counting
-from the lowest.  The rule is the engine's own, so the stream depends on
-no private function of `random`; under CPython 3.11 it draws what
-randrange(c) drew.  `HyperInstance` sorts a job's routines by
-repr(machines) and each `on(x)` by repr(job), the order of the routine
-objects this engine once kept; routine w of a phase's pair is its witness
-w, so a phase draws in ascending-w order.  Due jobs run in repr(job)
-order.  A resample that redraws the assigned routine moves no load.
+from the lowest.  It is `graph.rank_below`, the one draw rule of the
+program, written inline so that a draw costs no call; so the stream
+depends on `getrandbits` alone, and on no private function of `random`.
+Under CPython 3.11 it draws what randrange(c) drew.  `HyperInstance`
+sorts a job's routines by repr(machines) and each `on(x)` by repr(job),
+the order of the routine objects this engine once kept; routine w of a
+phase's pair is its witness w, so a phase draws in ascending-w order.  Due
+jobs run in repr(job) order.  A resample that redraws the assigned
+routine moves no load.
 
 Step order per machine deletion: extend schedules of touched jobs with
 {T + 2^k : k >= 0, T + 2^k <= horizon}, advance the clock, then resample
@@ -71,7 +73,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from dynspan.graph import UpdateEvent
+from dynspan.graph import UpdateEvent, rank_below, sample_below
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleSet, Step
 
 
@@ -115,14 +117,15 @@ class HyperInstance:
                 raise UnknownJob(f"routine references unknown job {job!r}")
             if not ms:
                 raise JobMachineError("routine with empty machine set")
-            for x in ms:
-                if x not in machine_set:
-                    raise MachineMissing(f"routine references unknown machine {x!r}")
+            if not machine_set.issuperset(ms):
+                x = next(x for x in ms if x not in machine_set)
+                raise MachineMissing(f"routine references unknown machine {x!r}")
             table[job].append(ms)
         on: dict[Hashable, list[tuple[Hashable, int]]] = {}
         for job in sorted(table, key=repr):  # so each on(x) list is in repr(job) order
             rows = table[job]
-            rows.sort(key=repr)
+            if len(rows) > 1:
+                rows.sort(key=repr)
             for i, ms in enumerate(rows):
                 for x in ms:
                     entries = on.setdefault(x, [])
@@ -551,12 +554,13 @@ MAX_MACHINES_PER_ROUTINE = 3
 def random_instance(rng: random.Random, jobs: int, machines: int) -> HyperInstance:
     """Seeded fuzz instance; routines of one job use disjoint machine sets."""
     routines = []
+    bits = rng.getrandbits
     for job in range(jobs):
-        budget = rng.randrange(1, MAX_ROUTINES_PER_JOB + 1)
-        pool = rng.sample(range(machines), min(machines, budget * MAX_MACHINES_PER_ROUTINE))
+        budget = 1 + rank_below(bits, MAX_ROUTINES_PER_JOB)
+        pool = sample_below(bits, machines, min(machines, budget * MAX_MACHINES_PER_ROUTINE))
         i = 0
         for _ in range(budget):
-            width = rng.randrange(1, MAX_MACHINES_PER_ROUTINE + 1)
+            width = 1 + rank_below(bits, MAX_MACHINES_PER_ROUTINE)
             chunk = pool[i : i + width]
             i += width
             if not chunk:

@@ -45,7 +45,7 @@ import math
 import random
 from typing import Iterable, NamedTuple, Sequence
 
-from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist
+from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist, sample_below
 from dynspan.instrumentation import EdgeRanks, adjacency_masks
 
 
@@ -247,10 +247,10 @@ def verify_stretch(
                     worst, worst_edge = 1, (u, (above & -above).bit_length() - 1)
                     break
     else:
-        # sample ranks, not a list of edges: random.sample only indexes its
-        # population, so the edges drawn are those of sample(list(g.edges()))
+        # sample ranks, not a list of edges: `sample_below` draws the indices
+        # that random.sample(list(g.edges()), sample) draws, so the same edges
         ranks = EdgeRanks(g.adj_mask)
-        for r in random.Random(seed).sample(range(g.m), sample):
+        for r in sample_below(random.Random(seed).getrandbits, g.m, sample):
             u, v = ranks.edge_at(r)
             d = mask_dist(masks, u, v) or math.inf
             if d > worst:

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from dynspan.det3 import bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, by_kind, edge_key
-from dynspan.graph import check_rows, iter_bits, nth_bit, row_edges
+from dynspan.graph import check_rows, iter_bits, nth_bit, rank_below, row_edges
 from dynspan.instrumentation import InvariantBroken, OpCounter, RoleOutput, RoleSet, Step
 from dynspan.job_machine import ResamplingEngine
 
@@ -293,7 +293,7 @@ class WrappedRunner(RoleOutput):
         self.rng = random.Random(seed)
         self.D_cur = PhaseState(
             graph,
-            self.rng.randrange(2**62),
+            rank_below(self.rng.getrandbits, 2**62),
             phase_len=2 * rotation_len,
             bucket_of=bucket_of,
             counter=self.counter,
@@ -344,7 +344,7 @@ class WrappedRunner(RoleOutput):
         s = r if r * r == self.n else r + 1
         est = self.C_TASK * (len(self.MAT) + len(journal_prev) + 2 * self.L) * (s + 4)
         allowance = -(-est // third)
-        build = self._build(self.rng.randrange(2**62), journal_prev)
+        build = self._build(rank_below(self.rng.getrandbits, 2**62), journal_prev)
         self.window += 1
         log_l = math.floor(math.log2(2 * self.L)) + 1
         log_n = math.ceil(math.log2(max(self.n, 2)))
@@ -489,7 +489,10 @@ class Resample3(RoleOutput):
     def _new_phase(self) -> PhaseState:
         self.phase_index += 1
         phase = PhaseState(
-            self.g, self.rng.randrange(2**62), phase_len=self.phase_len, counter=self.counter
+            self.g,
+            rank_below(self.rng.getrandbits, 2**62),
+            phase_len=self.phase_len,
+            counter=self.counter,
         )
         self.counter.end_step()
         return phase

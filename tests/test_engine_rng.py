@@ -1,15 +1,18 @@
-"""The resampling engine draws only through `getrandbits`.
+"""Every draw of the program reads its generator through `getrandbits`.
 
-Its rank rule (see `dynspan.job_machine`) is written in the engine, so the
-stream of draws depends on `random.Random.getrandbits` alone: a method that
-read `self.rng` any other way (`randrange`, `choice`, passing the generator
-on) would tie every output to a private algorithm of `random` again.
+`graph.rank_below` and `graph.sample_below` are the one draw rule: a draw
+below c redraws getrandbits(c.bit_length()) until the value is below c,
+and a sample of range(n) is a run of such draws.  The engine writes the
+same rule inline.  So every stream (the engine's draws, the jm instance,
+every adversary, the start graph, the sampled oracle and the phase seeds)
+depends on `random.Random.getrandbits` and, for the adversaries' coin,
+`random()` alone: a call of `randrange`, `sample`, `choice` and the like
+would tie an output to a private algorithm of `random` again.
 
-The rest of the program still draws through `randrange`: the jm instance,
-every adversary and the resample3 phase seeds.  Those streams rest on
-CPython's private `_randbelow`, which today draws by the same rule; the last
-test here pins that, so an interpreter that changes it fails one named test
-before it moves the golden digests.
+The walkers here fail on such a read anywhere in `src/dynspan`, or on any
+read of the engine's `self.rng` but `getrandbits`.  The differential tests
+show why no output moved when the program stopped calling `randrange` and
+`sample`: under CPython 3.11 those draw the same values from the same bits.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+
+import dynspan
 from dynspan import job_machine
+from dynspan.graph import rank_below, sample_below
+
+# the methods of `random.Random` that draw through its private `_randbelow`
+RANDBELOW_DRAWS = {"randrange", "randint", "sample", "choice", "choices", "shuffle"}
 
 
 def is_self_rng(node: ast.AST) -> bool:
@@ -48,6 +58,19 @@ def rng_reads(tree: ast.AST, cls: str = "ResamplingEngine"):
                 outer = parent[sub]
                 if not (isinstance(outer, ast.Attribute) and outer.attr == "getrandbits"):
                     yield method.name, ast.unparse(outer)
+
+
+def randbelow_reads(tree: ast.AST):
+    """(line, expression) of every read of one of `RANDBELOW_DRAWS` as an
+    attribute, whatever it is read from, and of every import of one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in RANDBELOW_DRAWS:
+            if isinstance(node.ctx, ast.Load):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in RANDBELOW_DRAWS:
+                    yield node.lineno, f"from {node.module} import {alias.name}"
 
 
 def test_the_engine_reads_its_rng_only_through_getrandbits():
@@ -88,29 +111,75 @@ def test_the_walker_sees_every_other_read_of_the_rng():
     }
 
 
-def rank_rule(rng: random.Random, c: int) -> int:
-    """The engine's rank rule for c >= 1: redraw getrandbits(c.bit_length())
-    until the value is below c."""
-    k = c.bit_length()
-    r = rng.getrandbits(k)
-    while r >= c:
-        r = rng.getrandbits(k)
-    return r
+def test_no_module_draws_through_randbelow():
+    sources = sorted(Path(dynspan.__file__).parent.glob("*.py"))
+    assert {p.name for p in sources} >= {"adversary.py", "cli.py", "job_machine.py", "oracle.py"}
+    found = {p.name: list(randbelow_reads(ast.parse(p.read_text()))) for p in sources}
+    assert {name: reads for name, reads in found.items() if reads} == {}
 
 
-# the sizes the program passes to `randrange`: pair draws (n <= 256) and
-# spanner ranks, degree walks (2m: ~3000 and ~16000 on the benchmark's
-# graphs), the jm instance's pools (16000 machines), and the phase seeds
+def test_the_module_walker_sees_a_planted_draw():
+    code = (
+        "import random\n"
+        "from random import shuffle\n"
+        "def pick(rng, n, sample, xs):\n"
+        "    bits = rng.getrandbits(8) + rng.random()\n"  # the two draws allowed
+        "    parser.add_argument('--check', choices=['none'])\n"  # a keyword, not a read
+        "    first = sample + n\n"  # a name, not a draw
+        "    return rng.randrange(n), random.Random(1).sample(xs, 2), rng.choice\n"
+    )
+    assert set(randbelow_reads(ast.parse(code))) == {
+        (2, "from random import shuffle"),
+        (7, "rng.randrange"),
+        (7, "random.Random(1).sample"),
+        (7, "rng.choice"),
+    }
+
+
+def test_an_empty_range_raises_rather_than_spins():
+    bits = random.Random(0).getrandbits
+    for c in (0, -1, -(2**62)):
+        with pytest.raises(ValueError):
+            rank_below(bits, c)
+    for n, k in ((0, 1), (5, 6), (5, -1), (100, 101), (100, -3)):
+        with pytest.raises(ValueError):
+            sample_below(bits, n, k)
+
+
+# the sizes the program draws below: pair draws (n <= 256) and spanner
+# ranks, degree walks (2m: ~3000 and ~16000 on the benchmark's graphs), the
+# jm instance's pools (16000 machines), and the phase seeds
 RANDRANGE_SIZES = [*range(1, 300), *range(2990, 3010), *range(15990, 16010), 2**62]
 
 
 def test_randrange_draws_by_the_engines_rank_rule():
+    """Why no digest moved when the program's draws left `randrange`: under
+    CPython 3.11, `randrange(c)` and `rank_below(getrandbits, c)` draw the
+    same values and consume the same bits, as does `randrange(lo, hi)` and lo
+    plus a rank below hi - lo (`random_instance`'s two draws)."""
     for seed in (0, 1, 601):
         for c in RANDRANGE_SIZES:
             ours, theirs = random.Random(seed), random.Random(seed)
-            want = [rank_rule(ours, c) for _ in range(16)]
+            want = [rank_below(ours.getrandbits, c) for _ in range(16)]
             assert [theirs.randrange(c) for _ in range(16)] == want, c
             assert theirs.getstate() == ours.getstate(), c  # and the same bits consumed
         ours, theirs = random.Random(seed), random.Random(seed)
-        for lo, hi in ((1, 7), (1, 4)):  # randrange(lo, hi) is lo + a draw below hi - lo
-            assert theirs.randrange(lo, hi) == lo + rank_rule(ours, hi - lo)
+        for lo, hi in ((1, 7), (1, 4)):
+            assert theirs.randrange(lo, hi) == lo + rank_below(ours.getrandbits, hi - lo)
+        assert theirs.getstate() == ours.getstate()
+
+
+# `sample` keeps a list of the population while it is no larger than a set
+# of k draws: up to n = 21 for k <= 5, 85 for 6 <= k <= 21 and 277 for
+# 22 <= k <= 85.  Each size here sits on one side of such a boundary.
+SAMPLE_SIZES = [*range(0, 24), 84, 85, 86, 87, 276, 277, 278, 3000, 16000, 2**40]
+
+
+@pytest.mark.parametrize("n", SAMPLE_SIZES)
+def test_sample_below_draws_what_sample_draws(n):
+    ks = {0, 1, 2, 5, 6, 7, 21, 22, 64, n} | ({n - 1} if n else set())
+    for seed in (0, 7, 601):
+        for k in sorted(k for k in ks if k <= min(n, 300)):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert sample_below(ours.getrandbits, n, k) == theirs.sample(range(n), k), (n, k)
+            assert theirs.getstate() == ours.getstate(), (n, k)

@@ -103,12 +103,15 @@ def run_outputs(algo: str, tmp_path) -> tuple[bytes, bytes]:
     return out.read_bytes(), json.dumps(meta, sort_keys=True).encode()
 
 
+# the start graph of every adversary stream: 120 of the pairs on 20 vertices
+STREAM_START = random.Random(11).sample(list(itertools.combinations(range(20), 2)), 120)
+
+
 def adversary_stream(name: str, p_insert: float, count: int = 100) -> str:
     """The first `count` events of one adversary driving a resample3
     structure on 20 vertices; p_insert=1 fills the graph and forces
     deletions once it is complete."""
-    pairs = list(itertools.combinations(range(20), 2))
-    g = DynamicGraph(20, random.Random(11).sample(pairs, 120))
+    g = DynamicGraph(20, STREAM_START)
     r3 = Resample3(g, seed=12, phase_len=40)
     adv = ADVERSARIES[name](13, count, p_insert=p_insert)
     view = AdversaryView(g, spanner_masks=r3.spanner_masks, heaviest_machine=r3.heaviest_machine)
@@ -123,19 +126,33 @@ def adversary_stream(name: str, p_insert: float, count: int = 100) -> str:
     return "\n".join(lines)
 
 
-def wrapped_steps() -> str:
+WRAPPED_N, WRAPPED_L = 14, 12
+
+
+def wrapped_stream() -> tuple[list[tuple[int, int]], list[UpdateEvent]]:
+    """The start edges and the 3L + 1 updates of `wrapped_steps`: half
+    deletions of a uniform edge, half insertions of a uniform absent pair.
+    The stream depends on the graph alone, so a copy of it stands in for
+    the runner's."""
     rng = random.Random(29)
-    n, L = 14, 12
-    pairs = list(itertools.combinations(range(n), 2))
-    g = DynamicGraph(n, rng.sample(pairs, 40))
-    runner = WrappedRunner(g, seed=37, rotation_len=L)
-    out = []
-    for seq in range(1, 3 * L + 2):
-        g = runner.graph  # the live instance's graph; rotations replace it
+    pairs = list(itertools.combinations(range(WRAPPED_N), 2))
+    start = rng.sample(pairs, 40)
+    g = DynamicGraph(WRAPPED_N, start)
+    events = []
+    for seq in range(1, 3 * WRAPPED_L + 2):
         if g.m and rng.random() < 0.5:
             ev = UpdateEvent(seq, DELETE, rng.choice(sorted(g.edges())))
         else:
             ev = UpdateEvent(seq, INSERT, rng.choice([p for p in pairs if not g.has_edge(*p)]))
+        g.apply(ev)
+        events.append(ev)
+    return start, events
+
+
+def wrapped_steps(start: list[tuple[int, int]], events: list[UpdateEvent]) -> str:
+    runner = WrappedRunner(DynamicGraph(WRAPPED_N, start), seed=37, rotation_len=WRAPPED_L)
+    out = []
+    for ev in events:
         step = runner.update(ev)
         # one line per update: the step's fields, then the window's declared budget
         fields = ", ".join(f"{k}={v}" for k, v in step._asdict().items())
@@ -156,4 +173,26 @@ def test_adversary_event_streams(name, p_insert):
 
 
 def test_wrapped_runner_steps():
-    assert digest(wrapped_steps()) == WRAPPED_DIGEST
+    assert digest(wrapped_steps(*wrapped_stream())) == WRAPPED_DIGEST
+
+
+def test_every_digest_rests_on_getrandbits_and_random_alone(tmp_path, monkeypatch):
+    """No output of the program draws through `random`'s private
+    `_randbelow`: with it, and every method that calls it, made to raise,
+    each run, stream and wrapped-runner digest still holds.  The tests' own
+    draws are made first."""
+    stream = wrapped_stream()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw through random's private _randbelow")
+
+    for name in ("randrange", "randint", "sample", "choice", "choices", "shuffle", "_randbelow"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    with pytest.raises(AssertionError, match="_randbelow"):
+        random.Random(1).randrange(5)  # the patch is in force
+    for algo in sorted(RUNS):
+        csv, meta = run_outputs(algo, tmp_path)
+        assert (digest(csv), digest(meta)) == RUN_DIGESTS[algo], algo
+    for name, p_insert in sorted(STREAM_DIGESTS):
+        assert digest(adversary_stream(name, p_insert)) == STREAM_DIGESTS[(name, p_insert)]
+    assert digest(wrapped_steps(*stream)) == WRAPPED_DIGEST
