@@ -14,44 +14,47 @@ and `target`, which skip the dead ones and those of jobs not yet added.
 `HyperInstance` embeds as a table; resample3's `PhaseState` reads its
 witness routines off its core rows.
 
-Index order fixes the draws, and so every output.  The engine's rank
+Input order fixes the draws, and so every output.  The engine's rank
 rule: a draw over c live routines redraws getrandbits(c.bit_length())
 until the value r is below c, and takes the live bit of rank r, counting
 from the lowest.  It is `graph.rank_below`, the one draw rule of the
 program, written inline so that a draw costs no call; so the stream
 depends on `getrandbits` alone, and on no private function of `random`.
 Under CPython 3.11 it draws what randrange(c) drew.  `HyperInstance`
-sorts a job's routines by repr(machines) and each `on(x)` by repr(job),
-the order of the routine objects this engine once kept; routine w of a
-phase's pair is its witness w, so a phase draws in ascending-w order.  Due
-jobs run in repr(job) order.  A resample that redraws the assigned
+keeps a job's routines in input order, which is their index order, and
+each `on(x)` in (job input order, index) order; routine w of a phase's
+pair is its witness w, so a phase draws in ascending-w order.  `list_at`
+maps a step to a dict used as an ordered set, so a step's due jobs draw
+in the order they were scheduled.  A resample that redraws the assigned
 routine moves no load.
 
 Step order per machine deletion: extend schedules of touched jobs with
 {T + 2^k : k >= 0, T + 2^k <= horizon}, advance the clock, then resample
 every job due now (the T+1 entry delivers the immediate repair) in one
-loop, `_draw`, the draw body that `resample` shares.  The deletion only
-records the death of a job's assigned routine; the repair draw unloads
-the dying routine from its surviving machines, and unassigns the job if
-no live routine is left.  A due job with no live routine draws nothing
-and stays unassigned, but its entry is still a resample event and
-counts in `StepReport.resampled`, so in the CSV `resamples` column too.
-A machine costs one unit to add, a job Σ|machines|, a deletion 1 plus
-the other machines of each routine it kills, and a draw that returns a
-routine one unit, charged by the caller of `_draw`.  `add_jobs` charges
-its batch's slots and draws at once, as `_step` does the draws of its
-step; a direct `resample` charges nothing.
+loop, `_draw`.  The deletion only records the death of a job's assigned
+routine; the repair draw unloads the dying routine from its surviving
+machines, and unassigns the job if no live routine is left.  A touched
+job with no live routine left gets that T+1 entry alone.  A due job with
+no live routine draws nothing, and only draws count as resamples: in
+`StepReport.resamples`, so in the CSV `resamples` column too.  A machine
+costs one unit to add, a job Σ|machines|, a deletion 1 plus the other
+machines of each routine it kills, a schedule entry one unit, and a draw
+that returns a routine one unit, charged by the caller of `_draw`.
+`add_jobs` charges its batch's slots and draws at once, as `_step` does
+the draws of its step.
 
 Besides the schedule `list_at`, the engine keeps per job only the steps
 of its touches (deaths of its assigned routine).  Its resample events,
-which only the relevance replay `rel_times` reads, follow from them
-(`resample_times`): the build draw at 0, as jobs join before the clock
-starts, and each entry c + 2^k <= T of a touch at c.  A direct `resample`
-is no event; no step calls it.  A touch at c scheduled the job at
-c + 2^k, so its first entry after a step s >= c is
-c + 2^bit_length(s - c), and an event at s is blocked at t iff some touch
-c <= s has that entry before t.  An entry that the dedup in `list_at`
-skipped belongs to an earlier touch, which blocks the same events.
+its draws, which only the relevance replay `rel_times` reads, follow from
+them (`resample_times`): the build draw at 0, as jobs join before the
+clock starts, and each entry c + 2^k <= T of a touch at c.  A job whose
+last routine died draws nothing after that touch, so its events stop
+there; a job with no live routine at its build has none.  A touch at c
+of a job still live scheduled it at every c + 2^k, so its first entry
+after a step s >= c is c + 2^bit_length(s - c), and an event at s is
+blocked at t iff some touch c <= s has that entry before t.  An entry
+that the dedup in `list_at` skipped belongs to an earlier touch, which
+blocks the same events.
 
 The max-load adversary attacks the heaviest machine: the live machine of
 largest load, ties going to the smallest machine.  The load index keeps,
@@ -122,10 +125,7 @@ class HyperInstance:
                 raise MachineMissing(f"routine references unknown machine {x!r}")
             table[job].append(ms)
         on: dict[Hashable, list[tuple[Hashable, int]]] = {}
-        for job in sorted(table, key=repr):  # so each on(x) list is in repr(job) order
-            rows = table[job]
-            if len(rows) > 1:
-                rows.sort(key=repr)
+        for job, rows in table.items():  # so each on(x) list is in (job, index) order
             for i, ms in enumerate(rows):
                 for x in ms:
                     entries = on.setdefault(x, [])
@@ -136,7 +136,7 @@ class HyperInstance:
                             msg = f"job {job!r}: two routines share machine {x!r}"
                         raise DisjointnessViolated(msg)
                     entries.append((job, i))
-        self.table = table  # job -> its routines' machines, in index order
+        self.table = table  # job -> its routines' machines, in input order
         self._on = on
 
     def machines(self, job: Hashable, i: int) -> tuple[Hashable, ...]:
@@ -192,12 +192,8 @@ def _fresh(kind: str, keys: Sequence[Hashable], present: dict) -> dict[Hashable,
 
 class StepReport(NamedTuple):
     touched: tuple[Hashable, ...]
-    resampled: tuple[Hashable, ...]
+    resamples: int  # the draws made
     schedule_added: int
-
-    @property
-    def resamples(self) -> int:
-        return len(self.resampled)
 
 
 class ResamplingEngine:
@@ -222,7 +218,6 @@ class ResamplingEngine:
         self.counter = counter or OpCounter()
         self.T = 0
         self.live: dict[Hashable, int] = {}  # job -> bitmask of its live routines
-        self._job_repr: dict[Hashable, str] = {}  # due jobs run in repr order
         self.assigned: dict[Hashable, int | None] = {}
         self.assigned_count = 0  # jobs whose assigned routine is not None
         self.loads: dict[Hashable, int] = {}  # keyed by the live machines
@@ -230,7 +225,7 @@ class ResamplingEngine:
         self._max_load = 0  # no live machine is heavier; lowered lazily
         # load -> min-heap holding every live machine of that load, or None until read
         self._heaps: list[list[Hashable] | None] = [None]
-        self.list_at: dict[int, set[Hashable]] = {}  # step -> jobs due then
+        self.list_at: dict[int, dict[Hashable, None]] = {}  # step -> jobs due then, in order
         # replayable history: the steps of each job's touches
         self.touch_times: dict[Hashable, list[int]] = {}
         if isinstance(embedder, HyperInstance):
@@ -260,12 +255,10 @@ class ResamplingEngine:
             raise JobMachineError(f"jobs added at step {self.T}: the clock has started")
         names = [job for job, _, _ in jobs]
         _fresh("job", names, self.live)
-        live, job_repr, assigned = self.live, self._job_repr, self.assigned
-        touch_times = self.touch_times
+        live, assigned, touch_times = self.live, self.assigned, self.touch_times
         slots = 0
         for job, mask, k in jobs:
             live[job] = mask
-            job_repr[job] = repr(job)
             assigned[job] = None
             touch_times[job] = []
             slots += k
@@ -330,14 +323,6 @@ class ResamplingEngine:
         return total
 
     # -- the dynamic process --
-
-    def resample(self, job: Hashable) -> int | None:
-        """Reassign `job` uniformly over its live routines.  Not a resample
-        event (see `resample_times`), and it charges nothing: a forced draw."""
-        if job not in self.live:
-            raise UnknownJob(f"job {job!r} unknown")
-        self._draw((job,))
-        return self.assigned[job]
 
     def _draw(self, jobs: Iterable[Hashable]) -> int:
         """Resample each of `jobs` in turn; returns how many drew a routine.
@@ -470,22 +455,23 @@ class ResamplingEngine:
         for job in touched:
             schedule_added += self._extend_schedule(job)
         self.T += 1
-        due = sorted(self.list_at.pop(self.T, ()), key=self._job_repr.__getitem__)
-        self._charge(self._draw(due))
-        return StepReport(tuple(touched), tuple(due), schedule_added)
+        drawn = self._draw(self.list_at.pop(self.T, ()))
+        self._charge(drawn)
+        return StepReport(tuple(touched), drawn, schedule_added)
 
     def _extend_schedule(self, job: Hashable) -> int:
         T, list_at = self.T, self.list_at
         self.touch_times[job].append(T)
+        end = self.horizon if self.live[job] else T + 1  # a dead job: its repair entry alone
         added = 0
         step = 1
-        while T + step <= self.horizon:
+        while T + step <= end:
             at = T + step
             due = list_at.get(at)
             if due is None:
-                due = list_at[at] = set()
+                due = list_at[at] = {}
             if job not in due:
-                due.add(job)
+                due[job] = None
                 added += 1
             step *= 2
         self._charge(added)
@@ -494,17 +480,27 @@ class ResamplingEngine:
     # -- relevance replay --
 
     def resample_times(self, job: Hashable) -> list[int]:
-        """Steps of `job`'s resample events, ascending: its build draw at 0,
-        and every schedule entry c + 2^k <= T of a touch at c."""
-        T = self.T
-        due = {c + (1 << k) for c in self.touch_times[job] for k in range((T - c).bit_length())}
+        """Steps of `job`'s resample events, its draws, ascending: its build
+        draw at 0, and every schedule entry c + 2^k <= T of a touch at c.  A
+        job with no live routine draws nothing: its events end at its last
+        touch, the death of its last routine, and without a touch it had no
+        live routine at its build, so no event at all."""
+        touches = self.touch_times[job]
+        if self.live[job]:
+            end = self.T
+        elif touches:
+            end = touches[-1]
+        else:
+            return []
+        due = {c + (1 << k) for c in touches for k in range((end - c).bit_length())}
         return sorted(due | {0})
 
     def rel_times(self, t: int, job: Hashable, i: int) -> list[int]:
         """Steps of resample events of `job` before t that could still explain
         its live routine i being assigned at t: event at step s counts unless
         some schedule entry t' with s < t' < t already existed at step s,
-        derived from the touches as the module docstring says."""
+        derived from the touches as the module docstring says.  A job with
+        no live routine has no routine to explain, so it raises."""
         if not self.live.get(job, 0) >> i & 1:
             raise UnknownRoutine(f"routine {i} of job {job!r} not live")
         if t > self.T:
@@ -518,9 +514,6 @@ class ResamplingEngine:
             if not blocked:
                 times.append(s)
         return times
-
-    def rel_count(self, t: int, job: Hashable, i: int) -> int:
-        return len(self.rel_times(t, job, i))
 
     def check_feasible(self) -> None:
         """Asserts a feasible assignment, and load bookkeeping equal to a recount."""

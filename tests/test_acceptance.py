@@ -185,7 +185,7 @@ def jm_fuzz_runs():
                 rng = random.Random(step * 17 + seed)
                 for job, i in rng.sample(live, min(4, len(live))):
                     rel_checks.append(
-                        (eng.rel_count(t, job, i), math.floor(math.log2(max(t, 2))) + 1)
+                        (len(eng.rel_times(t, job, i)), math.floor(math.log2(max(t, 2))) + 1)
                     )
         assert len(samples) == 50 * 25
         assert len(rel_checks) == 40 * 4  # four live routines at every checkpoint

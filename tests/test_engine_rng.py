@@ -10,9 +10,12 @@ depends on `random.Random.getrandbits` and, for the adversaries' coin,
 would tie an output to a private algorithm of `random` again.
 
 The walkers here fail on such a read anywhere in `src/dynspan`, or on any
-read of the engine's `self.rng` but `getrandbits`.  The differential tests
-show why no output moved when the program stopped calling `randrange` and
-`sample`: under CPython 3.11 those draw the same values from the same bits.
+read of the engine's `self.rng` but `getrandbits`.  Input order fixes which
+job draws when, so another walker fails on any use of `repr` there: an
+order by `repr` would tie the draws to how values print.  The differential
+tests show why no output moved when the program stopped calling
+`randrange` and `sample`: under CPython 3.11 those draw the same values
+from the same bits.
 """
 
 from __future__ import annotations
@@ -134,6 +137,31 @@ def test_the_module_walker_sees_a_planted_draw():
         (7, "random.Random(1).sample"),
         (7, "rng.choice"),
     }
+
+
+def repr_reads(tree: ast.AST):
+    """(line, expression) of every read of the name `repr`: a call, a
+    `key=repr`, or any other use.  A `!r` conversion reads no name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "repr" and isinstance(node.ctx, ast.Load):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_no_module_orders_by_repr():
+    sources = sorted(Path(dynspan.__file__).parent.glob("*.py"))
+    found = {p.name: list(repr_reads(ast.parse(p.read_text()))) for p in sources}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_the_repr_walker_sees_a_planted_order():
+    code = (
+        "def order(table, rows, job):\n"
+        "    keys = sorted(table, key=repr)\n"
+        "    rows.sort(key=repr)\n"
+        "    name = repr(job)\n"
+        "    raise KeyError(f'job {job!r} unknown')\n"  # a conversion, allowed
+    )
+    assert set(repr_reads(ast.parse(code))) == {(2, "repr"), (3, "repr"), (4, "repr")}
 
 
 def test_an_empty_range_raises_rather_than_spins():

@@ -10,16 +10,20 @@ explain itself and replace the digest.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from dynspan import cli
 from dynspan.adversary import AdversaryView, RandomOblivious, SpannerTargeting, WitnessHammer
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
+from dynspan.job_machine import ResamplingEngine
 from dynspan.resample3 import Resample3, WrappedRunner
 
 RUNS = {
@@ -55,13 +59,14 @@ RUN_DIGESTS = {
         "89f79523431157473e3c833e74445c9c57355a814b860fe4d64fc3506c58a27b",
     ),
     "jm": (
-        "8f4b574d8b88be339714e345529a1d363a2aee4cfc5422dd6458871b940cbc10",
+        "9c94c21a64320dbb60c3333327732f94950833bf269fb251934f4e70cab888d1",
         "33de1b61560d38c1ad003273ab85489b0e19a8eea207266131c4d16f388400d9",
     ),
     # the two rollover rows (steps 26 and 51) report the swap of the whole output;
-    # a phase draws its witnesses in ascending-w order
+    # a phase draws its witnesses in ascending-w order, its due pairs in the
+    # order they were scheduled, and counts only the draws as resamples
     "resample3": (
-        "9becd378b3ce48fcb1d184c54413d89c96de4579a93a6b9f7d54acfc4faebd92",
+        "c8aa3dd9e26fa45f818e513fe19e52a9b18fc313a6d6ebca7a7c0bda60fd6d3b",
         "498578e2587b64d41e3c47eb7c0380f49ef28f64d8307f8332ac8ae67dc14185",
     ),
 }
@@ -73,20 +78,21 @@ ADVERSARIES = {
 }
 
 # the spanner-target and witness-hammer streams read a resample3 structure,
-# whose witness draws are in ascending-w order
+# whose witness draws are in ascending-w order within a pair and, across the
+# pairs due at a step, in the order they were scheduled
 STREAM_DIGESTS = {
     ("random", 0.0): "cda8677c143b66a54d1963f8f27237e2466b329b4c7ad98597878ea00509104b",
     ("random", 0.3): "f5ece9ef0b68740d03f2756836ca1a63c8f86f9347c2335a7caab3b0e1d55211",
     ("random", 1.0): "bfea82576757fc7ca4e8dbf0288922122dd1387ccb6119afd2a39a8ec6de5583",
-    ("spanner-target", 0.0): "075085af597a9d87182a3245d714c45b247411c110238976e366a33d6d100b53",
-    ("spanner-target", 0.3): "bb58305a08ecd0bc126d048b9999def038f8be895df7ddc346fac27f441e7b51",
-    ("spanner-target", 1.0): "f4d5ca6ab9e3a430963554052bbfd50ae601937d26ac2baff112e50341f6210c",
-    ("witness-hammer", 0.0): "6bfde6b338995cce3e290acdb3602a834cb7c56b2b446a0a691910edb29757c7",
-    ("witness-hammer", 0.3): "20d9b406b261f3c0092d5bbdfd58072722b70389d224a5476a7f45814a25ad69",
-    ("witness-hammer", 1.0): "2991489ca1c9207f0b6231025237a5aac7f06abb60977fbc720a13fb112b7126",
+    ("spanner-target", 0.0): "c3126b0afec0f93bd9349f7d013919f0cbd823369bc1537276be9775ce938517",
+    ("spanner-target", 0.3): "6ee1be72d6afde133ad838267682b1dbbcb7ab70f06995c076b9c248df0f740f",
+    ("spanner-target", 1.0): "8fe4a6ff14be738d3fdb1db6cd17b5bb860bec2c46c1132d2ceb3b1dfd46fce4",
+    ("witness-hammer", 0.0): "3c92e23b500a2607ef25fe684957d1620c275ff6748f1da857c558b90c10763d",
+    ("witness-hammer", 0.3): "fc4b331ce64ddb7885ac0b6b619a057227e569e1b97eace113154eb154154d7c",
+    ("witness-hammer", 1.0): "6f6bfccec4e344022d5fb49fbb1ed6f6afc03db398c025cd0522b0a0e82fb77c",
 }
 
-WRAPPED_DIGEST = "815b169034cf6d33915156d6d7921167a4e50c3b1732bad95d7183b5d2cf3e41"
+WRAPPED_DIGEST = "48020f4b0953f1df856bb4111cbf8e174257f58565e3c0340b48003703ebce57"
 
 
 def digest(data: bytes | str) -> str:
@@ -165,6 +171,32 @@ def wrapped_steps(start: list[tuple[int, int]], events: list[UpdateEvent]) -> st
 def test_run_csv_and_meta_bytes(algo, tmp_path):
     csv, meta = run_outputs(algo, tmp_path)
     assert (digest(csv), digest(meta)) == RUN_DIGESTS[algo]
+
+
+@pytest.mark.parametrize("algo", ["jm", "resample3"])
+def test_the_resamples_column_counts_the_draws(algo, tmp_path, monkeypatch):
+    """The CSV `resamples` column sums to the draws of the engine's steps: a
+    due job with no live routine draws nothing and is no resample.  A build
+    draws before its engine's clock starts, so in no row.  jm's
+    `recourse_add` counts the same draws."""
+    seen = Counter()
+    draw = ResamplingEngine._draw
+
+    def counting(eng, jobs):
+        jobs = list(jobs)
+        live = sum(1 for job in jobs if eng.live[job])
+        if eng.T:
+            seen["draws"] += live
+            seen["dead entries"] += len(jobs) - live
+        return draw(eng, jobs)
+
+    monkeypatch.setattr(ResamplingEngine, "_draw", counting)
+    out, _ = run_outputs(algo, tmp_path)
+    rows = list(csv.DictReader(io.StringIO(out.decode())))
+    assert seen["draws"] > len(rows) and seen["dead entries"]  # some entries came due dead
+    assert sum(int(row["resamples"]) for row in rows) == seen["draws"]
+    if algo == "jm":
+        assert sum(int(row["recourse_add"]) for row in rows) == seen["draws"]
 
 
 @pytest.mark.parametrize("name,p_insert", sorted(STREAM_DIGESTS))

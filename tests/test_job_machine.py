@@ -8,7 +8,7 @@ import itertools
 import math
 import random
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from types import SimpleNamespace
@@ -44,11 +44,16 @@ def held(eng, job):
     return eng.embedder.machines(job, eng.assigned[job])
 
 
+def redraw(eng, job):
+    """Draw `job` once, outside any step, and return its assignment: no
+    resample event, and no charge."""
+    eng._draw((job,))
+    return eng.assigned[job]
+
+
 def live_routines(eng):
-    """Every live (job, index), in (repr(job), repr(machines)) order."""
-    machines = eng.embedder.machines
-    live = [(job, i) for job, mask in eng.live.items() for i in iter_bits(mask)]
-    return sorted(live, key=lambda r: (repr(r[0]), repr(machines(*r))))
+    """Every live (job, index), in (job input order, index) order."""
+    return [(job, i) for job, mask in eng.live.items() for i in iter_bits(mask)]
 
 
 def test_init_no_jobs():
@@ -82,34 +87,37 @@ def test_resample_with_no_live_routines_is_unassigned():
     eng = engine_with([(0, (0,))], 1, 1)
     eng.delete_machine(0)
     assert eng.assigned[0] is None
-    assert eng.resample(0) is None
+    assert redraw(eng, 0) is None
     assert eng.assigned[0] is None and eng.assigned_count == 0  # no recourse for unassigned
 
 
-def test_a_dead_due_entry_draws_nothing_but_is_logged_and_counted():
-    # job 0's only routine dies with machine 0 at T=0, which schedules it at
-    # 1, 2, 4, ...: each entry then is an event and is counted as a resample
-    # without drawing, assigning or moving load; job 1 is never due
-    eng = engine_with([(0, (0,)), (1, (1,)), (1, (2,))], 2, 3, horizon=40)
-    state = eng.rng.getstate()
-    rep = eng.delete_machine(0)
-    assert rep.touched == (0,) and rep.resampled == (0,)  # the T+1 repair
-    assert eng.assigned[0] is None and eng.rng.getstate() == state
-    due = [2, 4, 8, 16, 32]
+def test_a_dead_due_entry_draws_nothing_and_is_not_counted():
+    # job 0 loses a routine at T=0, which schedules it at 1, 2, 4, 8, ..., and
+    # its last at T=2, which adds only the repair entry 3: from then on each
+    # due entry of job 0 draws, assigns and moves nothing, and is no resample
+    # event and no resample; job 1 is never due
+    eng = engine_with([(0, (0,)), (0, (1,)), (1, (2,)), (1, (3,))], 2, 4, horizon=40)
+    rep = eng.delete_machine(held(eng, 0)[0])
+    assert rep.touched == (0,) and rep.resamples == 1  # the T+1 repair draws
+    assert eng.tick().resamples == 1  # the T=2 entry
+    rep = eng.delete_machine(held(eng, 0)[0])
+    assert rep.touched == (0,) and rep.schedule_added == 1 and rep.resamples == 0
+    assert eng.assigned[0] is None and eng.resample_times(0) == [0, 1, 2]
+    eng.check_feasible()  # the repair entry unloaded the dead routine
+    dead_entries = 0
     while eng.T < eng.horizon:
-        events = eng.resample_times(0)
         state, loads = eng.rng.getstate(), dict(eng.loads)
+        dead_entries += 0 in eng.list_at.get(eng.T + 1, ())
         rep = eng.tick()
-        if eng.T in due:
-            assert eng.resample_times(0) == events + [eng.T]
-            assert eng.assigned[0] is None
-            assert eng.rng.getstate() == state
-            assert eng.loads == loads
-            assert rep.resampled == (0,)
-        else:
-            assert rep.resampled == ()
-    assert eng.resample_times(0) == [0, 1] + due
+        assert rep.resamples == 0 and eng.rng.getstate() == state and eng.loads == loads
+    assert dead_entries == 4  # the entries 4, 8, 16 and 32 of the first touch
+    assert eng.resample_times(0) == [0, 1, 2]
     eng.check_feasible()
+
+
+def test_a_job_without_routines_has_no_resample_event():
+    eng = engine_with([(1, (0,))], 2, 1)
+    assert eng.resample_times(0) == [] and eng.resample_times(1) == [0]
 
 
 def engine_state(eng):
@@ -196,12 +204,6 @@ def test_a_build_draws_and_adds_machines_in_one_call_each(monkeypatch):
     assert calls == {"_draw": 1, "add_machines": 1, "add_jobs": 1}
 
 
-def test_resample_unknown_job():
-    eng = engine_with([], 0, 1)
-    with pytest.raises(UnknownJob):
-        eng.resample(9)
-
-
 def test_disjointness_enforced():
     with pytest.raises(DisjointnessViolated):
         HyperInstance(range(1), range(3), [(0, (0, 1)), (0, (1, 2))])
@@ -216,19 +218,19 @@ def test_delete_zero_load_machine_still_drains_schedule():
     assert eng.assigned[0] is not None
     rep = eng.delete_machine(3)  # zero-load deletion at T=1
     assert rep.touched == ()
-    assert rep.resampled == (0,)  # the T=2 entry from the touch
+    assert rep.resamples == 1  # the T=2 entry from the touch
 
 
 def test_touch_at_t3_schedule_entries():
     # three no-op deletions, then kill the assigned machine at clock T=3
-    eng = engine_with([(0, (0,))], 1, 4, horizon=20)
+    eng = engine_with([(0, (0,)), (0, (4,))], 1, 5, horizon=20)
     for x in (1, 2, 3):
         eng.delete_machine(x)
-    rep = eng.delete_machine(0)
+    rep = eng.delete_machine(held(eng, 0)[0])
     assert rep.touched == (0,)
     assert eng.touch_times[0] == [3]
     # entries {4, 5, 7, 11, 19}: the clock reached 4 and drained its entry
-    assert rep.schedule_added == 5 and rep.resampled == (0,)
+    assert rep.schedule_added == 5 and rep.resamples == 1
     assert sorted(a for a, due in eng.list_at.items() if 0 in due) == [5, 7, 11, 19]
 
 
@@ -269,7 +271,7 @@ def test_rel_count_untouched_job_is_one():
     for _ in range(5):
         eng.delete_machine(2) if 2 in eng.loads else eng.tick()
     for t in (1, 3, 5):
-        assert eng.rel_count(t, 0, 0) == 1  # only the initial assignment
+        assert len(eng.rel_times(t, 0, 0)) == 1  # only the initial assignment
 
 
 def test_rel_count_single_touch_replay():
@@ -282,24 +284,24 @@ def test_rel_count_single_touch_replay():
         eng.tick()
     i = nth_bit(eng.live[0], 0)  # the one routine left
     assert eng.rel_times(20, 0, i) == [0, 19]
-    assert eng.rel_count(20, 0, i) <= math.floor(math.log2(20)) + 1
+    assert len(eng.rel_times(20, 0, i)) <= math.floor(math.log2(20)) + 1
 
 
 def test_rel_count_unknown_routine():
     eng = engine_with([(0, (0,))], 1, 1, horizon=5)
     with pytest.raises(UnknownRoutine):
-        eng.rel_count(0, 0, 1)  # job 0 has one routine, index 0
+        eng.rel_times(0, 0, 1)  # job 0 has one routine, index 0
     with pytest.raises(UnknownRoutine):
-        eng.rel_count(0, 7, 0)
+        eng.rel_times(0, 7, 0)
 
 
 def test_rel_count_routine_killed_by_machine_deletion():
     eng = engine_with([(0, (0,)), (0, (1,))], 1, 2, horizon=5)
-    assert eng.rel_count(0, 0, 0) == 0
+    assert len(eng.rel_times(0, 0, 0)) == 0
     eng.delete_machine(0)  # kills routine 0, which uses machine 0
     with pytest.raises(UnknownRoutine):
-        eng.rel_count(1, 0, 0)
-    assert eng.rel_count(1, 0, 1) == 1
+        eng.rel_times(1, 0, 0)
+    assert len(eng.rel_times(1, 0, 1)) == 1
 
 
 # -- the replay over touch times against the replay over stored schedule entries --
@@ -438,15 +440,14 @@ def test_total_recourse_within_calibrated_bound():
 
 
 def test_engine_op_totals_are_pinned():
-    # add_job and each step charge their draws; a direct resample charges nothing
+    # add_jobs and each step charge their draws; a step its schedule entries too
     eng = ResamplingEngine(random_instance(random.Random(71), jobs=100, machines=600), 2, 300)
     build = eng.counter.end_step()
-    assert eng.resample(0) is not None and eng.counter.current == 0
     steps = []
     for _ in range(300):
         eng.delete_machine(eng.heaviest_machine())
         steps.append(eng.counter.end_step())
-    assert (build, sum(steps), max(steps)) == (1385, 3761, 47)
+    assert (build, sum(steps), max(steps)) == (1385, 3146, 38)
     idle = engine_with([], 1, 3)  # a job without routines: three machines, no draw
     assert idle.assigned == {0: None} and idle.counter.total == 3
 
@@ -494,7 +495,7 @@ def test_engine_is_deterministic_given_seed():
             if x is None:
                 break
             rep = eng.delete_machine(x)
-            trace.append((x, rep.resampled))
+            trace.append((x, rep, tuple(eng.assigned.values())))
         runs.append(trace)
     assert runs[0] == runs[1]
 
@@ -504,23 +505,24 @@ class NoRandrange(random.Random):
         raise AssertionError("the engine draws by its own rank rule, not randrange")
 
 
-# assignments of jobs 0..5 after the build, after resampling each job, and
-# after each of 12 steps; recorded once, equal to what randrange drew
+# assignments of jobs 0..5 after the build, after redrawing each job, and
+# after each of 12 steps; recorded once, equal to what the twin below, which
+# draws by randrange, drew
 RANK_RULE_TRAIL = [
     (3, 4, 0, 0, 1, 1),
     (5, 0, 0, 0, 4, 0),
-    (2, 0, 0, 0, 0, 0),
-    (4, 1, 0, None, 3, 2),
-    (4, 3, None, None, 2, 2),
-    (0, 3, None, None, 1, 2),
-    (0, 1, None, None, 2, 2),
-    (0, 1, None, None, 2, None),
-    (4, 1, None, None, 2, None),
-    (4, 3, None, None, None, None),
-    (4, 2, None, None, None, None),
-    (4, 2, None, None, None, None),
-    (4, 3, None, None, None, None),
-    (4, 3, None, None, None, None),
+    (2, 0, 0, 0, 4, 0),
+    (0, 4, 0, 0, 4, 0),
+    (0, 3, None, None, 4, 0),
+    (2, 3, None, None, 4, 0),
+    (3, 4, None, None, 3, 0),
+    (0, 4, None, None, 3, 2),
+    (3, 3, None, None, 3, 2),
+    (4, None, None, None, 3, 2),
+    (4, None, None, None, 3, 2),
+    (4, None, None, None, 3, 2),
+    (4, None, None, None, None, 2),
+    (None, None, None, None, None, None),
 ]
 
 
@@ -533,7 +535,7 @@ def test_the_rank_rule_is_the_engines_own(monkeypatch):
     assert type(eng.rng) is NoRandrange
     trail = [tuple(eng.assigned[j] for j in inst.jobs)]
     for job in inst.jobs:
-        eng.resample(job)
+        redraw(eng, job)
     trail.append(tuple(eng.assigned[j] for j in inst.jobs))
     for t in range(12):  # kill the assigned routine of job t % 6, if it has one
         i = eng.assigned[t % 6]
@@ -708,7 +710,7 @@ def test_max_load_rises_again_below_the_highest_load_seen():
         for _ in range(64):
             if eng.assigned[job] == i:
                 return
-            eng.resample(job)
+            redraw(eng, job)
         raise AssertionError(f"job {job} never drew routine {i}")
 
     draw(4, 1)
@@ -779,47 +781,62 @@ def test_each_load_level_is_scanned_at_most_once(monkeypatch):
     ps.check_invariants()
 
 
-# -- index order: jm by repr(machines), a phase by witness, due jobs by repr(job) --
+# -- index order: jm by input order, a phase by witness, due jobs as scheduled --
 
 
-def assert_due_and_dead_order(eng, rep, dying, seen):
-    """Dead routines leave in `on` order, seen through the jobs they leave
-    unassigned; due jobs run in repr(job) order."""
-    assert list(rep.touched) == [job for job, _ in dying]
-    assert list(rep.resampled) == sorted(rep.resampled, key=repr)
-    if list(rep.resampled) != sorted(rep.resampled):
-        seen["resampled: repr order is not numeric order"] += 1
+def record_draws(eng) -> list[list[Hashable]]:
+    """The jobs of every `_draw` call of `eng` from now on, in draw order."""
+    calls = []
+    draw = eng._draw
+
+    def recording(jobs):
+        calls.append(list(jobs))
+        return draw(calls[-1])
+
+    eng._draw = recording
+    return calls
 
 
-def test_canonical_order_is_repr_order_on_random_instances():
+def test_input_order_fixes_the_draws():
+    # jobs and routines given in reverse: a job's routines keep their input
+    # order, each on(x) lists the routines through x in (job input order,
+    # index) order, dead routines leave in that order, and a step's due jobs
+    # draw in the order the touches scheduled them, as a model replays it
     seen = Counter()
     for seed in range(4):
         rng = random.Random(1100 + seed)
-        # machine ids 0..29 and widths 1-3: "(12,)" < "(9,)" and "(1, 2)" < "(1,)"
-        inst = random_instance(rng, jobs=40, machines=30)
-        eng = ResamplingEngine(inst, seed, horizon=40)
-        for job in inst.jobs:
-            given = [ms for j, ms in inst.routines if j == job]
-            assert inst.table[job] == sorted(given, key=repr)  # index order
-            if inst.table[job] != sorted(given):
-                seen["index: repr order is not numeric order"] += 1
+        given = random_instance(rng, jobs=40, machines=30)
+        jobs, routines = given.jobs[::-1], given.routines[::-1]
+        inst = HyperInstance(jobs, given.machine_ids, routines)
+        for job in jobs:
+            assert inst.table[job] == [ms for j, ms in routines if j == job]
         for x in inst.machine_ids:
-            key = [(repr(job), repr(inst.machines(job, i))) for job, i in inst.on(x)]
-            assert key == sorted(key)
-            if [job for job, _ in inst.on(x)] != sorted(job for job, _ in inst.on(x)):
-                seen["on: repr order is not numeric order"] += 1
-        for _ in range(40):
-            if not eng.loads:
-                break
+            through = [(job, i) for job in jobs for i, ms in enumerate(inst.table[job]) if x in ms]
+            assert list(inst.on(x)) == through
+        eng = ResamplingEngine(inst, seed, horizon=40)
+        draws = record_draws(eng)
+        scheduled: dict[int, list[Hashable]] = {}  # step -> due jobs, in the order scheduled
+        while eng.loads:
             x = rng.choice(sorted(eng.loads))
-            dying = [(job, i) for job, i in inst.on(x) if eng.assigned[job] == i]
-            assert_due_and_dead_order(eng, eng.delete_machine(x), dying, seen)
+            dying = [job for job, i in inst.on(x) if eng.assigned[job] == i]
+            T = eng.T
+            rep = eng.delete_machine(x)
+            assert list(rep.touched) == dying
+            for job in dying:
+                # a job left without a live routine gets its repair entry alone
+                k_end = (eng.horizon - T).bit_length() if eng.live[job] else 1
+                seen["a dead job's repair entry"] += not eng.live[job]
+                for k in range(k_end):
+                    due = scheduled.setdefault(T + (1 << k), [])
+                    if job not in due:
+                        due.append(job)
+            due = scheduled.pop(eng.T, [])
+            assert draws == [due]
+            draws.clear()
+            if due != [job for job in jobs if job in due]:
+                seen["due jobs out of input order"] += 1
             eng.check_feasible()
-    assert set(seen) == {
-        "index: repr order is not numeric order",
-        "on: repr order is not numeric order",
-        "resampled: repr order is not numeric order",
-    }
+    assert set(seen) == {"a dead job's repair entry", "due jobs out of input order"}
 
 
 def record_steps(eng) -> list[StepReport]:
@@ -836,8 +853,9 @@ def record_steps(eng) -> list[StepReport]:
 
 
 def test_phase_index_order_is_ascending_witness():
-    # two-digit vertices: the job (1, 10) comes before (1, 9) in repr order, and
-    # the edge (10, 12) before (9, 12), but a phase's index is its witness
+    # routine w of a pair is its witness w: the build draws each pair's
+    # witness by rank among its common neighbors, and a deletion's dead
+    # witnesses leave in the phase's on(x) order
     n, seed = 30, 7
     pairs = list(itertools.combinations(range(n), 2))
     g = DynamicGraph(n, random.Random(81).sample(pairs, 180))
@@ -852,20 +870,14 @@ def test_phase_index_order_is_ascending_witness():
         assert eng.live[a, b] == live
         drawn[a, b] = nth_bit(live, rng.randrange(live.bit_count()))
     assert ps.witnesses() == drawn
-    assert any(
-        list(iter_bits(live)) != sorted(iter_bits(live), key=lambda w: repr(ps.machines(p, w)))
-        for p, live in eng.live.items()
-    )
-    seen = Counter()
     reports = record_steps(eng)
     order = random.Random(82)
     for _ in range(60):
         e = order.choice(sorted(g.edges()))
-        dying = [(p, w) for p, w in ps.on(e) if eng.assigned[p] == w]
+        dying = [p for p, w in ps.on(e) if eng.assigned[p] == w]
         ps.delete(*e)
-        assert_due_and_dead_order(eng, reports[-1], dying, seen)
+        assert list(reports[-1].touched) == dying
         ps.check_invariants()
-    assert set(seen) == {"resampled: repr order is not numeric order"}
 
 
 def test_phase_build_adds_fewer_objects_than_witnesses():
@@ -894,9 +906,8 @@ def test_resample_redrawing_its_own_routine_moves_no_load():
         loads = dict(eng.loads)
         at = list(eng._at)
         heaps = [None if heap is None else list(heap) for heap in eng._heaps]
-        assert eng.resample(0) == 0
-        assert eng.assigned[0] == 0
-        # a forced draw is no resample event, of job 0 or any other
+        assert redraw(eng, 0) == 0
+        # a draw outside a step is no resample event, of job 0 or any other
         assert {job: eng.resample_times(job) for job in eng.live} == events
         assert eng.loads == loads and eng._at == at and eng._heaps == heaps
         assert eng.heaviest_machine() == brute_heaviest(eng)
@@ -911,18 +922,16 @@ def test_resample_redrawing_its_own_routine_moves_no_load():
 
 # -- the slow twin: the engine as it was when it kept one object per routine --
 #
-# `Routine` and `TwinEngine` are that engine's code, unchanged but for one
-# rule: a routine with a tag (a phase's witness w) orders by (repr(job), w),
-# the order in which the bitmask engine draws a phase's witnesses.  Both are
-# fed the same calls and compared after each: assignments, live routines,
-# loads, the heaviest machine, resample events (the engine derives them
-# from its touches, the twin logs each draw), touches, the schedule,
-# relevance replays and op counts.  So the rewrite moved nothing but a
-# phase's draw order.
-
-
-def twin_order(r):
-    return repr(r.machines) if r.tag is None else r.tag
+# `Routine` and `TwinEngine` are that engine's code, under the bitmask
+# engine's rules: a job's routines keep the order they are given in (a
+# phase's witnesses ascending), a deletion's dead routines leave in that
+# order by job (a phase's in its `on(x)` order), due jobs draw in the order
+# they were scheduled, a job left without a live routine gets its repair
+# entry alone, and only draws are resamples.  Both are fed the same calls
+# and compared after each: assignments, live routines, loads, the heaviest
+# machine, resample events (the engine derives them from its touches, the
+# twin logs each draw), touches, the schedule in order, relevance replays
+# and op counts.
 
 
 @dataclass(slots=True, eq=False)
@@ -933,14 +942,6 @@ class Routine:
     job: Hashable
     machines: tuple[Hashable, ...]
     tag: Hashable = None  # opaque payload for embedders (e.g. a witness vertex)
-    _key: tuple[str, str] | None = field(default=None, init=False, repr=False)
-
-    def sort_key(self) -> tuple[str, str]:
-        """The canonical order key (repr(job), repr(machines)), built once."""
-        key = self._key
-        if key is None:
-            key = self._key = (repr(self.job), twin_order(self))
-        return key
 
 
 class TwinEngine:
@@ -952,22 +953,26 @@ class TwinEngine:
         seed: int,
         horizon: int,
         counter: OpCounter | None = None,
+        on=None,
     ) -> None:
+        """`on`, if given, is the embedder's `on(x)`: the (job, tag) of each
+        routine through x, in the order a deletion of x lists its dead ones."""
         self.rng = random.Random(seed)
         self.horizon = horizon
         self.counter = counter or OpCounter()
+        self.on = on
         self.T = 0
-        self.by_machine: dict[Hashable, set[Routine]] = {}
-        self.live_by_job: dict[Hashable, list[Routine]] = {}  # in canonical order
-        self._job_repr: dict[Hashable, str] = {}  # due jobs run in repr order
+        # machine -> the routines through it, a dict used as an ordered set
+        self.by_machine: dict[Hashable, dict[Routine, None]] = {}
+        self.live_by_job: dict[Hashable, list[Routine]] = {}  # in input order
         self.assigned: dict[Hashable, Routine | None] = {}
         self.assigned_count = 0  # jobs whose assigned routine is not None
         self.loads: dict[Hashable, int] = {}  # keyed by the live machines
         self._load_buckets: dict[int, set[Hashable]] = {}
         self._max_load = 0  # no live machine is heavier; lowered lazily
         self._heaps: dict[int, list[Hashable]] = {}  # load -> min-heap over its bucket
-        self.list_at: dict[int, set[Hashable]] = {}  # step -> jobs due then
-        # replayable history: the steps of each job's resample events and touches
+        self.list_at: dict[int, dict[Hashable, None]] = {}  # step -> jobs due then, in order
+        # replayable history: the steps of each job's draws and touches
         self.resample_events: dict[Hashable, list[int]] = {}
         self.touch_times: dict[Hashable, list[int]] = {}
         if instance is not None:
@@ -984,7 +989,7 @@ class TwinEngine:
     def add_machine(self, x: Hashable) -> None:
         if x in self.loads:
             raise JobMachineError(f"machine {x!r} already present")
-        self.by_machine[x] = set()
+        self.by_machine[x] = {}
         self.loads[x] = 0
         self._load_buckets.setdefault(0, set()).add(x)
         heap = self._heaps.get(0)
@@ -997,7 +1002,6 @@ class TwinEngine:
         if job in self.live_by_job:
             raise JobMachineError(f"job {job!r} already present")
         loads = self.loads
-        job_repr = repr(job)
         rs = list(routines)
         seen: set[Hashable] = set()
         units = 0
@@ -1012,18 +1016,14 @@ class TwinEngine:
                     raise DisjointnessViolated(f"job {job!r} routines share machine {x!r}")
                 seen.add(x)
             units += len(machines)
-            if r._key is None:
-                r._key = (job_repr, twin_order(r))
-        rs.sort(key=Routine.sort_key)  # one repr(job) for all: by repr(machines)
         self.live_by_job[job] = rs
-        self._job_repr[job] = job_repr
         self.assigned[job] = None
         self.resample_events[job] = []
         self.touch_times[job] = []
         by_machine = self.by_machine
         for r in rs:
             for x in r.machines:
-                by_machine[x].add(r)
+                by_machine[x][r] = None
         if self.resample(job) is not None:
             units += 1
         self._charge(units)
@@ -1105,11 +1105,10 @@ class TwinEngine:
     # -- the dynamic process --
 
     def resample(self, job: Hashable) -> Routine | None:
-        """Reassign `job` uniformly over its live routines; logs the event.
-        A draw that returns a routine costs one unit, which the caller charges."""
+        """Reassign `job` uniformly over its live routines; logs the event if
+        it draws.  A draw costs one unit, which the caller charges."""
         if job not in self.live_by_job:
             raise UnknownJob(f"job {job!r} unknown")
-        self.resample_events[job].append(self.T)
         live = self.live_by_job[job]
         old = self.assigned[job]
         if not live:
@@ -1117,6 +1116,7 @@ class TwinEngine:
                 self.assigned_count -= 1
             self.assigned[job] = None
             return None
+        self.resample_events[job].append(self.T)
         new = live[self.rng.randrange(len(live))]
         if old is None:
             self.assigned_count += 1
@@ -1151,7 +1151,10 @@ class TwinEngine:
             raise InvariantBroken(f"step {self.T + 1} exceeds the declared horizon {self.horizon}")
         touched: list[Hashable] = []
         if x is not None:
-            dead = sorted(self.by_machine.pop(x), key=Routine.sort_key)
+            dead = list(self.by_machine.pop(x))  # by job, in input order
+            if self.on is not None:  # in the embedder's order
+                by_tag = {(r.job, r.tag): r for r in dead}
+                dead = [by_tag[key] for key in self.on(x) if key in by_tag]
             load = self.loads.pop(x)
             bucket = self._load_buckets[load]
             bucket.discard(x)
@@ -1163,7 +1166,7 @@ class TwinEngine:
                 self.live_by_job[r.job].remove(r)
                 for y in r.machines:
                     if y != x and y in self.loads:
-                        self.by_machine[y].discard(r)
+                        del self.by_machine[y][r]
                         units += 1
                 if self.assigned[r.job] is r:
                     self._shift_load(r, -1)
@@ -1176,28 +1179,26 @@ class TwinEngine:
         for job in touched:
             schedule_added += self._extend_schedule(job)
         self.T += 1
-        due = sorted(self.list_at.pop(self.T, ()), key=self._job_repr.__getitem__)
-        resampled: list[Hashable] = []
         drawn = 0
-        for job in due:
-            resampled.append(job)
+        for job in self.list_at.pop(self.T, ()):
             if self.resample(job) is not None:
                 drawn += 1
         self._charge(drawn)
-        return StepReport(tuple(touched), tuple(resampled), schedule_added)
+        return StepReport(tuple(touched), drawn, schedule_added)
 
     def _extend_schedule(self, job: Hashable) -> int:
         T, list_at = self.T, self.list_at
         self.touch_times[job].append(T)
+        end = self.horizon if self.live_by_job[job] else T + 1
         added = 0
         step = 1
-        while T + step <= self.horizon:
+        while T + step <= end:
             at = T + step
             due = list_at.get(at)
             if due is None:
-                due = list_at[at] = set()
+                due = list_at[at] = {}
             if job not in due:
-                due.add(job)
+                due[job] = None
                 added += 1
             step *= 2
         self._charge(added)
@@ -1223,9 +1224,6 @@ class TwinEngine:
             if not blocked:
                 times.append(s)
         return times
-
-    def rel_count(self, t: int, r: Routine) -> int:
-        return len(self.rel_times(t, r))
 
     def check_feasible(self) -> None:
         """Asserts a feasible assignment, and load bookkeeping equal to a recount."""
@@ -1266,12 +1264,14 @@ def assert_twins(eng, twin):
     assert eng.heaviest_machine() == twin.heaviest_machine()
     assert {job: eng.resample_times(job) for job in eng.touch_times} == twin.resample_events
     assert eng.touch_times == twin.touch_times
-    assert eng.list_at == twin.list_at
+    assert {at: list(due) for at, due in eng.list_at.items()} == {
+        at: list(due) for at, due in twin.list_at.items()
+    }
 
 
 def assert_same_relevance(eng, twin, rng, count=6):
     """rel_times agrees on a sample of live routines, now and at half the clock."""
-    live = sorted(((job, i) for job, mask in eng.live.items() for i in iter_bits(mask)), key=repr)
+    live = live_routines(eng)
     for job, i in rng.sample(live, min(count, len(live))):
         rank = (eng.live[job] & ((1 << i) - 1)).bit_count()
         r = twin.live_by_job[job][rank]
@@ -1319,7 +1319,7 @@ class TwinnedPhase(PhaseState):
 
     def __init__(self, graph, seed, phase_len=None, bucket_of=None, counter=None):
         horizon = phase_len if phase_len is not None else resample3.default_phase_len(graph.n)
-        self.twin = TwinEngine(None, seed, horizon=horizon)
+        self.twin = TwinEngine(None, seed, horizon=horizon, on=self.on)
         self.sampler = random.Random(seed)
         super().__init__(graph, seed, phase_len, bucket_of, counter)
 

@@ -29,7 +29,7 @@ RECORDS = [
     (MachineDelete(1, 0), "machine"),
     (Step(3, 0, 1, 0, 5), "op_count"),
     (MetricsRow(1, INSERT, 1, 0, 5, 3, 0, ""), "stretch_ok"),
-    (StepReport((0,), (0, 1), 2), "resampled"),
+    (StepReport((0,), 1, 2), "resamples"),
     (StretchReport(True, None, 0.0), "ok"),
     (SpannerMasks([0, 0]), "rows"),
     (RebuildInfo(1, 4), "size"),

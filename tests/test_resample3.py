@@ -195,10 +195,10 @@ def test_hub_deletion_touches_every_pair_through_it():
     resamples = ps.delete(0, 4)
     (rep,) = deletions
     assert len(rep.touched) == 3  # pairs (0,1), (0,2), (0,3)
-    assert resamples == 3  # immediate repair arrives via the T+1 entry
-    entries = {1, 2, 4, 8, 16}
-    horizon_entries = {t for t in entries if t <= ps.L}
-    assert rep.schedule_added == 3 * len(horizon_entries)
+    # each lost its only witness: its T+1 entry unloads the dead routine and
+    # draws nothing, and no later entry is scheduled
+    assert resamples == 0 and rep.schedule_added == 3
+    assert all(not ps.engine.live[p] and ps.engine.assigned[p] is None for p in rep.touched)
     ps.check_invariants()
     assert verify_stretch(ps.g, ps.spanner_edges(), 3).ok
 
@@ -317,6 +317,6 @@ def test_phase_build_op_totals_are_pinned():
     assert drv.phase_index == 2
     # partnership: 2 for each core edge either build adds and each core deletion
     assert (dict(counter.by_module), counter.total) == (
-        {"graph": 642, "partnership": 1210, "job_machine": 3130},
-        4982,
+        {"graph": 642, "partnership": 1210, "job_machine": 3124},
+        4976,
     )
