@@ -262,6 +262,8 @@ def cmd_run(args) -> int:
         args.steps = DEFAULT_STEPS
     counter = OpCounter()
     adapter = ALGO_FACTORIES[args.algo](args, counter)
+    if args.check != "none" and adapter.stretch_bound is None:
+        raise BadArgs(f"--check {args.check}: {adapter.name} outputs no spanner to check")
     adversary = replay if replay is not None else make_adversary(args, adapter)
     rows, failure = run_loop(adapter, adversary, args)
     if args.out:

@@ -10,9 +10,11 @@ A host edge that is also a spanner edge is at spanner distance 1, which
 its bit in the spanner's adjacency mask shows, so it needs no search.
 Any other host edge (u, v) is within distance d exactly when the ball of
 radius ceil(d/2) around u meets the ball of radius floor(d/2) around v
-(split a shortest path at its midpoint).  Distance 2 is tested first, a
-row u at a time: (u, v) is at distance 2 exactly when u's and v's
-spanner neighborhoods meet.  A row with more non-spanner edges above u
+(split a shortest path at its midpoint).  One pass over every row takes
+each row's non-spanner edges above the diagonal, and only the rows that
+have some are walked.  Distance 2 is tested first, a row u at a time:
+(u, v) is at distance 2 exactly when u's and v's spanner neighborhoods
+meet.  A row with more non-spanner edges above u
 than spanner neighbors of u ANDs them all at once with u's 2-ball
 (composed for the row, or a reach level already when t >= 4); any other
 row tests each edge with one AND of two adjacency masks.  Only the edges
@@ -29,12 +31,12 @@ edge that fails.
 `verify_stretch` takes the spanner either as edges or as `SpannerMasks`,
 the adjacency bitmasks a structure keeps next to its output (every
 structure answers `spanner_masks()`).  Both forms run the same search,
-so their reports are identical.  The subgraph check names the first bad
-edge of h for edges, and the lowest bad bit of the lowest bad row for
-masks; an exact check at t <= 3 runs the mask form's in its row loop, a
-row at a time, so it reads the rows once.  The CLI's
-per-step check passes the structure's masks, which saves rebuilding them
-from an edge list on every step; the acceptance tests and the
+so their reports are identical.  Both are checked against the host
+before any row is walked: the subgraph check names the first bad edge of
+h for edges, and the lowest bad bit of the lowest bad row for masks,
+whose rows it checks in one pass.  The CLI's per-step check passes the
+structure's masks, which saves rebuilding them from an edge list on
+every step; the acceptance tests and the
 benchmark's final check pass edges, and the edge form stays the ground
 truth that tests compare against.
 """
@@ -43,6 +45,9 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
+from itertools import compress
+from operator import and_, or_, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist, sample_below
@@ -102,10 +107,10 @@ def reach_levels(masks: list[int], r: int) -> list[list[int]]:
     return levels
 
 
-def raise_bad_row(g: DynamicGraph, rows: list[int], start: int = 0) -> None:
+def raise_bad_row(g: DynamicGraph, rows: list[int]) -> None:
     """Raise SpannerNotSubgraph naming the lowest bad bit of the lowest row
-    u >= start with a bit outside g's row u; return if there is none."""
-    for u, (m, a) in enumerate(zip(rows[start:], g.adj_mask[start:]), start):
+    with a bit outside g's row; return if there is none."""
+    for u, (m, a) in enumerate(zip(rows, g.adj_mask)):
         bad = m & ~a
         if bad:
             v = (bad & -bad).bit_length() - 1
@@ -113,14 +118,17 @@ def raise_bad_row(g: DynamicGraph, rows: list[int], start: int = 0) -> None:
 
 
 def subgraph_masks(g: DynamicGraph, h: Iterable[tuple[int, int]] | SpannerMasks) -> list[int]:
-    """The adjacency masks of the spanner h, given as edges or masks.  Edges
-    are checked against g here, and SpannerNotSubgraph names the first bad
-    one in h's order; of mask rows only the count is checked, and the
-    caller runs `raise_bad_row` on each row before it walks the row's bits."""
+    """The adjacency masks of the spanner h, given as edges or masks, after
+    checking h against g.  SpannerNotSubgraph names the first bad edge in
+    h's order, or the lowest bad bit of the lowest bad mask row; the rows
+    are checked in one pass, and `raise_bad_row` runs only to name it."""
     if isinstance(h, SpannerMasks):
-        if len(h.rows) != g.n:
-            raise ValueError(f"{len(h.rows)} spanner mask rows for {g.n} vertices")
-        return h.rows
+        rows = h.rows
+        if len(rows) != g.n:
+            raise ValueError(f"{len(rows)} spanner mask rows for {g.n} vertices")
+        if list(map(or_, rows, g.adj_mask)) != g.adj_mask:
+            raise_bad_row(g, rows)
+        return rows
     edges = list(h)
     try:
         masks = adjacency_masks(g.n, edges)
@@ -132,6 +140,13 @@ def subgraph_masks(g: DynamicGraph, h: Iterable[tuple[int, int]] | SpannerMasks)
             if not g.has_edge(u, v):
                 raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
     return masks
+
+
+@lru_cache(maxsize=8)
+def above_masks(n: int) -> tuple[int, ...]:
+    """above_masks(n)[u] has every bit v > u set: ANDed with a row, the
+    row's edges (u, v) with v > u."""
+    return tuple(-(2 << u) for u in range(n))
 
 
 def verify_stretch(
@@ -148,30 +163,22 @@ def verify_stretch(
     one in lexicographic order (exact) or sample order (sampled).  H is
     given as edges or as `SpannerMasks`, with the same report.
 
-    Exact mode settles each row's distance-2 edges before any other: with
-    one AND per edge, or with one AND against the row's 2-ball when the
-    row has more non-spanner edges above it than spanner neighbors (the
-    smaller side is walked, as in `mask_dist`).  For odd t, a row's last
-    edge beyond the rings walks the neighbors of its endpoint with the
-    smaller spanner degree to the first witness instead of composing one
-    radius more around u.  On a passing input every edge is decided from
-    reach sets, and `mask_dist` never runs.
-
-    A bad `mode` raises ValueError before any row is read.  A mask-form
-    spanner in an exact check at t <= 3 has each row checked against the
-    host's in the row loop, before any of the row's bits is walked; the
-    SpannerNotSubgraph message is the one of checking every row first."""
+    A bad `mode` raises ValueError before any row is read, and then H is
+    checked against g (`subgraph_masks`) before any row is walked.  Exact
+    mode takes every row's non-spanner edges above the diagonal in one
+    pass, so only the rows that have some are walked.  It settles each
+    row's distance-2 edges before any other: with one AND per edge, or
+    with one AND against the row's 2-ball when the row has more
+    non-spanner edges above it than spanner neighbors (the smaller side
+    is walked, as in `mask_dist`).  For odd t, a row's last edge beyond
+    the rings walks the neighbors of its endpoint with the smaller
+    spanner degree to the first witness instead of composing one radius
+    more around u.  On a passing input every edge is decided from reach
+    sets, and `mask_dist` never runs."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     exact = mode == "exact" or g.m <= sample
     masks = subgraph_masks(g, h_edges)
-    # rows of a mask-form spanner still to check in the row loop, which
-    # walks a row's bits only after checking it; sampled mode runs no row
-    # loop, and at t >= 4 the reach levels walk every row first
-    unchecked = isinstance(h_edges, SpannerMasks)
-    if unchecked and not (exact and t <= 3):
-        raise_bad_row(g, masks)
-        unchecked = False
 
     worst: float = 0.0
     worst_edge: tuple[int, int] | None = None
@@ -182,13 +189,13 @@ def verify_stretch(
         rings = [(d, levels[(d + 1) // 2 - 1], levels[d // 2 - 1]) for d in range(3, t + 1 - odd)]
         top = levels[-1] if levels else []
         balls = levels[1] if t >= 4 else None  # every 2-ball, composed already
-        for u, row in enumerate(g.adj_mask):
+        above = above_masks(g.n)
+        # rests[u]: the non-spanner host edges (u, v), v > u; masks are a
+        # subgraph of the host now, so XOR takes the spanner edges out
+        rests = list(map(and_, map(xor, g.adj_mask, masks), above))
+        for u in compress(range(g.n), rests):
+            rest = rests[u]
             mu = masks[u]
-            if unchecked and mu & ~row:
-                raise_bad_row(g, masks, u)
-            rest = row >> (u + 1) << (u + 1) & ~mu  # non-spanner host edges (u, v), v > u
-            if not rest:
-                continue
             far = 0  # within 1..ceil(t/2) of u, composed on first need, or set by the walk
             # left: the edges of rest beyond distance 2
             if balls is not None:
@@ -223,28 +230,19 @@ def verify_stretch(
                         else:  # the row's last edge: walk the smaller side to a witness
                             mv = masks[v]
                             if mv.bit_count() < mu.bit_count():
-                                if unchecked and mv & ~g.adj_mask[v]:
-                                    raise_bad_row(g, masks, u + 1)
                                 walk, other = mv, top[u]
                             else:
                                 walk, other = mu, top[v]
                             while walk and not top[(walk & -walk).bit_length() - 1] & other:
                                 walk &= walk - 1
                             far = -1 if walk else 0  # all ones: a witness puts v within t
-                    if odd and far & top[v]:
-                        d = t
-                    else:
-                        if unchecked:  # the search may read any row
-                            raise_bad_row(g, masks, u + 1)
-                            unchecked = False
-                        d = mask_dist(masks, u, v) or math.inf
+                    d = t if odd and far & top[v] else (mask_dist(masks, u, v) or math.inf)
                 if d > worst:
                     worst, worst_edge = d, (u, v)
         if worst_edge is None:  # no non-spanner edge: the first host edge, at distance 1
-            for u, row in enumerate(g.adj_mask):
-                above = row >> (u + 1) << (u + 1)
-                if above:
-                    worst, worst_edge = 1, (u, (above & -above).bit_length() - 1)
+            for u, row in enumerate(map(and_, g.adj_mask, above)):
+                if row:
+                    worst, worst_edge = 1, (u, (row & -row).bit_length() - 1)
                     break
     else:
         # sample ranks, not a list of edges: `sample_below` draws the indices

@@ -506,3 +506,14 @@ def test_jm_rejects_edge_adversaries(adversary, capsys):
     argv = ["run", "--algo", "jm", "--adversary", adversary, "--steps", "5"]
     assert cli.main([*argv, "--jm-jobs", "10", "--jm-machines", "50"]) == 3
     assert "max-load or replay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["exact", "sampled"])
+def test_jm_rejects_a_stretch_check(check, tmp_path, capsys):
+    # the engine outputs no spanner: a check would pass vacuously, so none runs
+    out = tmp_path / "jm.csv"
+    argv = ["run", "--algo", "jm", "--adversary", "max-load", "--steps", "5", "--check", check]
+    assert cli.main([*argv, "--jm-jobs", "10", "--jm-machines", "50", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert f"error: --check {check}: jm outputs no spanner to check" in captured.err
+    assert "steps ok" not in captured.out and not out.exists()

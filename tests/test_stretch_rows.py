@@ -13,8 +13,8 @@ report, since the edge then falls through to the unbounded search, so
 only a count of those searches shows it.  Likewise the walk answers the
 same from either endpoint, and only a count of the rows it reads shows
 that it walks the smaller side.  A mask-form spanner is checked
-against the host a row at a time inside the row loop, and must raise what
-a check of every row up front raises.
+against the host before any row is walked, and only the rows with a
+non-spanner edge above the diagonal are walked at all.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def test_a_row_with_one_far_edge_composes_no_ball(monkeypatch):
 
 
 class RowReads(list):
-    """A reach level that counts the rows read from it."""
+    """Rows, of a reach level or a spanner's masks, that count their reads."""
 
     reads = 0
 
@@ -243,6 +243,20 @@ def test_the_walk_reads_the_smaller_side(monkeypatch):
             assert len(made) == 1 and reads <= masks[small].bit_count() + 2, (large, reads)
 
 
+def test_only_rows_with_a_non_spanner_edge_are_walked():
+    # a 144-vertex path with one chord at distance 2: only row 0 has work,
+    # and it reads its own row and the chord's far end, not every row
+    n = 144
+    path = [(u, u + 1) for u in range(n - 1)]
+    g = DynamicGraph(n, path + [(0, 2)])
+    rows = RowReads(adjacency_masks(n, path))
+    for t in (2, 3):
+        rows.reads = 0
+        rep = verify_stretch(g, SpannerMasks(rows), t)
+        assert (rep.ok, rep.worst_edge, rep.worst_dist) == (True, (0, 2), 2)
+        assert rows.reads <= 2, (t, rows.reads)
+
+
 def test_a_bad_mode_is_rejected_before_any_row_is_read():
     g = DynamicGraph(3, [(0, 1)])
     bad = [(1, 2)]  # not a host edge
@@ -264,10 +278,11 @@ def test_sampled_mode_checks_mask_rows_as_exact_mode_does():
         assert got == want, t
 
 
-def test_mask_rows_checked_in_the_row_loop_raise_what_a_full_check_raises():
-    """A bad row above the rows read so far, even one with a vertex out of
-    range that the walk or the search would index, must raise the error of
-    checking every row first: the lowest bad bit of the lowest bad row."""
+def test_mask_rows_are_checked_before_any_row_is_walked():
+    """Mask rows are checked against the host before any row is walked, so
+    a bad row, even one with a vertex out of range that the walk or the
+    search would index, raises the error of checking every row: the lowest
+    bad bit of the lowest bad row, in either mode and at every t."""
     # row 0 walks its one edge beyond distance 2, (0, 3), from row 3's side,
     # and finds no witness before bit 40
     g = DynamicGraph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (2, 3)])
