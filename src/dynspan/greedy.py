@@ -10,7 +10,10 @@ the side with fewer vertices and tests the other as a mask.  This is
 exact: the endpoints of every non-spanner edge sit within 2k-1 in the
 spanner and the spanner only grows during a rescan, so an edge can join
 only if all its short paths used (a, b); a rescan of every non-spanner
-edge would reject the others.
+edge would reject the others.  For the same reason a candidate through a
+or b that the spanner without (a, b) already covers is dropped before
+any inspection: the radius-(2k-2) ball around a (or b) settles it with
+one AND against the other endpoint's spanner row.
 The maintained edge sequence doubles as a greedy inspection prefix: the
 structure always equals the order-driven greedy run that inspects the
 surviving spanner sequence first and the rest ascending.  The rest is
@@ -87,7 +90,12 @@ class GreedyState:
 
         For each ring dx around a, the edges between it and b's ball of radius
         2k-2-dx: the walk covers the side with fewer vertices and tests the
-        other as a mask.  One pass over a's rings finds either orientation."""
+        other as a mask.  One pass over a's rings finds either orientation.
+        A candidate (a, z) is then dropped when z or a spanner neighbor of z
+        lies in a's ball of radius 2k-2, i.e. when the spanner already joins
+        it within 2k-1; likewise (z, b) against b's ball.  The spanner only
+        grows during the rescan, so `_inspect` would reject these anyway;
+        every other candidate is inspected as before."""
         reach = self.cap - 1
         adj, span = self.graph.adj_mask, self.span_mask
         near, far = mask_balls(span, a, reach), mask_balls(span, b, reach)
@@ -106,6 +114,14 @@ class GreedyState:
                     row &= row - 1
                     found.add((x, y) if x < y else (y, x))
             inner = ball
+        # the candidates through c = a or b are c's non-spanner neighbors in the other ball
+        for c, own, other in ((a, near[reach], far[reach]), (b, far[reach], near[reach])):
+            row = adj[c] & ~span[c] & other
+            while row:
+                z = (row & -row).bit_length() - 1
+                row &= row - 1
+                if own & (span[z] | 1 << z):
+                    found.discard((c, z) if c < z else (z, c))
         return sorted(found)
 
     def update(self, ev: UpdateEvent) -> Step:

@@ -30,6 +30,9 @@ RUNS = {
     "greedy": "--algo greedy --k 2 --n 24 --init-m 100 --steps 40 --seed 3 --check exact",
     # ell0 = 4 at n=10, so the 32nd and 64th insertions rebuild a level
     "fd-greedy": "--algo fd-greedy --k 2 --n 10 --init-m 20 --steps 150 --seed 4",
+    # k = 3: a rescan's balls reach 4, and 26 level rescans run
+    "fd-greedy-k3": "--algo fd-greedy --k 3 --n 14 --init-m 40 --steps 150 --seed 4",
+    "greedy-k3": "--algo greedy --k 3 --n 24 --init-m 100 --steps 40 --seed 3 --check exact",
     "det3": "--algo det3 --n 30 --init-m 120 --steps 60 --seed 5"
     " --adversary spanner-target --p-insert 0.3 --check exact",
     # ~200 host edges, so the check samples 64 of them on every step
@@ -54,9 +57,17 @@ RUN_DIGESTS = {
         "32ee5361bbb09372493f5a2d5f7059d25e8592838687107b7184733fe69fb6f0",
         "aebeeee8ab95edab67f365589866aa6decc5f249bf6c2d55332c5e3710906666",
     ),
+    "fd-greedy-k3": (
+        "d0b15847781367702d866030dee5281b4c58d720b0336141e08bbde590616a36",
+        "fb2c97eea150693e44c289f35ac192a196a3c99cf21f0b55bf7b4e2a54ee5d7d",
+    ),
     "greedy": (
         "86cff85566f76fde9c0445540a091879c8b6904ccb75f189c5854e926ad525e5",
         "89f79523431157473e3c833e74445c9c57355a814b860fe4d64fc3506c58a27b",
+    ),
+    "greedy-k3": (
+        "a9b043a7e3e3ba2dc2c37af48038a7488b59dc2f49b03cfb7ae069bc02efa38d",
+        "651c239d3fd411b6590e57e7d86b0b0ece931a644bd201df0557c7ead3e2285a",
     ),
     "jm": (
         "9c94c21a64320dbb60c3333327732f94950833bf269fb251934f4e70cab888d1",

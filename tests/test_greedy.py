@@ -178,15 +178,22 @@ def one_sided_candidates(s: GreedyState, a: int, b: int) -> list[tuple[int, int]
 
 @pytest.fixture
 def candidate_twin(monkeypatch) -> list:
-    """Every `_candidates` call is checked against the one-sided walk; the
-    returned list collects each call's candidates."""
+    """Every `_candidates` call is checked against the one-sided walk: it
+    returns that walk's list in order, less edges through a or b that the
+    spanner at the call already joins within 2k-1 (by the level-wise BFS).
+    The returned list collects each call's one-sided list."""
     calls = []
     fast = GreedyState._candidates
 
     def checked(self, a, b):
         got = fast(self, a, b)
-        assert got == one_sided_candidates(self, a, b), (a, b)
-        calls.append(got)
+        twin = one_sided_candidates(self, a, b)
+        rest = iter(twin)
+        assert all(e in rest for e in got), (a, b)  # an ordered sub-list of the twin
+        for x, y in set(twin) - set(got):
+            assert a in (x, y) or b in (x, y), (a, b, x, y)
+            assert levelwise_mask_dist(self.span_mask, x, y, self.cap) is not None, (a, b, x, y)
+        calls.append(twin)
         return got
 
     monkeypatch.setattr(GreedyState, "_candidates", checked)
@@ -242,6 +249,40 @@ def test_fd_greedy_levels_match_full_rescan_across_rebuilds(k, candidate_twin):
         level_deletions += 1
     assert rebuilds >= 5 and level_deletions >= 100
     assert any(candidate_twin) == (k > 1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_rescan_inspects_no_edge_through_a_or_b_already_covered(k, monkeypatch):
+    """An edge (a, z) or (z, b) that the spanner without (a, b) joins within
+    2k-1 is settled against the balls `_candidates` builds, never inspected.
+    The stream must offer such edges, or the check would be empty."""
+    rng = random.Random(100 + k)
+    g = random_graph(rng, 60, 300)
+    s = GreedyState(g, k)
+    inspected = []
+    inspect = GreedyState._inspect
+
+    def counted(self, e):
+        inspected.append(e)
+        return inspect(self, e)
+
+    monkeypatch.setattr(GreedyState, "_inspect", counted)
+    order = list(g.edges())
+    rng.shuffle(order)
+    offered = 0
+    for a, b in order:
+        before = list(s.span_mask)
+        before[a] &= ~(1 << b)
+        before[b] &= ~(1 << a)
+        covered = {
+            e for e in s.non_spanner
+            if (a in e or b in e) and levelwise_mask_dist(before, *e, s.cap) is not None
+        }
+        offered += len(covered) if (a, b) in s.in_spanner else 0
+        inspected.clear()
+        s.handle_delete(a, b)
+        assert not covered.intersection(inspected), (a, b)
+    assert offered > 0
 
 
 def test_rescan_stays_in_the_deleted_edges_component(monkeypatch):
