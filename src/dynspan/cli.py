@@ -31,7 +31,7 @@ from dynspan.graph import DynamicGraph, GraphError, sample_below
 from dynspan.greedy import GreedyState
 from dynspan.instrumentation import InvariantBroken, MetricsRow, OpCounter, Step, write_metrics_csv
 from dynspan.job_machine import HyperInstance, JobMachineError, ResamplingEngine, random_instance
-from dynspan.oracle import SpannerMasks, SpannerNotSubgraph, verify_stretch
+from dynspan.oracle import SpannerMasks, SpannerNotSubgraph, StretchMemo, verify_stretch
 from dynspan.resample3 import Resample3
 
 EXIT_OK = 0
@@ -193,6 +193,7 @@ def event_label(ev) -> str:
 def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | None]:
     rows: list[MetricsRow] = []
     failure: CheckFailed | None = None
+    memo = StretchMemo()  # one per run: each exact check redoes only the rows that changed
     for step in range(1, args.steps + 1):
         try:
             ev = adversary.next_event(adapter.view())
@@ -211,6 +212,7 @@ def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | 
                     mode=args.check,
                     sample=64,
                     seed=args.seed * 1_000_003 + step,
+                    memo=memo,
                 )
                 if not rep.ok:
                     failure = CheckFailed(

@@ -1,10 +1,11 @@
 """Ground-truth verification: stretch, girth, and a reference greedy spanner.
 
-Everything here is a pure function of its inputs; repeated calls on the
-same snapshot are identical.  Stretch is verified over the edges of the
-host graph only: for unweighted graphs, dist_H(u,v) <= t on every host
-edge (u,v) implies the same bound on every vertex pair (subdivide an
-arbitrary shortest path edge by edge).
+Every result here is a pure function of its inputs; repeated calls on
+the same snapshot are identical, with or without a `StretchMemo`.
+Stretch is verified over the edges of the host graph only: for
+unweighted graphs, dist_H(u,v) <= t on every host edge (u,v) implies the
+same bound on every vertex pair (subdivide an arbitrary shortest path
+edge by edge).
 
 A host edge that is also a spanner edge is at spanner distance 1, which
 its bit in the spanner's adjacency mask shows, so it needs no search.
@@ -28,6 +29,21 @@ meets the other endpoint's (a path of odd length t splits at its
 midpoint, so the test is symmetric).  An unbounded BFS runs only for an
 edge that fails.
 
+A `StretchMemo` carries the distance-2 verdicts from one exact call to
+the next.  It holds copies of the host and spanner rows of the last call
+that completed, each row's non-spanner edges above the diagonal
+(`rests`) and those of them beyond distance 2 (`lefts`).  A call with the
+memo finds the rows whose host or spanner row changed in one pass
+against the copies, and settles distance 2 again on those rows only; for
+each such row d it re-tests the non-spanner edge (x, d), x < d, of each
+other row x with one AND.  That is exact for every t: the verdict of a
+non-spanner edge (u, v) is masks[u] & masks[v] != 0, which reads rows u
+and v alone, and a row that did not change keeps its non-spanner edges,
+since a changed edge changes both of its rows.  The search beyond
+distance 2 runs on every call, and the report is built from the per-row
+facts, so it is the one a call without the memo gives.  A call without a
+memo runs the same code with every row changed.
+
 `verify_stretch` takes the spanner either as edges or as `SpannerMasks`,
 the adjacency bitmasks a structure keeps next to its output (every
 structure answers `spanner_masks()`).  Both forms run the same search,
@@ -47,7 +63,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import compress
-from operator import and_, or_, xor
+from operator import and_, ne, or_, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist, sample_below
@@ -77,6 +93,21 @@ class SpannerMasks(NamedTuple):
     rows and never changes them."""
 
     rows: list[int]
+
+
+class StretchMemo:
+    """What the last exact `verify_stretch` call that completed on (n, t)
+    leaves for the next one: copies of the host and spanner rows it read,
+    each row's non-spanner edges above the diagonal (`rests`) and the
+    subset of those beyond distance 2 (`lefts`).  `key` is (n, t), or None
+    before the first such call and while one runs."""
+
+    def __init__(self) -> None:
+        self.key: tuple[int, int] | None = None
+        self.adj: list[int] = []
+        self.rows: list[int] = []
+        self.rests: list[int] = []
+        self.lefts: list[int] = []
 
 
 def grow(masks: list[int], inner: list[int], u: int) -> int:
@@ -156,6 +187,7 @@ def verify_stretch(
     mode: str = "exact",
     sample: int = 64,
     seed: int = 0,
+    memo: StretchMemo | None = None,
 ) -> StretchReport:
     """Check dist_H(u,v) <= t for host edges (u,v); mode "sampled" checks a
     seeded uniform subset of them.  The witness on failure is the checked
@@ -174,7 +206,14 @@ def verify_stretch(
     the rings walks the neighbors of its endpoint with the smaller
     spanner degree to the first witness instead of composing one radius
     more around u.  On a passing input every edge is decided from reach
-    sets, and `mask_dist` never runs."""
+    sets, and `mask_dist` never runs.
+
+    With a `memo`, exact mode settles distance 2 again only on the rows
+    whose host or spanner row changed since the memo's last call, and on
+    the non-spanner edges from other rows into them, one AND each; the
+    report is the one a call without it gives.  The memo is read after
+    the subgraph check, so a call that raises there leaves it as it was.
+    A memo of another n or t is started over."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     exact = mode == "exact" or g.m <= sample
@@ -183,28 +222,51 @@ def verify_stretch(
     worst: float = 0.0
     worst_edge: tuple[int, int] | None = None
     if exact:
+        n, adj = g.n, g.adj_mask
         levels = reach_levels(masks, t // 2) if t >= 2 else []
         odd = t >= 3 and t % 2 == 1  # then d = t needs one radius more around u
         # (d, the ceil(d/2)-balls, the floor(d/2)-balls) for d = 3 .. t, or t - 1 when odd
         rings = [(d, levels[(d + 1) // 2 - 1], levels[d // 2 - 1]) for d in range(3, t + 1 - odd)]
         top = levels[-1] if levels else []
         balls = levels[1] if t >= 4 else None  # every 2-ball, composed already
-        above = above_masks(g.n)
-        # rests[u]: the non-spanner host edges (u, v), v > u; masks are a
-        # subgraph of the host now, so XOR takes the spanner edges out
-        rests = list(map(and_, map(xor, g.adj_mask, masks), above))
-        for u in compress(range(g.n), rests):
+        above = above_masks(n)
+        fresh = memo is None or memo.key != (n, t)
+        if fresh:
+            # rests[u]: the non-spanner host edges (u, v), v > u; masks are a
+            # subgraph of the host now, so XOR takes the spanner edges out
+            rests = list(map(and_, map(xor, adj, masks), above))
+            lefts = [0] * n
+            dirty = compress(range(n), rests)  # every row; one with no rests keeps lefts 0
+        else:
+            rests, lefts = memo.rests, memo.lefts
+            memo.key = None  # stale until this call completes
+            # the rows whose host or spanner row changed since the memo's call
+            dirty = list(compress(range(n), map(ne, zip(adj, masks), zip(memo.adj, memo.rows))))
+            for d in dirty:
+                a, md = adj[d], masks[d]
+                memo.adj[d], memo.rows[d] = a, md
+                rests[d] = (a ^ md) & above[d]
+                # (x, d), x < d, stays in rests[x] when row x is clean, and only
+                # its distance-2 verdict, masks[x] & masks[d], can change; a
+                # dirty row x is settled whole below
+                bit = 1 << d
+                m = (a ^ md) & (bit - 1)
+                while m:
+                    low = m & -m
+                    x = low.bit_length() - 1
+                    if masks[x] & md:
+                        lefts[x] &= ~bit
+                    else:
+                        lefts[x] |= bit
+                    m ^= low
+        # lefts[u]: the edges of rests[u] beyond distance 2
+        for u in dirty:
             rest = rests[u]
             mu = masks[u]
-            far = 0  # within 1..ceil(t/2) of u, composed on first need, or set by the walk
-            # left: the edges of rest beyond distance 2
             if balls is not None:
                 left = rest & ~balls[u]
             elif rest.bit_count() > mu.bit_count():  # compose u's 2-ball, then one AND
-                ball = grow(masks, masks, u)
-                left = rest & ~ball
-                if t == 3:
-                    far = ball
+                left = rest & ~grow(masks, masks, u)
             else:  # one AND per edge
                 left = 0
                 m = rest
@@ -213,9 +275,11 @@ def verify_stretch(
                     if not mu & masks[low.bit_length() - 1]:
                         left |= low
                     m ^= low
-            if worst < 2 and rest != left:
-                near = rest ^ left
-                worst, worst_edge = 2, (u, (near & -near).bit_length() - 1)
+            lefts[u] = left
+        for u in compress(range(n), lefts):
+            left = lefts[u]
+            mu = masks[u]
+            far = 0  # within 1..ceil(t/2) of u, composed on first need, or set by the walk
             while left:
                 low = left & -left
                 v = low.bit_length() - 1
@@ -239,11 +303,20 @@ def verify_stretch(
                     d = t if odd and far & top[v] else (mask_dist(masks, u, v) or math.inf)
                 if d > worst:
                     worst, worst_edge = d, (u, v)
-        if worst_edge is None:  # no non-spanner edge: the first host edge, at distance 1
-            for u, row in enumerate(map(and_, g.adj_mask, above)):
-                if row:
-                    worst, worst_edge = 1, (u, (row & -row).bit_length() - 1)
-                    break
+        if worst_edge is None:  # no edge beyond distance 2: the first one at distance 2
+            u = next(compress(range(n), map(ne, rests, lefts)), None)
+            if u is not None:
+                near = rests[u] ^ lefts[u]
+                worst, worst_edge = 2, (u, (near & -near).bit_length() - 1)
+            else:  # no non-spanner edge: the first host edge, at distance 1
+                for u, row in enumerate(map(and_, adj, above)):
+                    if row:
+                        worst, worst_edge = 1, (u, (row & -row).bit_length() - 1)
+                        break
+        if memo is not None:
+            if fresh:
+                memo.adj, memo.rows, memo.rests, memo.lefts = list(adj), list(masks), rests, lefts
+            memo.key = (n, t)
     else:
         # sample ranks, not a list of edges: `sample_below` draws the indices
         # that random.sample(list(g.edges()), sample) draws, so the same edges

@@ -20,6 +20,7 @@ from dynspan.fully_dynamic import RebuildInfo
 from dynspan.graph import DynamicGraph
 from dynspan.instrumentation import OpCounter
 from dynspan.job_machine import ResamplingEngine, StepReport
+from dynspan.oracle import StretchMemo
 from dynspan.resample3 import PhaseState
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -81,3 +82,32 @@ def test_attributes_the_bench_reads_resolve():
     assert isinstance(rep, StepReport)
     assert isinstance(rep.resamples, int) and isinstance(rep.schedule_added, int)
     adapter("det3").state.check_against_rebuild()
+
+
+def test_the_oracle_hooks_take_what_run_loop_passes(monkeypatch):
+    # the tracer's `oracle.verify_stretch` hooks are called with run_loop's
+    # own arguments, memo included, as a traced run calls them; a memo
+    # passed by position or under another keyword fails here, not only in
+    # the traced oracle metrics
+    targets = load_spans().Tracer()._targets()
+    before, after = next((b, a) for _, _, name, b, a in targets if name == "oracle.verify_stretch")
+    real = cli.verify_stretch
+    for check in ("exact", "sampled"):
+        calls = []
+
+        def spy(*args, **kwargs):
+            count = before(*args, **kwargs)
+            rep = real(*args, **kwargs)
+            assert after(count, rep, *args, **kwargs) == {"checked": count} and count > 0
+            calls.append((len(args), set(kwargs), kwargs["memo"]))
+            return rep
+
+        monkeypatch.setattr(cli, "verify_stretch", spy)
+        argv = "run --algo det3 --n 12 --init-m 30 --steps 4 --seed 5 --check " + check
+        args = cli.build_parser().parse_args(argv.split())
+        adapter = cli.ALGO_FACTORIES["det3"](args, OpCounter())
+        rows, failure = cli.run_loop(adapter, cli.make_adversary(args, adapter), args)
+        assert failure is None and len(calls) == len(rows) == 4, check
+        for n_args, keywords, memo in calls:
+            assert n_args == 3 and keywords == {"mode", "sample", "seed", "memo"}, check
+            assert memo is calls[0][2] and isinstance(memo, StretchMemo)  # one memo per run

@@ -32,6 +32,7 @@ from dynspan.instrumentation import OpCounter
 from dynspan.oracle import (
     SpannerMasks,
     SpannerNotSubgraph,
+    StretchMemo,
     adjacency_masks,
     reference_greedy,
     verify_stretch,
@@ -88,8 +89,10 @@ def row_sides(g: DynamicGraph, h: list[tuple[int, int]], t: int = 3) -> Counter:
     walk from u's or from v's side, and "walk-fails" those whose walked
     edge is beyond t, so that `mask_dist` runs.  A row walks when no
     radius was composed around u before its last edge: no earlier edge
-    needed the last radius and, at t = 3, the row is not dense.  When u
-    has no spanner neighbor, what was composed is empty and it walks too."""
+    needed the last radius.  The search beyond distance 2 runs apart from
+    the distance-2 settle, so a dense row's 2-ball is not reused for it.
+    When u has no spanner neighbor, what was composed is empty and it
+    walks too."""
     masks = adjacency_masks(g.n, h)
     sides: Counter = Counter()
     for u, row in enumerate(g.adj_mask):
@@ -105,7 +108,7 @@ def row_sides(g: DynamicGraph, h: list[tuple[int, int]], t: int = 3) -> Counter:
         left = [v for v in iter_bits(rest) if dist.get(v, math.inf) > 2]
         if not left or dist.get(left[-1], math.inf) < t:
             continue
-        composed = (t == 3 and dense) or any(dist.get(v, math.inf) >= t for v in left[:-1])
+        composed = any(dist.get(v, math.inf) >= t for v in left[:-1])
         if composed and mu:
             continue
         v = left[-1]
@@ -255,6 +258,36 @@ def test_only_rows_with_a_non_spanner_edge_are_walked():
         rep = verify_stretch(g, SpannerMasks(rows), t)
         assert (rep.ok, rep.worst_edge, rep.worst_dist) == (True, (0, 2), 2)
         assert rows.reads <= 2, (t, rows.reads)
+
+
+def test_a_memo_call_after_one_change_reads_only_the_rows_it_changed():
+    # a 144-vertex path with a chord at distance 2 from every third vertex:
+    # a fresh call settles every chord's row, a call with a memo only the
+    # rows of the one edge changed since the memo's call
+    n = 144
+    path = [(u, u + 1) for u in range(n - 1)]
+    g = DynamicGraph(n, path + [(u, u + 2) for u in range(0, n - 2, 3)])
+    rows = RowReads(adjacency_masks(n, path))
+    memo = StretchMemo()
+    verify_stretch(g, SpannerMasks(rows), 3, memo=memo)
+
+    def chord_into_spanner():
+        list.__setitem__(rows, 3, rows[3] | 1 << 5)
+        list.__setitem__(rows, 5, rows[5] | 1 << 3)
+
+    changes = [
+        lambda: g.delete_edge(0, 2),  # a host chord goes
+        chord_into_spanner,  # a chord joins the spanner
+        lambda: g.insert_edge(10, 12),  # a host chord comes, at distance 2
+    ]
+    for change in changes:
+        change()
+        rows.reads = 0
+        rep = verify_stretch(g, SpannerMasks(rows), 3, memo=memo)
+        memo_reads = rows.reads
+        rows.reads = 0
+        assert rep == verify_stretch(g, SpannerMasks(rows), 3) and rep.ok
+        assert memo_reads <= 8 and rows.reads >= 90, (memo_reads, rows.reads)
 
 
 def test_a_bad_mode_is_rejected_before_any_row_is_read():
