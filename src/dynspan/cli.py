@@ -1,4 +1,4 @@
-"""Command-line driver: run algorithms against adversaries, verify, bench.
+"""Command-line driver: run an algorithm against an adversary, or verify a stream.
 
 Exit codes: 0 success, 2 online check failure or broken invariant, 3
 input/usage error.  All output (CSV, metadata, stdout) is a pure function
@@ -193,7 +193,7 @@ def event_label(ev) -> str:
 def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | None]:
     rows: list[MetricsRow] = []
     failure: CheckFailed | None = None
-    memo = StretchMemo()  # one per run: each exact check redoes only the rows that changed
+    memo = StretchMemo()  # one per run: each check redoes only the rows that changed
     for step in range(1, args.steps + 1):
         try:
             ev = adversary.next_event(adapter.view())
@@ -209,9 +209,6 @@ def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | 
                     adapter.graph,
                     SpannerMasks(adapter.state.spanner_masks()),
                     adapter.stretch_bound,
-                    mode=args.check,
-                    sample=64,
-                    seed=args.seed * 1_000_003 + step,
                     memo=memo,
                 )
                 if not rep.ok:
@@ -287,41 +284,6 @@ def cmd_verify(args) -> int:
     return cmd_run(args)
 
 
-def quantiles(values: list[int]) -> tuple[int, int, int]:
-    if not values:
-        return 0, 0, 0
-    s = sorted(values)
-    p50 = s[int(0.50 * (len(s) - 1))]
-    p95 = s[int(0.95 * (len(s) - 1))]
-    return p50, p95, s[-1]
-
-
-def cmd_bench(args) -> int:
-    algos = [a for a in args.algos.split(",") if a]
-    for a in algos:
-        if a not in ALGO_FACTORIES:
-            raise BadArgs(f"unknown algo {a!r}")
-    all_rows: list[MetricsRow] = []
-    print("algo,p50_ops,p95_ops,max_ops,p50_add,p95_add,max_add,steps")
-    for a in algos:
-        sub = argparse.Namespace(**vars(args))
-        sub.algo = a
-        sub.check = "none"
-        counter = OpCounter()
-        adapter = ALGO_FACTORIES[a](sub, counter)
-        adversary = make_adversary(sub, adapter)
-        rows, _ = run_loop(adapter, adversary, sub)
-        ops = [r.op_count for r in rows]
-        adds = [r.recourse_add for r in rows]
-        o50, o95, omax = quantiles(ops)
-        a50, a95, amax = quantiles(adds)
-        print(f"{a},{o50},{o95},{omax},{a50},{a95},{amax},{len(rows)}")
-        all_rows.extend(rows)
-    if args.out:
-        write_metrics_csv(args.out, all_rows)
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise BadArgs(message)
@@ -353,9 +315,8 @@ def build_parser() -> _Parser:
     p = _Parser(prog="dynspan", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, algo=True):
-        if algo:
-            sp.add_argument("--algo", required=True, choices=sorted(ALGO_FACTORIES))
+    def common(sp):
+        sp.add_argument("--algo", required=True, choices=sorted(ALGO_FACTORIES))
         sp.add_argument("--k", type=positive_int, default=2)
         sp.add_argument("--n", type=int, default=32)
         sp.add_argument("--steps", type=non_negative_int, default=None)
@@ -371,19 +332,13 @@ def build_parser() -> _Parser:
     run = sub.add_parser("run", help="drive one algorithm against an adversary")
     common(run)
     run.add_argument("--adversary", default="random")
-    run.add_argument("--check", choices=["none", "sampled", "exact"], default="none")
+    run.add_argument("--check", choices=["none", "exact"], default="none")
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="replay a stream with exact per-step checking")
     common(ver)
     ver.add_argument("--stream", required=True)
     ver.set_defaults(func=cmd_verify, adversary=None, check="exact")
-
-    bench = sub.add_parser("bench", help="op-count and recourse quantiles per algorithm")
-    common(bench, algo=False)
-    bench.add_argument("--algos", default="greedy,det3")
-    bench.add_argument("--adversary", default="random")
-    bench.set_defaults(func=cmd_bench, check="none", steps=DEFAULT_STEPS)
 
     return p
 

@@ -289,10 +289,6 @@ class DynamicGraph:
         self._unlink(*e)
         return e
 
-    def degree(self, v: int) -> int:
-        check_range(self.n, v)
-        return self.adj_mask[v].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in lexicographic order."""
         return row_edges(self.adj_mask)
@@ -305,24 +301,6 @@ class DynamicGraph:
         g.m = self.m
         g.adj_mask = list(self.adj_mask)
         return g
-
-    def to_text(self) -> str:
-        """Canonical serialization: header `N <n>` then one `<lo> <hi>` line per edge."""
-        lines = [f"N {self.n}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "DynamicGraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("N "):
-            raise ValueError("missing `N <n>` header")
-        n = int(lines[0][2:])
-        edges = []
-        for ln in lines[1:]:
-            a, b = ln.split()
-            edges.append((int(a), int(b)))
-        return cls(n, edges)
 
     def check_invariants(self) -> None:
         assert len(self.adj_mask) == self.n

@@ -29,8 +29,8 @@ meets the other endpoint's (a path of odd length t splits at its
 midpoint, so the test is symmetric).  An unbounded BFS runs only for an
 edge that fails.
 
-A `StretchMemo` carries the distance-2 verdicts from one exact call to
-the next.  It holds copies of the host and spanner rows of the last call
+A `StretchMemo` carries the distance-2 verdicts from one call to the
+next.  It holds copies of the host and spanner rows of the last call
 that completed, each row's non-spanner edges above the diagonal
 (`rests`) and those of them beyond distance 2 (`lefts`).  A call with the
 memo finds the rows whose host or spanner row changed in one pass
@@ -60,14 +60,13 @@ truth that tests compare against.
 from __future__ import annotations
 
 import math
-import random
 from functools import lru_cache
 from itertools import compress
 from operator import and_, ne, or_, xor
 from typing import Iterable, NamedTuple, Sequence
 
-from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist, sample_below
-from dynspan.instrumentation import EdgeRanks, adjacency_masks
+from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist
+from dynspan.instrumentation import adjacency_masks
 
 
 class SpannerNotSubgraph(Exception):
@@ -96,8 +95,8 @@ class SpannerMasks(NamedTuple):
 
 
 class StretchMemo:
-    """What the last exact `verify_stretch` call that completed on (n, t)
-    leaves for the next one: copies of the host and spanner rows it read,
+    """What the last `verify_stretch` call that completed on (n, t) leaves
+    for the next one: copies of the host and spanner rows it read,
     each row's non-spanner edges above the diagonal (`rests`) and the
     subset of those beyond distance 2 (`lefts`).  `key` is (n, t), or None
     before the first such call and while one runs."""
@@ -184,23 +183,18 @@ def verify_stretch(
     g: DynamicGraph,
     h_edges: Iterable[tuple[int, int]] | SpannerMasks,
     t: int,
-    mode: str = "exact",
-    sample: int = 64,
-    seed: int = 0,
     memo: StretchMemo | None = None,
 ) -> StretchReport:
-    """Check dist_H(u,v) <= t for host edges (u,v); mode "sampled" checks a
-    seeded uniform subset of them.  The witness on failure is the checked
-    edge with the largest (possibly infinite) spanner distance, the first
-    one in lexicographic order (exact) or sample order (sampled).  H is
-    given as edges or as `SpannerMasks`, with the same report.
+    """Check dist_H(u,v) <= t for every host edge (u,v).  The witness on
+    failure is the edge with the largest (possibly infinite) spanner
+    distance, the first one in lexicographic order.  H is given as edges
+    or as `SpannerMasks`, with the same report.
 
-    A bad `mode` raises ValueError before any row is read, and then H is
-    checked against g (`subgraph_masks`) before any row is walked.  Exact
-    mode takes every row's non-spanner edges above the diagonal in one
-    pass, so only the rows that have some are walked.  It settles each
-    row's distance-2 edges before any other: with one AND per edge, or
-    with one AND against the row's 2-ball when the row has more
+    H is checked against g (`subgraph_masks`) before any row is walked.
+    Every row's non-spanner edges above the diagonal are taken in one
+    pass, so only the rows that have some are walked.  Each row's
+    distance-2 edges are settled before any other: with one AND per edge,
+    or with one AND against the row's 2-ball when the row has more
     non-spanner edges above it than spanner neighbors (the smaller side
     is walked, as in `mask_dist`).  For odd t, a row's last edge beyond
     the rings walks the neighbors of its endpoint with the smaller
@@ -208,124 +202,111 @@ def verify_stretch(
     more around u.  On a passing input every edge is decided from reach
     sets, and `mask_dist` never runs.
 
-    With a `memo`, exact mode settles distance 2 again only on the rows
-    whose host or spanner row changed since the memo's last call, and on
-    the non-spanner edges from other rows into them, one AND each; the
-    report is the one a call without it gives.  The memo is read after
-    the subgraph check, so a call that raises there leaves it as it was.
-    A memo of another n or t is started over."""
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    exact = mode == "exact" or g.m <= sample
+    With a `memo`, distance 2 is settled again only on the rows whose
+    host or spanner row changed since the memo's last call, and on the
+    non-spanner edges from other rows into them, one AND each; the report
+    is the one a call without it gives.  The memo is read after the
+    subgraph check, so a call that raises there leaves it as it was.  A
+    memo of another n or t is started over."""
     masks = subgraph_masks(g, h_edges)
 
     worst: float = 0.0
     worst_edge: tuple[int, int] | None = None
-    if exact:
-        n, adj = g.n, g.adj_mask
-        levels = reach_levels(masks, t // 2) if t >= 2 else []
-        odd = t >= 3 and t % 2 == 1  # then d = t needs one radius more around u
-        # (d, the ceil(d/2)-balls, the floor(d/2)-balls) for d = 3 .. t, or t - 1 when odd
-        rings = [(d, levels[(d + 1) // 2 - 1], levels[d // 2 - 1]) for d in range(3, t + 1 - odd)]
-        top = levels[-1] if levels else []
-        balls = levels[1] if t >= 4 else None  # every 2-ball, composed already
-        above = above_masks(n)
-        fresh = memo is None or memo.key != (n, t)
-        if fresh:
-            # rests[u]: the non-spanner host edges (u, v), v > u; masks are a
-            # subgraph of the host now, so XOR takes the spanner edges out
-            rests = list(map(and_, map(xor, adj, masks), above))
-            lefts = [0] * n
-            dirty = compress(range(n), rests)  # every row; one with no rests keeps lefts 0
-        else:
-            rests, lefts = memo.rests, memo.lefts
-            memo.key = None  # stale until this call completes
-            # the rows whose host or spanner row changed since the memo's call
-            dirty = list(compress(range(n), map(ne, zip(adj, masks), zip(memo.adj, memo.rows))))
-            for d in dirty:
-                a, md = adj[d], masks[d]
-                memo.adj[d], memo.rows[d] = a, md
-                rests[d] = (a ^ md) & above[d]
-                # (x, d), x < d, stays in rests[x] when row x is clean, and only
-                # its distance-2 verdict, masks[x] & masks[d], can change; a
-                # dirty row x is settled whole below
-                bit = 1 << d
-                m = (a ^ md) & (bit - 1)
-                while m:
-                    low = m & -m
-                    x = low.bit_length() - 1
-                    if masks[x] & md:
-                        lefts[x] &= ~bit
-                    else:
-                        lefts[x] |= bit
-                    m ^= low
-        # lefts[u]: the edges of rests[u] beyond distance 2
-        for u in dirty:
-            rest = rests[u]
-            mu = masks[u]
-            if balls is not None:
-                left = rest & ~balls[u]
-            elif rest.bit_count() > mu.bit_count():  # compose u's 2-ball, then one AND
-                left = rest & ~grow(masks, masks, u)
-            else:  # one AND per edge
-                left = 0
-                m = rest
-                while m:
-                    low = m & -m
-                    if not mu & masks[low.bit_length() - 1]:
-                        left |= low
-                    m ^= low
-            lefts[u] = left
-        for u in compress(range(n), lefts):
-            left = lefts[u]
-            mu = masks[u]
-            far = 0  # within 1..ceil(t/2) of u, composed on first need, or set by the walk
-            while left:
-                low = left & -left
-                v = low.bit_length() - 1
-                left ^= low
-                for d, around_u, around_v in rings:
-                    if around_u[u] & around_v[v]:
-                        break
-                else:
-                    if odd and not far:
-                        if left:  # compose u's ball once for the row's edges
-                            far = grow(masks, top, u)
-                        else:  # the row's last edge: walk the smaller side to a witness
-                            mv = masks[v]
-                            if mv.bit_count() < mu.bit_count():
-                                walk, other = mv, top[u]
-                            else:
-                                walk, other = mu, top[v]
-                            while walk and not top[(walk & -walk).bit_length() - 1] & other:
-                                walk &= walk - 1
-                            far = -1 if walk else 0  # all ones: a witness puts v within t
-                    d = t if odd and far & top[v] else (mask_dist(masks, u, v) or math.inf)
-                if d > worst:
-                    worst, worst_edge = d, (u, v)
-        if worst_edge is None:  # no edge beyond distance 2: the first one at distance 2
-            u = next(compress(range(n), map(ne, rests, lefts)), None)
-            if u is not None:
-                near = rests[u] ^ lefts[u]
-                worst, worst_edge = 2, (u, (near & -near).bit_length() - 1)
-            else:  # no non-spanner edge: the first host edge, at distance 1
-                for u, row in enumerate(map(and_, adj, above)):
-                    if row:
-                        worst, worst_edge = 1, (u, (row & -row).bit_length() - 1)
-                        break
-        if memo is not None:
-            if fresh:
-                memo.adj, memo.rows, memo.rests, memo.lefts = list(adj), list(masks), rests, lefts
-            memo.key = (n, t)
+    n, adj = g.n, g.adj_mask
+    levels = reach_levels(masks, t // 2) if t >= 2 else []
+    odd = t >= 3 and t % 2 == 1  # then d = t needs one radius more around u
+    # (d, the ceil(d/2)-balls, the floor(d/2)-balls) for d = 3 .. t, or t - 1 when odd
+    rings = [(d, levels[(d + 1) // 2 - 1], levels[d // 2 - 1]) for d in range(3, t + 1 - odd)]
+    top = levels[-1] if levels else []
+    balls = levels[1] if t >= 4 else None  # every 2-ball, composed already
+    above = above_masks(n)
+    fresh = memo is None or memo.key != (n, t)
+    if fresh:
+        # rests[u]: the non-spanner host edges (u, v), v > u; masks are a
+        # subgraph of the host now, so XOR takes the spanner edges out
+        rests = list(map(and_, map(xor, adj, masks), above))
+        lefts = [0] * n
+        dirty = compress(range(n), rests)  # every row; one with no rests keeps lefts 0
     else:
-        # sample ranks, not a list of edges: `sample_below` draws the indices
-        # that random.sample(list(g.edges()), sample) draws, so the same edges
-        ranks = EdgeRanks(g.adj_mask)
-        for r in sample_below(random.Random(seed).getrandbits, g.m, sample):
-            u, v = ranks.edge_at(r)
-            d = mask_dist(masks, u, v) or math.inf
+        rests, lefts = memo.rests, memo.lefts
+        memo.key = None  # stale until this call completes
+        # the rows whose host or spanner row changed since the memo's call
+        dirty = list(compress(range(n), map(ne, zip(adj, masks), zip(memo.adj, memo.rows))))
+        for d in dirty:
+            a, md = adj[d], masks[d]
+            memo.adj[d], memo.rows[d] = a, md
+            rests[d] = (a ^ md) & above[d]
+            # (x, d), x < d, stays in rests[x] when row x is clean, and only
+            # its distance-2 verdict, masks[x] & masks[d], can change; a
+            # dirty row x is settled whole below
+            bit = 1 << d
+            m = (a ^ md) & (bit - 1)
+            while m:
+                low = m & -m
+                x = low.bit_length() - 1
+                if masks[x] & md:
+                    lefts[x] &= ~bit
+                else:
+                    lefts[x] |= bit
+                m ^= low
+    # lefts[u]: the edges of rests[u] beyond distance 2
+    for u in dirty:
+        rest = rests[u]
+        mu = masks[u]
+        if balls is not None:
+            left = rest & ~balls[u]
+        elif rest.bit_count() > mu.bit_count():  # compose u's 2-ball, then one AND
+            left = rest & ~grow(masks, masks, u)
+        else:  # one AND per edge
+            left = 0
+            m = rest
+            while m:
+                low = m & -m
+                if not mu & masks[low.bit_length() - 1]:
+                    left |= low
+                m ^= low
+        lefts[u] = left
+    for u in compress(range(n), lefts):
+        left = lefts[u]
+        mu = masks[u]
+        far = 0  # within 1..ceil(t/2) of u, composed on first need, or set by the walk
+        while left:
+            low = left & -left
+            v = low.bit_length() - 1
+            left ^= low
+            for d, around_u, around_v in rings:
+                if around_u[u] & around_v[v]:
+                    break
+            else:
+                if odd and not far:
+                    if left:  # compose u's ball once for the row's edges
+                        far = grow(masks, top, u)
+                    else:  # the row's last edge: walk the smaller side to a witness
+                        mv = masks[v]
+                        if mv.bit_count() < mu.bit_count():
+                            walk, other = mv, top[u]
+                        else:
+                            walk, other = mu, top[v]
+                        while walk and not top[(walk & -walk).bit_length() - 1] & other:
+                            walk &= walk - 1
+                        far = -1 if walk else 0  # all ones: a witness puts v within t
+                d = t if odd and far & top[v] else (mask_dist(masks, u, v) or math.inf)
             if d > worst:
                 worst, worst_edge = d, (u, v)
+    if worst_edge is None:  # no edge beyond distance 2: the first one at distance 2
+        u = next(compress(range(n), map(ne, rests, lefts)), None)
+        if u is not None:
+            near = rests[u] ^ lefts[u]
+            worst, worst_edge = 2, (u, (near & -near).bit_length() - 1)
+        else:  # no non-spanner edge: the first host edge, at distance 1
+            for u, row in enumerate(map(and_, adj, above)):
+                if row:
+                    worst, worst_edge = 1, (u, (row & -row).bit_length() - 1)
+                    break
+    if memo is not None:
+        if fresh:
+            memo.adj, memo.rows, memo.rests, memo.lefts = list(adj), list(masks), rests, lefts
+        memo.key = (n, t)
     return StretchReport(worst_edge is None or worst <= t, worst_edge, worst)
 
 

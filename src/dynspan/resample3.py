@@ -520,7 +520,7 @@ class Resample3(RoleOutput):
         return self._apply(DELETE, u, v)
 
     def update(self, ev: UpdateEvent) -> Step:
-        return self._apply(ev.kind, *ev.edge)
+        return by_kind(ev.kind, self.insert, self.delete)(*ev.edge)
 
     @property
     def roles(self) -> RoleSet:

@@ -294,7 +294,7 @@ def test_criterion_9_cli_byte_reproducibility(tmp_path):
     for algo, extra in specs:
         blobs = []
         out = tmp_path / f"{algo}.csv"
-        check = [] if algo == "jm" else ["--check", "sampled"]  # jm outputs no spanner
+        check = [] if algo == "jm" else ["--check", "exact"]  # jm outputs no spanner
         argv = ["run", "--algo", algo, "--seed", "17", *check, "--out", str(out)]
         for _ in range(2):
             assert cli.main(argv + extra) == 0

@@ -4,9 +4,9 @@
 below c redraws getrandbits(c.bit_length()) until the value is below c,
 and a sample of range(n) is a run of such draws.  The engine writes the
 same rule inline.  So every stream (the engine's draws, the jm instance,
-every adversary, the start graph, the sampled oracle and the phase seeds)
-depends on `random.Random.getrandbits` and, for the adversaries' coin,
-`random()` alone: a call of `randrange`, `sample`, `choice` and the like
+every adversary, the start graph and the phase seeds) depends on
+`random.Random.getrandbits` and, for the adversaries' coin, `random()`
+alone: a call of `randrange`, `sample`, `choice` and the like
 would tie an output to a private algorithm of `random` again.
 
 The walkers here fail on such a read anywhere in `src/dynspan`, or on any

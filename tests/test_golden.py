@@ -35,9 +35,9 @@ RUNS = {
     "greedy-k3": "--algo greedy --k 3 --n 24 --init-m 100 --steps 40 --seed 3 --check exact",
     "det3": "--algo det3 --n 30 --init-m 120 --steps 60 --seed 5"
     " --adversary spanner-target --p-insert 0.3 --check exact",
-    # ~200 host edges, so the check samples 64 of them on every step
-    "det3-sampled": "--algo det3 --n 40 --init-m 200 --steps 80 --seed 8"
-    " --adversary spanner-target --p-insert 0.3 --check sampled",
+    # ~200 host edges, every one checked on every step
+    "det3-n40": "--algo det3 --n 40 --init-m 200 --steps 80 --seed 8"
+    " --adversary spanner-target --p-insert 0.3 --check exact",
     # two phase rollovers inside the run
     "resample3": "--algo resample3 --n 30 --init-m 150 --phase-len 25 --steps 70 --seed 6"
     " --adversary witness-hammer --p-insert 0.3",
@@ -49,9 +49,9 @@ RUN_DIGESTS = {
         "ab5c646d8f0e8f6bd5bb42ff21065b5a24e11713279a73dfc6f22cd4a6f5bccb",
         "c980cb220c3a98c99bfec98b8f63dd38f734b75818ba9a415268a74d5b3ed97a",
     ),
-    "det3-sampled": (
+    "det3-n40": (
         "12d9e7ac1a74c378f3d5647fa231e20f6554c2ff9c1a81e6a92efcf8a0f121de",
-        "0344b71d6e0c4790c8eab80c9613324f28c1b9cc86373ef8e38e81684d09f224",
+        "ab80eba787c95e47e6d055c902d67337418039b73e11e3a3d866dcab6041ddc7",
     ),
     "fd-greedy": (
         "32ee5361bbb09372493f5a2d5f7059d25e8592838687107b7184733fe69fb6f0",

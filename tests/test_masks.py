@@ -37,8 +37,8 @@ STREAMS = {
 }
 
 
-def report(g, h, t, **kwargs):
-    rep = verify_stretch(g, h, t, **kwargs)
+def report(g, h, t):
+    rep = verify_stretch(g, h, t)
     return rep.ok, rep.worst_edge, rep.worst_dist
 
 
@@ -57,9 +57,7 @@ def assert_masks_agree(g, state, step: int) -> None:
         assert_ranks_fresh(ranks, masks, step)
         assert [ranks.edge_at(r) for r in range(ranks.total)] == sorted(edges), step
     for t in (1, 3, 5):
-        for kwargs in ({}, {"mode": "sampled", "sample": 16, "seed": step}):
-            want = report(g, edges, t, **kwargs)
-            assert report(g, SpannerMasks(masks), t, **kwargs) == want, (step, t, kwargs)
+        assert report(g, SpannerMasks(masks), t) == report(g, edges, t), (step, t)
 
 
 @pytest.mark.parametrize("spec", STREAMS.values(), ids=STREAMS.keys())

@@ -6,7 +6,9 @@ would silently zero a per-layer metric.  This loads the tracer from its
 file, unedited, and checks each of its targets.  `bench/test_bench.py`
 injects a fault through det3 internals, checked here the same way, and
 the tracer's hooks and `bench/driver.py::output_checks` read attributes
-off the program's objects, checked here by name too.
+off the program's objects, checked here by name too.  A traced name that
+exists but that no update calls is caught too: every edge structure's
+update span must open on every step of a traced run.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import importlib.util
 import inspect
 from pathlib import Path
+
+import pytest
 
 from dynspan import cli
 from dynspan.fully_dynamic import RebuildInfo
@@ -92,22 +96,62 @@ def test_the_oracle_hooks_take_what_run_loop_passes(monkeypatch):
     targets = load_spans().Tracer()._targets()
     before, after = next((b, a) for _, _, name, b, a in targets if name == "oracle.verify_stretch")
     real = cli.verify_stretch
-    for check in ("exact", "sampled"):
-        calls = []
+    calls = []
 
-        def spy(*args, **kwargs):
-            count = before(*args, **kwargs)
-            rep = real(*args, **kwargs)
-            assert after(count, rep, *args, **kwargs) == {"checked": count} and count > 0
-            calls.append((len(args), set(kwargs), kwargs["memo"]))
-            return rep
+    def spy(*args, **kwargs):
+        count = before(*args, **kwargs)
+        rep = real(*args, **kwargs)
+        assert after(count, rep, *args, **kwargs) == {"checked": count} and count > 0
+        calls.append((len(args), set(kwargs), kwargs["memo"]))
+        return rep
 
-        monkeypatch.setattr(cli, "verify_stretch", spy)
-        argv = "run --algo det3 --n 12 --init-m 30 --steps 4 --seed 5 --check " + check
-        args = cli.build_parser().parse_args(argv.split())
-        adapter = cli.ALGO_FACTORIES["det3"](args, OpCounter())
-        rows, failure = cli.run_loop(adapter, cli.make_adversary(args, adapter), args)
-        assert failure is None and len(calls) == len(rows) == 4, check
-        for n_args, keywords, memo in calls:
-            assert n_args == 3 and keywords == {"mode", "sample", "seed", "memo"}, check
-            assert memo is calls[0][2] and isinstance(memo, StretchMemo)  # one memo per run
+    monkeypatch.setattr(cli, "verify_stretch", spy)
+    argv = "run --algo det3 --n 12 --init-m 30 --steps 4 --seed 5 --check exact"
+    args = cli.build_parser().parse_args(argv.split())
+    adapter = cli.ALGO_FACTORIES["det3"](args, OpCounter())
+    rows, failure = cli.run_loop(adapter, cli.make_adversary(args, adapter), args)
+    assert failure is None and len(calls) == len(rows) == 4
+    for n_args, keywords, memo in calls:
+        assert n_args == 3 and keywords == {"memo"}
+        assert memo is calls[0][2] and isinstance(memo, StretchMemo)  # one memo per run
+
+
+class NoGauge:
+    def sample_if_due(self, now_ns: int) -> None:
+        pass
+
+
+# the spans each edge structure's per-step update opens, and a run that reaches them
+UPDATE_SPANS = {
+    "greedy": ({"greedy.handle_delete"}, "--adversary spanner-target"),
+    "fd-greedy": (
+        {"fully_dynamic.insert", "fully_dynamic.delete"},
+        "--adversary spanner-target --p-insert 0.6",
+    ),
+    "det3": ({"det3.apply"}, "--adversary spanner-target --p-insert 0.3"),
+    # a phase of 8 updates: the run rolls over three times
+    "resample3": ({"resample3.apply"}, "--adversary witness-hammer --p-insert 0.3 --phase-len 8"),
+}
+
+
+@pytest.mark.parametrize("algo", UPDATE_SPANS)
+def test_every_step_opens_the_update_span(algo):
+    # a traced name that nothing calls never opens a span, which zeroes
+    # its per-layer metrics as silently as a renamed one: each structure's
+    # update must go through the traced methods on every step
+    spans = load_spans()
+    names, extra = UPDATE_SPANS[algo]
+    argv = f"run --algo {algo} --n 16 --init-m 60 --steps 30 --seed 5 {extra}"
+    args = cli.build_parser().parse_args(argv.split())
+    tracer = spans.Tracer()
+    with tracer.installed():
+        adapter = cli.ALGO_FACTORIES[algo](args, OpCounter())
+        clock = spans.TracedStepClock(cli.make_adversary(args, adapter), NoGauge(), tracer)
+        rows, failure = cli.run_loop(adapter, clock, args)
+        clock.finish()
+    assert failure is None and len(rows) == args.steps
+    fired = [s for s in tracer.spans if s[spans.NAME] in names]
+    assert {s[spans.STEP] for s in fired} == set(range(1, args.steps + 1)), algo
+    if algo == "resample3":
+        assert len(fired) == args.steps  # one apply per update
+        assert sum(s[spans.ATTRS]["rollover"] for s in fired) >= 1

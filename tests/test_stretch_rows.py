@@ -290,32 +290,11 @@ def test_a_memo_call_after_one_change_reads_only_the_rows_it_changed():
         assert memo_reads <= 8 and rows.reads >= 90, (memo_reads, rows.reads)
 
 
-def test_a_bad_mode_is_rejected_before_any_row_is_read():
-    g = DynamicGraph(3, [(0, 1)])
-    bad = [(1, 2)]  # not a host edge
-    for h in (bad, SpannerMasks(adjacency_masks(3, bad))):
-        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-            verify_stretch(g, h, 3, mode="bogus")
-
-
-def test_sampled_mode_checks_mask_rows_as_exact_mode_does():
-    g = DynamicGraph(8, [(u, u + 1) for u in range(7)])
-    rows = adjacency_masks(8, g.edges())
-    rows[5] |= 1 << 2  # the lowest bad row is 2, whose bad bit is 5
-    rows[2] |= 1 << 5 | 1 << 7
-    want = ("raised", SpannerNotSubgraph, "spanner edge (2, 5) not in host graph")
-    for t in (1, 3, 5):
-        assert outcome(verify_stretch, g, SpannerMasks(rows), t) == want, t
-        assert g.m > 3
-        got = outcome(verify_stretch, g, SpannerMasks(rows), t, mode="sampled", sample=3, seed=t)
-        assert got == want, t
-
-
 def test_mask_rows_are_checked_before_any_row_is_walked():
     """Mask rows are checked against the host before any row is walked, so
     a bad row, even one with a vertex out of range that the walk or the
     search would index, raises the error of checking every row: the lowest
-    bad bit of the lowest bad row, in either mode and at every t."""
+    bad bit of the lowest bad row, at every t."""
     # row 0 walks its one edge beyond distance 2, (0, 3), from row 3's side,
     # and finds no witness before bit 40
     g = DynamicGraph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (2, 3)])
@@ -341,14 +320,13 @@ def test_mask_rows_are_checked_before_any_row_is_walked():
                 rows[v] |= 1 << u
         bad = [(u, r & ~a) for u, (r, a) in enumerate(zip(rows, g.adj_mask)) if r & ~a]
         for t in range(8):
-            for kwargs in ({}, {"mode": "sampled", "sample": rng.randrange(4), "seed": case}):
-                if bad:
-                    u, b = bad[0]
-                    msg = f"spanner edge {(u, (b & -b).bit_length() - 1)} not in host graph"
-                    want = ("raised", SpannerNotSubgraph, msg)
-                else:
-                    want = outcome(verify_stretch, g, h, t, **kwargs)
-                got = outcome(verify_stretch, g, SpannerMasks(rows), t, **kwargs)
-                assert got == want, (n, sorted(g.edges()), rows, t, kwargs)
-                raised += bool(bad)
+            if bad:
+                u, b = bad[0]
+                msg = f"spanner edge {(u, (b & -b).bit_length() - 1)} not in host graph"
+                want = ("raised", SpannerNotSubgraph, msg)
+            else:
+                want = outcome(verify_stretch, g, h, t)
+            got = outcome(verify_stretch, g, SpannerMasks(rows), t)
+            assert got == want, (n, sorted(g.edges()), rows, t)
+            raised += bool(bad)
     assert raised
