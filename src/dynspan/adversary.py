@@ -122,8 +122,9 @@ class SpannerTargeting(_EdgeAdversary):
 
     The draw r picks the spanner edge of rank r in lexicographic order, so
     it is `sorted(spanner)[r]` without listing the spanner.  The structure's
-    maintained `EdgeRanks` select it in O(log n); a view that gives only
-    masks gets ranks built from them, in O(n), which select the same edge."""
+    maintained `EdgeRanks` select it in O(log n); a view built by hand with
+    masks only, as tests build them, gets ranks built from the masks in O(n),
+    which select the same edge."""
 
     def victim(self, view: AdversaryView) -> tuple[int, int]:
         ranks = None

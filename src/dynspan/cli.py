@@ -77,7 +77,7 @@ class Adapter:
         return AdversaryView(
             self.graph,
             spanner_masks=self.state.spanner_masks,
-            spanner_ranks=getattr(self.state, "spanner_ranks", None),
+            spanner_ranks=self.state.spanner_ranks,
             heaviest_machine=getattr(self.state, "heaviest_machine", None),
         )
 

@@ -108,11 +108,9 @@ class FullyDynamicSpanner(RoleOutput):
             self.roles.remove(e)
             return []
         state = self.levels[level]
-        if e in state.in_spanner:
-            self.roles.remove(e)
         added = state.handle_delete(*e)
-        for a in added:
-            self.roles.add(a)
+        for f, sign in state.roles.flush():  # the level's net change, forwarded
+            (self.roles.add if sign == "+" else self.roles.remove)(f)
         return added
 
     def update(self, ev: UpdateEvent) -> Step:

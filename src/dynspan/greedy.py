@@ -14,20 +14,22 @@ edge would reject the others.  For the same reason a candidate through a
 or b that the spanner without (a, b) already covers is dropped before
 any inspection: the radius-(2k-2) ball around a (or b) settles it with
 one AND against the other endpoint's spanner row.
-The maintained edge sequence doubles as a greedy inspection prefix: the
-structure always equals the order-driven greedy run that inspects the
-surviving spanner sequence first and the rest ascending.  The rest is
-not stored: the non-spanner edges are the bits of `adj_mask & ~span_mask`.
+The spanner is a `RoleSet` of one role per edge, so `in_spanner` (its
+counts) keeps admission order and `span_mask` is its masks.  That sequence
+doubles as a greedy inspection prefix: the structure always equals the
+order-driven greedy run that inspects the surviving spanner sequence first
+and the rest ascending.  The rest is not stored: the non-spanner edges are
+the bits of `adj_mask & ~span_mask`.
 """
 
 from __future__ import annotations
 
-from dynspan.graph import DELETE, DynamicGraph, UpdateEvent, edge_key, iter_bits
+from dynspan.graph import DELETE, DynamicGraph, UpdateEvent, edge_key
 from dynspan.graph import UnsupportedUpdate, mask_balls, mask_dist, row_edges
-from dynspan.instrumentation import OpCounter, Step
+from dynspan.instrumentation import OpCounter, RoleOutput, RoleSet, Step
 
 
-class GreedyState:
+class GreedyState(RoleOutput):
     def __init__(self, graph: DynamicGraph, k: int, counter: OpCounter | None = None) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -35,40 +37,30 @@ class GreedyState:
         self.k = k
         self.cap = 2 * k - 1  # inspection asks dist >= 2k, i.e. not reachable within 2k-1
         self.counter = counter or OpCounter()
-        # the spanner edges in admission order: the maintained greedy sequence
-        self.in_spanner: dict[tuple[int, int], None] = {}
-        self.span_mask = [0] * graph.n
+        self.roles = RoleSet(graph.n)
+        self.in_spanner = self.roles.count
+        self.span_mask = self.roles.masks
         self.admitted = 0  # edges ever admitted, the build included
         self._build()
 
     def _build(self) -> None:
         for e in self.graph.edges():
             self._inspect(e)
+        self.roles.flush()
 
     def _inspect(self, e: tuple[int, int]) -> bool:
         """Admit e into the spanner iff its endpoints sit at spanner distance >= 2k."""
         u, v = e
         if mask_dist(self.span_mask, u, v, self.cap) is not None:
             return False
-        self.in_spanner[e] = None
+        self.roles.add(e)
         self.admitted += 1
-        self.span_mask[u] |= 1 << v
-        self.span_mask[v] |= 1 << u
         return True
-
-    def spanner_edges(self) -> set[tuple[int, int]]:
-        return set(self.in_spanner)
 
     @property
     def non_spanner(self) -> set[tuple[int, int]]:
         """The host edges outside the spanner, read off the rows."""
         return set(row_edges([a & ~s for a, s in zip(self.graph.adj_mask, self.span_mask)]))
-
-    def spanner_size(self) -> int:
-        return len(self.in_spanner)
-
-    def spanner_masks(self) -> list[int]:
-        return self.span_mask
 
     def total_recourse(self) -> int:
         return self.admitted
@@ -80,9 +72,7 @@ class GreedyState:
         self.counter.charge(2, "greedy")  # one per row bit of the deleted edge
         if e not in self.in_spanner:
             return []
-        del self.in_spanner[e]
-        self.span_mask[e[0]] &= ~(1 << e[1])
-        self.span_mask[e[1]] &= ~(1 << e[0])
+        self.roles.remove(e)
         return [cand for cand in self._candidates(*e) if self._inspect(cand)]
 
     def _candidates(self, a: int, b: int) -> list[tuple[int, int]]:
@@ -128,15 +118,12 @@ class GreedyState:
         """Apply one deletion and close its op step."""
         if ev.kind != DELETE:
             raise UnsupportedUpdate("the decremental greedy spanner accepts deletions only")
-        dels = int(edge_key(*ev.edge) in self.in_spanner)
-        adds = len(self.handle_delete(*ev.edge))
-        return Step(self.counter.end_step(), 0, adds, dels, self.spanner_size())
+        self.handle_delete(*ev.edge)
+        return Step.of(self.roles.flush(), self.counter.end_step(), 0, self.spanner_size())
 
     def check_invariants(self) -> None:
         assert self.in_spanner.keys() <= set(self.graph.edges())
-        for u, row in enumerate(self.graph.adj_mask):
-            kept = (v for v in iter_bits(row) if edge_key(u, v) in self.in_spanner)
-            assert self.span_mask[u] == sum(1 << v for v in kept)
+        self.roles.check_masks()
         # the local rescan in handle_delete relies on this
         for u, v in self.non_spanner:
             assert mask_dist(self.span_mask, u, v, self.cap) is not None

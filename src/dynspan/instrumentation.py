@@ -93,38 +93,43 @@ class RoleSet:
 
     Members are (u, v) edges over vertices 0..n-1, `masks` are their
     symmetric per-vertex adjacency bitmasks and `ranks` the `EdgeRanks` of
-    those masks.  Both are built on first read of either and kept from then
-    on by the same 0<->1 transitions, so a structure whose masks nobody
-    reads pays nothing for them.
+    those masks.  Each is built on its first read, the masks also on the
+    ranks' first read, and kept from then on by the same 0<->1 transitions:
+    a structure whose masks nobody reads pays nothing for them, and one
+    whose ranks nobody reads pays nothing for those.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.count: dict[tuple[int, int], int] = {}
         self._was: dict[tuple[int, int], bool] = {}  # membership before the current step
+        self._masks: list[int] | None = None
         self._ranks: EdgeRanks | None = None
+
+    @property
+    def masks(self) -> list[int]:
+        if self._masks is None:
+            self._masks = adjacency_masks(self.n, self.count)
+        return self._masks
 
     @property
     def ranks(self) -> EdgeRanks:
         if self._ranks is None:
-            self._ranks = EdgeRanks(adjacency_masks(self.n, self.count))
+            self._ranks = EdgeRanks(self.masks)
         return self._ranks
-
-    @property
-    def masks(self) -> list[int]:
-        return self.ranks.rows
 
     def add(self, e: tuple[int, int]) -> None:
         c = self.count.get(e, 0)
         self.count[e] = c + 1
         if not c:
             self._was.setdefault(e, False)
-            ranks = self._ranks
-            if ranks is not None:
+            masks = self._masks
+            if masks is not None:
                 u, v = e
-                ranks.rows[u] |= 1 << v
-                ranks.rows[v] |= 1 << u
-                ranks.add(u, 1)
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                if self._ranks is not None:
+                    self._ranks.add(u, 1)
 
     def remove(self, e: tuple[int, int]) -> None:
         c = self.count[e] - 1
@@ -133,18 +138,22 @@ class RoleSet:
         else:
             del self.count[e]
             self._was.setdefault(e, True)
-            ranks = self._ranks
-            if ranks is not None:
+            masks = self._masks
+            if masks is not None:
                 u, v = e
-                ranks.rows[u] &= ~(1 << v)
-                ranks.rows[v] &= ~(1 << u)
-                ranks.add(u, -1)
+                masks[u] &= ~(1 << v)
+                masks[v] &= ~(1 << u)
+                if self._ranks is not None:
+                    self._ranks.add(u, -1)
 
     def check_masks(self) -> None:
-        """Built masks equal the adjacency of the members, and their ranks a
-        fresh build; unbuilt ones are not checked."""
+        """Built masks equal the adjacency of the members, and built ranks
+        read those masks and equal a fresh build; unbuilt ones are not checked."""
+        if self._masks is not None:
+            assert self._masks == adjacency_masks(self.n, self.count)
         if self._ranks is not None:
-            assert vars(self._ranks) == vars(EdgeRanks(adjacency_masks(self.n, self.count)))
+            assert self._ranks.rows is self._masks
+            assert vars(self._ranks) == vars(EdgeRanks(self._masks))
 
     def flush(self) -> list[tuple[tuple[int, int], str]]:
         """Sorted (edge, "+"/"-") net membership changes since the last flush."""

@@ -1,12 +1,12 @@
 """Spanner adjacency masks kept by the structures, and the rank-select reads of them.
 
-Every structure answers `spanner_masks()` from the masks its output tracker
-keeps, and the structures with a `RoleSet` answer `spanner_ranks()` from
-the `EdgeRanks` it keeps over them; the CLI's per-step check and
-`spanner-target` read those instead of the edge set.  On seeded streams,
-after every step, the masks must equal the adjacency of `spanner_edges()`,
-the maintained ranks a fresh build and the sorted edges, and the oracle's
-report on the masks must equal its report on the edges, the ground truth.
+Every edge structure keeps its output in a `RoleSet` and answers
+`spanner_masks()` and `spanner_ranks()` from the masks and the `EdgeRanks`
+it keeps; the CLI's per-step check and `spanner-target` read those instead
+of the edge set.  On seeded streams, after every step, the masks must equal
+the adjacency of `spanner_edges()`, the maintained ranks a fresh build and
+the sorted edges, and the oracle's report on the masks must equal its
+report on the edges, the ground truth.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from dynspan import cli
 from dynspan.adversary import AdversaryView, SpannerTargeting
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent, nth_bit
-from dynspan.instrumentation import EdgeRanks, OpCounter
+from dynspan.instrumentation import EdgeRanks, OpCounter, RoleOutput, RoleSet
 from dynspan.oracle import SpannerMasks, SpannerNotSubgraph, adjacency_masks, verify_stretch
 from dynspan.resample3 import WrappedRunner
 
@@ -52,10 +52,9 @@ def assert_masks_agree(g, state, step: int) -> None:
     masks = state.spanner_masks()
     edges = state.spanner_edges()
     assert masks == adjacency_masks(g.n, edges), step
-    if hasattr(state, "spanner_ranks"):  # the bare greedy keeps no RoleSet
-        ranks = state.spanner_ranks()
-        assert_ranks_fresh(ranks, masks, step)
-        assert [ranks.edge_at(r) for r in range(ranks.total)] == sorted(edges), step
+    ranks = state.spanner_ranks()
+    assert_ranks_fresh(ranks, masks, step)
+    assert [ranks.edge_at(r) for r in range(ranks.total)] == sorted(edges), step
     for t in (1, 3, 5):
         assert report(g, SpannerMasks(masks), t) == report(g, edges, t), (step, t)
 
@@ -92,6 +91,66 @@ def test_wrapped_runner_masks_match_the_edges_across_rotations():
         assert_masks_agree(runner.graph, runner, seq)
         runner.check_invariants()
     assert runner.window == 4
+
+
+def assert_one_tracker(state) -> None:
+    """A greedy's spanner rows and admission-order dict are its role set's own."""
+    assert isinstance(state, RoleOutput)
+    assert state.span_mask is state.roles.masks
+    assert state.in_spanner is state.roles.count
+
+
+def test_every_edge_structure_keeps_its_output_in_one_role_set():
+    edge_algos = [a for a in cli.ALGO_FACTORIES if a != "jm"]  # jm's engine holds jobs
+    assert edge_algos == list(STREAMS)
+    for algo in edge_algos:
+        args = cli.build_parser().parse_args(["run", *STREAMS[algo].split()])
+        adapter = cli.ALGO_FACTORIES[algo](args, OpCounter())
+        assert isinstance(adapter.state, RoleOutput), algo
+        if algo == "greedy":
+            assert_one_tracker(adapter.state)
+    assert isinstance(WrappedRunner(DynamicGraph(6, [(0, 1)]), seed=1, rotation_len=3), RoleOutput)
+    # the fd-greedy levels, the ones a rebuild makes included
+    args = cli.build_parser().parse_args(["run", *STREAMS["fd-greedy"].split()])
+    adapter = cli.ALGO_FACTORIES["fd-greedy"](args, OpCounter())
+    adversary = cli.make_adversary(args, adapter)
+    while (ev := adversary.next_event(adapter.view())) is not None:
+        adapter.apply(ev)
+        assert adapter.state.levels
+        for level in adapter.state.levels.values():
+            assert_one_tracker(level)
+    assert adapter.state.insert_count >= 2 ** (adapter.state.ell0 + 1)
+
+
+def test_role_set_builds_masks_and_ranks_separately():
+    rng = random.Random(31)
+    n = 9
+    pairs = list(itertools.combinations(range(n), 2))
+    roles = RoleSet(n)
+    for e in rng.sample(pairs, 12):
+        roles.add(e)
+    masks = roles.masks  # the masks alone: the ranks stay unbuilt
+    assert roles._ranks is None
+    for _ in range(200):
+        e = rng.choice(pairs)
+        if e in roles.count and rng.random() < 0.5:
+            roles.remove(e)  # 1 -> 0, or 2 -> 1 when it holds two roles
+        else:
+            roles.add(e)  # 0 -> 1, or a second role
+        assert roles.masks is masks
+        assert masks == adjacency_masks(n, roles.count)
+        roles.check_masks()
+    assert roles._ranks is None
+    ranks = roles.ranks
+    assert ranks.rows is masks
+    assert_ranks_fresh(ranks, masks)
+    # a stale bit in masks built alone is caught
+    stale = RoleSet(n)
+    stale.add((0, 1))
+    stale.masks[2] |= 1 << 3
+    stale.masks[3] |= 1 << 2
+    with pytest.raises(AssertionError):
+        stale.check_masks()
 
 
 def test_mask_form_names_the_lowest_bad_edge_and_checks_its_length():
