@@ -157,6 +157,8 @@ class RoleSet:
 
     def flush(self) -> list[tuple[tuple[int, int], str]]:
         """Sorted (edge, "+"/"-") net membership changes since the last flush."""
+        if not self._was:
+            return []
         count = self.count
         out = [
             (e, "+" if e in count else "-") for e, was in self._was.items() if was != (e in count)

@@ -29,20 +29,26 @@ meets the other endpoint's (a path of odd length t splits at its
 midpoint, so the test is symmetric).  An unbounded BFS runs only for an
 edge that fails.
 
-A `StretchMemo` carries the distance-2 verdicts from one call to the
-next.  It holds copies of the host and spanner rows of the last call
-that completed, each row's non-spanner edges above the diagonal
-(`rests`) and those of them beyond distance 2 (`lefts`).  A call with the
-memo finds the rows whose host or spanner row changed in one pass
-against the copies, and settles distance 2 again on those rows only; for
-each such row d it re-tests the non-spanner edge (x, d), x < d, of each
-other row x with one AND.  That is exact for every t: the verdict of a
-non-spanner edge (u, v) is masks[u] & masks[v] != 0, which reads rows u
-and v alone, and a row that did not change keeps its non-spanner edges,
-since a changed edge changes both of its rows.  The search beyond
-distance 2 runs on every call, and the report is built from the per-row
-facts, so it is the one a call without the memo gives.  A call without a
-memo runs the same code with every row changed.
+A `StretchMemo` carries the subgraph check and the distance-2 verdicts
+from one call to the next.  It holds copies of the host and spanner rows
+of the last call that completed, each row's non-spanner edges above the
+diagonal (`rests`) and those of them beyond distance 2 (`lefts`).  A
+call with the memo finds the rows whose host or spanner row changed in
+one pass against the copies.  A mask-form spanner is checked against the
+host on those rows only: every other row was a subset of its host row
+when the memo's call completed and is one still, so the lowest bad row
+is a changed one, and the error is the one the whole check raises.  The
+memo is written only after that check passes.  Distance 2 is then
+settled again on the changed rows only; for each such row d the call
+re-tests the non-spanner edge (x, d), x < d, of each other row x with
+one AND.  That is exact for every t: the verdict of a non-spanner edge
+(u, v) is masks[u] & masks[v] != 0, which reads rows u and v alone, and
+a row that did not change keeps its non-spanner edges, since a changed
+edge changes both of its rows.  The search beyond distance 2 runs on
+every call, and the report is built from the per-row facts, so it is the
+one a call without the memo gives.  A call without a memo, or with a
+memo of another n or t, runs the same code with every row changed and
+checks every row against the host.
 
 `verify_stretch` takes the spanner either as edges or as `SpannerMasks`,
 the adjacency bitmasks a structure keeps next to its output (every
@@ -50,11 +56,12 @@ structure answers `spanner_masks()`).  Both forms run the same search,
 so their reports are identical.  Both are checked against the host
 before any row is walked: the subgraph check names the first bad edge of
 h for edges, and the lowest bad bit of the lowest bad row for masks,
-whose rows it checks in one pass.  The CLI's per-step check passes the
-structure's masks, which saves rebuilding them from an edge list on
-every step; the acceptance tests and the
-benchmark's final check pass edges, and the edge form stays the ground
-truth that tests compare against.
+whose rows it checks in one pass, or, with a memo, on the changed rows
+alone.  A mask list of the wrong length raises ValueError either way.
+The CLI's per-step check passes the structure's masks, which saves
+rebuilding them from an edge list on every step; the acceptance tests
+and the benchmark's final check pass edges, and the edge form stays the
+ground truth that tests compare against.
 """
 
 from __future__ import annotations
@@ -96,10 +103,12 @@ class SpannerMasks(NamedTuple):
 
 class StretchMemo:
     """What the last `verify_stretch` call that completed on (n, t) leaves
-    for the next one: copies of the host and spanner rows it read,
-    each row's non-spanner edges above the diagonal (`rests`) and the
-    subset of those beyond distance 2 (`lefts`).  `key` is (n, t), or None
-    before the first such call and while one runs."""
+    for the next one: copies of the host and spanner rows it read, which
+    pick the rows the next call checks against the host and settles
+    again, each row's non-spanner edges above the diagonal (`rests`) and
+    the subset of those beyond distance 2 (`lefts`).  `key` is (n, t), or
+    None before the first such call and while one runs past its subgraph
+    check."""
 
     def __init__(self) -> None:
         self.key: tuple[int, int] | None = None
@@ -147,15 +156,22 @@ def raise_bad_row(g: DynamicGraph, rows: list[int]) -> None:
             raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
 
 
+def mask_rows(g: DynamicGraph, h: SpannerMasks) -> list[int]:
+    """h's rows, after checking that there is one per vertex of g (a row
+    check by `zip` would pass over the missing or extra ones)."""
+    rows = h.rows
+    if len(rows) != g.n:
+        raise ValueError(f"{len(rows)} spanner mask rows for {g.n} vertices")
+    return rows
+
+
 def subgraph_masks(g: DynamicGraph, h: Iterable[tuple[int, int]] | SpannerMasks) -> list[int]:
     """The adjacency masks of the spanner h, given as edges or masks, after
     checking h against g.  SpannerNotSubgraph names the first bad edge in
     h's order, or the lowest bad bit of the lowest bad mask row; the rows
     are checked in one pass, and `raise_bad_row` runs only to name it."""
     if isinstance(h, SpannerMasks):
-        rows = h.rows
-        if len(rows) != g.n:
-            raise ValueError(f"{len(rows)} spanner mask rows for {g.n} vertices")
+        rows = mask_rows(g, h)
         if list(map(or_, rows, g.adj_mask)) != g.adj_mask:
             raise_bad_row(g, rows)
         return rows
@@ -202,17 +218,31 @@ def verify_stretch(
     more around u.  On a passing input every edge is decided from reach
     sets, and `mask_dist` never runs.
 
-    With a `memo`, distance 2 is settled again only on the rows whose
-    host or spanner row changed since the memo's last call, and on the
+    With a `memo`, the rows whose host or spanner row changed since the
+    memo's last call are the only ones checked against the host, for
+    masks, and the only ones whose distance 2 is settled again, with the
     non-spanner edges from other rows into them, one AND each; the report
-    is the one a call without it gives.  The memo is read after the
-    subgraph check, so a call that raises there leaves it as it was.  A
-    memo of another n or t is started over."""
-    masks = subgraph_masks(g, h_edges)
+    or error is the one a call without it gives.  The memo's copies pick
+    the rows to check, and nothing is written to the memo until they
+    pass, so a call that raises there leaves it as it was.  A memo of
+    another n or t is started over."""
+    n, adj = g.n, g.adj_mask
+    fresh = memo is None or memo.key != (n, t)
+    if fresh or not isinstance(h_edges, SpannerMasks):
+        masks = subgraph_masks(g, h_edges)
+    else:  # checked against the host on the changed rows only, below
+        masks = mask_rows(g, h_edges)
+    if not fresh:
+        # the rows whose host or spanner row changed since the memo's call;
+        # every other row was a subgraph row then and is one still, so the
+        # lowest bad row, if any, is a changed one
+        dirty = list(compress(range(n), map(ne, zip(adj, masks), zip(memo.adj, memo.rows))))
+        changed = [(d, adj[d], masks[d]) for d in dirty]
+        if any(md & ~a for _, a, md in changed):
+            raise_bad_row(g, masks)
 
     worst: float = 0.0
     worst_edge: tuple[int, int] | None = None
-    n, adj = g.n, g.adj_mask
     levels = reach_levels(masks, t // 2) if t >= 2 else []
     odd = t >= 3 and t % 2 == 1  # then d = t needs one radius more around u
     # (d, the ceil(d/2)-balls, the floor(d/2)-balls) for d = 3 .. t, or t - 1 when odd
@@ -220,7 +250,6 @@ def verify_stretch(
     top = levels[-1] if levels else []
     balls = levels[1] if t >= 4 else None  # every 2-ball, composed already
     above = above_masks(n)
-    fresh = memo is None or memo.key != (n, t)
     if fresh:
         # rests[u]: the non-spanner host edges (u, v), v > u; masks are a
         # subgraph of the host now, so XOR takes the spanner edges out
@@ -230,10 +259,7 @@ def verify_stretch(
     else:
         rests, lefts = memo.rests, memo.lefts
         memo.key = None  # stale until this call completes
-        # the rows whose host or spanner row changed since the memo's call
-        dirty = list(compress(range(n), map(ne, zip(adj, masks), zip(memo.adj, memo.rows))))
-        for d in dirty:
-            a, md = adj[d], masks[d]
+        for d, a, md in changed:
             memo.adj[d], memo.rows[d] = a, md
             rests[d] = (a ^ md) & above[d]
             # (x, d), x < d, stays in rests[x] when row x is clean, and only

@@ -1,12 +1,14 @@
 """The exact stretch check carried from one call to the next by a memo.
 
-`verify_stretch(..., memo=memo)` re-settles distance 2 only on the rows
-whose host or spanner row changed since the memo's last call, and runs
-the search beyond distance 2 on every call.  Its report must be the one a
-fresh call (no memo) gives, in both spanner forms, on every step of every
-structure's stream, and on seeded host and spanner toggles for t = 1..5
-that pass through failing states.  A call that raises SpannerNotSubgraph
-must leave the memo as it was, so the next call still agrees.
+`verify_stretch(..., memo=memo)` checks a mask-form spanner against the
+host and re-settles distance 2 only on the rows whose host or spanner
+row changed since the memo's last call, and runs the search beyond
+distance 2 on every call.  Its report must be the one a fresh call (no
+memo) gives, in both spanner forms, on every step of every structure's
+stream, and on seeded host and spanner toggles for t = 1..5 that pass
+through failing states.  A call that raises, SpannerNotSubgraph with the
+error a fresh call gives or ValueError for a mask list of the wrong
+length, must leave the memo as it was, so the next call still agrees.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 
 import pytest
 
-from dynspan import cli
+from dynspan import cli, oracle
 from dynspan.graph import DynamicGraph
 from dynspan.instrumentation import OpCounter
 from dynspan.oracle import SpannerMasks, StretchMemo, adjacency_masks, verify_stretch
@@ -52,39 +54,62 @@ class Checker:
             self.reports.add((t, want[1]))
 
     def check_bad(self, g: DynamicGraph, edges, rows: list[int], where) -> None:
-        """The same with a non-host pair added to the spanner: every call
-        raises, and the memos must come out as they went in."""
-        pairs = itertools.combinations(range(g.n), 2)
-        absent = next((e for e in pairs if not g.has_edge(*e)), None)
-        if absent is None:
-            return
-        u, v = absent
-        bad_rows = list(rows)
-        bad_rows[u] |= 1 << v
-        bad_rows[v] |= 1 << u
+        """The same with a spanner that is not a subgraph of the host, just
+        after `check` on the same input: a non-host pair added to the
+        spanner, a host edge deleted under a spanner edge (the host rows
+        change, the spanner rows do not), and a non-host pair added above
+        a row that changed cleanly (a spanner edge taken out), and for
+        masks a row with a vertex out of range.  Every call raises, so does
+        a mask list of the wrong length, and the memos must come out as
+        they went in."""
+        edges = sorted(edges)
+        absent = [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)]
+        faults = []  # (host, spanner edges, spanner rows)
+        if absent:
+            h = edges + [absent[0]]
+            faults.append((g, h, adjacency_masks(g.n, h)))
+        if edges:
+            host = DynamicGraph(g.n, g.edges())
+            host.delete_edge(*edges[-1])
+            faults.append((host, edges, rows))
+            low = edges[0][0]
+            above = next((e for e in absent if e[0] > low), None)
+            if above is not None:
+                h = edges[1:] + [above]
+                faults.append((g, h, adjacency_masks(g.n, h)))
         for (t, form), memo in self.memos.items():
             saved = {k: list(x) if isinstance(x, list) else x for k, x in vars(memo).items()}
-            h = sorted(edges) + [absent] if form == "edges" else SpannerMasks(bad_rows)
-            want = outcome(verify_stretch, g, h, t)
-            assert want[0] == "raised", (where, want)
-            assert outcome(verify_stretch, g, h, t, memo=memo) == want, (where, t, form)
-            assert vars(memo) == saved, (where, t, form)
-            self.raised += 1
+            calls = [(host, h if form == "edges" else SpannerMasks(r)) for host, h, r in faults]
+            if form == "masks":  # a vertex out of range, then a row short and one over
+                out = rows[:-1] + [rows[-1] | 1 << g.n]
+                calls += [(g, SpannerMasks(r)) for r in (out, rows[:-1], rows + [0])]
+            for host, h in calls:
+                want = outcome(verify_stretch, host, h, t)
+                assert want[0] == "raised", (where, want)
+                assert outcome(verify_stretch, host, h, t, memo=memo) == want, (where, t, form)
+                assert vars(memo) == saved, (where, t, form, want)
+                self.raised += 1
 
 
-def run_stream(spec: str, checker: Checker) -> int:
+def stream_steps(spec: str):
+    """(host graph, spanner edges, live spanner rows) after every step of a
+    `dynspan run` stream: the live rows, as the CLI passes them, so the
+    memo must copy what it keeps."""
     args = cli.build_parser().parse_args(["run", *spec.split()])
     adapter = cli.ALGO_FACTORIES[args.algo](args, OpCounter())
     adversary = cli.make_adversary(args, adapter)
-    steps = 0
     while (ev := adversary.next_event(adapter.view())) is not None:
         adapter.apply(ev)
+        yield adapter.graph, adapter.spanner(), adapter.state.spanner_masks()
+
+
+def run_stream(spec: str, checker: Checker) -> int:
+    steps = 0
+    for g, edges, rows in stream_steps(spec):
         steps += 1
-        # the live rows, as the CLI passes them: the memo must copy what it keeps
-        rows = adapter.state.spanner_masks()
+        checker.check(g, edges, rows, steps)
         if steps % 17 == 5:
-            checker.check_bad(adapter.graph, adapter.spanner(), rows, steps)
-        checker.check(adapter.graph, adapter.spanner(), rows, steps)
+            checker.check_bad(g, edges, rows, steps)
     return steps
 
 
@@ -107,9 +132,9 @@ def test_a_memo_call_agrees_across_the_wrapped_runners_rotations():
     checker = Checker((2, 3))
     for step, ev in enumerate(events, 1):
         runner.update(ev)
+        checker.check(runner.graph, runner.spanner_edges(), runner.spanner_masks(), step)
         if step % 17 == 5:
             checker.check_bad(runner.graph, runner.spanner_edges(), runner.spanner_masks(), step)
-        checker.check(runner.graph, runner.spanner_edges(), runner.spanner_masks(), step)
     assert runner.window == 4 and checker.raised
     assert (3, True) in checker.reports
 
@@ -138,9 +163,9 @@ def test_a_memo_call_agrees_on_random_toggles(seed):
                         spanner.add(e)
             elif g.has_edge(*e):  # the spanner edge
                 spanner ^= {e}
+        checker.check(g, spanner, adjacency_masks(n, spanner), step)
         if step % 17 == 5:
             checker.check_bad(g, spanner, adjacency_masks(n, spanner), step)
-        checker.check(g, spanner, adjacency_masks(n, spanner), step)
     assert checker.raised
     reports = checker.reports
     assert {(1, False), (2, False), (3, False), (4, True), (5, True)} <= reports, reports
@@ -153,3 +178,23 @@ def test_a_memo_call_agrees_on_random_toggles(seed):
     for h, t in ((rows, 3), ([], 3), ([], 5)):
         assert verify_stretch(other, h, t, memo=memo) == verify_stretch(other, h, t)
         assert memo.key == (n + 1, t)
+
+
+def test_a_keyed_memo_checks_only_the_changed_mask_rows_against_the_host(monkeypatch):
+    """Once the memo is keyed on (n, t), a mask-form call checks only the
+    rows changed since its last call against the host; the whole-spanner
+    pass of `subgraph_masks` runs for fresh calls, a memo of another t and
+    the edge form."""
+    passes = []
+    whole = oracle.subgraph_masks
+    monkeypatch.setattr(oracle, "subgraph_masks", lambda g, h: passes.append(h) or whole(g, h))
+    memo = StretchMemo()
+    for step, (g, edges, rows) in enumerate(stream_steps(MEMO_STREAMS["det3"])):
+        passes.clear()
+        rep = verify_stretch(g, SpannerMasks(rows), 3, memo=memo)
+        assert len(passes) == (step == 0), step
+        assert rep == verify_stretch(g, SpannerMasks(rows), 3), step
+    for h, t in ((sorted(edges), 3), (SpannerMasks(rows), 5)):
+        passes.clear()
+        assert verify_stretch(g, h, t, memo=memo) == verify_stretch(g, h, t)
+        assert len(passes) == 2, (h, t)
