@@ -238,13 +238,13 @@ def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | 
 def run_metadata(args, adapter, rows) -> dict:
     return {
         "algo": adapter.name,
-        "n": getattr(args, "n", None),
-        "k": getattr(args, "k", None),
+        "n": args.n,
+        "k": args.k,
         "seed": args.seed,
         "steps_requested": args.steps,
         "steps_run": len(rows),
         "adversary": args.adversary,
-        "phase_len": getattr(args, "phase_len", None),
+        "phase_len": args.phase_len,
         "check": args.check,
         "csv": args.out,
     }

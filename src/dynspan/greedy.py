@@ -36,6 +36,7 @@ class GreedyState(RoleOutput):
         self.graph = graph
         self.k = k
         self.cap = 2 * k - 1  # inspection asks dist >= 2k, i.e. not reachable within 2k-1
+        self.reach = min(2 * k - 2, 2 * graph.n - 2)  # the radius of a rescan's balls
         self.counter = counter or OpCounter()
         self.roles = RoleSet(graph.n)
         self.in_spanner = self.roles.count
@@ -85,8 +86,11 @@ class GreedyState(RoleOutput):
         lies in a's ball of radius 2k-2, i.e. when the spanner already joins
         it within 2k-1; likewise (z, b) against b's ball.  The spanner only
         grows during the rescan, so `_inspect` would reject these anyway;
-        every other candidate is inspected as before."""
-        reach = self.cap - 1
+        every other candidate is inspected as before.  The balls stop at
+        radius 2n-2 (`reach`): a sum of two distances is at most 2n-2
+        exactly when both are finite, so a larger k finds the same
+        candidates."""
+        reach = self.reach
         adj, span = self.graph.adj_mask, self.span_mask
         near, far = mask_balls(span, a, reach), mask_balls(span, b, reach)
         found: set[tuple[int, int]] = set()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dynspan import cli
+from dynspan import cli, greedy, oracle
 from dynspan.adversary import write_stream
 from dynspan.det3 import Det3State
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
@@ -374,6 +374,34 @@ def test_byte_reproducible_runs(tmp_path):
 def test_out_of_range_args_exit_3(argv, capsys):
     assert cli.main(["run", *argv, "--n", "8", "--init-m", "10", "--steps", "5"]) == 3
     assert "must" in capsys.readouterr().err
+
+
+def test_a_large_k_costs_what_the_vertex_count_allows(tmp_path, monkeypatch):
+    """No finite distance in an n-vertex graph exceeds n - 1: a greedy run
+    with k far beyond n writes the CSV of k = n on the same stream, and
+    neither the greedy's balls nor the oracle's reach levels grow past
+    what n allows."""
+    n = 8
+    called = []
+
+    def capped(real, bound):
+        def call(*args):  # the radius is the last argument
+            called.append(real.__name__)
+            assert args[-1] <= bound, (real.__name__, args[-1])
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(greedy, "mask_balls", capped(greedy.mask_balls, 2 * n - 2))
+    monkeypatch.setattr(oracle, "reach_levels", capped(oracle.reach_levels, n // 2))
+    csvs = []
+    for k in (1_000_000, n):
+        out = tmp_path / f"k{k}.csv"
+        argv = ["run", "--algo", "greedy", "--k", str(k), "--n", str(n), "--init-m", "10"]
+        assert cli.main(argv + ["--steps", "3", "--check", "exact", "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert set(called) == {"mask_balls", "reach_levels"}, called
 
 
 def test_k0_rejected_by_the_parser():

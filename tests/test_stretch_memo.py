@@ -1,14 +1,15 @@
 """The exact stretch check carried from one call to the next by a memo.
 
-`verify_stretch(..., memo=memo)` checks a mask-form spanner against the
-host and re-settles distance 2 only on the rows whose host or spanner
-row changed since the memo's last call, and runs the search beyond
-distance 2 on every call.  Its report must be the one a fresh call (no
-memo) gives, in both spanner forms, on every step of every structure's
-stream, and on seeded host and spanner toggles for t = 1..5 that pass
-through failing states.  A call that raises, SpannerNotSubgraph with the
-error a fresh call gives or ValueError for a mask list of the wrong
-length, must leave the memo as it was, so the next call still agrees.
+`verify_stretch(..., memo=memo)` checks against the host and re-settles
+distance 2 only on the rows whose host or spanner row changed since the
+memo's last call, and runs the search beyond distance 2 on every call;
+a call without a memo keyed on its n and t runs the same code with every
+row changed.  Its report must be the one a fresh call (no memo) gives,
+in both spanner forms, on every step of every structure's stream, and
+on seeded host and spanner toggles for t = 1..5 that pass through
+failing states.  A call that raises, SpannerNotSubgraph with the error a
+fresh call gives or ValueError for a mask list of the wrong length, must
+leave the memo as it was, keyed or not, so the next call still agrees.
 """
 
 from __future__ import annotations
@@ -18,10 +19,16 @@ import random
 
 import pytest
 
-from dynspan import cli, oracle
-from dynspan.graph import DynamicGraph
+from dynspan import cli
+from dynspan.graph import DynamicGraph, VertexOutOfRange
 from dynspan.instrumentation import OpCounter
-from dynspan.oracle import SpannerMasks, StretchMemo, adjacency_masks, verify_stretch
+from dynspan.oracle import (
+    SpannerMasks,
+    SpannerNotSubgraph,
+    StretchMemo,
+    adjacency_masks,
+    verify_stretch,
+)
 from dynspan.resample3 import WrappedRunner
 from test_oracle import STREAMS, outcome
 from test_wrapped import random_events
@@ -180,21 +187,53 @@ def test_a_memo_call_agrees_on_random_toggles(seed):
         assert memo.key == (n + 1, t)
 
 
-def test_a_keyed_memo_checks_only_the_changed_mask_rows_against_the_host(monkeypatch):
-    """Once the memo is keyed on (n, t), a mask-form call checks only the
-    rows changed since its last call against the host; the whole-spanner
-    pass of `subgraph_masks` runs for fresh calls, a memo of another t and
-    the edge form."""
-    passes = []
-    whole = oracle.subgraph_masks
-    monkeypatch.setattr(oracle, "subgraph_masks", lambda g, h: passes.append(h) or whole(g, h))
+def test_a_keyed_memo_checks_only_the_changed_mask_rows_against_the_host():
+    """Once the memo is keyed on (n, t), a call checks only the rows changed
+    since its last call against the host, and trusts the others: a bad
+    spanner edge planted both in the live rows and in the memo's copies
+    goes unseen by a keyed call, while a call without a keyed memo, in
+    either form, raises on it."""
     memo = StretchMemo()
-    for step, (g, edges, rows) in enumerate(stream_steps(MEMO_STREAMS["det3"])):
-        passes.clear()
-        rep = verify_stretch(g, SpannerMasks(rows), 3, memo=memo)
-        assert len(passes) == (step == 0), step
-        assert rep == verify_stretch(g, SpannerMasks(rows), 3), step
-    for h, t in ((sorted(edges), 3), (SpannerMasks(rows), 5)):
-        passes.clear()
-        assert verify_stretch(g, h, t, memo=memo) == verify_stretch(g, h, t)
-        assert len(passes) == 2, (h, t)
+    for g, edges, rows in stream_steps(MEMO_STREAMS["det3"]):
+        verify_stretch(g, SpannerMasks(rows), 3, memo=memo)
+    u, w = next(e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e))
+    bad = list(rows)
+    for x, y in ((u, w), (w, u)):
+        bad[x] |= 1 << y
+        memo.rows[x] |= 1 << y
+    verify_stretch(g, SpannerMasks(bad), 3, memo=memo)  # raises nothing
+    assert memo.key == (g.n, 3)
+    want = ("raised", SpannerNotSubgraph, f"spanner edge {(u, w)} not in host graph")
+    for h, t in ((SpannerMasks(bad), 3), (SpannerMasks(bad), 5), (sorted(edges) + [(u, w)], 3)):
+        assert outcome(verify_stretch, g, h, t) == want, t
+        assert outcome(verify_stretch, g, h, t, memo=StretchMemo()) == want, t
+
+
+def test_a_memo_not_keyed_on_the_call_is_left_as_it_was_by_a_bad_spanner():
+    """A memo that is empty, or keyed on another n or t, runs the call with
+    every row changed; a spanner outside the host raises the error of a
+    call without the memo, and the memo must come out as it went in."""
+    n = 9
+    g = DynamicGraph(n, [(u, u + 1) for u in range(n - 1)] + [(0, 2), (3, 6)])
+    edges = [(u, u + 1) for u in range(n - 1)]
+    rows = adjacency_masks(n, edges)
+    memos = [StretchMemo()]
+    for host, t in ((DynamicGraph(n + 1, [(0, n)]), 3), (g, 5)):  # another n, another t
+        memos.append(StretchMemo())
+        verify_stretch(host, [], t, memo=memos[-1])
+    out = rows[:-1] + [rows[-1] | 1 << n]
+    bad = [
+        edges + [(1, 5)],  # a non-host pair
+        [(0, 1), (0, 9)],  # a vertex out of range
+        SpannerMasks(adjacency_masks(n, edges + [(1, 5)])),
+        SpannerMasks(out),
+        SpannerMasks(rows[:-1]),  # a row short
+        SpannerMasks(rows + [0]),  # a row over
+    ]
+    for memo in memos:
+        saved = {k: list(x) if isinstance(x, list) else x for k, x in vars(memo).items()}
+        for h in bad:
+            want = outcome(verify_stretch, g, h, 3)
+            assert want[1] in (SpannerNotSubgraph, VertexOutOfRange, ValueError), want
+            assert outcome(verify_stretch, g, h, 3, memo=memo) == want, h
+            assert vars(memo) == saved, h
