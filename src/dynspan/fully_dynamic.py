@@ -10,6 +10,7 @@ Deletions are delegated to the owning level.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from dynspan.graph import DynamicGraph, UpdateEvent, by_kind
@@ -20,17 +21,37 @@ from dynspan.instrumentation import OpCounter, RoleOutput, RoleSet, Step
 def level_params(n: int, k: int) -> tuple[int, int]:
     """(ell0, j): 2**ell0 <= n^(1+1/k) < 2**(ell0+1), j = ceil(log2 n^(1-1/k)).
 
-    Exact integer arithmetic: 2**ell <= n^(1+1/k) iff 2**(ell*k) <= n^(k+1).
+    In integers, ell0 is the largest ell with 2**(ell*k) <= n^(k+1) and j
+    the smallest with 2**(j*k) >= n^(k-1).  Both are at most 2 log2(n) + 1
+    for every k, so they come from log2(n) (`log_floor`), never from the
+    power n^(k+1), whose size grows with k.
     """
     if n < 2:
         return 0, 0
-    ell0 = 0
-    while 2 ** ((ell0 + 1) * k) <= n ** (k + 1):
-        ell0 += 1
-    j = 0
-    while 2 ** (j * k) < n ** (k - 1):
-        j += 1
-    return ell0, j
+    ell0, _ = log_floor(n, k + 1, k)
+    j, exact = log_floor(n, k - 1, k)
+    return ell0, j + (not exact)
+
+
+def log_floor(n: int, p: int, k: int) -> tuple[int, bool]:
+    """(e, 2**(e*k) == n**p) for the largest e with 2**(e*k) <= n**p, that
+    is e = floor(p * log2(n) / k), for n >= 2, p >= 0 and k >= 1.
+
+    For n = 2**s this is integer arithmetic.  Otherwise the float quotient
+    (off by ~1e-13 at most) decides, unless it lies within 1e-9 of an
+    integer: only there are the two powers built and compared.
+    """
+    s = n.bit_length() - 1
+    if n == 1 << s:
+        return s * p // k, s * p % k == 0
+    x = p * math.log2(n) / k
+    e = round(x)
+    if abs(x - e) > 1e-9:
+        return math.floor(x), False
+    power = n**p
+    if 1 << (e * k) > power:
+        e -= 1
+    return e, 1 << (e * k) == power
 
 
 class RebuildInfo(NamedTuple):

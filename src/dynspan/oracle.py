@@ -43,9 +43,25 @@ non-spanner edge (x, d) of each unchanged row x < d with one AND.  That
 is exact for every t: the verdict of a non-spanner edge (u, v) is
 masks[u] & masks[v] != 0, which reads rows u and v alone, and an
 unchanged row keeps its non-spanner edges, since a changed edge changes
-both of its rows.  The search beyond distance 2 runs on every call, and
-the report is built from the per-row facts, so it is the one a call
-without the memo gives.
+both of its rows.
+
+When r = 3 a memo also keeps a certificate for each far edge (u, v) the
+walk put at distance 3: its witness x, a spanner neighbor of one
+endpoint whose row meets the other endpoint's.  That fact reads rows u,
+x and v alone, so while none of the three changes, (u, v) stays within
+distance 3, and `lefts` keeps it beyond 2.  A call drops every
+certificate that reads a changed row: those of the changed row's own
+edges, of the edges (x, c) from unchanged rows into a changed row c,
+and of the edges c witnesses, through a reverse index from each witness
+to its edges.  It walks only
+the far edges left without one, in lexicographic order; an edge the
+walk cannot certify (beyond distance 3) stays open and is walked again
+on every later call.  If no walked edge lies beyond 3, the worst edge is
+the first far edge, at distance 3; otherwise it is the first walked edge
+of the largest distance.  So the report is the one a call without the
+memo gives.  Every other call walks every far edge: without a memo there
+is nowhere to keep a certificate, and for odd r >= 5 a witness reads
+floor(r/2)-balls, which depend on more rows than three.
 
 `verify_stretch` takes the spanner either as edges or as `SpannerMasks`,
 the adjacency bitmasks a structure keeps next to its output (every
@@ -102,7 +118,12 @@ class StretchMemo:
     for the next one: copies of the host and spanner rows it read, which
     pick the rows the next call checks against the host and settles
     again, each row's non-spanner edges above the diagonal (`rests`) and
-    the subset of those beyond distance 2 (`lefts`).  `key` is (n, t), or
+    the subset of those beyond distance 2 (`lefts`).  When min(t, n) = 3
+    it also keeps the far edges' certificates: `opens[u]` holds the edges
+    of `lefts[u]` with none, and `vouches[x]` the ids u * n + v of the
+    edges (u, v) that x was found to witness (an id whose certificate
+    went with a changed row u or v stays until x changes, which costs at
+    most a walk); both are empty lists otherwise.  `key` is (n, t), or
     None before the first such call and while one runs past its subgraph
     check; a call that raises before that leaves the memo as it was."""
 
@@ -112,6 +133,8 @@ class StretchMemo:
         self.rows: list[int] = []
         self.rests: list[int] = []
         self.lefts: list[int] = []
+        self.opens: list[int] = []
+        self.vouches: list[set[int]] = []
 
 
 def grow(masks: list[int], inner: list[int], u: int) -> int:
@@ -186,9 +209,12 @@ def verify_stretch(
     rows into a changed one take one AND each.  The edges beyond
     distance 2 run the rings up to radius min(t, n); for odd radius, each
     one still open walks the neighbors of its endpoint with the smaller
-    spanner degree to the first witness.  On a passing input every edge
-    is decided from reach sets, and `mask_dist` never runs.  The report
-    or error is the one a call without the memo gives."""
+    spanner degree to the first witness.  At radius 3 with a memo, only
+    the far edges without a certificate are walked: those whose own row,
+    other endpoint's row or witness row changed, and those beyond
+    distance 3.  On a passing input every edge is decided from reach
+    sets, and `mask_dist` never runs.  The report or error is the one a
+    call without the memo gives."""
     n, adj = g.n, g.adj_mask
     if isinstance(h_edges, SpannerMasks):
         masks = h_edges.rows
@@ -196,10 +222,14 @@ def verify_stretch(
             raise ValueError(f"{len(masks)} spanner mask rows for {n} vertices")
     else:
         masks = subgraph_masks(g, h_edges)
+    r = min(t, n)  # no finite distance exceeds n - 1
+    keep = memo is not None and r == 3  # then far edges keep their certificates
     if memo is not None and memo.key == (n, t):
         seen_adj, seen_rows, rests, lefts = memo.adj, memo.rows, memo.rests, memo.lefts
+        opens, vouches = memo.opens, memo.vouches
     else:  # copies that every row differs from
         seen_adj, seen_rows, rests, lefts = [-1] * n, [-1] * n, [0] * n, [0] * n
+        opens, vouches = ([0] * n, [set() for _ in range(n)]) if keep else ([], [])
     differs = map(ne, zip(adj, masks), zip(seen_adj, seen_rows))
     # one pass over every row; only the changed ones are indexed (zipping a
     # third list into the pass costs more than that at n = 144)
@@ -212,10 +242,12 @@ def verify_stretch(
     if memo is not None:
         memo.key = None  # stale until this call completes
         memo.adj, memo.rows, memo.rests, memo.lefts = seen_adj, seen_rows, rests, lefts
+        memo.opens, memo.vouches = opens, vouches
+    if not keep:  # every far edge is walked
+        opens = lefts
 
     worst: float = 0.0
     worst_edge: tuple[int, int] | None = None
-    r = min(t, n)  # no finite distance exceeds n - 1
     levels = reach_levels(masks, r // 2) if r >= 2 else []
     odd = r >= 3 and r % 2 == 1  # then d = r is settled by the walk
     # (d, the ceil(d/2)-balls, the floor(d/2)-balls) for d = 3 .. r, or r - 1 when odd
@@ -236,10 +268,18 @@ def verify_stretch(
             low = m & -m
             x = low.bit_length() - 1
             if masks[x] & mu:
-                lefts[x] &= ~bit
-            else:
+                if lefts[x] & bit:  # it was beyond distance 2
+                    lefts[x] ^= bit
+                    opens[x] &= ~bit
+            else:  # beyond distance 2, and any certificate of it read row u
                 lefts[x] |= bit
+                opens[x] |= bit
             m ^= low
+        if keep and vouches[u]:  # reopen the far edges that row u witnessed
+            for e in vouches[u]:
+                y, v = divmod(e, n)
+                opens[y] |= lefts[y] & 1 << v
+            vouches[u] = set()
         rests[u] = rest = rest & above[u]
         # lefts[u]: the edges of rests[u] beyond distance 2
         if balls is not None:
@@ -254,9 +294,9 @@ def verify_stretch(
                 if not mu & masks[low.bit_length() - 1]:
                     left |= low
                 m ^= low
-        lefts[u] = left
-    for u in compress(range(n), lefts):
-        left = lefts[u]
+        lefts[u] = opens[u] = left
+    for u in compress(range(n), opens):
+        left = opens[u]
         mu = masks[u]
         while left:
             low = left & -left
@@ -275,9 +315,20 @@ def verify_stretch(
                         walk, other = mu, top[v]
                     while walk and not top[(walk & -walk).bit_length() - 1] & other:
                         walk &= walk - 1
-                d = r if walk else (mask_dist(masks, u, v) or math.inf)
+                if not walk:
+                    d = mask_dist(masks, u, v) or math.inf
+                else:
+                    d = r
+                    if keep:  # rows u, v and the witness x keep (u, v) at distance 3
+                        opens[u] ^= low
+                        vouches[(walk & -walk).bit_length() - 1].add(u * n + v)
             if d > worst:
                 worst, worst_edge = d, (u, v)
+    if worst <= 3:  # no walked edge beyond 3, and the certified ones at 3: the first far edge
+        u = next(compress(range(n), lefts), None)
+        if u is not None:
+            left = lefts[u]
+            worst, worst_edge = 3, (u, (left & -left).bit_length() - 1)
     if worst_edge is None:  # no edge beyond distance 2: the first one at distance 2
         u = next(compress(range(n), map(ne, rests, lefts)), None)
         if u is not None:

@@ -22,6 +22,32 @@ def test_level_params_examples():
     assert 2 ** (j * 2) >= 32 and 2 ** ((j - 1) * 2) < 32
 
 
+def integer_level_params(n: int, k: int) -> tuple[int, int]:
+    """`level_params` by its definition, counting up with exact powers."""
+    if n < 2:
+        return 0, 0
+    ell0 = 0
+    while 2 ** ((ell0 + 1) * k) <= n ** (k + 1):
+        ell0 += 1
+    j = 0
+    while 2 ** (j * k) < n ** (k - 1):
+        j += 1
+    return ell0, j
+
+
+def test_level_params_match_their_integer_definition():
+    for n in range(0, 301):
+        for k in range(1, 13):
+            assert level_params(n, k) == integer_level_params(n, k), (n, k)
+
+
+def test_level_params_at_a_huge_k_build_no_huge_power():
+    # n^(k+1) has ~10^7 bits here; the definition's loops would take ~20 s
+    assert level_params(1000, 10**6) == (9, 10)
+    assert level_params(1023, 10**6) == (9, 10)
+    assert level_params(1024, 10**6) == (10, 10)
+
+
 def test_empty_history_empty_spanner():
     assert FullyDynamicSpanner(DynamicGraph(16), 2).spanner_edges() == set()
 

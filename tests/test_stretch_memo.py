@@ -2,35 +2,40 @@
 
 `verify_stretch(..., memo=memo)` checks against the host and re-settles
 distance 2 only on the rows whose host or spanner row changed since the
-memo's last call, and runs the search beyond distance 2 on every call;
-a call without a memo keyed on its n and t runs the same code with every
-row changed.  Its report must be the one a fresh call (no memo) gives,
-in both spanner forms, on every step of every structure's stream, and
-on seeded host and spanner toggles for t = 1..5 that pass through
-failing states.  A call that raises, SpannerNotSubgraph with the error a
-fresh call gives or ValueError for a mask list of the wrong length, must
-leave the memo as it was, keyed or not, so the next call still agrees.
+memo's last call; at t = 3 it walks only the edges beyond distance 2
+whose certificate read a changed row, or that have none.  A call
+without a memo keyed on its n and t runs the same code with every row
+changed.  Its report must be the one a fresh call (no memo) gives, in
+both spanner forms, on every step of every structure's stream, on
+seeded host and spanner toggles for t = 1..5 that pass through failing
+states, and on toggles that change only a witness row.  A call that
+raises, SpannerNotSubgraph with the error a fresh call gives or
+ValueError for a mask list of the wrong length, must leave the memo as
+it was, keyed or not, so the next call still agrees.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
 import pytest
 
 from dynspan import cli
-from dynspan.graph import DynamicGraph, VertexOutOfRange
+from dynspan.graph import DynamicGraph, VertexOutOfRange, iter_bits
 from dynspan.instrumentation import OpCounter
 from dynspan.oracle import (
     SpannerMasks,
     SpannerNotSubgraph,
     StretchMemo,
     adjacency_masks,
+    reference_greedy,
     verify_stretch,
 )
 from dynspan.resample3 import WrappedRunner
 from test_oracle import STREAMS, outcome
+from test_stretch_rows import count_level_reads
 from test_wrapped import random_events
 
 MEMO_STREAMS = {
@@ -38,8 +43,13 @@ MEMO_STREAMS = {
     "resample3": STREAMS["resample3"],
     "fd-greedy-k2": STREAMS["fd-greedy-k2"],
     "fd-greedy-k3": STREAMS["fd-greedy-k3"],
+    "greedy-k2": "--algo greedy --k 2 --n 24 --init-m 120 --steps 60 --seed 3"
+    " --adversary spanner-target",
     "greedy-k3": "--algo greedy --k 3 --n 24 --init-m 120 --steps 60 --seed 3"
     " --adversary spanner-target",
+    # ~260-390 edges beyond distance 2 on every step
+    "fd-greedy-k2-dense": "--algo fd-greedy --k 2 --n 64 --init-m 700 --steps 60 --seed 4"
+    " --adversary spanner-target --p-insert 0.3",
 }
 
 
@@ -85,7 +95,7 @@ class Checker:
                 h = edges[1:] + [above]
                 faults.append((g, h, adjacency_masks(g.n, h)))
         for (t, form), memo in self.memos.items():
-            saved = {k: list(x) if isinstance(x, list) else x for k, x in vars(memo).items()}
+            saved = copy.deepcopy(vars(memo))
             calls = [(host, h if form == "edges" else SpannerMasks(r)) for host, h, r in faults]
             if form == "masks":  # a vertex out of range, then a row short and one over
                 out = rows[:-1] + [rows[-1] | 1 << g.n]
@@ -187,6 +197,74 @@ def test_a_memo_call_agrees_on_random_toggles(seed):
         assert memo.key == (n + 1, t)
 
 
+def test_a_memo_call_drops_the_certificates_of_a_changed_witness_row():
+    """t = 3, on a greedy 3-spanner: every path u - x - w - v of a far edge
+    (u, v) loses its middle spanner edge (x, w), so rows x and w change
+    and rows u and v stay as they were.  (u, v) is then beyond distance
+    3, and a keyed call must see it as a fresh call does, though neither
+    of its rows changed.  The next step puts the cut edges back."""
+    rng = random.Random(7)
+    n = 26
+    pairs = list(itertools.combinations(range(n), 2))
+    g = DynamicGraph(n, rng.sample(pairs, 110))
+    spanner = set(reference_greedy(g, 2, rng.sample(sorted(g.edges()), g.m)))
+    checker = Checker((3,))
+    cut: set[tuple[int, int]] = set()
+    cuts = 0
+    for step in range(80):
+        rows = adjacency_masks(n, spanner)
+        checker.check(g, spanner, rows, step)
+        if cut:
+            spanner |= cut
+            cut = set()
+            continue
+        far = [(u, v) for u, v in g.edges() if (u, v) not in spanner and not rows[u] & rows[v]]
+        u, v = rng.choice(far)
+        for x in iter_bits(rows[u]):
+            cut |= {(min(x, w), max(x, w)) for w in iter_bits(rows[x] & rows[v])}
+        spanner -= cut
+        assert not verify_stretch(g, SpannerMasks(adjacency_masks(n, spanner)), 3), step
+        cuts += 1
+    assert cuts == 40 and {(3, True), (3, False)} <= checker.reports, checker.reports
+
+
+def test_an_open_edge_that_comes_within_distance_2_is_walked_no_more():
+    """t = 3: (0, 5) is open, at distance 5 on the spanner path 0 - ... - 5,
+    until the spanner edge (1, 5) puts it at distance 2 through a change
+    of rows 1 and 5 alone.  Then no edge is beyond distance 2, and the
+    report is the first distance-2 edge, (0, 2), with or without the memo."""
+    path = [(u, u + 1) for u in range(5)]
+    g = DynamicGraph(6, path + [(0, 2), (0, 5), (1, 5)])
+    memo = StretchMemo()
+    for h, want in ((path, (False, (0, 5), 5)), (path + [(1, 5)], (True, (0, 2), 2))):
+        for form in (h, SpannerMasks(adjacency_masks(6, h))):
+            rep = verify_stretch(g, form, 3, memo=memo)
+            assert rep == verify_stretch(g, form, 3) and tuple(rep) == want, (h, rep)
+
+
+DET3_144 = (
+    "--algo det3 --n 144 --init-m 1500 --steps 150 --seed 601"
+    " --adversary spanner-target --p-insert 0.5"
+)
+
+
+def test_a_keyed_call_walks_a_fifth_of_what_a_call_without_a_memo_walks(monkeypatch):
+    """On det3 at n = 144 a step changes ~2 rows and leaves ~15 edges
+    beyond distance 2; a keyed t = 3 call walks only those whose
+    certificate read a changed row.  Counted in reach-level row reads,
+    over the stream its calls (the first one cold) read at most a fifth
+    of what calls without a memo read on the same snapshots."""
+    made = count_level_reads(monkeypatch)
+    memo = StretchMemo()
+    reads = {True: 0, False: 0}  # keyed or not
+    for g, _, rows in stream_steps(DET3_144):
+        for keyed in (True, False):
+            made.clear()
+            verify_stretch(g, SpannerMasks(rows), 3, memo=memo if keyed else None)
+            reads[keyed] += sum(level.reads for level in made)
+    assert reads[False] > 3000 and 5 * reads[True] <= reads[False], reads
+
+
 def test_a_keyed_memo_checks_only_the_changed_mask_rows_against_the_host():
     """Once the memo is keyed on (n, t), a call checks only the rows changed
     since its last call against the host, and trusts the others: a bad
@@ -231,7 +309,7 @@ def test_a_memo_not_keyed_on_the_call_is_left_as_it_was_by_a_bad_spanner():
         SpannerMasks(rows + [0]),  # a row over
     ]
     for memo in memos:
-        saved = {k: list(x) if isinstance(x, list) else x for k, x in vars(memo).items()}
+        saved = copy.deepcopy(vars(memo))
         for h in bad:
             want = outcome(verify_stretch, g, h, 3)
             assert want[1] in (SpannerNotSubgraph, VertexOutOfRange, ValueError), want

@@ -13,8 +13,8 @@ report, since the edge then falls through to the unbounded search, so
 only a count of those searches shows it.  Likewise the walk answers the
 same from either endpoint, and only a count of the rows it reads shows
 that it walks the smaller side.  A mask-form spanner is checked
-against the host before any row is walked, and only the rows with a
-non-spanner edge above the diagonal are walked at all.
+against the host before any row is walked, and only the rows of the
+edges beyond distance 2 are walked at all.
 """
 
 from __future__ import annotations
@@ -222,12 +222,10 @@ class RowReads(list):
         return super().__getitem__(i)
 
 
-def test_the_walk_reads_the_smaller_side(monkeypatch):
-    # host edge (0, 1) closes the spanner path 0 - x - y - 1; one endpoint
-    # has `big` more pendant spanner neighbors, all below the path's vertex,
-    # so a walk of the larger side would read every one of them first
-    big = 40
-    made = []
+def count_level_reads(monkeypatch) -> list[RowReads]:
+    """Make `verify_stretch` compose reach levels that count their row
+    reads; the returned list collects the levels of every call."""
+    made: list[RowReads] = []
     real = oracle.reach_levels
 
     def counted(masks, r):
@@ -236,6 +234,15 @@ def test_the_walk_reads_the_smaller_side(monkeypatch):
         return levels
 
     monkeypatch.setattr(oracle, "reach_levels", counted)
+    return made
+
+
+def test_the_walk_reads_the_smaller_side(monkeypatch):
+    # host edge (0, 1) closes the spanner path 0 - x - y - 1; one endpoint
+    # has `big` more pendant spanner neighbors, all below the path's vertex,
+    # so a walk of the larger side would read every one of them first
+    big = 40
+    made = count_level_reads(monkeypatch)
     path_end = 3 + big  # the path's vertex at the large side
     pendants = range(3, 3 + big)
     for large, small, path in ((0, 1, (path_end, 2)), (1, 0, (2, path_end))):
@@ -254,18 +261,20 @@ def test_the_walk_reads_the_smaller_side(monkeypatch):
             assert len(made) == 1 and reads <= masks[small].bit_count() + 2, (large, reads)
 
 
-def test_only_rows_with_a_non_spanner_edge_are_walked():
-    # a 144-vertex path with one chord at distance 2: only row 0 has work,
-    # and it reads its own row and the chord's far end, not every row
+def test_only_rows_with_a_non_spanner_edge_are_walked(monkeypatch):
+    # a 144-vertex path with a chord at distance 2 and one at distance 3:
+    # the walk visits only the far chord's rows, 1 (the witness) and 3,
+    # not every row, and the edges within distance 2 read no reach level
     n = 144
     path = [(u, u + 1) for u in range(n - 1)]
-    g = DynamicGraph(n, path + [(0, 2)])
-    rows = RowReads(adjacency_masks(n, path))
-    for t in (2, 3):
-        rows.reads = 0
-        rep = verify_stretch(g, SpannerMasks(rows), t)
-        assert (rep.ok, rep.worst_edge, rep.worst_dist) == (True, (0, 2), 2)
-        assert rows.reads <= 2, (t, rows.reads)
+    g = DynamicGraph(n, path + [(0, 3), (10, 12)])
+    made = count_level_reads(monkeypatch)
+    for t, ok in ((2, False), (3, True)):
+        made.clear()
+        rep = verify_stretch(g, SpannerMasks(adjacency_masks(n, path)), t)
+        assert (rep.ok, rep.worst_edge, rep.worst_dist) == (ok, (0, 3), 3)
+        reads = sum(level.reads for level in made)
+        assert reads <= 2 * (t == 3), (t, reads)
 
 
 def test_a_memo_call_after_one_change_reads_only_the_rows_it_changed():
