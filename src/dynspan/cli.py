@@ -74,6 +74,7 @@ class Adapter:
     stretch_bound: int | None  # None: the output is no spanner, nothing to check
 
     def view(self):
+        """The adversary's view; `run_loop` builds it once per run."""
         return AdversaryView(
             self.graph,
             spanner_masks=self.state.spanner_masks,
@@ -194,9 +195,12 @@ def run_loop(adapter, adversary, args) -> tuple[list[MetricsRow], CheckFailed | 
     rows: list[MetricsRow] = []
     failure: CheckFailed | None = None
     memo = StretchMemo()  # one per run: each check redoes only the rows that changed
+    # one view per run: its graph never rebinds, and its queries read the
+    # structure's output when called (resample3's from its current phase)
+    view = adapter.view()
     for step in range(1, args.steps + 1):
         try:
-            ev = adversary.next_event(adapter.view())
+            ev = adversary.next_event(view)
         except AdversaryError:
             break
         if ev is None:

@@ -154,6 +154,7 @@ class Det3State(RoleOutput):
     # -- updates -----------------------------------------------------------
 
     def insert_edge(self, u: int, v: int) -> list[tuple[tuple[int, int], str]]:
+        """Insert (u, v); its (edge, "+"/"-") output changes, sorted by edge."""
         e = self.g.insert_edge(u, v)
         u, v = e
         i, j = self.bucket_of[u], self.bucket_of[v]
@@ -175,9 +176,10 @@ class Det3State(RoleOutput):
             if pair is not None:
                 self._cedge_add(pair, far)
         self.counter.end_step()
-        return self.roles.flush()
+        return sorted(self.roles.flush())
 
     def delete_edge(self, u: int, v: int) -> list[tuple[tuple[int, int], str]]:
+        """Delete (u, v); its (edge, "+"/"-") output changes, sorted by edge."""
         check_range(self.n, u, v)  # before the bucket lookups below
         e = edge_key(u, v)
         # pair memberships are defined by the centers in force before removal
@@ -195,7 +197,7 @@ class Det3State(RoleOutput):
             far = v if owner == u else u
             self._handle_center_loss(owner, far, e)
         self.counter.end_step()
-        return self.roles.flush()
+        return sorted(self.roles.flush())
 
     def update(self, ev: UpdateEvent) -> Step:
         changes = by_kind(ev.kind, self.insert_edge, self.delete_edge)(*ev.edge)

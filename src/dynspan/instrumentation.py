@@ -31,7 +31,8 @@ class Step(NamedTuple):
 
     @classmethod
     def of(cls, changes, op_count: int, resamples: int, output_size: int) -> "Step":
-        """The step of (edge, "+"/"-") changes such as `RoleSet.flush()` returns."""
+        """The step of (edge, "+"/"-") changes such as `RoleSet.flush()` returns,
+        in any order: only the signs are counted."""
         adds = sum(1 for _, sign in changes if sign == "+")
         return cls(op_count, resamples, adds, len(changes) - adds, output_size)
 
@@ -89,7 +90,8 @@ class RoleSet:
 
     `count` maps each member to its number of roles; its keys are the output
     itself.  Within a step only an edge's first 0<->1 transition records its
-    old membership, so `flush` can report the net change of the step.
+    old membership, so `flush` can report the net change of the step, in
+    the order of those first transitions; no caller needs them sorted.
 
     Members are (u, v) edges over vertices 0..n-1, `masks` are their
     symmetric per-vertex adjacency bitmasks and `ranks` the `EdgeRanks` of
@@ -156,15 +158,13 @@ class RoleSet:
             assert vars(self._ranks) == vars(EdgeRanks(self._masks))
 
     def flush(self) -> list[tuple[tuple[int, int], str]]:
-        """Sorted (edge, "+"/"-") net membership changes since the last flush."""
+        """The (edge, "+"/"-") net membership changes since the last flush, in
+        the order of each edge's first transition: deterministic, unsorted."""
         if not self._was:
             return []
         count = self.count
-        out = [
-            (e, "+" if e in count else "-") for e, was in self._was.items() if was != (e in count)
-        ]
+        out = [(e, "-" if was else "+") for e, was in self._was.items() if was != (e in count)]
         self._was.clear()
-        out.sort()
         return out
 
 

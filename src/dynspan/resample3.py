@@ -498,9 +498,11 @@ class Resample3(RoleOutput):
         return phase
 
     def _apply(self, kind: str, u: int, v: int) -> Step:
-        self.g.check_update(kind, u, v)  # a rejected update must not roll the phase
         old = None
         if self.phase.exhausted:
+            # a rejected update must not roll the phase; a live phase's
+            # insert and delete raise before they change anything
+            self.g.check_update(kind, u, v)
             old = self.phase.spanner  # the abandoned phase's roles no longer change
             del self.phase  # freed before the build, so two phases never coexist
             self.phase = self._new_phase()

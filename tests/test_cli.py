@@ -17,7 +17,7 @@ from dynspan import cli, greedy, oracle
 from dynspan.adversary import write_stream
 from dynspan.det3 import Det3State
 from dynspan.graph import DELETE, INSERT, DynamicGraph, UpdateEvent
-from dynspan.instrumentation import CSV_HEADER
+from dynspan.instrumentation import CSV_HEADER, MetricsRow, OpCounter
 from dynspan.job_machine import random_instance
 
 
@@ -532,3 +532,56 @@ def test_jm_rejects_a_stretch_check(check, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"error: --check {check}: jm outputs no spanner to check" in captured.err
     assert "steps ok" not in captured.out and not out.exists()
+
+
+# runs whose adversary reads the structure's output through the view; the
+# resample3 ones span at least 2 rollovers (phase_len 25, as in the golden case)
+VIEW_RUNS = {
+    "resample3-target": "--algo resample3 --n 30 --init-m 150 --phase-len 25 --steps 80 "
+    "--adversary spanner-target --p-insert 0.3 --check exact --seed 6",
+    "resample3-hammer": "--algo resample3 --n 30 --init-m 150 --phase-len 25 --steps 80 "
+    "--adversary witness-hammer --p-insert 0.3 --check exact --seed 6",
+    "fd-greedy-target": "--algo fd-greedy --k 2 --n 24 --init-m 80 --steps 80 "
+    "--adversary spanner-target --p-insert 0.4 --check exact --seed 4",
+    "det3-target": "--algo det3 --n 24 --init-m 80 --steps 80 "
+    "--adversary spanner-target --p-insert 0.4 --check exact --seed 4",
+    "jm-maxload": "--algo jm --jm-jobs 40 --jm-machines 300 --steps 80 "
+    "--adversary max-load --seed 4",
+}
+
+
+def fresh_run(spec: str):
+    args = cli.build_parser().parse_args(["run", *spec.split()])
+    adapter = cli.ALGO_FACTORIES[args.algo](args, OpCounter())
+    return args, adapter, cli.make_adversary(args, adapter)
+
+
+@pytest.mark.parametrize("run", sorted(VIEW_RUNS))
+def test_one_view_per_run_gives_the_rows_of_a_view_per_step(run):
+    args, adapter, adversary = fresh_run(VIEW_RUNS[run])
+    views = []
+
+    def counted_view(view=adapter.view):
+        views.append(view())
+        return views[-1]
+
+    adapter.view = counted_view
+    rows, failure = cli.run_loop(adapter, adversary, args)
+    assert failure is None and len(rows) == args.steps
+    assert len(views) == 1
+    # the same run, driven by hand with a fresh view before every step and
+    # each step checked without a memo
+    args, adapter, adversary = fresh_run(VIEW_RUNS[run])
+    hand = []
+    for step in range(1, args.steps + 1):
+        ev = adversary.next_event(adapter.view())
+        s = adapter.apply(ev)
+        ok = ""
+        if adapter.stretch_bound is not None:
+            rep = oracle.verify_stretch(adapter.graph, adapter.spanner(), adapter.stretch_bound)
+            ok = "1" if rep.ok else "0"
+        row = (step, cli.event_label(ev), s.adds, s.dels, s.output_size, s.op_count, s.resamples)
+        hand.append(MetricsRow(*row, ok))
+    assert rows == hand
+    if args.algo == "resample3":
+        assert adapter.state.phase_index >= 3

@@ -12,6 +12,7 @@ from dynspan.instrumentation import (
     CSV_HEADER,
     MetricsRow,
     OpCounter,
+    RoleSet,
     write_metrics_csv,
 )
 from helpers import OverheadSample, measure_overhead
@@ -27,6 +28,43 @@ def test_op_counter_steps_and_attribution():
     assert c.total == 8
     assert c.by_module == {"a": 7, "b": 1}
     assert c.last_step == 5
+
+
+def test_flush_reports_net_changes_in_first_transition_order():
+    rs = RoleSet(8)
+    for e in [(3, 4), (0, 1), (2, 5)]:
+        rs.add(e)
+    rs.flush()
+    _ = rs.ranks  # built masks and ranks follow every transition below
+    rs.add((6, 7))  # joins
+    rs.remove((3, 4))  # leaves
+    rs.add((0, 2))  # joins, then leaves: absent
+    rs.remove((0, 2))
+    rs.remove((2, 5))  # leaves, then rejoins: absent
+    rs.add((2, 5))
+    rs.add((0, 1))  # a second role: no transition
+    rs.add((1, 5))  # joins
+    rs.remove((0, 1))  # back to one role: no transition
+    # unsorted: each sign follows the edge's membership before the step
+    assert rs.flush() == [((6, 7), "+"), ((3, 4), "-"), ((1, 5), "+")]
+    assert rs.flush() == []
+    assert set(rs.count) == {(0, 1), (1, 5), (2, 5), (6, 7)}
+    rs.check_masks()
+
+
+def test_flush_sign_is_the_old_membership_of_a_twice_moved_edge():
+    rs = RoleSet(4)
+    rs.add((0, 1))
+    rs.remove((0, 1))
+    rs.add((0, 1))  # in, out, in: it joined
+    rs.add((2, 3))
+    assert rs.flush() == [((0, 1), "+"), ((2, 3), "+")]
+    rs.remove((2, 3))
+    rs.add((2, 3))
+    rs.remove((2, 3))  # out, in, out: it left
+    assert rs.flush() == [((2, 3), "-")]
+    _ = rs.masks
+    rs.check_masks()
 
 
 def test_overhead_all_zero_loads():

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from dynspan.graph import DynamicGraph, EdgeMissing, check_rows
+from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeMissing, UpdateEvent, check_rows
 from dynspan.instrumentation import OpCounter
 from dynspan.oracle import verify_stretch
 from dynspan.resample3 import PhaseExhausted, PhaseState, Resample3, default_phase_len
@@ -320,3 +320,45 @@ def test_phase_build_op_totals_are_pinned():
         {"graph": 642, "partnership": 1210, "job_machine": 3124},
         4976,
     )
+
+
+def bad_updates(g):
+    """Updates the graph `g` rejects: (kind, u, v) of each sort of fault."""
+    present = min(g.edges())
+    absent = min(p for p in itertools.combinations(range(g.n), 2) if not g.has_edge(*p))
+    return [
+        (INSERT, *present),
+        (DELETE, *absent),
+        (INSERT, 0, g.n),
+        (DELETE, 1, 1),
+        ("move", *present),
+    ]
+
+
+@pytest.mark.parametrize("exhausted", [False, True], ids=["live", "exhausted"])
+def test_a_rejected_update_raises_what_the_graph_check_raises(exhausted):
+    # only an exhausted phase checks an update up front, since only it can
+    # roll; a live phase's own update raises before it changes anything.
+    # Either way the error is the one `DynamicGraph.check_update` raises.
+    rng = random.Random(17)
+    n = 16
+    g = DynamicGraph(n, rng.sample(list(itertools.combinations(range(n), 2)), 40))
+    drv = Resample3(g, seed=5, phase_len=4)
+    for _ in range(4 if exhausted else 2):
+        drv.delete(*rng.choice(sorted(g.edges())))
+    assert drv.phase.exhausted == exhausted
+
+    def state():
+        return drv.phase_index, drv.phase.updates_used, drv.spanner_edges(), sorted(g.edges())
+
+    for kind, u, v in bad_updates(g):
+        with pytest.raises(Exception) as want:
+            g.check_update(kind, u, v)
+        seen = state()
+        with pytest.raises(want.type) as got:
+            drv.update(UpdateEvent(1, kind, (u, v)))
+        assert (type(got.value), str(got.value)) == (want.type, str(want.value))
+        assert state() == seen
+    drv.delete(*min(g.edges()))  # the run goes on, and rolls only on a good update
+    assert drv.phase_index == (2 if exhausted else 1)
+    drv.phase.check_invariants()
