@@ -94,9 +94,9 @@ class Det3State(RoleOutput):
                 if pair is not None:
                     self.cedge.setdefault(pair, set()).add(far)
                     self._charge(1)
-        for pair, zs in sorted(self.cedge.items()):
+        for pair, zs in self.cedge.items():
             if zs:
-                z = min(zs, key=lambda w: edge_key(pair[0], w))
+                z = min(zs)
                 self._charge(2)  # the choice and its role
                 self.chosen[pair] = z
                 self.roles.add(edge_key(pair[0], z))
@@ -144,7 +144,7 @@ class Det3State(RoleOutput):
         if self.chosen.get(pair) == far:
             self._remove_t2(edge_key(pair[0], far), pair)
             if zs:
-                z = min(zs, key=lambda w: edge_key(pair[0], w))
+                z = min(zs)
                 self._charge(2)
                 self.chosen[pair] = z
                 self.roles.add(edge_key(pair[0], z))

@@ -110,7 +110,7 @@ class FullyDynamicSpanner(RoleOutput):
                 merged |= set(state.graph.edges())
                 old_output += state.in_spanner
         merged.add(new_edge)
-        graph = DynamicGraph(self.n, sorted(merged))
+        graph = DynamicGraph(self.n, merged)
         state = GreedyState(graph, self.k, self.counter)
         self.levels[h] = state
         for e in merged:

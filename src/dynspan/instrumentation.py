@@ -204,7 +204,7 @@ class OpCounter:
         """Every op charged so far, each to one module."""
         return sum(self.by_module.values())
 
-    def charge(self, n: int = 1, module: str = "core") -> None:
+    def charge(self, n: int, module: str) -> None:
         self.current += n
         self.by_module[module] += n
 

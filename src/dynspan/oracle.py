@@ -12,12 +12,12 @@ its bit in the spanner's adjacency mask shows, so it needs no search.
 Any other host edge (u, v) is within distance d exactly when the ball of
 radius ceil(d/2) around u meets the ball of radius floor(d/2) around v
 (split a shortest path at its midpoint).  Each row's non-spanner edges
-above the diagonal (`rests`) are tested at distance 2 first, a row u at
-a time: (u, v) is at distance 2 exactly when u's and v's spanner
-neighborhoods meet.  A row with more such edges than spanner neighbors
-ANDs them all at once with u's 2-ball (composed for the row, or a reach
-level already when t >= 4); any other row tests each edge with one AND
-of two adjacency masks.  Only the edges left (`lefts`) run the larger
+above the diagonal are tested at distance 2 first, a row u at a time:
+(u, v) is at distance 2 exactly when u's and v's spanner neighborhoods
+meet.  A row with more such edges than spanner neighbors ANDs them all
+at once with u's 2-ball (composed for the row, or a reach level already
+when t >= 4); any other row tests each edge with one AND of two
+adjacency masks.  Only the edges left (`lefts`) run the larger
 radii, up to r = min(t, n): no finite distance exceeds n - 1, so a
 larger t gives the report of t = n, judged against t.  Reach sets are
 composed for every vertex up to radius floor(r/2).  For odd r, every
@@ -28,11 +28,11 @@ distance r (a path of odd length r splits at its midpoint, so the test
 is symmetric).  An unbounded BFS runs only for an edge with no witness.
 
 A `StretchMemo` carries the subgraph check and the distance-2 verdicts
-from one call to the next.  It holds copies of the host and spanner rows
-of the last call that completed on (n, t), with each row's `rests` and
-`lefts`.  A call finds the rows whose host or spanner row differs from
-the copies in one pass.  A call without a memo keyed on (n, t) starts
-from copies that every row differs from, so it runs the same code with
+from one call to the next.  It holds the (host row, spanner row) pair
+of each vertex at the last call that completed on (n, t), with each
+row's `lefts`.  A call finds the rows whose pair differs from the
+memo's in one pass.  A call without a memo keyed on (n, t) starts from
+None for every pair, which no row equals, so it runs the same code with
 every row changed.  Only the changed rows are checked against the host:
 every other row was a subset of its host row when the memo's call
 completed and is one still, so the lowest bad row is a changed one, and
@@ -53,14 +53,15 @@ distance 3, and `lefts` keeps it beyond 2.  A call drops every
 certificate that reads a changed row: those of the changed row's own
 edges, of the edges (x, c) from unchanged rows into a changed row c,
 and of the edges c witnesses, through a reverse index from each witness
-to its edges.  It walks only
-the far edges left without one, in lexicographic order; an edge the
-walk cannot certify (beyond distance 3) stays open and is walked again
-on every later call.  If no walked edge lies beyond 3, the worst edge is
-the first far edge, at distance 3; otherwise it is the first walked edge
-of the largest distance.  So the report is the one a call without the
-memo gives.  Every other call walks every far edge: without a memo there
-is nowhere to keep a certificate, and for odd r >= 5 a witness reads
+to its edges.  It walks only the far edges left without one, in
+lexicographic order; an edge the walk cannot certify (beyond distance 3)
+stays open and is walked again on every later call.  If no walked edge
+lies beyond 3, the report reads the rows alone: the first far edge, at
+distance 3, else the first non-spanner edge, at 2, else the first host
+edge, at 1; otherwise it is the first walked edge of the largest
+distance.  So the report is the one a call without the memo gives.
+Every other call walks every far edge: without a memo there is nowhere
+to keep a certificate, and for odd r >= 5 a witness reads the
 floor(r/2)-balls, which depend on more rows than three.
 
 `verify_stretch` takes the spanner either as edges or as `SpannerMasks`,
@@ -81,7 +82,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import compress
-from operator import and_, ne
+from operator import and_, itemgetter, ne, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist
@@ -115,10 +116,10 @@ class SpannerMasks(NamedTuple):
 
 class StretchMemo:
     """What the last `verify_stretch` call that completed on (n, t) leaves
-    for the next one: copies of the host and spanner rows it read, which
-    pick the rows the next call checks against the host and settles
-    again, each row's non-spanner edges above the diagonal (`rests`) and
-    the subset of those beyond distance 2 (`lefts`).  When min(t, n) = 3
+    for the next one: `seen[u]`, the (host row, spanner row) pair it read
+    for each vertex u, which picks the rows the next call checks against
+    the host and settles again, and `lefts[u]`, row u's non-spanner edges
+    above the diagonal that lie beyond distance 2.  When min(t, n) = 3
     it also keeps the far edges' certificates: `opens[u]` holds the edges
     of `lefts[u]` with none, and `vouches[x]` the ids u * n + v of the
     edges (u, v) that x was found to witness (an id whose certificate
@@ -129,9 +130,7 @@ class StretchMemo:
 
     def __init__(self) -> None:
         self.key: tuple[int, int] | None = None
-        self.adj: list[int] = []
-        self.rows: list[int] = []
-        self.rests: list[int] = []
+        self.seen: list[tuple[int, int] | None] = []
         self.lefts: list[int] = []
         self.opens: list[int] = []
         self.vouches: list[set[int]] = []
@@ -154,7 +153,7 @@ def reach_levels(masks: list[int], r: int) -> list[list[int]]:
     itself once j >= 1 and u has a neighbor.
 
     Built by r-fold neighborhood composition; total cost O(r * sum(deg)).
-    `verify_stretch` composes only floor(min(t, n)/2) levels: a shortest
+    `verify_stretch` composes max(floor(min(t, n)/2), 1) levels: a shortest
     path splits at its midpoint, and no finite distance exceeds n - 1.
     """
     levels = [list(masks)]
@@ -198,7 +197,7 @@ def verify_stretch(
     distance, the first one in lexicographic order.  H is given as edges
     or as `SpannerMasks`, with the same report.
 
-    The rows whose host or spanner row differs from the memo's copies,
+    The rows whose (host row, spanner row) pair differs from the memo's,
     every row without a memo keyed on (n, t), are checked against the
     host, and nothing is written to the memo until they pass, so a call
     that raises leaves it as it was.  Each changed row's non-spanner
@@ -212,7 +211,9 @@ def verify_stretch(
     spanner degree to the first witness.  At radius 3 with a memo, only
     the far edges without a certificate are walked: those whose own row,
     other endpoint's row or witness row changed, and those beyond
-    distance 3.  On a passing input every edge is decided from reach
+    distance 3.  When no edge lies beyond 3, the report is the first
+    edge of the farthest tier: far edges at 3, non-spanner edges at 2,
+    host edges at 1.  On a passing input every edge is decided from reach
     sets, and `mask_dist` never runs.  The report or error is the one a
     call without the memo gives."""
     n, adj = g.n, g.adj_mask
@@ -225,12 +226,11 @@ def verify_stretch(
     r = min(t, n)  # no finite distance exceeds n - 1
     keep = memo is not None and r == 3  # then far edges keep their certificates
     if memo is not None and memo.key == (n, t):
-        seen_adj, seen_rows, rests, lefts = memo.adj, memo.rows, memo.rests, memo.lefts
-        opens, vouches = memo.opens, memo.vouches
-    else:  # copies that every row differs from
-        seen_adj, seen_rows, rests, lefts = [-1] * n, [-1] * n, [0] * n, [0] * n
+        seen, lefts, opens, vouches = memo.seen, memo.lefts, memo.opens, memo.vouches
+    else:  # no pair that a row could equal
+        seen, lefts = [None] * n, [0] * n
         opens, vouches = ([0] * n, [set() for _ in range(n)]) if keep else ([], [])
-    differs = map(ne, zip(adj, masks), zip(seen_adj, seen_rows))
+    differs = map(ne, zip(adj, masks), seen)
     # one pass over every row; only the changed ones are indexed (zipping a
     # third list into the pass costs more than that at n = 144)
     changed = [(u, adj[u], mu) for u, mu in compress(enumerate(masks), differs)]
@@ -241,27 +241,26 @@ def verify_stretch(
             raise SpannerNotSubgraph(f"spanner edge {(u, v)} not in host graph")
     if memo is not None:
         memo.key = None  # stale until this call completes
-        memo.adj, memo.rows, memo.rests, memo.lefts = seen_adj, seen_rows, rests, lefts
-        memo.opens, memo.vouches = opens, vouches
+        memo.seen, memo.lefts, memo.opens, memo.vouches = seen, lefts, opens, vouches
     if not keep:  # every far edge is walked
         opens = lefts
 
     worst: float = 0.0
     worst_edge: tuple[int, int] | None = None
-    levels = reach_levels(masks, r // 2) if r >= 2 else []
+    levels = reach_levels(masks, max(r // 2, 1))
     odd = r >= 3 and r % 2 == 1  # then d = r is settled by the walk
     # (d, the ceil(d/2)-balls, the floor(d/2)-balls) for d = 3 .. r, or r - 1 when odd
     rings = [(d, levels[(d + 1) // 2 - 1], levels[d // 2 - 1]) for d in range(3, r + 1 - odd)]
-    top = levels[-1] if levels else []
+    top = levels[-1]
     balls = levels[1] if r >= 4 else None  # every 2-ball, composed already
     above = above_masks(n)
     settled = 0  # the changed rows below u
     for u, a, mu in changed:
-        seen_adj[u], seen_rows[u] = a, mu
+        seen[u] = a, mu
         rest = a ^ mu  # the non-spanner edges, now that mu is a subgraph row
         bit = 1 << u
-        # (x, u) stays in rests[x] for an unchanged row x < u, and only its
-        # distance-2 verdict, masks[x] & mu, can change
+        # (x, u) stays a non-spanner edge of an unchanged row x < u, and only
+        # its distance-2 verdict, masks[x] & mu, can change
         m = rest & ((bit - 1) ^ settled)
         settled |= bit
         while m:
@@ -280,8 +279,8 @@ def verify_stretch(
                 y, v = divmod(e, n)
                 opens[y] |= lefts[y] & 1 << v
             vouches[u] = set()
-        rests[u] = rest = rest & above[u]
-        # lefts[u]: the edges of rests[u] beyond distance 2
+        rest &= above[u]
+        # lefts[u]: the edges of rest beyond distance 2
         if balls is not None:
             left = rest & ~balls[u]
         elif rest.bit_count() > mu.bit_count():  # compose u's 2-ball, then one AND
@@ -324,21 +323,14 @@ def verify_stretch(
                         vouches[(walk & -walk).bit_length() - 1].add(u * n + v)
             if d > worst:
                 worst, worst_edge = d, (u, v)
-    if worst <= 3:  # no walked edge beyond 3, and the certified ones at 3: the first far edge
-        u = next(compress(range(n), lefts), None)
-        if u is not None:
-            left = lefts[u]
-            worst, worst_edge = 3, (u, (left & -left).bit_length() - 1)
-    if worst_edge is None:  # no edge beyond distance 2: the first one at distance 2
-        u = next(compress(range(n), map(ne, rests, lefts)), None)
-        if u is not None:
-            near = rests[u] ^ lefts[u]
-            worst, worst_edge = 2, (u, (near & -near).bit_length() - 1)
-        else:  # no non-spanner edge: the first host edge, at distance 1
-            for u, row in enumerate(map(and_, adj, above)):
-                if row:
-                    worst, worst_edge = 1, (u, (row & -row).bit_length() - 1)
-                    break
+    if worst <= 3:  # no walked edge beyond 3: the first edge of the farthest tier
+        near = map(and_, map(xor, adj, masks), above)  # the non-spanner edges
+        for d, rows in ((3, lefts), (2, near), (1, map(and_, adj, above))):
+            first = next(filter(itemgetter(1), enumerate(rows)), None)
+            if first is not None:
+                u, row = first
+                worst, worst_edge = d, (u, (row & -row).bit_length() - 1)
+                break
     if memo is not None:
         memo.key = (n, t)
     return StretchReport(worst_edge is None or worst <= t, worst_edge, worst)

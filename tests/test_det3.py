@@ -112,6 +112,19 @@ def test_center_loss_migration_hand_instance():
     assert verify_stretch(s.g, s.spanner, 3).ok
 
 
+def test_a_lost_choice_goes_to_the_smallest_far_endpoint_on_either_side():
+    # bucket 0 = {2, 3}, bucket 1 = {0, 1, 4, 5}; every z in bucket 1 is
+    # clustered at 2, so pair (3, 2) holds the far endpoints 0, 1 < 3 < 4, 5.
+    # The pick is the smallest far endpoint, which is also the smallest
+    # edge (3, z): below 3, (z, 3) grows with z, and above it (3, z) does.
+    s = make(6, [(z, c) for z in (0, 1, 4, 5) for c in (2, 3)], buckets=[1, 1, 0, 0, 1, 1])
+    assert s.cedge[(3, 2)] == {0, 1, 4, 5} and s.chosen[(3, 2)] == 0
+    for lost, pick in ((0, 1), (1, 4)):  # far endpoints left on both sides, then above 3 only
+        s.delete_edge(lost, 3)
+        assert s.chosen[(3, 2)] == pick and (min(pick, 3), max(pick, 3)) in s.spanner
+        s.check_against_rebuild()
+
+
 def test_insert_first_edge_is_double_partner():
     s = make(6, [])
     changes = s.insert_edge(0, 1)  # buckets differ under round-robin (3 buckets)

@@ -1,8 +1,9 @@
 """Every op charge names one of the modules the op counts are read by.
 
 `OpCounter` attributes each charge to a module, and `bench/run.py` reads
-its per-module op metrics by those names.  A charge to any other name, or
-to the counter's default, would land in no metric and read as 0.
+its per-module op metrics by those names.  A charge to any other name
+would land in no metric and read as 0; `OpCounter.charge` has no default
+module, so every call names one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ MODULES = {"graph", "greedy", "det3", "partnership", "job_machine", "wrap"}
 
 def charge_modules(tree: ast.AST):
     """The module argument, unparsed, of every call to a function or method
-    named `charge`; None when the call leaves it to the default."""
+    named `charge`; None when the call names none."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue

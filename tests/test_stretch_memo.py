@@ -55,7 +55,8 @@ MEMO_STREAMS = {
 
 class Checker:
     """One memo per stretch and spanner form, each compared on every call
-    against a fresh call on the same input."""
+    against a fresh call on the same input, and its row pairs against the
+    input's host and spanner rows."""
 
     def __init__(self, ts) -> None:
         self.memos = {(t, form): StretchMemo() for t in ts for form in ("edges", "masks")}
@@ -68,6 +69,7 @@ class Checker:
             want = outcome(verify_stretch, g, h, t)
             assert outcome(verify_stretch, g, h, t, memo=memo) == want, (where, t, form)
             assert memo.key == (g.n, t), (where, t, form)
+            assert memo.seen == list(zip(g.adj_mask, rows)), (where, t, form)
             self.reports.add((t, want[1]))
 
     def check_bad(self, g: DynamicGraph, edges, rows: list[int], where) -> None:
@@ -265,12 +267,16 @@ def test_a_keyed_call_walks_a_fifth_of_what_a_call_without_a_memo_walks(monkeypa
     assert reads[False] > 3000 and 5 * reads[True] <= reads[False], reads
 
 
+def test_a_memo_keeps_its_key_row_pairs_and_far_edges_only():
+    assert sorted(vars(StretchMemo())) == ["key", "lefts", "opens", "seen", "vouches"]
+
+
 def test_a_keyed_memo_checks_only_the_changed_mask_rows_against_the_host():
     """Once the memo is keyed on (n, t), a call checks only the rows changed
     since its last call against the host, and trusts the others: a bad
-    spanner edge planted both in the live rows and in the memo's copies
-    goes unseen by a keyed call, while a call without a keyed memo, in
-    either form, raises on it."""
+    spanner edge planted both in the live rows and in the spanner half of
+    the memo's (host row, spanner row) pairs goes unseen by a keyed call,
+    while a call without a keyed memo, in either form, raises on it."""
     memo = StretchMemo()
     for g, edges, rows in stream_steps(MEMO_STREAMS["det3"]):
         verify_stretch(g, SpannerMasks(rows), 3, memo=memo)
@@ -278,7 +284,8 @@ def test_a_keyed_memo_checks_only_the_changed_mask_rows_against_the_host():
     bad = list(rows)
     for x, y in ((u, w), (w, u)):
         bad[x] |= 1 << y
-        memo.rows[x] |= 1 << y
+        a, mu = memo.seen[x]
+        memo.seen[x] = a, mu | 1 << y
     verify_stretch(g, SpannerMasks(bad), 3, memo=memo)  # raises nothing
     assert memo.key == (g.n, 3)
     want = ("raised", SpannerNotSubgraph, f"spanner edge {(u, w)} not in host graph")
