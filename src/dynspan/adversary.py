@@ -34,12 +34,12 @@ class StreamParse(Exception):
 
 
 class AdversaryView(NamedTuple):
-    """Read-only window onto the structure under attack."""
+    """Read-only window onto the structure under attack: the host graph and
+    one output query.  A strategy that wants the output's adjacency masks
+    reads them as `spanner_ranks().rows`."""
 
     graph: DynamicGraph
-    # the structure's `spanner_masks`: per-vertex adjacency bitmasks of its output
-    spanner_masks: Callable[[], list[int]] | None = None
-    # the structure's `spanner_ranks`: the maintained `EdgeRanks` of those masks
+    # the structure's `spanner_ranks`: the maintained `EdgeRanks` of its output
     spanner_ranks: Callable[[], EdgeRanks] | None = None
     heaviest_machine: Callable[[], Hashable | None] | None = None
 
@@ -118,21 +118,15 @@ class RandomOblivious(_EdgeAdversary):
 
 class SpannerTargeting(_EdgeAdversary):
     """Deletes a uniformly random edge of the current spanner (falls back to
-    any edge when the spanner is empty); optional insertion mixing.
+    any edge when the spanner is empty or the view has no spanner);
+    optional insertion mixing.
 
     The draw r picks the spanner edge of rank r in lexicographic order, so
-    it is `sorted(spanner)[r]` without listing the spanner.  The structure's
-    maintained `EdgeRanks` select it in O(log n); a view built by hand with
-    masks only, as tests build them, gets ranks built from the masks in O(n),
-    which select the same edge."""
+    it is `sorted(spanner)[r]` without listing the spanner: the view's
+    `spanner_ranks` select it in O(log n)."""
 
     def victim(self, view: AdversaryView) -> tuple[int, int]:
-        ranks = None
-        if view.spanner_ranks is not None:
-            ranks = view.spanner_ranks()
-        elif view.spanner_masks is not None:
-            ranks = EdgeRanks(view.spanner_masks())
-        if ranks is not None and ranks.total:
+        if view.spanner_ranks is not None and (ranks := view.spanner_ranks()).total:
             return ranks.edge_at(rank_below(self.rng.getrandbits, ranks.total))
         return _uniform_present_edge(view.graph, self.rng)
 

@@ -67,7 +67,8 @@ class Adapter:
 
     Subclasses only build `graph` (the host graph) and `state` (the
     structure) on one shared counter, closing the set-up step; every update
-    goes through `state.update(ev) -> Step`.
+    goes through `state.update(ev) -> Step`, which closes its op and output
+    steps.  The adversary's view reads one output query, `spanner_ranks`.
     """
 
     name: str
@@ -77,7 +78,6 @@ class Adapter:
         """The adversary's view; `run_loop` builds it once per run."""
         return AdversaryView(
             self.graph,
-            spanner_masks=self.state.spanner_masks,
             spanner_ranks=self.state.spanner_ranks,
             heaviest_machine=getattr(self.state, "heaviest_machine", None),
         )

@@ -153,8 +153,8 @@ class Det3State(RoleOutput):
 
     # -- updates -----------------------------------------------------------
 
-    def insert_edge(self, u: int, v: int) -> list[tuple[tuple[int, int], str]]:
-        """Insert (u, v); its (edge, "+"/"-") output changes, sorted by edge."""
+    def insert_edge(self, u: int, v: int) -> None:
+        """Insert (u, v) and record its role changes; `update` closes the step."""
         e = self.g.insert_edge(u, v)
         u, v = e
         i, j = self.bucket_of[u], self.bucket_of[v]
@@ -175,11 +175,9 @@ class Det3State(RoleOutput):
             pair = self._pair_of(near, far)
             if pair is not None:
                 self._cedge_add(pair, far)
-        self.counter.end_step()
-        return sorted(self.roles.flush())
 
-    def delete_edge(self, u: int, v: int) -> list[tuple[tuple[int, int], str]]:
-        """Delete (u, v); its (edge, "+"/"-") output changes, sorted by edge."""
+    def delete_edge(self, u: int, v: int) -> None:
+        """Delete (u, v) and record its role changes; `update` closes the step."""
         check_range(self.n, u, v)  # before the bucket lookups below
         e = edge_key(u, v)
         # pair memberships are defined by the centers in force before removal
@@ -196,12 +194,11 @@ class Det3State(RoleOutput):
         for owner in t1_owners:
             far = v if owner == u else u
             self._handle_center_loss(owner, far, e)
-        self.counter.end_step()
-        return sorted(self.roles.flush())
 
     def update(self, ev: UpdateEvent) -> Step:
-        changes = by_kind(ev.kind, self.insert_edge, self.delete_edge)(*ev.edge)
-        return Step.of(changes, self.counter.last_step, 0, self.spanner_size())
+        """Apply one insertion or deletion and close its op and output steps."""
+        by_kind(ev.kind, self.insert_edge, self.delete_edge)(*ev.edge)
+        return self.roles.step(self.counter.end_step(), 0)
 
     def _handle_center_loss(self, owner: int, old_center: int, e: tuple[int, int]) -> None:
         """The partner edge (owner, old_center) died; re-center owner in that

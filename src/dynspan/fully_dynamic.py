@@ -135,9 +135,9 @@ class FullyDynamicSpanner(RoleOutput):
         return added
 
     def update(self, ev: UpdateEvent) -> Step:
-        """Apply one insertion or deletion and close its op step."""
+        """Apply one insertion or deletion and close its op and output steps."""
         by_kind(ev.kind, self.insert, self.delete)(*ev.edge)
-        return Step.of(self.roles.flush(), self.counter.end_step(), 0, self.spanner_size())
+        return self.roles.step(self.counter.end_step(), 0)
 
     def check_invariants(self) -> None:
         assert set(self.owner) == set(self.g.edges())

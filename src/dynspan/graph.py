@@ -249,18 +249,6 @@ class DynamicGraph:
     def _charge(self, k: int) -> None:
         self.counter.charge(k, "graph")
 
-    def _link(self, lo: int, hi: int) -> None:
-        self.adj_mask[lo] |= 1 << hi
-        self.adj_mask[hi] |= 1 << lo
-        self.m += 1
-        self._charge(2)
-
-    def _unlink(self, lo: int, hi: int) -> None:
-        self.adj_mask[lo] &= ~(1 << hi)
-        self.adj_mask[hi] &= ~(1 << lo)
-        self.m -= 1
-        self._charge(2)
-
     def has_edge(self, u: int, v: int) -> bool:
         check_range(self.n, u, v)
         return self.adj_mask[u] >> v & 1 == 1
@@ -280,13 +268,19 @@ class DynamicGraph:
         return e
 
     def insert_edge(self, u: int, v: int) -> tuple[int, int]:
-        e = self.check_update(INSERT, u, v)
-        self._link(*e)
+        e = lo, hi = self.check_update(INSERT, u, v)
+        self.adj_mask[lo] |= 1 << hi
+        self.adj_mask[hi] |= 1 << lo
+        self.m += 1
+        self._charge(2)
         return e
 
     def delete_edge(self, u: int, v: int) -> tuple[int, int]:
-        e = self.check_update(DELETE, u, v)
-        self._unlink(*e)
+        e = lo, hi = self.check_update(DELETE, u, v)
+        self.adj_mask[lo] &= ~(1 << hi)
+        self.adj_mask[hi] &= ~(1 << lo)
+        self.m -= 1
+        self._charge(2)
         return e
 
     def edges(self) -> Iterator[tuple[int, int]]:

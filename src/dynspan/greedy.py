@@ -119,11 +119,11 @@ class GreedyState(RoleOutput):
         return sorted(found)
 
     def update(self, ev: UpdateEvent) -> Step:
-        """Apply one deletion and close its op step."""
+        """Apply one deletion and close its op and output steps."""
         if ev.kind != DELETE:
             raise UnsupportedUpdate("the decremental greedy spanner accepts deletions only")
         self.handle_delete(*ev.edge)
-        return Step.of(self.roles.flush(), self.counter.end_step(), 0, self.spanner_size())
+        return self.roles.step(self.counter.end_step(), 0)
 
     def check_invariants(self) -> None:
         assert self.in_spanner.keys() <= set(self.graph.edges())

@@ -21,20 +21,17 @@ class InvariantBroken(Exception):
 
 
 class Step(NamedTuple):
-    """What one update did, as every structure's `update(ev) -> Step` reports it."""
+    """What one update did, as every structure's `update(ev) -> Step` reports it.
 
-    op_count: int  # the update's own op-counter step, closed by `update`
+    Past the build, `update` is the only method that closes a step: a
+    spanner structure's ends with
+    `self.roles.step(self.counter.end_step(), resamples)`."""
+
+    op_count: int  # the update's own op-counter step
     resamples: int
     adds: int  # output recourse: members gained and lost
     dels: int
     output_size: int  # after the update
-
-    @classmethod
-    def of(cls, changes, op_count: int, resamples: int, output_size: int) -> "Step":
-        """The step of (edge, "+"/"-") changes such as `RoleSet.flush()` returns,
-        in any order: only the signs are counted."""
-        adds = sum(1 for _, sign in changes if sign == "+")
-        return cls(op_count, resamples, adds, len(changes) - adds, output_size)
 
 
 def adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -89,9 +86,11 @@ class RoleSet:
     """A maintained output whose members are the edges holding at least one role.
 
     `count` maps each member to its number of roles; its keys are the output
-    itself.  Within a step only an edge's first 0<->1 transition records its
-    old membership, so `flush` can report the net change of the step, in
-    the order of those first transitions; no caller needs them sorted.
+    itself.  Within an output step only an edge's first 0<->1 transition
+    records its old membership, so the step's net change is known when it
+    closes.  `step` closes it as an update's `Step`, counting the change;
+    `flush` closes it listing the changed edges, in the order of those first
+    transitions, for the callers that read the edges themselves.
 
     Members are (u, v) edges over vertices 0..n-1, `masks` are their
     symmetric per-vertex adjacency bitmasks and `ranks` the `EdgeRanks` of
@@ -158,14 +157,30 @@ class RoleSet:
             assert vars(self._ranks) == vars(EdgeRanks(self._masks))
 
     def flush(self) -> list[tuple[tuple[int, int], str]]:
-        """The (edge, "+"/"-") net membership changes since the last flush, in
-        the order of each edge's first transition: deterministic, unsorted."""
+        """Close the output step and list its (edge, "+"/"-") net membership
+        changes, in the order of each edge's first transition: deterministic,
+        unsorted.  Read only where the edges are: by a forwarder, and by a
+        build that drops its own changes."""
         if not self._was:
             return []
         count = self.count
         out = [(e, "-" if was else "+") for e, was in self._was.items() if was != (e in count)]
         self._was.clear()
         return out
+
+    def step(self, op_count: int, resamples: int) -> Step:
+        """Close the output step, as `flush` does, and return it as the `Step`
+        of an update with `op_count` and `resamples`: its net adds and dels
+        are counted, not listed."""
+        count = self.count
+        adds = dels = 0
+        for e, was in self._was.items():
+            if was:
+                dels += e not in count
+            else:
+                adds += e in count
+        self._was.clear()
+        return Step(op_count, resamples, adds, dels, len(count))
 
 
 class RoleOutput:
@@ -196,7 +211,7 @@ class OpCounter:
 
     def __init__(self) -> None:
         self.current = 0
-        self.last_step = 0  # the count of the last closed step
+        self.last_step = 0  # the count of the last closed step, for cross-checks
         self.by_module: Counter[str] = Counter()
 
     @property
@@ -214,9 +229,6 @@ class OpCounter:
         return count
 
 
-CSV_HEADER = "step,event,recourse_add,recourse_del,spanner_size,op_count,resamples,stretch_ok"
-
-
 class MetricsRow(NamedTuple):
     step: int
     event: str
@@ -227,15 +239,12 @@ class MetricsRow(NamedTuple):
     resamples: int
     stretch_ok: str  # "1", "0", or "" when unchecked
 
-    def format(self) -> str:
-        return (
-            f"{self.step},{self.event},{self.recourse_add},{self.recourse_del},"
-            f"{self.spanner_size},{self.op_count},{self.resamples},{self.stretch_ok}"
-        )
+
+CSV_HEADER = ",".join(MetricsRow._fields)
 
 
 def write_metrics_csv(path: str, rows: Sequence[MetricsRow]) -> None:
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
         for row in rows:
-            f.write(row.format() + "\n")
+            f.write(",".join(map(str, row)) + "\n")

@@ -53,8 +53,9 @@ class PhaseState(RoleOutput):
 
     An update (`insert`, `delete`, `apply`) charges its work to `counter`,
     records its output changes in `roles` and returns its resample count;
-    its driver (`Resample3`, `WrappedRunner`) closes both steps, the op
-    step and the output step (`roles.flush()`).  The build flushes itself:
+    its driver's update closes both steps, the op step and the output step:
+    `Resample3` as its own `roles.step`, `WrappedRunner` by forwarding its
+    `roles.flush()`.  The build flushes itself:
     it passes every host edge to `_init_edges` and every pair to
     `_init_pairs` in one call each, the same bodies the wrapped runner's
     bounded tasks call with one edge or one pair.  The buffer is not
@@ -446,8 +447,7 @@ class WrappedRunner(RoleOutput):
                     self.roles.remove(e)
         resamples += next(self._steps)
         self.step_in_window = (self.step_in_window + 1) % self.L
-        op = self.counter.end_step()
-        return Step.of(self.roles.flush(), op, resamples, self.spanner_size())
+        return self.roles.step(self.counter.end_step(), resamples)
 
     # -- views --
 
@@ -466,10 +466,11 @@ class WrappedRunner(RoleOutput):
 class Resample3(RoleOutput):
     """Phase-rolling driver: rebuilds inline when the phase budget is spent.
 
-    Each phase build and each update closes one op-counter step, so a
-    rollover's build is never charged to the update that triggered it.
-    An update's `Step` reports its phase's role changes, or on a rollover
-    the swap of the whole output; a rejected update never rolls the phase.
+    Its update is `insert`/`delete`.  Each phase build and each update
+    closes one op-counter step, so a rollover's build is never charged to
+    the update that triggered it.  An update's `Step` is its phase's
+    `roles.step`, with the whole output's swap as its adds and dels on a
+    rollover; a rejected update never rolls the phase.
     """
 
     def __init__(
@@ -508,12 +509,11 @@ class Resample3(RoleOutput):
             self.phase = self._new_phase()
         phase = self.phase
         resamples = by_kind(kind, phase.insert, phase.delete)(u, v)
-        op = self.counter.end_step()
-        changes = phase.roles.flush()
+        step = phase.roles.step(self.counter.end_step(), resamples)
         if old is None:
-            return Step.of(changes, op, resamples, len(phase.spanner))
+            return step
         new = phase.spanner  # the new phase flushed its build: report the whole swap
-        return Step(op, resamples, len(new - old), len(old - new), len(new))
+        return step._replace(adds=len(new - old), dels=len(old - new))
 
     def insert(self, u: int, v: int) -> Step:
         return self._apply(INSERT, u, v)

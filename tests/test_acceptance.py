@@ -23,7 +23,7 @@ from dynspan.adversary import (
 )
 from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
-from dynspan.graph import DELETE, INSERT, DynamicGraph, iter_bits, mask_dist
+from dynspan.graph import DELETE, DynamicGraph, iter_bits, mask_dist
 from dynspan.greedy import GreedyState
 from dynspan.job_machine import ResamplingEngine, random_instance
 from dynspan.oracle import girth_at_least, reference_greedy, verify_stretch
@@ -106,7 +106,7 @@ def test_criterion_3_fully_dynamic_reduction():
     # insertion-biased mix keeps the graph populated while the adversary
     # spends every deletion on a current spanner edge
     adv = SpannerTargeting(seed=303, budget=updates, p_insert=0.6)
-    view = AdversaryView(g, spanner_masks=fd.spanner_masks)
+    view = AdversaryView(g, spanner_ranks=fd.spanner_ranks)
     recourse = 0
     for _ in range(updates):
         ev = adv.next_event(view)
@@ -130,7 +130,7 @@ def test_criterion_4_det3_worst_case():
     pairs = all_pairs(n)
     g = DynamicGraph(n, random.Random(404).sample(pairs, 1500))
     s = Det3State(g)
-    view = AdversaryView(g, spanner_masks=s.spanner_masks)
+    view = AdversaryView(g, spanner_ranks=s.spanner_ranks)
     phases = [
         RandomOblivious(seed=405, budget=rand_steps, p_insert=0.5),
         SpannerTargeting(seed=406, budget=adv_steps, p_insert=0.3),
@@ -142,13 +142,10 @@ def test_criterion_4_det3_worst_case():
             if ev is None:
                 break
             step += 1
-            if ev.kind == INSERT:
-                changes = s.insert_edge(*ev.edge)
-            else:
-                changes = s.delete_edge(*ev.edge)
-            assert len(changes) <= 2 * root_n + 2
+            st = s.update(ev)
+            assert st.adds + st.dels <= 2 * root_n + 2
             delta = max_degree(g)
-            assert s.counter.last_step <= op_const * (min(delta, root_n) + 1) * logn
+            assert st.op_count <= op_const * (min(delta, root_n) + 1) * logn
             assert verify_stretch(g, s.spanner, 3).ok
             assert len(s.spanner) <= 3 * n * root_n
             if step % 50 == 0:
@@ -228,7 +225,7 @@ def test_criterion_7_resample3_recourse():
         ps = PhaseState(g, seed=seed, phase_len=L)
         adv = WitnessHammer(seed + 1, L)
         view = AdversaryView(
-            g, spanner_masks=ps.spanner_masks, heaviest_machine=ps.engine.heaviest_machine
+            g, spanner_ranks=ps.spanner_ranks, heaviest_machine=ps.engine.heaviest_machine
         )
         total = 0
         for _ in range(L):

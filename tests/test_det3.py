@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from dynspan.det3 import Det3State, bucket_masks, default_buckets
-from dynspan.graph import INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent
+from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent
 from dynspan.instrumentation import OpCounter
 from dynspan.oracle import verify_stretch
 from helpers import max_degree
@@ -72,7 +72,8 @@ def test_build_star_keeps_every_edge():
 
 def test_delete_non_spanner_edge_changes_nothing():
     s = make(4, list(itertools.combinations(range(4), 2)), buckets=[0, 0, 1, 1])
-    changes = s.delete_edge(1, 3)  # the one non-spanner edge of the K4 build
+    s.delete_edge(1, 3)  # the one non-spanner edge of the K4 build
+    changes = sorted(s.roles.flush())
     assert changes == []
     s.check_against_rebuild()
 
@@ -80,7 +81,8 @@ def test_delete_non_spanner_edge_changes_nothing():
 def test_delete_partner_edge_on_path():
     # path 0-1-2 with buckets {0,1},{2}: both roles of (1,2) are partner roles
     s = make(3, [(0, 1), (1, 2)], buckets=[0, 0, 1])
-    changes = s.delete_edge(1, 2)
+    s.delete_edge(1, 2)
+    changes = sorted(s.roles.flush())
     assert changes == [((1, 2), "-")]
     assert s.center == {}  # vertex 2 lost its only bucket-0 neighbor
     assert s.spanner == {(0, 1)}
@@ -97,7 +99,8 @@ def test_center_loss_migration_hand_instance():
     edges += [(1, 9)] + [(w, 9) for w in range(2, 7)]
     s = make(10, edges, buckets=[0] * 7 + [1] * 3)
     assert (0, 7) in s.spanner and s.center[(7, 0)] == 0 and s.center[(0, 1)] == 7
-    changes = s.delete_edge(0, 7)
+    s.delete_edge(0, 7)
+    changes = sorted(s.roles.flush())
     assert changes == [
         ((0, 7), "-"),
         ((2, 8), "+"),
@@ -127,7 +130,8 @@ def test_a_lost_choice_goes_to_the_smallest_far_endpoint_on_either_side():
 
 def test_insert_first_edge_is_double_partner():
     s = make(6, [])
-    changes = s.insert_edge(0, 1)  # buckets differ under round-robin (3 buckets)
+    s.insert_edge(0, 1)  # buckets differ under round-robin (3 buckets)
+    changes = sorted(s.roles.flush())
     assert changes == [((0, 1), "+")]
     assert s.center[(0, s.bucket_of[1])] == 1 and s.center[(1, s.bucket_of[0])] == 0
     with pytest.raises(EdgeExists):
@@ -139,7 +143,8 @@ def test_insert_parallel_role_changes_nothing():
     # both endpoints have centers, and pairs (1,0) and (4,3) have choices
     s = make(6, [(0, 3), (1, 3), (0, 4)], buckets=[0, 0, 0, 1, 1, 1])
     assert s.chosen[(1, 0)] == 3 and s.chosen[(4, 3)] == 0
-    changes = s.insert_edge(1, 4)
+    s.insert_edge(1, 4)
+    changes = sorted(s.roles.flush())
     assert changes == []
     assert (1, 4) not in s.spanner
     s.check_against_rebuild()
@@ -148,7 +153,8 @@ def test_insert_parallel_role_changes_nothing():
 
 def test_insert_intra_bucket_can_be_type2_only():
     s = make(4, [(0, 2), (1, 2)], buckets=[0, 0, 1, 1])
-    changes = s.insert_edge(0, 1)
+    s.insert_edge(0, 1)
+    changes = sorted(s.roles.flush())
     assert ((0, 1), "+") in changes
     assert (0, 1) not in {(min(v, c), max(v, c)) for (v, _), c in s.center.items()}
     assert (0, 1) in {(min(a, z), max(a, z)) for (a, _), z in s.chosen.items()}
@@ -165,7 +171,7 @@ def test_op_cost_of_non_spanner_delete_is_logarithmic():
     checked = 0
     for e in list(g.edges()):
         if e not in s.spanner:
-            s.delete_edge(*e)
+            s.update(UpdateEvent(0, DELETE, e))
             assert s.counter.last_step <= bound
             checked += 1
         if checked == 25:
@@ -175,7 +181,7 @@ def test_op_cost_of_non_spanner_delete_is_logarithmic():
 
 def test_empty_graph_insert_cost_small():
     s = make(9, [])
-    s.insert_edge(0, 4)
+    s.update(UpdateEvent(0, INSERT, (0, 4)))
     assert s.counter.last_step <= 12
 
 
@@ -215,13 +221,14 @@ def test_random_updates_keep_invariants():
     for step in range(600):
         if present and rng.random() < 0.45:
             e = rng.choice(sorted(present))
-            changes = s.delete_edge(*e)
+            s.delete_edge(*e)
             present.discard(e)
         else:
             choices = [p for p in graph_pairs if p not in present]
             e = rng.choice(choices)
-            changes = s.insert_edge(*e)
+            s.insert_edge(*e)
             present.add(e)
+        changes = sorted(s.roles.flush())
         assert len(changes) <= 2 * root_n + 2
         assert len(s.spanner) <= 3 * n * root_n
         if step % 50 == 0:
@@ -243,11 +250,11 @@ def test_per_update_op_cost_bound():
     for _ in range(1500):
         if present and rng.random() < 0.5:
             e = rng.choice(sorted(present))
-            s.delete_edge(*e)
+            s.update(UpdateEvent(0, DELETE, e))
             present.discard(e)
         else:
             e = rng.choice([p for p in pairs if p not in present])
-            s.insert_edge(*e)
+            s.update(UpdateEvent(0, INSERT, e))
             present.add(e)
         delta = max_degree(s.g)
         denom = (min(delta, root_n) + 1) * logn

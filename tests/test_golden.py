@@ -131,7 +131,7 @@ def adversary_stream(name: str, p_insert: float, count: int = 100) -> str:
     g = DynamicGraph(20, STREAM_START)
     r3 = Resample3(g, seed=12, phase_len=40)
     adv = ADVERSARIES[name](13, count, p_insert=p_insert)
-    view = AdversaryView(g, spanner_masks=r3.spanner_masks, heaviest_machine=r3.heaviest_machine)
+    view = AdversaryView(g, spanner_ranks=r3.spanner_ranks, heaviest_machine=r3.heaviest_machine)
     lines = []
     while (ev := adv.next_event(view)) is not None:
         lines.append(f"{ev.seq} {ev.kind} {ev.edge[0]} {ev.edge[1]}")

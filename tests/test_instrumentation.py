@@ -13,6 +13,7 @@ from dynspan.instrumentation import (
     MetricsRow,
     OpCounter,
     RoleSet,
+    Step,
     write_metrics_csv,
 )
 from helpers import OverheadSample, measure_overhead
@@ -67,6 +68,28 @@ def test_flush_sign_is_the_old_membership_of_a_twice_moved_edge():
     rs.check_masks()
 
 
+def test_step_counts_what_flush_lists():
+    # twin role sets under the same seeded adds and removes, several steps
+    # each: `step` is the Step counted from the twin's `flush`, and it
+    # closes the output step as `flush` does
+    rng = random.Random(23)
+    edges = list(itertools.combinations(range(6), 2))
+    for _ in range(200):
+        rs, twin = RoleSet(6), RoleSet(6)
+        for _ in range(rng.randrange(1, 5)):
+            for _ in range(rng.randrange(12)):
+                e = rng.choice(edges)
+                drop = e in rs.count and rng.random() < 0.5
+                for s in (rs, twin):
+                    (s.remove if drop else s.add)(e)
+            op, resamples = rng.randrange(100), rng.randrange(5)
+            changes = twin.flush()
+            adds = sum(sign == "+" for _, sign in changes)
+            want = Step(op, resamples, adds, len(changes) - adds, len(twin.count))
+            assert rs.step(op, resamples) == want
+            assert rs.flush() == []
+
+
 def test_overhead_all_zero_loads():
     samples = [OverheadSample(t, 0, 0, 0.0) for t in range(10)]
     rep = measure_overhead(samples, 3.0, 4.0)
@@ -99,7 +122,7 @@ def test_overhead_on_witness_hammer_runs_within_frozen_thresholds():
         ps = PhaseState(g, seed=seed, phase_len=deletions)
         adv = WitnessHammer(seed, deletions)
         view = AdversaryView(
-            g, spanner_masks=ps.spanner_masks, heaviest_machine=ps.engine.heaviest_machine
+            g, spanner_ranks=ps.spanner_ranks, heaviest_machine=ps.engine.heaviest_machine
         )
         samples = []
         for step in range(deletions):

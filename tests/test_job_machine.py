@@ -688,7 +688,7 @@ def test_heaviest_machine_matches_brute_force_on_edge_machines():
     ps = PhaseState(g, seed=5, phase_len=steps)
     eng = ps.engine
     adv = WitnessHammer(seed=6, budget=steps, p_insert=0.25)
-    view = AdversaryView(g, spanner_masks=ps.spanner_masks, heaviest_machine=eng.heaviest_machine)
+    view = AdversaryView(g, spanner_ranks=ps.spanner_ranks, heaviest_machine=eng.heaviest_machine)
     for _ in range(steps):
         assert eng.heaviest_machine() == brute_heaviest(eng)
         ev = adv.next_event(view)
@@ -771,7 +771,7 @@ def test_each_load_level_is_scanned_at_most_once(monkeypatch):
     ps = PhaseState(g, seed=8, phase_len=steps)
     adv = WitnessHammer(seed=9, budget=steps, p_insert=0.25)
     view = AdversaryView(
-        g, spanner_masks=ps.spanner_masks, heaviest_machine=ps.engine.heaviest_machine
+        g, spanner_ranks=ps.spanner_ranks, heaviest_machine=ps.engine.heaviest_machine
     )
     for _ in range(steps):
         ev = adv.next_event(view)
@@ -1375,7 +1375,7 @@ def test_twin_agrees_on_a_phase_under_witness_hammer():
     ps = TwinnedPhase(g, seed=92, phase_len=steps)
     adv = WitnessHammer(seed=93, budget=steps, p_insert=0.25)
     view = AdversaryView(
-        g, spanner_masks=ps.spanner_masks, heaviest_machine=ps.engine.heaviest_machine
+        g, spanner_ranks=ps.spanner_ranks, heaviest_machine=ps.engine.heaviest_machine
     )
     for _ in range(steps):
         ps.apply(adv.next_event(view))

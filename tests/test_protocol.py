@@ -3,13 +3,16 @@ the CLI drives it, reports exactly how its output changed."""
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from test_wrapped import random_events
 
+import dynspan
 from dynspan import cli
 from dynspan.det3 import Det3State
 from dynspan.fully_dynamic import FullyDynamicSpanner
@@ -54,6 +57,12 @@ class Record:
         )
 
 
+def closed(s) -> bool:
+    """Whether the update just applied closed both steps, the output step
+    (nothing left to flush) and the op step (nothing charged since)."""
+    return s.roles.flush() == [] and s.counter.current == 0
+
+
 def drive(algo: str):
     args = cli.build_parser().parse_args(["run", *RUNS[algo].split()])
     counter = OpCounter()
@@ -64,6 +73,7 @@ def drive(algo: str):
         before = adapter.spanner()
         phase = getattr(adapter.state, "phase_index", None)
         step = adapter.apply(ev)
+        assert closed(adapter.state), ev
         rollover = phase != getattr(adapter.state, "phase_index", None)
         records.append(Record(step, before, adapter.spanner(), counter.last_step, rollover))
     assert len(records) == args.steps
@@ -120,12 +130,38 @@ def test_wrapped_runner_reports_the_output_diff():
     for i, ev in enumerate(events, 1):
         before = runner.spanner_edges()
         step = runner.update(ev)
+        assert closed(runner) and runner.D_cur.roles.flush() == [], ev
         r = Record(step, before, runner.spanner_edges(), runner.counter.last_step, False)
         assert r.conforms(), (i, step)
         runner.check_invariants()
         ops += step.op_count
     assert runner.window == 4
     assert set_up + ops == runner.counter.total  # successor work is charged to the steps
+
+
+def step_builders(tree: ast.AST, func: str = ""):
+    """The enclosing function of every `Step(...)` call; the innermost decides."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from step_builders(node, node.name)
+            continue
+        if isinstance(node, ast.Call) and "Step" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            yield func
+        yield from step_builders(node, func)
+
+
+def test_only_the_role_set_and_the_engine_build_a_step():
+    # a spanner update's Step is its role set's `step`; the engine's counts jobs
+    src = Path(dynspan.__file__).resolve().parent
+    found = {
+        (path.name, func)
+        for path in sorted(src.glob("*.py"))
+        for func in step_builders(ast.parse(path.read_text()))
+    }
+    assert found == {("instrumentation.py", "step"), ("job_machine.py", "update")}
 
 
 EIGHT = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)]
