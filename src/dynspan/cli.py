@@ -133,8 +133,7 @@ class JMAdapter(Adapter):
 
     def __init__(self, args, counter: OpCounter) -> None:
         if args.jm_instance:
-            with open(args.jm_instance) as f:
-                inst = HyperInstance.from_text(f.read())
+            inst = HyperInstance.from_text(read_input(args.jm_instance, "instance file"))
         else:
             inst = random_instance(random.Random(args.seed), args.jm_jobs, args.jm_machines)
         self.engine = self.state = ResamplingEngine(
@@ -156,13 +155,18 @@ ALGO_FACTORIES = {
 }
 
 
-def load_replay(spec: str) -> Replay:
-    path = spec.split(":", 1)[1]
+def read_input(path: str, what: str) -> str:
+    """The text of an input file, read as UTF-8; a file that cannot be
+    opened or decoded raises BadArgs naming it."""
     try:
-        with open(path) as f:
-            return Replay(f.read())
-    except OSError as exc:
-        raise BadArgs(f"cannot read stream file {path}: {exc}") from exc
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadArgs(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_replay(spec: str) -> Replay:
+    return Replay(read_input(spec.split(":", 1)[1], "stream file"))
 
 
 def make_adversary(args, adapter):

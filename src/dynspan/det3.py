@@ -8,6 +8,10 @@ smallest neighbor, becomes v's center c_i(v), and that edge is a partner
 structure keeps the set of edges from a into b's cluster (b plus the
 outside vertices centered at b) with one chosen connection (type-2)
 edge.  The spanner is the set of edges holding at least one role.
+The build reads each pair set off a row, E(a, C+(b)) =
+`adj_mask[a] & cluster[b]`, with one AND per pair of bucket-mates and
+one op charge for the whole build; updates keep the sets one edge at a
+time.
 
 Repair rules on deletion: a lost center is replaced by the minimum of the
 row E(v, V_i); a lost chosen edge by the minimum of its pair set; when a
@@ -81,25 +85,40 @@ class Det3State(RoleOutput):
     # -- construction ------------------------------------------------------
 
     def _build(self) -> None:
-        for v, row in enumerate(self.g.adj_mask):
-            for i, members in enumerate(self.bucket_mask):
-                if i != self.bucket_of[v] and (nbrs := row & members):
-                    c = nth_bit(nbrs, 0)
-                    self._charge(2)  # the center and its partner role
-                    self.center[(v, i)] = c
-                    self.roles.add(edge_key(v, c))
-        for u, v in self.g.edges():
-            for near, far in ((u, v), (v, u)):
-                pair = self._pair_of(near, far)
-                if pair is not None:
-                    self.cedge.setdefault(pair, set()).add(far)
-                    self._charge(1)
-        for pair, zs in self.cedge.items():
-            if zs:
-                z = min(zs)
-                self._charge(2)  # the choice and its role
-                self.chosen[pair] = z
-                self.roles.add(edge_key(pair[0], z))
+        """Set the centers, then read each pair set off the cluster masks.
+
+        `cluster[b]` is b plus the vertices whose center in b's bucket is
+        b, so E(a, C+(b)) = `adj[a] & cluster[b]`, and the chosen edge is
+        its lowest bit.  The masks are local: updates keep `cedge` one
+        edge at a time.  The ops are the per-item ones, charged once: 2
+        per center, 1 per pair-set member, 2 per choice."""
+        adj, bucket_of, bucket_mask = self.g.adj_mask, self.bucket_of, self.bucket_mask
+        center, cedge, chosen, add = self.center, self.cedge, self.chosen, self.roles.add
+        cluster = [1 << b for b in range(self.n)]
+        ops = 0
+        for v, row in enumerate(adj):
+            for i, members in enumerate(bucket_mask):
+                if i != bucket_of[v] and (nbrs := row & members):
+                    c = (nbrs & -nbrs).bit_length() - 1
+                    center[(v, i)] = c
+                    cluster[c] |= 1 << v
+                    add(edge_key(v, c))
+                    ops += 2  # the center and its partner role
+        for a, row in enumerate(adj):
+            mates = bucket_mask[bucket_of[a]] ^ 1 << a
+            while mates:
+                low = mates & -mates
+                b = low.bit_length() - 1
+                mates ^= low
+                zs = row & cluster[b]
+                if zs:
+                    z = (zs & -zs).bit_length() - 1
+                    cedge[(a, b)] = set(iter_bits(zs))
+                    chosen[(a, b)] = z
+                    add(edge_key(a, z))
+                    ops += zs.bit_count() + 2  # the members, the choice and its role
+        if ops:  # an edgeless build leaves `by_module` as it was
+            self._charge(ops)
         self.counter.end_step()
         self.roles.flush()
 

@@ -82,7 +82,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import compress
-from operator import and_, itemgetter, ne, xor
+from operator import and_, ne, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from dynspan.graph import DynamicGraph, edge_key, iter_bits, mask_dist
@@ -326,9 +326,9 @@ def verify_stretch(
     if worst <= 3:  # no walked edge beyond 3: the first edge of the farthest tier
         near = map(and_, map(xor, adj, masks), above)  # the non-spanner edges
         for d, rows in ((3, lefts), (2, near), (1, map(and_, adj, above))):
-            first = next(filter(itemgetter(1), enumerate(rows)), None)
-            if first is not None:
-                u, row = first
+            u = next(compress(range(n), rows), None)
+            if u is not None:  # compress consumed the row: read it again
+                row = lefts[u] if d == 3 else (adj[u] ^ masks[u] if d == 2 else adj[u]) & above[u]
                 worst, worst_edge = d, (u, (row & -row).bit_length() - 1)
                 break
     if memo is not None:

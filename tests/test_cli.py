@@ -183,6 +183,26 @@ def test_bad_jm_instance_file_is_input_error(tmp_path, capsys, text, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algo", "det3", "--adversary", "replay:{path}"],
+        ["verify", "--algo", "det3", "--stream", "{path}"],
+        ["run", "--algo", "jm", "--adversary", "max-load", "--jm-instance", "{path}"],
+    ],
+    ids=["replay", "verify", "jm-instance"],
+)
+def test_an_input_file_that_is_not_utf8_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"N 5\n+ 0 1\n\xd0\x00\xff\xfe- 0 1\n")  # invalid UTF-8 on line 3
+    out = tmp_path / "run.csv"
+    argv = [arg.format(path=path) for arg in argv]
+    assert cli.main([*argv, "--steps", "5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
 def test_malformed_stream_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("N 5\n+ 0\n")

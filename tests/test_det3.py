@@ -11,6 +11,7 @@ import pytest
 
 from dynspan.det3 import Det3State, bucket_masks, default_buckets
 from dynspan.graph import DELETE, INSERT, DynamicGraph, EdgeExists, EdgeMissing, UpdateEvent
+from dynspan.graph import edge_key, nth_bit
 from dynspan.instrumentation import OpCounter
 from dynspan.oracle import verify_stretch
 from helpers import max_degree
@@ -68,6 +69,91 @@ def test_build_star_keeps_every_edge():
     edges = [(0, v) for v in range(1, 10)]
     s = make(10, edges)
     assert s.spanner == set(edges)
+
+
+class PerEdgeBuild(Det3State):
+    """What `Det3State._build` must leave, one item at a time: each center
+    from its row, then each edge from both ends through `_pair_of`, then
+    the smallest member of each pair set, with one charge per item."""
+
+    def _build(self):
+        for v, row in enumerate(self.g.adj_mask):
+            for i, members in enumerate(self.bucket_mask):
+                if i != self.bucket_of[v] and (nbrs := row & members):
+                    c = nth_bit(nbrs, 0)
+                    self._charge(2)
+                    self.center[(v, i)] = c
+                    self.roles.add(edge_key(v, c))
+        for u, v in self.g.edges():
+            for near, far in ((u, v), (v, u)):
+                pair = self._pair_of(near, far)
+                if pair is not None:
+                    self.cedge.setdefault(pair, set()).add(far)
+                    self._charge(1)
+        for pair, zs in self.cedge.items():
+            if zs:
+                z = min(zs)
+                self._charge(2)
+                self.chosen[pair] = z
+                self.roles.add(edge_key(pair[0], z))
+        self.counter.end_step()
+        self.roles.flush()
+
+
+def random_bucket_map(rng, n):
+    """Bucket ids drawn from a random subset of range(n), with skewed
+    weights: buckets of uneven sizes, unused ids below the largest (empty
+    buckets) and ids that are not contiguous."""
+    ids = rng.sample(range(n), rng.randrange(1, n + 1))
+    weights = [rng.random() ** 3 for _ in ids]
+    return rng.choices(ids, weights, k=n)
+
+
+def build_state(s):
+    return s.center, s.cedge, s.chosen, s.roles.count, s.counter.by_module
+
+
+def test_the_build_matches_the_per_edge_build():
+    rng = random.Random(41)
+    for n in (0, 1, 2, 5, 30, 64, 144):
+        pairs = list(itertools.combinations(range(n), 2))
+        for density in (0.0, 0.03, 0.15, 0.5, 1.0):
+            edges = [e for e in pairs if rng.random() < density]
+            maps = [None] + [random_bucket_map(rng, n) for _ in range(3 if n else 0)]
+            if n:
+                maps += [[0] * n, list(range(n))]  # one bucket, one vertex per bucket
+            for buckets in maps:
+                s = Det3State(DynamicGraph(n, edges), buckets=buckets, counter=OpCounter())
+                ref = PerEdgeBuild(DynamicGraph(n, edges), buckets=buckets, counter=OpCounter())
+                assert build_state(s) == build_state(ref), (n, density, buckets)
+                assert s.counter.current == 0 and s.roles.flush() == []
+                s.check_against_rebuild()
+
+
+def test_the_build_reads_no_pair_of_and_charges_det3_once(monkeypatch):
+    rng = random.Random(43)
+    n = 64
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.2]
+    g = DynamicGraph(n, edges)
+    pair_of_calls, det3_charges = [], []
+    pair_of, charge = Det3State._pair_of, OpCounter.charge
+
+    def counted_pair_of(self, near, far):
+        pair_of_calls.append((near, far))
+        return pair_of(self, near, far)
+
+    def counted_charge(self, k, module):
+        if module == "det3":
+            det3_charges.append(k)
+        charge(self, k, module)
+
+    monkeypatch.setattr(Det3State, "_pair_of", counted_pair_of)
+    monkeypatch.setattr(OpCounter, "charge", counted_charge)
+    s = Det3State(g, counter=OpCounter())
+    assert pair_of_calls == []
+    assert det3_charges == [s.counter.by_module["det3"]]
+    s.check_against_rebuild()  # the reference derivation still walks every edge
+    assert len(pair_of_calls) == 2 * len(edges)
 
 
 def test_delete_non_spanner_edge_changes_nothing():
